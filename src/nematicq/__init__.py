@@ -11,7 +11,6 @@ and ``energy`` discretize the square-domain free energy; ``minimize``,
 
 from .energy import LdGSystem, elastic_matrix, free_energy, gradient, metric_matrix
 from .errors import (
-    BudgetExceeded,
     ConfigError,
     DegeneratePath,
     LinearSolveFailure,
@@ -75,7 +74,6 @@ from .systems import System, make_rng
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded",
     "BulkCriticalSet",
     "BulkParams",
     "ConfigError",

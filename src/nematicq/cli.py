@@ -302,7 +302,7 @@ def cmd_landscape(args) -> int:
     )
     print(
         f"landscape: nodes={len(graph.nodes)} edges={len(graph.edges)} "
-        f"searches={graph.searches} truncated={graph.truncated}"
+        f"searches={graph.searches} failed={len(graph.failed)} truncated={graph.truncated}"
     )
     return 0
 

@@ -24,6 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .field import Domain, QField
 from .qtensor import bulk_energy, bulk_gradient, frob2, metric_apply, to_matrix
@@ -33,6 +34,7 @@ __all__ = [
     "free_energy",
     "gradient",
     "LdGSystem",
+    "Preconditioner",
     "elastic_matrix",
     "elastic_shift_vector",
     "metric_matrix",
@@ -211,25 +213,43 @@ class LdGSystem(System):
     def shift_vector(self) -> np.ndarray:
         return elastic_shift_vector(self.domain)
 
-    def preconditioner(self, shift: float | None = None):
-        """SPD approximate inverse of the Hessian for eigen/saddle solvers.
+    def preconditioner(self) -> "Preconditioner":
+        """SPD approximate Hessian M = K + shift * kron(I, G), factored once.
 
-        Factorizes K + shift * kron(I, G) where K is the sparse
-        one-constant operator; the default shift scales with the bulk
-        coefficients so the factor stays positive definite.  Factors are
-        cached per shift.
+        K is the sparse one-constant operator; the shift scales with the
+        bulk coefficients so M stays positive definite.  The object is
+        cached on the system: LOBPCG takes it as its ``M=`` and the
+        saddle dynamics run in its metric.
         """
-        from scipy.sparse.linalg import LinearOperator, splu
+        pre = self.__dict__.get("_preconditioner")
+        if pre is None:
+            from scipy.sparse.linalg import splu
 
-        d = self.domain
-        if shift is None:
+            d = self.domain
             p = d.bulk
             shift = d.hx * d.hy * d.lambda2 * (abs(p.a) + p.b + p.c)
-        cache = self.__dict__.setdefault("_precond_cache", {})
-        if shift not in cache:
             mat = (self.elastic_csr + shift * metric_matrix(d)).tocsc()
-            lu = splu(mat)
-            cache[shift] = LinearOperator(
-                (self.n, self.n), matvec=lambda v: lu.solve(np.asarray(v))
-            )
-        return cache[shift]
+            pre = self._preconditioner = Preconditioner(mat, splu(mat))
+        return pre
+
+
+class Preconditioner(LinearOperator):
+    """An SPD matrix M with its LU factor.
+
+    As a LinearOperator it applies M^-1, the form LOBPCG expects for its
+    ``M=``; ``solve`` is that action on a vector or a block of columns,
+    and ``apply`` multiplies by M itself, for inner products <a, b>_M.
+    """
+
+    def __init__(self, matrix: sp.csc_matrix, lu):
+        super().__init__(dtype=float, shape=matrix.shape)
+        self.matrix = matrix
+        self.lu = lu
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return self.lu.solve(r)
+
+    _matvec = _matmat = solve
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix @ v

@@ -90,12 +90,3 @@ class WrongIndex(SolveError):
         self.wanted = int(wanted)
         self.record = record
         super().__init__(f"converged to Morse index {found}, wanted {wanted}")
-
-
-class BudgetExceeded(SolveError):
-    """A search budget (nodes or searches) ran out; partial results exist."""
-
-    def __init__(self, nodes: int, searches: int):
-        self.nodes = int(nodes)
-        self.searches = int(searches)
-        super().__init__(f"budget exceeded after {nodes} nodes, {searches} searches")

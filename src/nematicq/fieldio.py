@@ -244,7 +244,11 @@ def write_landscape(out_dir, graph, domain: Domain | None = None) -> list[str]:
     edges = [
         {"from": e.source, "to": e.target, "kind": e.kind, "sign": e.sign} for e in graph.edges
     ]
-    payload = {"nodes": nodes, "edges": edges, "truncated": graph.truncated}
+    failed = [
+        {"node": node, "kind": kind, "k": k, "sign": sign, "message": message}
+        for node, kind, k, sign, message in graph.failed
+    ]
+    payload = {"nodes": nodes, "edges": edges, "failed": failed, "truncated": graph.truncated}
     (out / "landscape.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return names
 

@@ -3,14 +3,18 @@ assembly of solution landscapes.
 
 A saddle of index k is found by flowing
 
-    dx/dt = -(I - 2 V V^T) grad E(x)
+    dx/dt = -(I - 2 V V^T M) M^-1 grad E(x)
 
-while the k directions in V relax toward the k smallest Hessian
-eigenvectors; explicit Euler steps plus a hard re-orthonormalization
-keep V orthonormal.  Verified stationary points become SaddleRecords;
-repeated downward (and optionally upward) searches from a seed record
-grow the directed graph of stationary points connected by search
-pathways.
+while the k directions in V relax toward the k smallest eigenvectors of
+M^-1 H; explicit Euler steps plus a hard re-orthonormalization keep V
+orthonormal in <a, b>_M = a^T M b.  M is the system's SPD
+preconditioner when it has one (the factored elastic operator of a
+tensor field), which keeps the step count flat as the grid is refined;
+systems without one run the same dynamics with M = I.
+
+Verified stationary points become SaddleRecords; repeated downward (and
+optionally upward) searches from a seed record grow the directed graph
+of stationary points connected by search pathways.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotStationary, ValidationError, WrongIndex
 from .spectrum import SpectrumReport, operator_scale, smallest_eigs
-from .systems import System
+from .systems import System, preconditioner_of
 
 __all__ = [
     "SaddleSearchState",
@@ -43,26 +47,53 @@ __all__ = [
 ]
 
 
-def gram_schmidt(v: np.ndarray) -> np.ndarray:
-    """Orthonormalize columns in order, with one reorthogonalization pass."""
+class _Euclidean:
+    """M = I: the metric of systems that bring no preconditioner."""
+
+    @staticmethod
+    def solve(r: np.ndarray) -> np.ndarray:
+        return r
+
+    @staticmethod
+    def apply(v: np.ndarray) -> np.ndarray:
+        return v
+
+
+def _metric(system: System):
+    """The system's preconditioner, or M = I when it brings none."""
+    precond = preconditioner_of(system)
+    return _Euclidean if precond is None else precond
+
+
+def gram_schmidt(v: np.ndarray, precond=None) -> np.ndarray:
+    """Orthonormalize columns in order, with one reorthogonalization pass.
+
+    The inner product is <a, b>_M = a^T M b with M applied by
+    ``precond.apply`` (the Euclidean one when precond is None).
+    """
+    precond = _Euclidean if precond is None else precond
     v = np.array(v, dtype=float)
+    mv = np.empty_like(v)  # M times each finished column
     for i in range(v.shape[1]):
         for _ in range(2):
             for j in range(i):
-                v[:, i] -= (v[:, j] @ v[:, i]) * v[:, j]
-        nrm = float(np.linalg.norm(v[:, i]))
+                v[:, i] -= (mv[:, j] @ v[:, i]) * v[:, j]
+        col = np.ascontiguousarray(v[:, i])
+        w = precond.apply(col)
+        nrm = float(np.sqrt(col @ w))
         if nrm < 1e-13:
             raise NoConvergence("direction set degenerated during orthonormalization")
+        mv[:, i] = w / nrm
         v[:, i] /= nrm
     return v
 
 
 @dataclass(frozen=True)
 class SaddleSearchState:
-    """Position plus k orthonormal unstable-direction candidates."""
+    """Position plus k M-orthonormal unstable-direction candidates."""
 
     x: np.ndarray
-    v: np.ndarray  # (n, k), orthonormal columns
+    v: np.ndarray  # (n, k), columns orthonormal in <a, b>_M
     k: int
 
 
@@ -73,7 +104,8 @@ class SaddleRecord:
     `field` is the flat coefficient vector (QField.from_flat views it on
     a domain); `lambda_spectrum` holds the smallest morse_index + 2
     eigenvalues (capped at the problem size), so the sign change behind
-    the index count is visible.
+    the index count is visible; `iterations` counts the saddle-dynamics
+    steps that reached it (0 for a record made on the spot).
     """
 
     field: np.ndarray
@@ -82,16 +114,18 @@ class SaddleRecord:
     lambda_spectrum: np.ndarray
     grad_inf: float
     id: int | None = None
+    iterations: int = 0
 
 
 @dataclass
 class SaddleOptions:
     """Knobs for one saddle search.
 
-    beta_dt/gamma_dt default to 1/|H| estimated by power iteration at
-    the start point.  `precond` (an operator applied to the reflected
-    gradient) and `refresh_every` (periodically recompute V by a
-    subspace eigensolve) are off by default.
+    beta_dt/gamma_dt default to 1/|M^-1 H| estimated by power iteration
+    at the start point and, for k > 0, capped by a fresh estimate every
+    scale_check_every steps.
+    `refresh_every` (periodically recompute V by a subspace eigensolve)
+    is off by default.
     """
 
     beta_dt: float | None = None
@@ -100,7 +134,6 @@ class SaddleOptions:
     tol_grad: float = 1e-8
     max_iters: int = 50_000
     seed: int = 0
-    precond: object = None
     refresh_every: int = 0
     blow_factor: float = 1e6
     radius_factor: float = 1e3
@@ -115,32 +148,33 @@ def hisd_step(
     gamma_dt: float,
     l: float | None = None,
     grad: np.ndarray | None = None,
-    precond=None,
 ) -> SaddleSearchState:
-    """One explicit Euler step of the saddle dynamics.
+    """One explicit Euler step of the saddle dynamics in the metric M.
 
-    x moves along the reflected gradient (plain descent when k = 0);
-    each v_i then relaxes against the Hessian at the new x, shielded
-    from the earlier directions, and the set is re-orthonormalized.
+    x moves along the M-reflected preconditioned gradient
+    M^-1 g - 2 V (V^T g) (plain preconditioned descent when k = 0);
+    each v_i then relaxes along M^-1 H v_i at the new x, shielded from
+    the earlier directions, and the set is M-orthonormalized.  M is the
+    system's preconditioner (``solve`` applies M^-1, ``apply`` M), or
+    the identity for a system without one.
     """
     if beta_dt <= 0.0 or gamma_dt <= 0.0:
         raise ValidationError("step sizes must be positive")
+    precond = _metric(system)
     x, v, k = state.x, state.v, state.k
     g = system.gradient(x) if grad is None else grad
+    d = precond.solve(g)
     if k:
-        d = g - 2.0 * v @ (v.T @ g)
-    else:
-        d = g
-    if precond is not None:
-        d = precond @ d if hasattr(precond, "__matmul__") else precond(d)
+        d = d - 2.0 * v @ (v.T @ g)
     x_new = x - beta_dt * d
     if k:
         hv = np.column_stack([system.hessian_vec(x_new, v[:, i], l) for i in range(k)])
+        # <v_j, M^-1 H v_i>_M = v_j^T H v_i
         coef = v.T @ hv
         # shield[j, i]: weight of v_j in the update of v_i; the running
         # direction counts once, every earlier one twice, later ones not at all
         shield = np.triu(2.0 * np.ones((k, k)), 1) + np.eye(k)
-        v_new = gram_schmidt(v - gamma_dt * (hv - v @ (shield * coef)))
+        v_new = gram_schmidt(v - gamma_dt * (precond.solve(hv) - v @ (shield * coef)), precond)
     else:
         v_new = v
     return SaddleSearchState(x_new, v_new, k)
@@ -192,24 +226,33 @@ def find_saddle(
 ) -> SaddleRecord:
     """Flow the saddle dynamics to a stationary point and verify its index.
 
-    Raises WrongIndex (carrying the verified record) when the landing
-    point is stationary but of a different index than requested; the
-    caller may keep that record.
+    The dynamics run in the metric of the system's preconditioner when
+    it has one (see hisd_step).  Raises WrongIndex (carrying the
+    verified record) when the landing point is stationary but of a
+    different index than requested; the caller may keep that record.
     """
     opts = opts or SaddleOptions()
+    precond = _metric(system)
     x = np.array(x0, dtype=float).reshape(-1)
     n = x.size
     if not 0 <= k <= n:
         raise ValidationError(f"index {k} out of range for {n} unknowns")
     if v0 is None:
         if k:
-            v = smallest_eigs(system, x, k, seed=opts.seed).eigenvectors.copy()
+            v = gram_schmidt(smallest_eigs(system, x, k, seed=opts.seed).eigenvectors, precond)
         else:
             v = np.zeros((n, 0))
     else:
-        v = gram_schmidt(np.asarray(v0, dtype=float).reshape(n, k))
+        v = gram_schmidt(np.asarray(v0, dtype=float).reshape(n, k), precond)
+
+    def scale_at(y: np.ndarray) -> float:
+        # spectral radius of M^-1 H, the rate of the fastest mode
+        return operator_scale(
+            lambda w: precond.solve(system.hessian_vec(y, w, opts.l)), n, seed=opts.seed
+        )
+
     if opts.beta_dt is None or opts.gamma_dt is None:
-        scale = operator_scale(lambda w: system.hessian_vec(x, w, opts.l), n, seed=opts.seed)
+        scale = scale_at(x)
         beta = opts.beta_dt if opts.beta_dt is not None else 1.0 / scale
         gamma = opts.gamma_dt if opts.gamma_dt is not None else 1.0 / scale
     else:
@@ -232,22 +275,22 @@ def find_saddle(
         g = system.gradient(state.x)
         g_inf = float(np.abs(g).max())
         if g_inf < opts.tol_grad:
-            record = make_record(system, state.x, opts.tol_grad, opts.seed, k_hint=k)
+            record = replace(
+                make_record(system, state.x, opts.tol_grad, opts.seed, k_hint=k), iterations=it
+            )
             if record.morse_index != k:
                 raise WrongIndex(record.morse_index, k, record=record)
             return record
         if k and opts.refresh_every and it and it % opts.refresh_every == 0:
             rep = smallest_eigs(system, state.x, k, seed=opts.seed, v0=state.v)
-            state = replace(state, v=rep.eigenvectors.copy())
+            state = replace(state, v=gram_schmidt(rep.eigenvectors, precond))
         if k and opts.adapt_scale and it and it % opts.scale_check_every == 0:
-            # curvature can grow along the way; keep beta below 1/|H| at
-            # the current point or the unstable modes start to rattle
-            cap = 1.0 / operator_scale(
-                lambda w: system.hessian_vec(state.x, w, opts.l), n, seed=opts.seed
-            )
+            # curvature can grow along the way; keep beta below 1/|M^-1 H|
+            # at the current point or the unstable modes start to rattle
+            cap = 1.0 / scale_at(state.x)
             beta = min(beta, cap)
             gamma = min(gamma, cap)
-        trial = hisd_step(system, state, beta, gamma, opts.l, grad=g, precond=opts.precond)
+        trial = hisd_step(system, state, beta, gamma, opts.l, grad=g)
         # a position running off to radius_factor times the start scale is
         # divergence, not a step-size problem; halving cannot rescue it
         if not np.all(np.isfinite(trial.x)) or np.abs(trial.x).max() > opts.radius_factor * x_scale:
@@ -289,7 +332,8 @@ def _branch_searches(
     errors_out: list | None,
 ) -> list[tuple[float, SaddleRecord]]:
     """Run find_saddle from origin +/- eps * last direction; keep verified
-    records (including wrong-index landings), drop failed branches."""
+    records (including wrong-index landings) and report failed branches
+    as (sign, error) to errors_out when given."""
     found = []
     for sign in (1.0, -1.0):
         x0 = origin.field + (sign * eps) * directions
@@ -385,10 +429,18 @@ class Edge:
 
 @dataclass
 class LandscapeGraph:
+    """Stationary points and the search pathways between them.
+
+    `failed` lists every branch search that ended in NoConvergence as
+    (node, kind, k, sign, message): the node it started from, the
+    search kind and target index, the perturbation sign and the error.
+    """
+
     nodes: list  # SaddleRecords with ids assigned in discovery order
     edges: list  # Edges
     truncated: bool
     searches: int
+    failed: list = field(default_factory=list)
 
     def node(self, node_id: int) -> SaddleRecord:
         return self.nodes[node_id]
@@ -423,11 +475,13 @@ def build_landscape(
     each index below it (and upward sweeps up to max_index when set),
     both perturbation signs, in a fixed order, so discovery ids are
     deterministic.  Hitting a budget stops scheduling and returns the
-    partial graph with truncated = True.
+    partial graph with truncated = True; branches that fail to converge
+    are recorded in the graph's `failed` list.
     """
     opts = opts or LandscapeOptions()
     nodes: list[SaddleRecord] = [replace(seed, id=0)]
     edges: list[Edge] = []
+    failed: list[tuple] = []
     searches = 0
     truncated = False
 
@@ -466,6 +520,7 @@ def build_landscape(
         rep = directions_for(node_id, want)
         eps = _default_eps(parent.field, opts.eps)
         searches += 2
+        errors: list = []
         hits = _branch_searches(
             system,
             parent,
@@ -474,8 +529,9 @@ def build_landscape(
             rep.eigenvectors[:, :k],
             eps,
             opts.search,
-            None,
+            errors,
         )
+        failed.extend((node_id, kind, k, sign, str(err)) for sign, err in errors)
         for sign, rec in hits:
             match_id = None
             for existing in nodes:
@@ -496,4 +552,6 @@ def build_landscape(
                 edges.append(Edge(node_id, match_id, "downward", sign))
             elif kind == "upward" and found_index > parent.morse_index:
                 edges.append(Edge(node_id, match_id, "upward", sign))
-    return LandscapeGraph(nodes=nodes, edges=edges, truncated=truncated, searches=searches)
+    return LandscapeGraph(
+        nodes=nodes, edges=edges, truncated=truncated, searches=searches, failed=failed
+    )

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import NoConvergence, ShapeMismatch
-from .systems import System, make_rng
+from .systems import System, make_rng, preconditioner_of
 
 __all__ = ["SpectrumReport", "smallest_eigs", "solve_smallest", "operator_scale"]
 
@@ -32,7 +32,9 @@ class SpectrumReport:
     ``eigenvalues`` ascend; ``eigenvectors`` has orthonormal columns;
     ``residuals`` are |H v - lambda v|_2 per pair; ``scale`` estimates
     |H|_2; ``morse_index`` counts eigenvalues below -tol_eig among the
-    computed ones (a lower bound on the true index when all k qualify).
+    computed ones (a lower bound on the true index when all k qualify);
+    ``iterations`` counts the LOBPCG iterations run over all attempts
+    (0 for a dense solve).
     """
 
     eigenvalues: np.ndarray
@@ -127,15 +129,18 @@ def solve_smallest(
         for attempt in range(restarts + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                w_try, x = lobpcg(
+                w_try, x, history = lobpcg(
                     op,
                     x,
                     M=precond,
                     largest=False,
                     tol=res_target,
                     maxiter=maxiter,
+                    retResidualNormsHistory=True,
                 )
-            iterations += maxiter
+            # residuals of the start block, of each iteration up to the
+            # returned iterate, and of its final Rayleigh-Ritz cleanup
+            iterations += len(history) - 2
             w, v, res = _rayleigh_ritz(apply_h, x)
             if res.max() <= res_required:
                 break
@@ -179,8 +184,7 @@ def smallest_eigs(
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if precond == "auto":
-        build = getattr(system, "preconditioner", None)
-        precond = build() if callable(build) else None
+        precond = preconditioner_of(system)
 
     def apply_h(v):
         return system.hessian_vec(x, np.asarray(v, dtype=float).reshape(-1), l)

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["System", "make_rng", "hessian_vec"]
+__all__ = ["System", "make_rng", "preconditioner_of"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -67,6 +67,7 @@ class System:
         return (self.gradient(x + l * v) - self.gradient(x - l * v)) / (2.0 * l)
 
 
-def hessian_vec(system: System, x: np.ndarray, v: np.ndarray, l: float | None = None) -> np.ndarray:
-    """Functional form of ``System.hessian_vec`` for callers holding a system."""
-    return system.hessian_vec(x, v, l)
+def preconditioner_of(system: System):
+    """The system's SPD preconditioner, or None when it brings none."""
+    build = getattr(system, "preconditioner", None)
+    return build() if callable(build) else None

@@ -21,7 +21,7 @@ from nematicq.fieldio import (
     write_trajectory,
 )
 from nematicq.hedgehog import solve_profile
-from nematicq.hisd import build_landscape, make_record
+from nematicq.hisd import LandscapeOptions, SaddleOptions, build_landscape, make_record
 from nematicq.maier_saupe import solve_branches
 from nematicq.mep import find_mep
 from nematicq.qtensor import BulkParams
@@ -175,7 +175,19 @@ class TestLandscapeOutput:
             assert set(edge) == {"from", "to", "kind", "sign"}
             assert edge["kind"] == "downward"
             assert edge["sign"] in (1, -1)
+        assert payload["failed"] == []
         assert payload["truncated"] is False
+
+    def test_failed_branches_written(self, tmp_path):
+        system = Quartic2D()
+        seed = make_record(system, np.array(Quartic2D.TOP), k_hint=2)
+        graph = build_landscape(system, seed, LandscapeOptions(search=SaddleOptions(max_iters=3)))
+        write_landscape(tmp_path, graph)
+        payload = json.loads((tmp_path / "landscape.json").read_text())
+        assert len(payload["failed"]) == 4
+        for entry in payload["failed"]:
+            assert set(entry) == {"node", "kind", "k", "sign", "message"}
+            assert entry["node"] == 0 and entry["kind"] == "downward"
 
 
 class TestConfig:

@@ -3,10 +3,12 @@ stationary sets."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from nematicq.energy import LdGSystem
+from nematicq.energy import LdGSystem, Preconditioner
 from nematicq.errors import NoConvergence, ValidationError, WrongIndex
-from nematicq.field import Domain, seed_field
+from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.hisd import (
     LandscapeOptions,
     SaddleOptions,
@@ -31,6 +33,19 @@ BULK = BulkParams(-1.0, 1.0, 1.0)
 
 def quartic_record(point, k_hint=0):
     return make_record(Quartic2D(), np.array(point, dtype=float), k_hint=k_hint)
+
+
+class MetricQuadratic(DiagQuadratic):
+    """DiagQuadratic that brings the diagonal SPD preconditioner M = diag(m)."""
+
+    def __init__(self, diag, m):
+        super().__init__(diag)
+        self.m = np.asarray(m, dtype=float)
+        mat = sp.diags(self.m).tocsc()
+        self._pre = Preconditioner(mat, splu(mat))
+
+    def preconditioner(self):
+        return self._pre
 
 
 class TestStep:
@@ -61,13 +76,54 @@ class TestStep:
 
     def test_directions_stay_orthonormal(self):
         gen = make_rng(7, "test:hisd:orth")
-        sy = DiagQuadratic(np.array([-3.0, -1.0, 0.5, 2.0, 4.0]))
+        d = np.array([-3.0, -1.0, 0.5, 2.0, 4.0])
+        sy = DiagQuadratic(d)
         v = gram_schmidt(gen.normal(size=(5, 2)))
         state = SaddleSearchState(gen.normal(size=5), v, 2)
         for _ in range(100):
             state = hisd_step(sy, state, 0.05, 0.05)
             gram = state.v.T @ state.v
             assert np.abs(gram - np.eye(2)).max() < 1e-10
+        # with a preconditioner the directions are orthonormal in <a, b>_M
+        m = 0.5 + gen.random(5) * 4.0
+        msy = MetricQuadratic(d, m)
+        pre = msy.preconditioner()
+        state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2)), pre), 2)
+        for _ in range(100):
+            state = hisd_step(msy, state, 0.05, 0.05)
+            gram = state.v.T @ (m[:, None] * state.v)
+            assert np.abs(gram - np.eye(2)).max() < 1e-10
+
+    def test_metric_step_matches_dense_formula(self):
+        gen = make_rng(5, "test:hisd:metric")
+        d = np.array([-3.0, -1.0, 0.5, 2.0, 4.0])
+        m = 0.5 + gen.random(5) * 4.0
+        sy = MetricQuadratic(d, m)
+        v = gram_schmidt(gen.normal(size=(5, 2)), sy.preconditioner())
+        x = gen.normal(size=5)
+        out = hisd_step(sy, SaddleSearchState(x, v, 2), 0.1, 0.2)
+        # x <- x - beta (M^-1 g - 2 V V^T g), with g = H x and H = diag(d)
+        g = d * x
+        assert np.allclose(out.x, x - 0.1 * (g / m - 2.0 * v @ (v.T @ g)), rtol=0, atol=1e-12)
+        # v_i relaxes along M^-1 H v_i against the shielded coefficients V^T H V
+        hv = d[:, None] * v
+        coef = v.T @ hv
+        raw = v - 0.2 * (hv / m[:, None] - v @ (np.array([[1.0, 2.0], [0.0, 1.0]]) * coef))
+        q0 = raw[:, 0] / np.sqrt(raw[:, 0] @ (m * raw[:, 0]))
+        q1 = raw[:, 1] - (q0 @ (m * raw[:, 1])) * q0
+        q1 /= np.sqrt(q1 @ (m * q1))
+        assert np.allclose(out.v, np.column_stack([q0, q1]), rtol=0, atol=1e-12)
+
+    def test_euclidean_metric_is_bitwise_the_plain_step(self):
+        # toys have no preconditioner: M = I must reproduce the plain
+        # reflected step and Gram-Schmidt exactly
+        gen = make_rng(9, "test:hisd:euclid")
+        sy = DiagQuadratic(np.array([-3.0, -1.0, 0.5, 2.0, 4.0]))
+        v = gram_schmidt(gen.normal(size=(5, 2)))
+        x = gen.normal(size=5)
+        out = hisd_step(sy, SaddleSearchState(x, v, 2), 0.1, 0.1)
+        g = sy.gradient(x)
+        assert np.array_equal(out.x, x - 0.1 * (g - 2.0 * v @ (v.T @ g)))
 
     def test_gram_schmidt_degenerate_raises(self):
         v = np.ones((4, 2))
@@ -142,10 +198,23 @@ class TestFindSaddle:
         x0 = np.full(4, 0.8)
         base = find_saddle(sy, 1, x0)
         refreshed = find_saddle(sy, 1, x0, opts=SaddleOptions(refresh_every=5))
-        pre = find_saddle(sy, 1, x0, opts=SaddleOptions(precond=lambda g: g / np.abs(d)))
-        for rec in (refreshed, pre):
+        # M = diag(|d|) makes every eigenvalue of M^-1 H equal to +-1
+        msy = MetricQuadratic(d, np.abs(d))
+        pre = find_saddle(msy, 1, x0)
+        pre_refreshed = find_saddle(msy, 1, x0, opts=SaddleOptions(refresh_every=5))
+        for rec in (refreshed, pre, pre_refreshed):
             assert rec.morse_index == 1
             assert np.abs(rec.field - base.field).max() < 1e-7
+            assert np.allclose(rec.lambda_spectrum, [-2.0, 1.0, 3.0], atol=1e-6)
+        assert 0 < pre.iterations < base.iterations
+
+    def test_iterations_recorded(self):
+        rec = find_saddle(Quartic2D(), 1, np.array([0.2, 0.8]))
+        assert rec.iterations > 0
+        assert quartic_record((0.0, 1.0), k_hint=1).iterations == 0
+        with pytest.raises(WrongIndex) as info:
+            find_saddle(Quartic2D(), 0, np.array([1e-2, 0.0]))
+        assert info.value.record.iterations > 0
 
     def test_spectrum_length_is_index_plus_two_capped(self):
         assert quartic_record((1.0, 1.0)).lambda_spectrum.shape == (2,)
@@ -260,6 +329,21 @@ class TestLandscape:
         tiny = self.toy_graph(max_nodes=1)
         assert tiny.truncated and len(tiny.nodes) == 1
 
+    def test_failed_branches_are_recorded(self):
+        graph = self.toy_graph(search=SaddleOptions(max_iters=3))
+        # every search from the top runs out of steps: nothing is found,
+        # and each of the four branches is on record
+        assert len(graph.nodes) == 1 and not graph.edges
+        assert graph.searches == 4
+        assert [f[:4] for f in graph.failed] == [
+            (0, "downward", 1, 1.0),
+            (0, "downward", 1, -1.0),
+            (0, "downward", 0, 1.0),
+            (0, "downward", 0, -1.0),
+        ]
+        assert all("after 3 steps" in f[4] for f in graph.failed)
+        assert self.toy_graph().failed == []
+
     def test_upward_sweep_opt_in(self):
         seed = quartic_record((1.0, 1.0))
         graph = build_landscape(Quartic2D(), seed, LandscapeOptions(max_index=2))
@@ -301,3 +385,34 @@ class TestTensorField:
         rec = find_saddle(sy, 0, x0, opts=SaddleOptions(tol_grad=1e-9))
         assert rec.morse_index == 0
         assert np.abs(rec.field - res.x).max() < 1e-6
+
+
+def planar_cross_parent(n):
+    """The index-2 symmetric cross state at lambda2 = 50 on an n x n grid."""
+    d = Domain(nx=n, ny=n, lambda2=50.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+    sy = LdGSystem(d)
+    x, y = np.meshgrid(d.xs, d.ys, indexing="ij")
+    sign = np.where(np.abs(y - 0.5) > np.abs(x - 0.5), 1.0, -1.0)
+    ramp = np.minimum(1.0, 3.0 * np.minimum(np.abs(x - y), np.abs(x + y - 1.0)))
+    q = np.zeros(d.shape)
+    q[:, :, 0] = 0.5 * d.s_plus * sign * ramp
+    q[:, :, 3] = -q[:, :, 0]
+
+    def project(flat):
+        return symmetrize(QField.from_flat(d, flat)).flat
+
+    opts = MinimizeOptions(tol_grad=1e-8, max_iters=20000, project=project)
+    res = minimize(sy, project(q.reshape(-1)), opts)
+    assert res.converged
+    return sy, make_record(sy, res.x, tol_grad=1e-6, k_hint=2)
+
+
+def test_downward_search_steps_do_not_grow_with_the_grid():
+    found = {}
+    for n in (16, 32):
+        sy, parent = planar_cross_parent(n)
+        assert parent.morse_index == 2
+        hits = downward_search(sy, parent, 1, opts=SaddleOptions(tol_grad=1e-6))
+        found[n] = ([rec.morse_index for rec in hits], sum(rec.iterations for rec in hits))
+    assert found[16][0] == found[32][0] == [1, 1]
+    assert found[32][1] <= 1.5 * found[16][1]

@@ -118,3 +118,27 @@ class TestLdGSpectrum:
         assert rep.residuals.max() < 1e-6 * rep.scale
         rep2 = smallest_eigs(sy, x, k=3, seed=4, precond=None)
         assert rep.eigenvalues == pytest.approx(rep2.eigenvalues, abs=1e-6 * rep.scale)
+
+    def test_iterations_count_what_lobpcg_ran(self):
+        d = Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK)
+        sy = LdGSystem(d)
+        x = np.zeros(sy.n)
+        maxiter = 800
+        rep = smallest_eigs(sy, x, k=3, seed=4, maxiter=maxiter)
+        plain = smallest_eigs(sy, x, k=3, seed=4, precond=None, maxiter=maxiter)
+        assert 0 < rep.iterations < maxiter
+        assert 0 < plain.iterations < maxiter
+        # the factored elastic operator is what makes the solve cheap
+        assert rep.iterations < plain.iterations
+
+    def test_preconditioner_is_one_cached_spd_object(self):
+        d = Domain(nx=6, ny=6, lambda2=5.0, bulk=BULK)
+        sy = LdGSystem(d)
+        pre = sy.preconditioner()
+        assert sy.preconditioner() is pre
+        gen = make_rng(4, "test:spectrum:precond")
+        v = gen.normal(size=(sy.n, 2))
+        assert np.allclose(pre.solve(pre.apply(v)), v, rtol=0, atol=1e-10)
+        assert np.allclose(pre @ v[:, 0], pre.solve(v[:, 0]), rtol=0, atol=0)
+        m = pre.matrix.toarray()
+        assert np.allclose(m, m.T) and np.linalg.eigvalsh(m).min() > 0.0
