@@ -77,6 +77,8 @@ def cmd_minimize(args) -> int:
             "energy": res.energy,
             "grad_inf_norm": res.grad_inf,
             "iterations": res.iterations,
+            "n_energy": res.n_energy,
+            "n_grad": res.n_grad,
             "converged": res.converged,
         },
     )

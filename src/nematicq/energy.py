@@ -20,7 +20,7 @@ the densities.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +35,7 @@ __all__ = [
     "gradient",
     "LdGSystem",
     "Preconditioner",
+    "SineSolver",
     "elastic_matrix",
     "elastic_shift_vector",
     "metric_matrix",
@@ -49,6 +50,7 @@ _G5 = np.array(
         [0.0, 0.0, 0.0, 0.0, 2.0],
     ]
 )
+_G5_EIGVALS, _G5_EIGVECS = np.linalg.eigh(_G5)  # 1, 2, 2, 2, 3
 
 
 def _cell_density_23(u: np.ndarray, l2: float, l3: float) -> float:
@@ -205,51 +207,91 @@ class LdGSystem(System):
     def field(self, x: np.ndarray) -> QField:
         return QField.from_flat(self.domain, x)
 
-    @cached_property
-    def elastic_csr(self) -> sp.csr_matrix:
-        return elastic_matrix(self.domain)
-
-    @cached_property
-    def shift_vector(self) -> np.ndarray:
-        return elastic_shift_vector(self.domain)
-
     def preconditioner(self) -> "Preconditioner":
-        """SPD approximate Hessian M = K + shift * kron(I, G), factored once.
+        """SPD approximate Hessian M = K + shift * kron(I, G) with its exact solve.
 
         K is the sparse one-constant operator; the shift scales with the
         bulk coefficients so M stays positive definite.  The object is
-        cached on the system: LOBPCG takes it as its ``M=`` and the
-        saddle dynamics run in its metric.
+        cached on the system: LOBPCG takes it as its ``M=``, the saddle
+        dynamics run in its metric and L-BFGS seeds its H0 with it.
         """
         pre = self.__dict__.get("_preconditioner")
         if pre is None:
-            from scipy.sparse.linalg import splu
-
             d = self.domain
             p = d.bulk
             shift = d.hx * d.hy * d.lambda2 * (abs(p.a) + p.b + p.c)
-            mat = (self.elastic_csr + shift * metric_matrix(d)).tocsc()
-            pre = self._preconditioner = Preconditioner(mat, splu(mat))
+            mat = elastic_matrix(d) + shift * metric_matrix(d)
+            pre = self._preconditioner = Preconditioner(mat, SineSolver(d, 0.0, 1.0, shift))
         return pre
 
 
 class Preconditioner(LinearOperator):
-    """An SPD matrix M with its LU factor.
+    """An SPD matrix M with a solver for it (any object with ``solve``).
 
     As a LinearOperator it applies M^-1, the form LOBPCG expects for its
     ``M=``; ``solve`` is that action on a vector or a block of columns,
     and ``apply`` multiplies by M itself, for inner products <a, b>_M.
     """
 
-    def __init__(self, matrix: sp.csc_matrix, lu):
+    def __init__(self, matrix: sp.spmatrix, solver):
         super().__init__(dtype=float, shape=matrix.shape)
         self.matrix = matrix
-        self.lu = lu
+        self.solver = solver
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        return self.lu.solve(r)
+        return self.solver.solve(r)
 
     _matvec = _matmat = solve
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
+
+
+@lru_cache(maxsize=8)
+def _sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DST-I matrix S (S = S^T = S^-1) and the eigenvalues of
+    the Dirichlet second difference tridiag(-1, 2, -1) that S diagonalizes."""
+    k = np.arange(1, n + 1)
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    mu = 4.0 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+    s.flags.writeable = mu.flags.writeable = False
+    return s, mu
+
+
+class SineSolver(LinearOperator):
+    """Exact inverse of c0 I + c1 kron(A + sigma I, G) by sine transforms.
+
+    A = wx T (x) I + wy I (x) T is the Dirichlet 5-point operator of
+    ``elastic_matrix`` (K = kron(A, G)), G the Frobenius metric of a node.
+    A solve rotates the components into the eigenbasis of G, applies the
+    DST-I matrix along each axis, divides by the eigenvalues
+    c0 + c1 g_c (wx mu_i + wy mu_j + sigma) and transforms back: the fast
+    Poisson solver of Buzbee, Golub and Nielson (SIAM J. Numer. Anal.
+    1970).  As a LinearOperator it applies the inverse, to vectors or
+    (n, m) blocks.
+    """
+
+    def __init__(self, domain: Domain, c0: float, c1: float, sigma: float):
+        n = domain.n_dof
+        super().__init__(dtype=float, shape=(n, n))
+        self._sx, mux = _sine_basis(domain.nx)
+        self._sy, muy = _sine_basis(domain.ny)
+        wx = domain.hy / domain.hx
+        wy = domain.hx / domain.hy
+        a = wx * mux[:, None] + wy * muy[None, :] + sigma
+        self._eig = c0 + c1 * a[:, :, None] * _G5_EIGVALS
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        nx, ny = self._eig.shape[:2]
+        m = r.size // (nx * ny * 5)
+        rot = _G5_EIGVECS if m == 1 else np.kron(_G5_EIGVECS, np.eye(m))
+        x = r.reshape(nx * ny, 5 * m) @ rot
+        x = self._sx @ x.reshape(nx, ny * 5 * m)
+        x = np.matmul(self._sy, x.reshape(nx, ny, 5 * m))
+        x.reshape(nx, ny, 5, m)[...] /= self._eig[..., None]
+        x = np.matmul(self._sy, x)
+        x = self._sx @ x.reshape(nx, ny * 5 * m)
+        return (x.reshape(nx * ny, 5 * m) @ rot.T).reshape(r.shape)
+
+    _matvec = _matmat = solve

@@ -8,9 +8,9 @@ A saddle of index k is found by flowing
 while the k directions in V relax toward the k smallest eigenvectors of
 M^-1 H; explicit Euler steps plus a hard re-orthonormalization keep V
 orthonormal in <a, b>_M = a^T M b.  M is the system's SPD
-preconditioner when it has one (the factored elastic operator of a
-tensor field), which keeps the step count flat as the grid is refined;
-systems without one run the same dynamics with M = I.
+preconditioner when it has one (the elastic operator of a tensor field,
+solved exactly by sine transforms), which keeps the step count flat as
+the grid is refined; systems without one run the same dynamics with M = I.
 
 Verified stationary points become SaddleRecords; repeated downward (and
 optionally upward) searches from a seed record grow the directed graph

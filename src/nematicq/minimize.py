@@ -5,6 +5,11 @@ c1 = 1e-4, step shrink 0.5); convergence is declared on the inf-norm of
 the gradient.  When the two-loop direction fails to point downhill (for
 example after a corrupted curvature history) the step falls back to
 steepest descent and the history is discarded.
+
+A system with an SPD preconditioner M (``preconditioner_of``) seeds
+the inverse Hessian with gamma M^-1 instead of gamma I and descends
+along -M^-1 g; with M the elastic operator of a tensor-field system the
+iteration count no longer grows with the grid.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import NotStationary
 from .spectrum import SpectrumReport, smallest_eigs
-from .systems import System
+from .systems import System, preconditioner_of
 
 __all__ = [
     "MinimizeOptions",
@@ -53,11 +58,11 @@ class MinimizeResult:
     n_grad: int = 0
 
 
-def lbfgs_direction(g: np.ndarray, pairs, gamma: float) -> np.ndarray:
+def lbfgs_direction(g: np.ndarray, pairs, gamma: float, precond=None) -> np.ndarray:
     """Two-loop recursion: approximate -H^{-1} g from curvature pairs.
 
-    ``pairs`` holds (s, y, rho = 1/(s.y)) tuples, oldest first; ``gamma``
-    scales the seed inverse Hessian.
+    ``pairs`` holds (s, y, rho = 1/(s.y)) tuples, oldest first; the seed
+    inverse Hessian is ``gamma`` times I, or times M^-1 (``precond.solve``).
     """
     q = g.copy()
     alphas = []
@@ -65,18 +70,22 @@ def lbfgs_direction(g: np.ndarray, pairs, gamma: float) -> np.ndarray:
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    q *= gamma
+    if precond is None:
+        q *= gamma
+    else:
+        q = gamma * precond.solve(q)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return -q
 
 
-def ensure_descent(g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Return d when it is a descent direction for g, else -g."""
+def ensure_descent(g: np.ndarray, d: np.ndarray, precond=None) -> np.ndarray:
+    """Return d when it is a descent direction for g, else steepest
+    descent: -g, or -M^-1 g with M from ``precond``."""
     gd = float(g @ d)
     if not np.isfinite(gd) or gd >= -1e-14 * np.linalg.norm(g) * np.linalg.norm(d):
-        return -g
+        return -g if precond is None else -precond.solve(g)
     return d
 
 
@@ -88,6 +97,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
     resolution; energies along accepted iterates never increase.
     """
     opts = opts or MinimizeOptions()
+    precond = preconditioner_of(system)
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     e = system.energy(x)
     g = system.gradient(x)
@@ -100,16 +110,13 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
     converged = float(np.abs(g).max()) < opts.tol_grad
     while not converged and it < opts.max_iters:
         it += 1
-        d = lbfgs_direction(g, pairs, gamma)
-        gd0 = float(g @ d)
-        used_fallback = not np.isfinite(gd0) or gd0 >= -1e-14 * np.linalg.norm(
-            g
-        ) * np.linalg.norm(d)
-        if used_fallback:
-            d = -g
+        d_qn = lbfgs_direction(g, pairs, gamma, precond)
+        d = ensure_descent(g, d_qn, precond)
+        used_fallback = d is not d_qn
         while True:
             gd = float(g @ d)
-            alpha = 1.0 if pairs else 1.0 / max(1.0, float(np.abs(g).max()))
+            # M^-1 g already carries the scale of a Newton step
+            alpha = 1.0 if pairs or precond is not None else 1.0 / max(1.0, float(np.abs(g).max()))
             accepted = False
             for _ in range(opts.max_backtracks):
                 x_try = x + alpha * d
@@ -124,7 +131,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
             # quasi-Newton step unusable: drop history, retry steepest descent
             pairs.clear()
             gamma = 1.0
-            d = -g
+            d = lbfgs_direction(g, pairs, gamma, precond)
             used_fallback = True
         if not accepted:
             break
@@ -143,7 +150,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-            gamma = sy / float(y @ y)
+            gamma = sy / float(y @ (y if precond is None else precond.solve(y)))
         x, e, g = x_try, e_try, g_try
         energies.append(e)
         converged = float(np.abs(g).max()) < opts.tol_grad

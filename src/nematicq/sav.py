@@ -22,19 +22,18 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.splu
 
-from .errors import LinearSolveFailure, NoConvergence, ValidationError
+from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
 from .field import Domain, QField
 from .energy import (
+    SineSolver,
     elastic_apply,
-    elastic_matrix,
     elastic_shift_vector,
     free_energy,
     gradient,
-    metric_matrix,
 )
 from .qtensor import bulk_energy, bulk_energy_uniaxial, bulk_gradient, frob2, metric_apply
 
@@ -90,14 +89,6 @@ class SavSplit:
         self.c0 = 1.0 - _shifted_uniaxial_floor(domain, self.a1)
         self.shift = elastic_shift_vector(domain)
         self._hw = domain.hx * domain.hy
-        self._factor_cache: dict = {}
-
-    @cached_property
-    def l_matrix(self) -> sp.csr_matrix:
-        """Sparse assembly of L; exact when l2 = l3 = 0, else the
-        one-constant part only (used for preconditioning)."""
-        d = self.domain
-        return (elastic_matrix(d) + (self.a1 * self._hw) * metric_matrix(d)).tocsr()
 
     def l_apply(self, flat: np.ndarray) -> np.ndarray:
         values = flat.reshape(self.domain.shape)
@@ -128,34 +119,23 @@ class SavSplit:
         quad = 0.5 * float(flat @ self.l_apply(flat)) + float(self.shift @ flat)
         return quad + r * r + self._constant
 
-    def _factorized(self, key, matrix: sp.spmatrix) -> LinearOperator:
-        if key not in self._factor_cache:
-            lu = splu(matrix.tocsc())
-            n = matrix.shape[0]
-            self._factor_cache[key] = LinearOperator((n, n), matvec=lambda v: lu.solve(np.asarray(v)))
-        return self._factor_cache[key]
-
     def solve_cn(self, dt: float, bvec: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I/dt + L/2 + b b^T) x = rhs by preconditioned CG."""
+        """Solve (I/dt + L/2 + b b^T) x = rhs by CG, preconditioned by the exact
+        inverse of I/dt + L1/2, L1 the one-constant part of L (all of it when
+        l2 = l3 = 0)."""
         n = rhs.size
 
         def matvec(v):
             return v / dt + 0.5 * self.l_apply(v) + bvec * float(bvec @ v)
 
         a_op = LinearOperator((n, n), matvec=matvec)
-        precond = self._factorized(
-            ("cn", dt), sp.identity(n, format="csr") / dt + 0.5 * self.l_matrix
-        )
-        return _run_cg(a_op, rhs, precond)
+        return _run_cg(a_op, rhs, SineSolver(self.domain, 1.0 / dt, 0.5, self.a1 * self._hw))
 
     def solve_si(self, dt: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I/dt + L) x = rhs by preconditioned CG."""
+        """Solve (I/dt + L) x = rhs by CG, preconditioned by I/dt + L1."""
         n = rhs.size
         a_op = LinearOperator((n, n), matvec=lambda v: v / dt + self.l_apply(v))
-        precond = self._factorized(
-            ("si", dt), sp.identity(n, format="csr") / dt + self.l_matrix
-        )
-        return _run_cg(a_op, rhs, precond)
+        return _run_cg(a_op, rhs, SineSolver(self.domain, 1.0 / dt, 1.0, self.a1 * self._hw))
 
 
 def _run_cg(a_op: LinearOperator, rhs: np.ndarray, precond: LinearOperator) -> np.ndarray:
@@ -169,17 +149,13 @@ def _run_cg(a_op: LinearOperator, rhs: np.ndarray, precond: LinearOperator) -> n
     return x
 
 
-_SPLIT_CACHE: dict = {}
-
-
 def sav_split(domain: Domain) -> SavSplit:
-    """Splitting for `domain`, cached per domain object."""
-    key = id(domain)
-    hit = _SPLIT_CACHE.get(key)
-    if hit is None or hit.domain is not domain:
-        hit = SavSplit(domain)
-        _SPLIT_CACHE[key] = hit
-    return hit
+    """Splitting for `domain`, built once and kept on the domain object,
+    so it lives exactly as long as the domain does."""
+    split = domain.__dict__.get("_sav_split")
+    if split is None:
+        split = domain.__dict__["_sav_split"] = SavSplit(domain)
+    return split
 
 
 @dataclass(frozen=True)
@@ -218,7 +194,8 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
     else:
         q_bar = 1.5 * q - 0.5 * state.q_prev.flat
     f1_bar = split.f1(q_bar)
-    assert f1_bar >= 1.0 - 1e-9, "nonlinear remainder dropped below its certified floor"
+    if not f1_bar >= 1.0 - 1e-9:
+        raise SolveError(f"nonlinear remainder {f1_bar!r} dropped below its certified floor 1")
     bvec = split.grad_f1(q_bar) / (2.0 * np.sqrt(f1_bar))
     rhs = -(split.l_apply(q) + split.shift + (2.0 * state.r) * bvec)
     delta = split.solve_cn(dt, bvec, rhs)

@@ -179,7 +179,7 @@ def smallest_eigs(
     """k smallest Hessian eigenpairs of ``system`` at the point ``x``.
 
     ``precond="auto"`` uses the system's SPD preconditioner when it
-    provides one (tensor-field systems factor their elastic operator);
+    provides one (tensor-field systems solve their elastic operator exactly);
     pass None to disable or supply any SPD LinearOperator.
     """
     x = np.asarray(x, dtype=float).reshape(-1)

@@ -118,6 +118,7 @@ class TestConfigCommands:
         payload = json.loads((out / "minimize.json").read_text())
         assert payload["converged"] is True
         assert payload["grad_inf_norm"] < 1e-7
+        assert payload["n_energy"] > 0 and payload["n_grad"] > 0
         f = read_field(out / "field.csv")
         assert f.domain.nx == 8
         manifest, outputs = manifest_outputs(out)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from nematicq.energy import (
     LdGSystem,
+    SineSolver,
     elastic_apply,
     elastic_matrix,
     elastic_shift_vector,
@@ -14,6 +17,7 @@ from nematicq.energy import (
 )
 from nematicq.field import Domain
 from nematicq.qtensor import BulkParams, bulk_energy, to_matrix, uniaxial_components
+from nematicq.sav import SavSplit
 from nematicq.systems import make_rng
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
@@ -232,3 +236,38 @@ class TestLdGSystem:
             v /= np.linalg.norm(v)
             hv = sy.hessian_vec(x, v)
             assert np.linalg.norm(hv - hd @ v) <= 1e-5 * max(1.0, np.linalg.norm(hv))
+
+
+class TestSineSolver:
+    """The sine-transform solve against the assembled sparse operators."""
+
+    @staticmethod
+    def assert_inverse(op, solver, gen):
+        for r in (gen.normal(size=op.shape[0]), gen.normal(size=(op.shape[0], 3))):
+            x = solver.solve(r)
+            assert x.shape == r.shape
+            assert np.linalg.norm(op @ x - r) <= 1e-12 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("boundary", ["tangent", "planar", "zero"])
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    def test_inverts_preconditioner_and_sav_operators(self, boundary, l23):
+        d = Domain(nx=12, ny=9, lambda2=5.0, bulk=BULK, boundary=boundary, l2=l23[0], l3=l23[1])
+        gen = make_rng(7, "test:energy:sine")
+        pre = LdGSystem(d).preconditioner()
+        self.assert_inverse(pre.matrix, pre, gen)
+        # the CG preconditioners of the flow: I/dt + L1/2 and I/dt + L1,
+        # L1 the one-constant part of the split's linear operator
+        split = SavSplit(d)
+        sigma = split.a1 * d.hx * d.hy
+        l1 = elastic_matrix(d) + sigma * metric_matrix(d)
+        eye = sp.identity(d.n_dof)
+        for dt in (1e-3, 2.0):
+            self.assert_inverse(eye / dt + 0.5 * l1, SineSolver(d, 1.0 / dt, 0.5, sigma), gen)
+            self.assert_inverse(eye / dt + l1, SineSolver(d, 1.0 / dt, 1.0, sigma), gen)
+
+    def test_is_the_linear_operator_it_solves_with(self):
+        d = make_domain(8)
+        solver = SineSolver(d, 0.5, 2.0, 0.1)
+        r = make_rng(8, "test:energy:sine").normal(size=(d.n_dof, 2))
+        assert np.array_equal(solver @ r, solver.solve(r))
+        assert np.array_equal(solver @ r[:, 0], solver.solve(r[:, 0]))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from nematicq.energy import LdGSystem
+from nematicq.energy import LdGSystem, Preconditioner
 from nematicq.errors import NotStationary
 from nematicq.field import Domain, seed_field
 from nematicq.minimize import (
@@ -15,7 +17,7 @@ from nematicq.minimize import (
     minimize,
 )
 from nematicq.qtensor import BulkParams
-from nematicq.systems import make_rng
+from nematicq.systems import System, make_rng
 from nematicq.toys import DiagQuadratic, Quartic2D
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
@@ -70,6 +72,12 @@ def test_ensure_descent_passthrough():
     d = np.array([-1.0, 0.5])
     assert ensure_descent(g, d) is d
     assert np.array_equal(ensure_descent(g, np.array([1.0, 0.0])), -g)
+    # in the metric of M the fallback is -M^-1 g
+    m = np.array([4.0, 2.0])
+    diag = sp.diags(m).tocsc()
+    pre = Preconditioner(diag, splu(diag))
+    assert ensure_descent(g, d, pre) is d
+    assert np.array_equal(ensure_descent(g, np.array([1.0, 0.0]), pre), -g / m)
 
 
 def test_max_iters_tags_nonconverged():
@@ -89,6 +97,34 @@ def test_quartic_minima_reached():
     closest = min(sy.MINIMA, key=lambda m: np.linalg.norm(res.x - m))
     assert np.linalg.norm(res.x - closest) < 1e-6
     assert res.energy == pytest.approx(0.0, abs=1e-12)
+
+
+class _Plain(System):
+    """The energy of another system without its preconditioner."""
+
+    def __init__(self, inner: System):
+        self.inner, self.n = inner, inner.n
+
+    def energy(self, x):
+        return self.inner.energy(x)
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_preconditioned_iterations_do_not_grow_with_the_grid(n):
+    # planar cross state at lambda^2 = 5; unpreconditioned L-BFGS takes
+    # 73 / 162 / 314 iterations from the isotropic start at 16^2 / 32^2 / 64^2
+    d = Domain(nx=n, ny=n, lambda2=5.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+    sy = LdGSystem(d)
+    x0 = seed_field(d, "isotropic").flat
+    opts = MinimizeOptions(tol_grad=1e-8, max_iters=5000)
+    res = minimize(sy, x0, opts)
+    plain = minimize(_Plain(sy), x0, opts)
+    assert res.converged and plain.converged
+    assert res.iterations <= 20 < plain.iterations
+    assert res.energy == pytest.approx(plain.energy, abs=1e-9)
 
 
 class TestCertify:

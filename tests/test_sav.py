@@ -1,11 +1,14 @@
 """Stabilized-flow contracts: splitting identities, fixed points, dissipation, order."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from nematicq.energy import LdGSystem, free_energy, metric_matrix
-from nematicq.errors import NoConvergence, ValidationError
+from nematicq.energy import LdGSystem, elastic_matrix, free_energy, metric_matrix
+from nematicq.errors import NoConvergence, SolveError, ValidationError
 from nematicq.field import Domain, QField, seed_field
 from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams, bulk_energy_uniaxial
@@ -102,6 +105,15 @@ class TestSplit:
         r = np.sqrt(split.f1(x))
         assert split.modified_energy(x, r) == pytest.approx(sy.energy(x), rel=1e-12)
 
+    def test_split_lives_as_long_as_its_domain(self):
+        d = tangent_domain(4)
+        split = sav_split(d)
+        assert sav_split(d) is split
+        dropped = weakref.ref(d)
+        del d, split
+        gc.collect()
+        assert dropped() is None
+
     def test_requires_quartic_term(self):
         d = Domain(nx=4, ny=4, lambda2=2.0, bulk=BulkParams(1.0, 0.0, 0.0), boundary="zero")
         with pytest.raises(ValidationError):
@@ -120,6 +132,17 @@ class TestStep:
             assert np.abs(out.field.flat - res.x).max() < 1e-10
             assert abs(out.r - state.r) < 1e-10
 
+    def test_remainder_below_its_floor_raises(self):
+        # a split whose C0 no longer bounds F1 from below must stop the
+        # step with an error that survives python -O
+        d = tangent_domain(4)
+        f = seed_field(d, "random(0.3)", seed=5)
+        split = SavSplit(d)
+        state = sav_init(f, split)
+        split.c0 -= split.f1(f.flat)
+        with pytest.raises(SolveError, match="floor"):
+            sav_step(state, 0.1, split)
+
     def test_dt_validation(self):
         d = tangent_domain(4)
         state = sav_init(seed_field(d, "isotropic"))
@@ -133,7 +156,7 @@ class TestStep:
         # so each eigenmode decays as exp(-mu t)
         d = Domain(nx=4, ny=4, lambda2=2.0, bulk=BulkParams(1.0, 0.0, 1.0), boundary="zero")
         sy = LdGSystem(d)
-        m = (sy.elastic_csr + d.lambda2 * d.bulk.a * d.hx * d.hy * metric_matrix(d)).toarray()
+        m = (elastic_matrix(d) + d.lambda2 * d.bulk.a * d.hx * d.hy * metric_matrix(d)).toarray()
         mu, vecs = scipy.linalg.eigh(m)
         k = len(mu) // 3
         amp = 1e-5
