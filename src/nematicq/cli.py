@@ -35,7 +35,7 @@ from .fieldio import (
     write_trajectory,
 )
 from .hedgehog import solve_profile
-from .hisd import LandscapeOptions, SaddleOptions, build_landscape, find_saddle, make_record
+from .hisd import _TOL_X, LandscapeOptions, SaddleOptions, build_landscape, find_saddle, make_record
 from .maier_saupe import leslie_coefficients, solve_branches
 from .mep import find_mep
 from .minimize import MinimizeOptions, certify_stability, minimize
@@ -274,7 +274,7 @@ def cmd_landscape(args) -> int:
         graph = build_landscape(system, seed_rec, opts)
         domain = None
         inputs = {"toy": "quartic"}
-        tol = {"tol_x": opts.tol_x}
+        tol = {"tol_x": _TOL_X}
     else:
         cfg = _require_config(args)
         out = _out_dir(args, cfg)
@@ -297,7 +297,7 @@ def cmd_landscape(args) -> int:
         )
         graph = build_landscape(system, seed_rec, opts)
         inputs = cfg.to_dict()
-        tol = {"tol": cfg.tol, "tol_x": opts.tol_x}
+        tol = {"tol": cfg.tol, "tol_x": _TOL_X}
     names = write_landscape(out, graph, domain)
     write_manifest(
         out, "landscape", inputs, tol, time.perf_counter() - t0, names + ["run.json"]

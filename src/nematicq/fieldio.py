@@ -44,15 +44,18 @@ def _g17(x: float) -> str:
 # field snapshots
 
 
+def _header(d: Domain) -> tuple:
+    """The domain as a snapshot header states it; a callable boundary is "custom"."""
+    boundary = d.boundary if isinstance(d.boundary, str) else "custom"
+    return (d.nx, d.ny, d.lambda2, d.bulk.a, d.bulk.b, d.bulk.c, d.l2, d.l3, boundary)
+
+
 def write_field(path, f: QField) -> None:
-    """One node per row: i,j,x,y,q1..q5 under a "# nx,ny,lambda2,a,b,c" header."""
+    """One node per row: i,j,x,y,q1..q5 under a
+    "# nx,ny,lambda2,a,b,c,l2,l3,boundary" header."""
     d = f.domain
-    lines = [
-        "# "
-        + ",".join(
-            [str(d.nx), str(d.ny), _g17(d.lambda2), _g17(d.bulk.a), _g17(d.bulk.b), _g17(d.bulk.c)]
-        )
-    ]
+    nx, ny, *reals, boundary = _header(d)
+    lines = ["# " + ",".join([str(nx), str(ny)] + [_g17(v) for v in reals] + [boundary])]
     xs, ys = d.xs, d.ys
     for i in range(d.nx):
         for j in range(d.ny):
@@ -81,31 +84,36 @@ def read_field(path, domain: Domain | None = None) -> QField:
     """Inverse of write_field.
 
     When ``domain`` is given the header must agree with it exactly;
-    otherwise a fresh Domain is built from the header (L2 = L3 = 0,
-    tangent boundary - the header does not carry those).
+    otherwise a fresh Domain is built from the header, which fails with
+    ParseError for a "custom" (callable) boundary.  The older 6-field
+    header "# nx,ny,lambda2,a,b,c" is still read: it is checked against
+    ``domain`` on those fields only, and without a domain it stands for
+    L2 = L3 = 0 and the tangent boundary.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#"):
-        raise ParseError("missing '# nx,ny,lambda2,a,b,c' header", line=1)
+        raise ParseError("missing '# nx,ny,lambda2,a,b,c,l2,l3,boundary' header", line=1)
     head = lines[0][1:].strip().split(",")
-    if len(head) != 6:
-        raise ParseError(f"header needs 6 fields, got {len(head)}", line=1)
-    nx = _parse_int(head[0], 1, 1)
-    ny = _parse_int(head[1], 1, 2)
-    lam2, a, b, c = (_parse_float(tok, 1, k + 3) for k, tok in enumerate(head[2:]))
+    if len(head) not in (6, 9):
+        raise ParseError(f"header needs 9 fields (or the older 6), got {len(head)}", line=1)
+    header = (
+        _parse_int(head[0], 1, 1),
+        _parse_int(head[1], 1, 2),
+        *(_parse_float(tok, 1, k + 3) for k, tok in enumerate(head[2:8])),
+        *head[8:],
+    )
+    if header[8:] and header[8] not in ("tangent", "planar", "zero", "custom"):
+        raise ParseError(f"unknown boundary kind {header[8]!r}", line=1, column=9)
     if domain is None:
-        domain = Domain(nx=nx, ny=ny, lambda2=lam2, bulk=BulkParams(a, b, c))
+        if len(header) == 6:
+            header += (0.0, 0.0, "tangent")
+        nx, ny, lam2, a, b, c, l2, l3, boundary = header
+        if boundary == "custom":
+            raise ParseError("a snapshot with a custom boundary needs its domain", line=1, column=9)
+        domain = Domain(nx, ny, lam2, BulkParams(a, b, c), l2=l2, l3=l3, boundary=boundary)
     else:
-        header = (nx, ny, lam2, a, b, c)
-        expected = (
-            domain.nx,
-            domain.ny,
-            domain.lambda2,
-            domain.bulk.a,
-            domain.bulk.b,
-            domain.bulk.c,
-        )
+        expected = _header(domain)[: len(header)]
         if header != expected:
             raise ShapeMismatch(f"snapshot header {header} does not match domain {expected}")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -45,6 +44,17 @@ __all__ = [
     "upward_search",
     "build_landscape",
 ]
+
+# A search fails when the position runs off to _RADIUS_FACTOR times its
+# start scale; an energy above _BLOW_FACTOR times the start scale halves
+# the step.  The step is capped by a fresh 1/|M^-1 H| every
+# _SCALE_CHECK_EVERY steps of an index k > 0 search.
+_BLOW_FACTOR = 1e6
+_RADIUS_FACTOR = 1e3
+_SCALE_CHECK_EVERY = 25
+# Two landscape records are one node when their field distance is below
+# _TOL_X times the field scale (and their energies agree).
+_TOL_X = 1e-4
 
 
 class _Euclidean:
@@ -119,26 +129,19 @@ class SaddleRecord:
 
 @dataclass
 class SaddleOptions:
-    """Knobs for one saddle search.
+    """Stopping rule, budget and seed of one saddle search.
 
-    beta_dt/gamma_dt default to 1/|M^-1 H| estimated by power iteration
-    at the start point and, for k > 0, capped by a fresh estimate every
-    scale_check_every steps.
-    `refresh_every` (periodically recompute V by a subspace eigensolve)
-    is off by default.
+    The search stops when the gradient inf-norm falls below `tol_grad`
+    and gives up after `max_iters` steps; `seed` fixes the eigensolver
+    starts.  `refresh_every` (periodically recompute V by a subspace
+    eigensolve) is off by default.  Step control is fixed: see
+    find_saddle.
     """
 
-    beta_dt: float | None = None
-    gamma_dt: float | None = None
-    l: float | None = None
     tol_grad: float = 1e-8
     max_iters: int = 50_000
     seed: int = 0
     refresh_every: int = 0
-    blow_factor: float = 1e6
-    radius_factor: float = 1e3
-    adapt_scale: bool = True
-    scale_check_every: int = 25
 
 
 def hisd_step(
@@ -146,7 +149,6 @@ def hisd_step(
     state: SaddleSearchState,
     beta_dt: float,
     gamma_dt: float,
-    l: float | None = None,
     grad: np.ndarray | None = None,
 ) -> SaddleSearchState:
     """One explicit Euler step of the saddle dynamics in the metric M.
@@ -168,7 +170,7 @@ def hisd_step(
         d = d - 2.0 * v @ (v.T @ g)
     x_new = x - beta_dt * d
     if k:
-        hv = np.column_stack([system.hessian_vec(x_new, v[:, i], l) for i in range(k)])
+        hv = np.column_stack([system.hessian_vec(x_new, v[:, i]) for i in range(k)])
         # <v_j, M^-1 H v_i>_M = v_j^T H v_i
         coef = v.T @ hv
         # shield[j, i]: weight of v_j in the update of v_i; the running
@@ -227,7 +229,11 @@ def find_saddle(
     """Flow the saddle dynamics to a stationary point and verify its index.
 
     The dynamics run in the metric of the system's preconditioner when
-    it has one (see hisd_step).  Raises WrongIndex (carrying the
+    it has one (see hisd_step), with one step size for x and V: 1/|M^-1 H|
+    estimated by power iteration at the start point and, for k > 0,
+    capped by a fresh estimate every 25 steps.  The step halves when the
+    energy blows up (or, for k = 0, rises); a position that runs far off
+    its start scale raises NoConvergence.  Raises WrongIndex (carrying the
     verified record) when the landing point is stationary but of a
     different index than requested; the caller may keep that record.
     """
@@ -247,17 +253,9 @@ def find_saddle(
 
     def scale_at(y: np.ndarray) -> float:
         # spectral radius of M^-1 H, the rate of the fastest mode
-        return operator_scale(
-            lambda w: precond.solve(system.hessian_vec(y, w, opts.l)), n, seed=opts.seed
-        )
+        return operator_scale(lambda w: precond.solve(system.hessian_vec(y, w)), n, seed=opts.seed)
 
-    if opts.beta_dt is None or opts.gamma_dt is None:
-        scale = scale_at(x)
-        beta = opts.beta_dt if opts.beta_dt is not None else 1.0 / scale
-        gamma = opts.gamma_dt if opts.gamma_dt is not None else 1.0 / scale
-    else:
-        beta, gamma = opts.beta_dt, opts.gamma_dt
-    beta0 = beta
+    step = step0 = 1.0 / scale_at(x)
     e_state = float(system.energy(x))
     e_scale = 1.0 + abs(e_state)
     x_scale = 1.0 + float(np.abs(x).max())
@@ -265,10 +263,9 @@ def find_saddle(
     g_inf = np.inf
 
     def halve():
-        nonlocal beta, gamma
-        beta *= 0.5
-        gamma *= 0.5
-        if beta < 1e-12 * beta0:
+        nonlocal step
+        step *= 0.5
+        if step < 1e-12 * step0:
             raise NoConvergence("saddle dynamics stalled despite step halving", it, g_inf)
 
     for it in range(opts.max_iters):
@@ -284,19 +281,17 @@ def find_saddle(
         if k and opts.refresh_every and it and it % opts.refresh_every == 0:
             rep = smallest_eigs(system, state.x, k, seed=opts.seed, v0=state.v)
             state = replace(state, v=gram_schmidt(rep.eigenvectors, precond))
-        if k and opts.adapt_scale and it and it % opts.scale_check_every == 0:
-            # curvature can grow along the way; keep beta below 1/|M^-1 H|
+        if k and it and it % _SCALE_CHECK_EVERY == 0:
+            # curvature can grow along the way; keep the step below 1/|M^-1 H|
             # at the current point or the unstable modes start to rattle
-            cap = 1.0 / scale_at(state.x)
-            beta = min(beta, cap)
-            gamma = min(gamma, cap)
-        trial = hisd_step(system, state, beta, gamma, opts.l, grad=g)
-        # a position running off to radius_factor times the start scale is
+            step = min(step, 1.0 / scale_at(state.x))
+        trial = hisd_step(system, state, step, step, grad=g)
+        # a position running off to _RADIUS_FACTOR times the start scale is
         # divergence, not a step-size problem; halving cannot rescue it
-        if not np.all(np.isfinite(trial.x)) or np.abs(trial.x).max() > opts.radius_factor * x_scale:
+        if not np.all(np.isfinite(trial.x)) or np.abs(trial.x).max() > _RADIUS_FACTOR * x_scale:
             raise NoConvergence("position diverged during saddle dynamics", it, g_inf)
         e_new = float(system.energy(trial.x))
-        if not np.isfinite(e_new) or abs(e_new) > opts.blow_factor * e_scale:
+        if not np.isfinite(e_new) or abs(e_new) > _BLOW_FACTOR * e_scale:
             halve()
             continue
         if k == 0 and e_new > e_state + 1e-12 * (1.0 + abs(e_state)):
@@ -400,23 +395,21 @@ def upward_search(
 
 @dataclass
 class LandscapeOptions:
-    """Budgets and matching rules for landscape assembly.
+    """Search options and budgets for landscape assembly.
 
-    `max_index`, when set, adds upward sweeps from every node up to that
-    index (there is no a priori bound, so it is an explicit budget).
-    Two records match when both the energy gap is below 1e-8*(1+|E|)
-    and the field distance is below tol_x*(1 + field scale); an
-    optional `symmetry_orbit` callable (flat -> iterable of equivalent
-    flats) makes matching quotient out a symmetry group.
+    `search` configures every branch search; `max_nodes` and
+    `max_searches` bound the graph; `max_index`, when set, adds upward
+    sweeps from every node up to that index (there is no a priori
+    bound, so it is an explicit budget).  Branches start 1e-2*(1 + |x|)
+    off their node, and two records match when both the energy gap is
+    below 1e-8*(1+|E|) and the field distance is below 1e-4*(1 + field
+    scale).
     """
 
     search: SaddleOptions = field(default_factory=SaddleOptions)
-    eps: float | None = None
     max_nodes: int = 200
     max_searches: int = 2000
     max_index: int | None = None
-    tol_x: float = 1e-4
-    symmetry_orbit: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -455,15 +448,11 @@ class LandscapeGraph:
         return [rec for rec in self.nodes if rec.morse_index == 0]
 
 
-def _records_match(a: SaddleRecord, b: SaddleRecord, opts: LandscapeOptions) -> bool:
+def _records_match(a: SaddleRecord, b: SaddleRecord) -> bool:
     if abs(a.energy - b.energy) >= 1e-8 * (1.0 + max(abs(a.energy), abs(b.energy))):
         return False
     scale = 1.0 + max(float(np.linalg.norm(a.field)), float(np.linalg.norm(b.field)))
-    candidates = [b.field]
-    if opts.symmetry_orbit is not None:
-        candidates = list(opts.symmetry_orbit(b.field))
-    dist = min(float(np.linalg.norm(a.field - c)) for c in candidates)
-    return dist < opts.tol_x * scale
+    return float(np.linalg.norm(a.field - b.field)) < _TOL_X * scale
 
 
 def build_landscape(
@@ -518,7 +507,7 @@ def build_landscape(
         parent = nodes[node_id]
         want = k + 1 if kind == "downward" else k
         rep = directions_for(node_id, want)
-        eps = _default_eps(parent.field, opts.eps)
+        eps = _default_eps(parent.field, None)
         searches += 2
         errors: list = []
         hits = _branch_searches(
@@ -535,7 +524,7 @@ def build_landscape(
         for sign, rec in hits:
             match_id = None
             for existing in nodes:
-                if _records_match(existing, rec, opts):
+                if _records_match(existing, rec):
                     match_id = existing.id
                     break
             if match_id is None:

@@ -13,6 +13,7 @@ eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -34,6 +35,12 @@ __all__ = [
 ]
 
 _CHORD_SPREAD_TOL = 1e-8
+# halvings of a node's step before it stays put (evolve_step)
+_MAX_BACKTRACKS = 30
+# weight of the highest segment in energy-weighted arc length, and the
+# resampling passes allowed to reach uniform spacing (reparametrize)
+_WEIGHT_BETA = 4.0
+_MAX_PASSES = 200
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,12 @@ class Path:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        """Gradients at the interior nodes (row i - 1 for node i), evaluated
+        once per path and shared by the residual and the evolution step."""
+        return np.array([self.system.gradient(q) for q in self.nodes[1:-1]])
+
     def chord_spread(self) -> float:
         """Relative spread of consecutive chord lengths."""
         chords = np.linalg.norm(np.diff(self.nodes, axis=0), axis=1)
@@ -92,7 +105,7 @@ def _base_step(system: System, x: np.ndarray, seed: int = 0) -> float:
     return 1.0 / operator_scale(lambda w: system.hessian_vec(x, w), x.size, seed=seed)
 
 
-def evolve_step(p: Path, base_step: float | None = None, max_backtracks: int = 30) -> Path:
+def evolve_step(p: Path, base_step: float | None = None) -> Path:
     """Step 1: move every interior node down its full gradient.
 
     The per-node step starts at a shared base and halves until the node's
@@ -107,9 +120,9 @@ def evolve_step(p: Path, base_step: float | None = None, max_backtracks: int = 3
     nodes = p.nodes.copy()
     energies = p.energies.copy()
     for i in range(1, p.n_nodes - 1):
-        g = system.gradient(nodes[i])
+        g = p.gradients[i - 1]
         step = base_step
-        for _ in range(max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             trial = p.nodes[i] - step * g
             e_trial = system.energy(trial)
             if np.isfinite(e_trial) and e_trial <= energies[i]:
@@ -120,18 +133,18 @@ def evolve_step(p: Path, base_step: float | None = None, max_backtracks: int = 3
     return Path.from_nodes(system, nodes, energies)
 
 
-def _segment_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+def _segment_weights(energies: np.ndarray) -> np.ndarray:
     span = float(energies.max() - energies.min())
     if span == 0.0:
         return np.ones(energies.size - 1)
     mid = 0.5 * (energies[:-1] + energies[1:])
-    return 1.0 + beta * (mid - energies.min()) / span
+    return 1.0 + _WEIGHT_BETA * (mid - energies.min()) / span
 
 
-def _weighted_chords(nodes: np.ndarray, energies: np.ndarray, mode: str, beta: float) -> np.ndarray:
+def _weighted_chords(nodes: np.ndarray, energies: np.ndarray, mode: str) -> np.ndarray:
     chords = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
     if mode == "energy_weighted":
-        chords = chords * _segment_weights(energies, beta)
+        chords = chords * _segment_weights(energies)
     return chords
 
 
@@ -143,11 +156,11 @@ def _spread(chords: np.ndarray) -> float:
 
 
 def _resample(
-    nodes: np.ndarray, energies: np.ndarray, mode: str, interp: str, beta: float
+    nodes: np.ndarray, energies: np.ndarray, mode: str, interp: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """One redistribution pass; energies are carried by interpolation."""
     n = nodes.shape[0]
-    s = np.concatenate([[0.0], np.cumsum(_weighted_chords(nodes, energies, mode, beta))])
+    s = np.concatenate([[0.0], np.cumsum(_weighted_chords(nodes, energies, mode))])
     if s[-1] < 1e-14:
         raise DegeneratePath("total path length below resolution")
     targets = np.linspace(0.0, s[-1], n)
@@ -166,13 +179,7 @@ def _resample(
     return out, e_out
 
 
-def reparametrize(
-    p: Path,
-    mode: str = "equal_arc",
-    interp: str = "linear",
-    beta: float = 4.0,
-    max_passes: int = 200,
-) -> Path:
+def reparametrize(p: Path, mode: str = "equal_arc", interp: str = "linear") -> Path:
     """Step 2: redistribute nodes to the target arc-length measure.
 
     A single resample leaves a corner-cutting residue, so the resampling
@@ -186,17 +193,17 @@ def reparametrize(
     if interp not in ("linear", "spline"):
         raise ValidationError(f"unknown interpolation {interp!r}")
     nodes, energies = p.nodes, p.energies
-    spread = _spread(_weighted_chords(nodes, energies, mode, beta))
+    spread = _spread(_weighted_chords(nodes, energies, mode))
     if spread < _CHORD_SPREAD_TOL:
         return p
-    for _ in range(max_passes):
-        nodes, energies = _resample(nodes, energies, mode, interp, beta)
-        spread = _spread(_weighted_chords(nodes, energies, mode, beta))
+    for _ in range(_MAX_PASSES):
+        nodes, energies = _resample(nodes, energies, mode, interp)
+        spread = _spread(_weighted_chords(nodes, energies, mode))
         if spread < _CHORD_SPREAD_TOL:
             return Path.from_nodes(p.system, nodes)
     raise NoConvergence(
-        f"reparametrization did not reach uniform spacing in {max_passes} passes",
-        iterations=max_passes,
+        f"reparametrization did not reach uniform spacing in {_MAX_PASSES} passes",
+        iterations=_MAX_PASSES,
         residual=spread,
     )
 
@@ -205,7 +212,7 @@ def perpendicular_residual(p: Path) -> float:
     """Max over interior nodes of the gradient component normal to the path."""
     worst = 0.0
     for i in range(1, p.n_nodes - 1):
-        g = p.system.gradient(p.nodes[i])
+        g = p.gradients[i - 1]
         tangent = p.nodes[i + 1] - p.nodes[i - 1]
         nt = np.linalg.norm(tangent)
         if nt > 0.0:

@@ -32,15 +32,20 @@ __all__ = [
     "ensure_descent",
 ]
 
+# curvature pairs kept, Armijo constant, backtracking shrink and budget
+_MEMORY = 10
+_C1 = 1e-4
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 60
+# certify_stability: eigenpairs reported, and the slack on tol_grad
+_CERTIFY_K = 3
+_STATIONARITY_FACTOR = 10.0
+
 
 @dataclass
 class MinimizeOptions:
-    memory: int = 10
     tol_grad: float = 1e-8
     max_iters: int = 2000
-    c1: float = 1e-4
-    shrink: float = 0.5
-    max_backtracks: int = 60
     # optional projection applied to accepted iterates (e.g. a symmetry
     # average); must map the feasible set to itself
     project: object = None
@@ -102,7 +107,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
     e = system.energy(x)
     g = system.gradient(x)
     n_energy, n_grad = 1, 1
-    pairs: deque = deque(maxlen=opts.memory)
+    pairs: deque = deque(maxlen=_MEMORY)
     gamma = 1.0
     energies = [e]
 
@@ -118,14 +123,14 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
             # M^-1 g already carries the scale of a Newton step
             alpha = 1.0 if pairs or precond is not None else 1.0 / max(1.0, float(np.abs(g).max()))
             accepted = False
-            for _ in range(opts.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 x_try = x + alpha * d
                 e_try = system.energy(x_try)
                 n_energy += 1
-                if e_try <= e + opts.c1 * alpha * gd:
+                if e_try <= e + _C1 * alpha * gd:
                     accepted = True
                     break
-                alpha *= opts.shrink
+                alpha *= _SHRINK
             if accepted or used_fallback:
                 break
             # quasi-Newton step unusable: drop history, retry steepest descent
@@ -167,23 +172,16 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
     )
 
 
-def certify_stability(
-    system: System,
-    x: np.ndarray,
-    k: int = 3,
-    tol_grad: float = 1e-8,
-    stationarity_factor: float = 10.0,
-    seed: int = 0,
-) -> SpectrumReport:
-    """Verify x is a stationary point and report its smallest eigenpairs.
+def certify_stability(system: System, x: np.ndarray, tol_grad: float = 1e-8) -> SpectrumReport:
+    """Verify x is a stationary point and report its 3 smallest eigenpairs.
 
-    Raises NotStationary when |grad|_inf >= stationarity_factor * tol_grad.
+    Raises NotStationary when |grad|_inf >= 10 * tol_grad.
     The returned report's ``stable`` property is the certificate: no
     eigenvalue below -tol_eig.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     gn = float(np.abs(system.gradient(x)).max())
-    threshold = stationarity_factor * tol_grad
+    threshold = _STATIONARITY_FACTOR * tol_grad
     if gn >= threshold:
         raise NotStationary(gn, threshold)
-    return smallest_eigs(system, x, k, seed=seed)
+    return smallest_eigs(system, x, _CERTIFY_K)

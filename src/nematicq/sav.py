@@ -223,7 +223,6 @@ def flow_to_equilibrium(
     dt: float,
     tol_grad: float = 1e-7,
     max_steps: int = 100_000,
-    split: SavSplit | None = None,
     trace: list | None = None,
     reset_every: int = 20,
 ) -> tuple[QField, int]:
@@ -241,7 +240,7 @@ def flow_to_equilibrium(
     touch the scalar, so the fields visited stay on the same discrete
     trajectory up to O(dt^2); pass reset_every = 0 to disable.
     """
-    split = split or sav_split(init.domain)
+    split = sav_split(init.domain)
     d = init.domain
 
     def grad_inf(values: np.ndarray) -> float:

@@ -2,10 +2,12 @@
 
 The Hessian is only available as matrix-vector products (central
 differences of the gradient), so the small end of the spectrum comes
-from LOBPCG with a deterministic seeded start, optional SPD
-preconditioning, Rayleigh-Ritz cleanup and residual verification.  Tiny
-problems are assembled densely instead.  The spectral scale used for
-tolerances is estimated with ten power iterations.
+from LOBPCG with a deterministic seeded start, Rayleigh-Ritz cleanup
+and residual verification: up to 800 iterations per attempt and three
+restarts from the last Ritz block.  ``smallest_eigs`` preconditions
+with the system's SPD preconditioner when it has one.  Tiny problems
+are assembled densely instead.  The spectral scale used for tolerances
+is estimated with ten power iterations.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ __all__ = ["SpectrumReport", "smallest_eigs", "solve_smallest", "operator_scale"
 
 # Problems at or below this size (or with k too close to n) are solved densely.
 _DENSE_CUTOFF = 160
+# LOBPCG iterations per attempt, and restarts after the first attempt
+_MAXITER = 800
+_RESTARTS = 3
 
 
 @dataclass
@@ -88,8 +93,6 @@ def solve_smallest(
     seed: int = 0,
     v0: np.ndarray | None = None,
     precond: LinearOperator | None = None,
-    maxiter: int = 800,
-    restarts: int = 3,
 ) -> SpectrumReport:
     """k smallest eigenpairs of the symmetric operator ``apply_h`` on R^n.
 
@@ -126,7 +129,7 @@ def solve_smallest(
         x, _ = np.linalg.qr(x)
         op = LinearOperator((n, n), matvec=apply_h, dtype=float)
         w = v = res = None
-        for attempt in range(restarts + 1):
+        for attempt in range(_RESTARTS + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 w_try, x, history = lobpcg(
@@ -135,7 +138,7 @@ def solve_smallest(
                     M=precond,
                     largest=False,
                     tol=res_target,
-                    maxiter=maxiter,
+                    maxiter=_MAXITER,
                     retResidualNormsHistory=True,
                 )
             # residuals of the start block, of each iteration up to the
@@ -170,25 +173,18 @@ def smallest_eigs(
     system: System,
     x: np.ndarray,
     k: int,
-    l: float | None = None,
     seed: int = 0,
     v0: np.ndarray | None = None,
-    precond="auto",
-    maxiter: int = 800,
 ) -> SpectrumReport:
     """k smallest Hessian eigenpairs of ``system`` at the point ``x``.
 
-    ``precond="auto"`` uses the system's SPD preconditioner when it
-    provides one (tensor-field systems solve their elastic operator exactly);
-    pass None to disable or supply any SPD LinearOperator.
+    LOBPCG runs with the system's SPD preconditioner when it provides
+    one (tensor-field systems solve their elastic operator exactly) and
+    unpreconditioned otherwise; ``solve_smallest`` takes any other.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    if precond == "auto":
-        precond = preconditioner_of(system)
 
     def apply_h(v):
-        return system.hessian_vec(x, np.asarray(v, dtype=float).reshape(-1), l)
+        return system.hessian_vec(x, np.asarray(v, dtype=float).reshape(-1))
 
-    return solve_smallest(
-        apply_h, x.size, k, seed=seed, v0=v0, precond=precond, maxiter=maxiter
-    )
+    return solve_smallest(apply_h, x.size, k, seed=seed, v0=v0, precond=preconditioner_of(system))

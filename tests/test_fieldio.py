@@ -74,6 +74,62 @@ class TestFieldRoundTrip:
         with pytest.raises(ShapeMismatch):
             read_field(tmp_path / "f.csv", other)
 
+    def test_header_carries_elastic_constants_and_boundary(self, tmp_path):
+        d = Domain(nx=5, ny=4, lambda2=5.0, bulk=BULK, l2=0.6, l3=0.4, boundary="planar")
+        f = random_field(d)
+        path = tmp_path / "f.csv"
+        write_field(path, f)
+        head = path.read_text().splitlines()[0]
+        assert head == "# 5,4,5,-1,1,1,0.59999999999999998,0.40000000000000002,planar"
+        g = read_field(path)
+        assert np.array_equal(g.values, f.values)
+        assert (g.domain.l2, g.domain.l3, g.domain.boundary) == (0.6, 0.4, "planar")
+        assert g.energy() == f.energy()
+
+    def test_boundary_mismatch(self, tmp_path):
+        d = Domain(nx=5, ny=4, lambda2=5.0, bulk=BULK, boundary="planar")
+        write_field(tmp_path / "f.csv", random_field(d))
+        other_l2 = Domain(nx=5, ny=4, lambda2=5.0, bulk=BULK, l2=0.5, boundary="planar")
+        for other in (small_domain(), other_l2):
+            with pytest.raises(ShapeMismatch):
+                read_field(tmp_path / "f.csv", other)
+
+    def test_custom_boundary_needs_its_domain(self, tmp_path):
+        d = Domain(nx=5, ny=4, lambda2=5.0, bulk=BULK, boundary=lambda x, y: np.zeros(5))
+        f = random_field(d)
+        path = tmp_path / "f.csv"
+        write_field(path, f)
+        assert path.read_text().splitlines()[0].endswith(",0,0,custom")
+        assert np.array_equal(read_field(path, d).values, f.values)
+        with pytest.raises(ParseError) as info:
+            read_field(path)
+        assert info.value.line == 1
+
+    def test_six_field_header_still_reads(self, tmp_path):
+        d = small_domain()
+        f = random_field(d)
+        path = tmp_path / "f.csv"
+        write_field(path, f)
+        lines = path.read_text().splitlines()
+        lines[0] = ",".join(lines[0].split(",")[:6])
+        assert lines[0] == "# 5,4,5,-1,1,1"
+        path.write_text("\n".join(lines) + "\n")
+        g = read_field(path)
+        assert np.array_equal(g.values, f.values)
+        assert (g.domain.l2, g.domain.l3, g.domain.boundary) == (0.0, 0.0, "tangent")
+        planar = Domain(nx=5, ny=4, lambda2=5.0, bulk=BULK, l2=0.6, boundary="planar")
+        assert read_field(path, planar).domain is planar
+        with pytest.raises(ShapeMismatch):
+            read_field(path, Domain(nx=5, ny=4, lambda2=7.0, bulk=BULK))
+
+    def test_bad_boundary_token(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_field(path, random_field(small_domain()))
+        path.write_text(path.read_text().replace(",tangent\n", ",round\n", 1))
+        with pytest.raises(ParseError) as info:
+            read_field(path)
+        assert (info.value.line, info.value.column) == (1, 9)
+
     def test_truncated_file(self, tmp_path):
         f = random_field(small_domain())
         path = tmp_path / "f.csv"

@@ -179,6 +179,12 @@ class TestFindSaddle:
             find_saddle(Quartic2D(), 1, np.array([0.4, 0.6]), opts=opts)
         assert info.value.iterations == 5
 
+    def test_diverging_position_raises(self):
+        # plain descent (k = 0) from near a saddle runs off along the
+        # unstable axis; that is divergence, not a step-size problem
+        with pytest.raises(NoConvergence, match="position diverged"):
+            find_saddle(DiagQuadratic([-1.0, 1.0]), 0, np.array([0.1, 0.1]))
+
     def test_index_range_validation(self):
         with pytest.raises(ValidationError):
             find_saddle(Quartic2D(), -1, np.zeros(2))
@@ -313,11 +319,10 @@ class TestLandscape:
 
     def test_dedup_pairwise_audit(self):
         graph = self.toy_graph()
-        opts = LandscapeOptions()
         for a in graph.nodes:
             for b in graph.nodes:
-                same = _records_match(a, b, opts)
-                assert same == _records_match(b, a, opts)
+                same = _records_match(a, b)
+                assert same == _records_match(b, a)
                 assert same == (a.id == b.id)
 
     def test_budget_truncates_without_raising(self):

@@ -91,6 +91,27 @@ class TestEvolve:
         assert np.all(out.energies <= p.energies + 1e-12)
 
 
+class CountingWell(DoubleWell2D):
+    def __init__(self):
+        self.n_grad = 0
+
+    def gradient(self, x):
+        self.n_grad += 1
+        return super().gradient(x)
+
+
+def test_one_sweep_evaluates_each_interior_gradient_once():
+    sy = CountingWell()
+    p = Path.from_nodes(sy, [[x, 0.3 * (1.0 - x * x)] for x in np.linspace(-1.0, 1.0, 9)])
+    residual = perpendicular_residual(p)
+    out = evolve_step(p, base_step=0.1)
+    assert sy.n_grad == p.n_nodes - 2
+    plain = DoubleWell2D()
+    fresh = Path.from_nodes(plain, p.nodes)
+    assert residual == perpendicular_residual(fresh)
+    assert np.array_equal(out.nodes, evolve_step(fresh, base_step=0.1).nodes)
+
+
 class TestReparametrize:
     def test_uniform_straight_line_unchanged(self):
         sy = DoubleWell2D()
