@@ -82,33 +82,28 @@ def _cell_form(l2: float, l3: float) -> np.ndarray:
 
 
 def _cell_gradients(domain: Domain, ext: np.ndarray) -> np.ndarray:
-    """Cell-centered (dQ/dx, dQ/dy), shape (nx+1, ny+1, 10)."""
-    dx = (ext[1:, :, :] - ext[:-1, :, :]) / domain.hx
-    dy = (ext[:, 1:, :] - ext[:, :-1, :]) / domain.hy
-    ax = 0.5 * (dx[:, 1:, :] + dx[:, :-1, :])
-    ay = 0.5 * (dy[1:, :, :] + dy[:-1, :, :])
+    """Cell-centered (dQ/dx, dQ/dy), shape (..., nx+1, ny+1, 10)."""
+    dx = (ext[..., 1:, :, :] - ext[..., :-1, :, :]) / domain.hx
+    dy = (ext[..., :, 1:, :] - ext[..., :, :-1, :]) / domain.hy
+    ax = 0.5 * (dx[..., :, 1:, :] + dx[..., :, :-1, :])
+    ay = 0.5 * (dy[..., 1:, :, :] + dy[..., :-1, :, :])
     return np.concatenate([ax, ay], axis=-1)
 
 
-def _energy_from_ext(domain: Domain, ext: np.ndarray, include_bulk: bool = True) -> float:
+def _energy_from_ext(domain: Domain, ext: np.ndarray):
     wx = domain.hy / domain.hx
     wy = domain.hx / domain.hy
-    dx = ext[1:, :, :] - ext[:-1, :, :]
-    dy = ext[:, 1:, :] - ext[:, :-1, :]
-    e = 0.5 * wx * float(np.sum(frob2(dx[:, 1:-1, :])))
-    e += 0.5 * wy * float(np.sum(frob2(dy[1:-1, :, :])))
+    dx = ext[..., 1:, :, :] - ext[..., :-1, :, :]
+    dy = ext[..., :, 1:, :] - ext[..., :, :-1, :]
+    e = 0.5 * wx * np.sum(frob2(dx[..., :, 1:-1, :]), axis=(-2, -1))
+    e += 0.5 * wy * np.sum(frob2(dy[..., 1:-1, :, :]), axis=(-2, -1))
     if domain.l2 != 0.0 or domain.l3 != 0.0:
         u = _cell_gradients(domain, ext)
         w = _cell_form(domain.l2, domain.l3)
-        e += 0.5 * domain.hx * domain.hy * float(np.einsum("ijk,kl,ijl->", u, w, u))
-    if include_bulk:
-        interior = ext[1:-1, 1:-1, :]
-        e += (
-            domain.lambda2
-            * domain.hx
-            * domain.hy
-            * float(np.sum(bulk_energy(interior, domain.bulk)))
-        )
+        e += 0.5 * domain.hx * domain.hy * np.sum((u @ w) * u, axis=(-3, -2, -1))
+    interior = ext[..., 1:-1, 1:-1, :]
+    bulk = np.sum(bulk_energy(interior, domain.bulk), axis=(-2, -1))
+    e += domain.lambda2 * domain.hx * domain.hy * bulk
     return e
 
 
@@ -116,9 +111,9 @@ def _elastic_grad_from_ext(domain: Domain, ext: np.ndarray) -> np.ndarray:
     """Partials of the elastic terms with respect to interior nodes."""
     wx = domain.hy / domain.hx
     wy = domain.hx / domain.hy
-    v = ext[1:-1, 1:-1, :]
-    lap = wx * (2.0 * v - ext[:-2, 1:-1, :] - ext[2:, 1:-1, :])
-    lap += wy * (2.0 * v - ext[1:-1, :-2, :] - ext[1:-1, 2:, :])
+    v = ext[..., 1:-1, 1:-1, :]
+    lap = wx * (2.0 * v - ext[..., :-2, 1:-1, :] - ext[..., 2:, 1:-1, :])
+    lap += wy * (2.0 * v - ext[..., 1:-1, :-2, :] - ext[..., 1:-1, 2:, :])
     g = metric_apply(lap)
     if domain.l2 != 0.0 or domain.l3 != 0.0:
         u = _cell_gradients(domain, ext)
@@ -126,29 +121,27 @@ def _elastic_grad_from_ext(domain: Domain, ext: np.ndarray) -> np.ndarray:
         s = domain.hx * domain.hy * (u @ w)
         sx = s[..., :5] / (2.0 * domain.hx)
         sy = s[..., 5:] / (2.0 * domain.hy)
+        plus, minus = sx + sy, sx - sy
         acc = np.zeros_like(ext)
-        acc[1:, :-1, :] += sx
-        acc[1:, 1:, :] += sx
-        acc[:-1, :-1, :] -= sx
-        acc[:-1, 1:, :] -= sx
-        acc[:-1, 1:, :] += sy
-        acc[1:, 1:, :] += sy
-        acc[:-1, :-1, :] -= sy
-        acc[1:, :-1, :] -= sy
-        g = g + acc[1:-1, 1:-1, :]
+        acc[..., 1:, 1:, :] += plus
+        acc[..., :-1, :-1, :] -= plus
+        acc[..., 1:, :-1, :] += minus
+        acc[..., :-1, 1:, :] -= minus
+        g = g + acc[..., 1:-1, 1:-1, :]
     return g
 
 
-def free_energy(domain: Domain, values: np.ndarray) -> float:
-    """Total discrete free energy of the field (boundary data included)."""
+def free_energy(domain: Domain, values: np.ndarray):
+    """Total discrete free energy (boundary data included) of each field in
+    ``values``, shape (..., nx, ny, 5) or (..., n_dof): a scalar for one field."""
     return _energy_from_ext(domain, domain.extend(values))
 
 
 def gradient(domain: Domain, values: np.ndarray) -> np.ndarray:
-    """Exact partial derivatives dF/dq per interior node, shape (nx, ny, 5)."""
+    """Exact partials dF/dq per interior node of each field, shape (..., nx, ny, 5)."""
     ext = domain.extend(values)
     g = _elastic_grad_from_ext(domain, ext)
-    interior = ext[1:-1, 1:-1, :]
+    interior = ext[..., 1:-1, 1:-1, :]
     g = g + domain.lambda2 * domain.hx * domain.hy * bulk_gradient(interior, domain.bulk)
     return g
 
@@ -199,10 +192,16 @@ class LdGSystem(System):
         self.n = domain.n_dof
 
     def energy(self, x: np.ndarray) -> float:
-        return free_energy(self.domain, x.reshape(self.domain.shape))
+        return float(free_energy(self.domain, x.reshape(self.domain.shape)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return gradient(self.domain, x.reshape(self.domain.shape)).reshape(-1)
+
+    def energies(self, xs: np.ndarray) -> np.ndarray:
+        return free_energy(self.domain, xs)
+
+    def gradients(self, xs: np.ndarray) -> np.ndarray:
+        return gradient(self.domain, xs).reshape(np.shape(xs))
 
     def field(self, x: np.ndarray) -> QField:
         return QField.from_flat(self.domain, x)

@@ -146,17 +146,20 @@ class Domain:
         return ext
 
     def extend(self, values: np.ndarray) -> np.ndarray:
-        """Interior values framed by the Dirichlet ring, shape (nx+2, ny+2, 5)."""
+        """Each field of ``values`` framed by the Dirichlet ring, shape (..., nx+2, ny+2, 5)."""
         values = self.check_values(values)
-        ext = self.ring.copy()
-        ext[1:-1, 1:-1] = values
+        ext = np.empty(values.shape[:-3] + self.ring.shape)
+        ext[...] = self.ring
+        ext[..., 1:-1, 1:-1, :] = values
         return ext
 
     def check_values(self, values: np.ndarray) -> np.ndarray:
+        """Float fields of shape (..., nx, ny, 5), a trailing n_dof axis unfolded;
+        ShapeMismatch on any other shape or on a non-finite value anywhere."""
         values = np.asarray(values, dtype=float)
-        if values.shape == (self.n_dof,):
-            values = values.reshape(self.shape)
-        if values.shape != self.shape:
+        if values.shape[-1:] == (self.n_dof,):
+            values = values.reshape(values.shape[:-1] + self.shape)
+        if values.shape[-3:] != self.shape:
             raise ShapeMismatch(
                 f"field shape {values.shape} does not match domain {self.shape}"
             )
@@ -189,7 +192,10 @@ class QField:
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", self.domain.check_values(self.values))
+        values = self.domain.check_values(self.values)
+        if values.shape != self.domain.shape:
+            raise ShapeMismatch(f"a field holds one set of values, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zeros(cls, domain: Domain) -> "QField":

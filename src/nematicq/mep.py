@@ -63,7 +63,7 @@ class Path:
         if nodes.ndim != 2 or nodes.shape[0] < 3:
             raise ValidationError("a path needs at least 3 nodes of equal size")
         if energies is None:
-            energies = np.array([system.energy(q) for q in nodes])
+            energies = system.energies(nodes)
         chords = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
         total = float(chords.sum())
         if total < 1e-14:
@@ -80,7 +80,7 @@ class Path:
     def gradients(self) -> np.ndarray:
         """Gradients at the interior nodes (row i - 1 for node i), evaluated
         once per path and shared by the residual and the evolution step."""
-        return np.array([self.system.gradient(q) for q in self.nodes[1:-1]])
+        return self.system.gradients(self.nodes[1:-1])
 
     def chord_spread(self) -> float:
         """Relative spread of consecutive chord lengths."""
@@ -110,7 +110,8 @@ def evolve_step(p: Path, base_step: float | None = None) -> Path:
 
     The per-node step starts at a shared base and halves until the node's
     energy does not increase; a node that cannot descend stays put.
-    Endpoints are untouched.  Node updates are mutually independent.
+    Endpoints are untouched.  Node updates are mutually independent; the
+    nodes still backtracking are evaluated in one ``energies`` call.
     """
     system = p.system
     if base_step is None:
@@ -119,17 +120,18 @@ def evolve_step(p: Path, base_step: float | None = None) -> Path:
         raise ValidationError("base step must be positive")
     nodes = p.nodes.copy()
     energies = p.energies.copy()
-    for i in range(1, p.n_nodes - 1):
-        g = p.gradients[i - 1]
-        step = base_step
-        for _ in range(_MAX_BACKTRACKS + 1):
-            trial = p.nodes[i] - step * g
-            e_trial = system.energy(trial)
-            if np.isfinite(e_trial) and e_trial <= energies[i]:
-                nodes[i] = trial
-                energies[i] = e_trial
-                break
-            step *= 0.5
+    active = np.arange(1, p.n_nodes - 1)  # nodes still backtracking
+    step = base_step
+    for _ in range(_MAX_BACKTRACKS + 1):
+        trial = p.nodes[active] - step * p.gradients[active - 1]
+        e_trial = system.energies(trial)
+        ok = np.isfinite(e_trial) & (e_trial <= energies[active])
+        nodes[active[ok]] = trial[ok]
+        energies[active[ok]] = e_trial[ok]
+        active = active[~ok]
+        if active.size == 0:
+            break
+        step *= 0.5
     return Path.from_nodes(system, nodes, energies)
 
 
@@ -186,7 +188,7 @@ def reparametrize(p: Path, mode: str = "equal_arc", interp: str = "linear") -> P
     is iterated to its fixed point: uniform (weighted) chord lengths
     within 1e-8 relative spread.  Intermediate passes interpolate the
     stored energies; the returned path carries freshly evaluated ones.
-    Endpoints come back bit-identical.
+    Endpoints and their energies come back bit-identical.
     """
     if mode not in ("equal_arc", "energy_weighted"):
         raise ValidationError(f"unknown reparametrization mode {mode!r}")
@@ -200,7 +202,8 @@ def reparametrize(p: Path, mode: str = "equal_arc", interp: str = "linear") -> P
         nodes, energies = _resample(nodes, energies, mode, interp)
         spread = _spread(_weighted_chords(nodes, energies, mode))
         if spread < _CHORD_SPREAD_TOL:
-            return Path.from_nodes(p.system, nodes)
+            energies[1:-1] = p.system.energies(nodes[1:-1])
+            return Path.from_nodes(p.system, nodes, energies)
     raise NoConvergence(
         f"reparametrization did not reach uniform spacing in {_MAX_PASSES} passes",
         iterations=_MAX_PASSES,
@@ -209,17 +212,14 @@ def reparametrize(p: Path, mode: str = "equal_arc", interp: str = "linear") -> P
 
 
 def perpendicular_residual(p: Path) -> float:
-    """Max over interior nodes of the gradient component normal to the path."""
-    worst = 0.0
-    for i in range(1, p.n_nodes - 1):
-        g = p.gradients[i - 1]
-        tangent = p.nodes[i + 1] - p.nodes[i - 1]
-        nt = np.linalg.norm(tangent)
-        if nt > 0.0:
-            tangent = tangent / nt
-            g = g - (g @ tangent) * tangent
-        worst = max(worst, float(np.abs(g).max()))
-    return worst
+    """Max over interior nodes of the gradient component normal to the chord
+    nodes[i + 1] - nodes[i - 1]; where that chord is zero, of the whole gradient."""
+    tangent = p.nodes[2:] - p.nodes[:-2]
+    nt = np.linalg.norm(tangent, axis=1)[:, None]
+    tangent = np.divide(tangent, nt, out=np.zeros_like(tangent), where=nt > 0.0)
+    g = p.gradients
+    g = g - np.sum(g * tangent, axis=1)[:, None] * tangent
+    return float(np.abs(g).max())
 
 
 def _as_flat(field, system: System | None):

@@ -193,18 +193,26 @@ def bulk_energy(q: np.ndarray, p: BulkParams) -> np.ndarray:
 
 
 def bulk_gradient(q: np.ndarray, p: BulkParams) -> np.ndarray:
-    """Partials of the bulk density with respect to (q1..q5).
+    """Partials of the bulk density with respect to (q1..q5), in closed form
 
-    Matrix form: T = a Q - b (Q^2 - |Q|^2/3 I) + c |Q|^2 Q, returned as
-    the component contraction (T:E_1, ..., T:E_5).
+        (a + c |Q|^2) G q - b d(det Q)/dq,   q6 = -q1 - q4,
+
+    G the Frobenius metric; the matrix form a Q - b (Q^2 - |Q|^2/3 I)
+    + c |Q|^2 Q contracted by ``dual_components``, without the matrices.
     """
     q = _check_last_axis(q)
-    m = to_matrix(q)
-    f2 = frob2(q)[..., None, None]
-    m2 = m @ m
-    eye = np.eye(3)
-    t = p.a * m - p.b * (m2 - (f2 / 3.0) * eye) + p.c * f2 * m
-    return dual_components(t)
+    # component-major copy, so that every product below runs on contiguous data
+    q1, q2, q3, q4, q5 = np.moveaxis(q, -1, 0).copy()
+    q6 = -q1 - q4
+    s = p.a + 2.0 * p.c * (q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5 + q1 * q4)
+    b = p.b
+    out = np.empty_like(q)
+    out[..., 0] = s * (2.0 * q1 + q4) - b * (q4 * (q6 - q1) - q5 * q5 + q2 * q2)
+    out[..., 1] = 2.0 * (s * q2 - b * (q3 * q5 - q2 * q6))
+    out[..., 2] = 2.0 * (s * q3 - b * (q2 * q5 - q3 * q4))
+    out[..., 3] = s * (q1 + 2.0 * q4) - b * (q1 * (q6 - q4) - q3 * q3 + q2 * q2)
+    out[..., 4] = 2.0 * (s * q5 - b * (q2 * q3 - q1 * q5))
+    return out
 
 
 def uniaxial_components(s, n) -> np.ndarray:

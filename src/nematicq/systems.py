@@ -40,7 +40,8 @@ class System:
     """Base class: subclasses implement ``energy`` and ``gradient``.
 
     ``n`` is the number of degrees of freedom; vectors passed in and out
-    are flat float64 arrays of that length.
+    are flat float64 arrays of that length.  ``energies``/``gradients``
+    evaluate the rows of an (m, n) block; these defaults loop.
     """
 
     n: int = 0
@@ -50,6 +51,12 @@ class System:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def energies(self, xs: np.ndarray) -> np.ndarray:
+        return np.array([self.energy(x) for x in xs])
+
+    def gradients(self, xs: np.ndarray) -> np.ndarray:
+        return np.array([self.gradient(x) for x in xs])
 
     def hessian_vec(self, x: np.ndarray, v: np.ndarray, l: float | None = None) -> np.ndarray:
         """Hessian action approximated by a central difference of the gradient:
@@ -64,7 +71,8 @@ class System:
             return np.zeros_like(v)
         if l is None:
             l = default_probe_length(x, v)
-        return (self.gradient(x + l * v) - self.gradient(x - l * v)) / (2.0 * l)
+        g = self.gradients(np.stack((x + l * v, x - l * v)))
+        return (g[0] - g[1]) / (2.0 * l)
 
 
 def preconditioner_of(system: System):

@@ -15,6 +15,7 @@ from nematicq.energy import (
     gradient,
     metric_matrix,
 )
+from nematicq.errors import ShapeMismatch
 from nematicq.field import Domain
 from nematicq.qtensor import BulkParams, bulk_energy, to_matrix, uniaxial_components
 from nematicq.sav import SavSplit
@@ -236,6 +237,43 @@ class TestLdGSystem:
             v /= np.linalg.norm(v)
             hv = sy.hessian_vec(x, v)
             assert np.linalg.norm(hv - hd @ v) <= 1e-5 * max(1.0, np.linalg.norm(hv))
+
+
+def _swirl_boundary(x, y):
+    out = np.zeros(x.shape + (5,))
+    out[..., 0] = 0.3 * np.sin(3.0 * x)
+    out[..., 1] = 0.2 * x * y
+    out[..., 4] = 0.1 * np.cos(y)
+    return out
+
+
+class TestBatchedKernels:
+    """One kernel call on a block of fields equals the row-by-row calls, bit for bit."""
+
+    @pytest.mark.parametrize("boundary", ["tangent", "planar", _swirl_boundary])
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    @pytest.mark.parametrize("grid", [(8, 8), (9, 6)])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_block_equals_rows(self, boundary, l23, grid, m):
+        d = Domain(nx=grid[0], ny=grid[1], lambda2=5.0, bulk=BULK, boundary=boundary, l2=l23[0], l3=l23[1])
+        sy = LdGSystem(d)
+        xs = 0.4 * make_rng(31, "test:energy:batch").normal(size=(m, sy.n))
+        energies, gradients = sy.energies(xs), sy.gradients(xs)
+        assert energies.shape == (m,) and gradients.shape == (m, sy.n)
+        assert np.array_equal(energies, [sy.energy(x) for x in xs])
+        assert np.array_equal(gradients, [sy.gradient(x) for x in xs])
+        fields = xs.reshape((m,) + d.shape)
+        assert np.array_equal(free_energy(d, fields), energies)
+        assert np.array_equal(gradient(d, fields), gradients.reshape(fields.shape))
+
+    def test_non_finite_row_raises(self):
+        sy = LdGSystem(make_domain(n=5))
+        xs = np.zeros((3, sy.n))
+        xs[1, 7] = np.inf
+        with pytest.raises(ShapeMismatch):
+            sy.energies(xs)
+        with pytest.raises(ShapeMismatch):
+            sy.gradients(xs)
 
 
 class TestSineSolver:

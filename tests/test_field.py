@@ -102,6 +102,18 @@ def test_extend_and_check_values():
     assert d.check_values(np.zeros(d.n_dof)).shape == d.shape
 
 
+def test_extend_frames_each_field_of_a_batch():
+    d = make_domain()
+    vals = make_rng(3, "test:field:batch").normal(size=(2, 3) + d.shape)
+    ext = d.extend(vals.reshape(2, 3, d.n_dof))
+    assert ext.shape == (2, 3, d.nx + 2, d.ny + 2, 5)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(ext[i, j], d.extend(vals[i, j]))
+    with pytest.raises(ShapeMismatch):
+        QField(d, vals[0])
+
+
 def test_qfield_flat_roundtrip():
     d = make_domain()
     gen = make_rng(3, "test:field")

@@ -94,6 +94,11 @@ class TestEvolve:
 class CountingWell(DoubleWell2D):
     def __init__(self):
         self.n_grad = 0
+        self.n_energy = 0
+
+    def energy(self, x):
+        self.n_energy += 1
+        return super().energy(x)
 
     def gradient(self, x):
         self.n_grad += 1
@@ -110,6 +115,54 @@ def test_one_sweep_evaluates_each_interior_gradient_once():
     fresh = Path.from_nodes(plain, p.nodes)
     assert residual == perpendicular_residual(fresh)
     assert np.array_equal(out.nodes, evolve_step(fresh, base_step=0.1).nodes)
+
+
+class RowByRow(System):
+    """Forwards only energy and gradient, so the base-class block loops run."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+
+    def energy(self, x):
+        return self.inner.energy(x)
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
+def ldg_path_8x8(fold: bool) -> Path:
+    """Noisy straight string between the diagonal states on an 8 x 8 grid;
+    with ``fold`` node 4 repeats node 2, so node 3 has a zero chord."""
+    d = Domain(nx=8, ny=8, lambda2=27.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+    a = seed_field(d, "diagonal(d1)").flat
+    b = seed_field(d, "diagonal(d2)").flat
+    frac = np.linspace(0.0, 1.0, 7)[:, None]
+    nodes = (1.0 - frac) * a + frac * b + 0.05 * make_rng(3, "test:mep:batch").normal(size=(7, a.size))
+    if fold:
+        nodes[4] = nodes[2]
+    return Path.from_nodes(LdGSystem(d), nodes)
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_batched_sweep_equals_row_by_row(fold):
+    batched = ldg_path_8x8(fold)
+    looped = Path.from_nodes(RowByRow(batched.system), batched.nodes)
+    assert np.array_equal(looped.energies, batched.energies)
+    assert perpendicular_residual(looped) == perpendicular_residual(batched)
+    base = 1.5  # about 33 times the stable step: nodes halve it 3 or 4 times
+    out, ref = evolve_step(batched, base), evolve_step(looped, base)
+    for name in ("nodes", "energies", "alpha"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name))
+    moved = np.linalg.norm(out.nodes[1:-1] - batched.nodes[1:-1], axis=1)
+    halvings = np.round(np.log2(base * np.linalg.norm(batched.gradients, axis=1) / moved))
+    assert halvings.min() >= 1 and np.unique(halvings).size > 1
+
+
+def test_zero_chord_counts_the_whole_gradient():
+    sy = DoubleWell2D()
+    p = Path.from_nodes(sy, [[0.5, 0.2], [0.3, 0.4], [0.5, 0.2]])
+    assert perpendicular_residual(p) == np.abs(sy.gradient(p.nodes[1])).max()
 
 
 class TestReparametrize:
@@ -135,6 +188,18 @@ class TestReparametrize:
         assert out.chord_spread() < 1e-8
         assert np.array_equal(out.nodes[0], nodes[0])
         assert np.array_equal(out.nodes[-1], nodes[-1])
+
+    def test_endpoint_energies_are_kept(self):
+        sy = CountingWell()
+        t = np.linspace(0.0, 1.0, 10) ** 2
+        p = Path.from_nodes(sy, np.column_stack([2.0 * t - 1.0, 0.5 * np.sin(np.pi * t)]))
+        sy.n_energy = 0
+        out = reparametrize(p)
+        assert sy.n_energy == p.n_nodes - 2
+        assert np.abs(out.nodes - p.nodes).max() > 0.01
+        for k in (0, -1):
+            assert np.array_equal(out.nodes[k], p.nodes[k])
+            assert out.energies[k] == p.energies[k]
 
     def test_energy_weighted_concentrates_near_barrier(self):
         sy = DoubleWell2D()

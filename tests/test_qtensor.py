@@ -99,6 +99,25 @@ def test_bulk_gradient_matches_central_fd_100():
         assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
 
+def matrix_form_bulk_gradient(q, p):
+    """Oracle: T = a Q - b (Q^2 - |Q|^2/3 I) + c |Q|^2 Q, contracted to components."""
+    m = to_matrix(q)
+    f2 = frob2(q)[..., None, None]
+    t = p.a * m - p.b * (m @ m - (f2 / 3.0) * np.eye(3)) + p.c * f2 * m
+    return dual_components(t)
+
+
+@pytest.mark.parametrize("shape", [(5,), (16, 16, 5), (7, 16, 16, 5)])
+def test_closed_form_bulk_gradient_matches_matrix_form(shape):
+    gen = rng(6)
+    for scale in (1e-3, 1.0, 1e3):
+        q = scale * gen.normal(size=shape)
+        p = BulkParams(gen.uniform(-2, 2), gen.uniform(0.2, 3), gen.uniform(0.2, 3))
+        g, oracle = bulk_gradient(q, p), matrix_form_bulk_gradient(q, p)
+        assert g.shape == shape
+        assert np.abs(g - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
 def test_dual_components_is_gradient_contraction():
     gen = rng(5)
     t = gen.normal(size=(3, 3))
