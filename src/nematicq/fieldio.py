@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import subprocess
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,15 +30,22 @@ __all__ = [
     "write_landscape",
     "write_branches",
     "write_hedgehog",
+    "write_json",
     "RunConfig",
     "load_config",
     "build_id",
     "write_manifest",
+    "RunContext",
 ]
 
 
 def _g17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def write_json(path, payload) -> None:
+    """Sorted keys, two-space indent, numpy scalars as floats, trailing newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +233,14 @@ def write_path_nodes(out_dir, mep_path, domain: Domain | None = None) -> list[st
 
 
 def write_mep_summary(path, result) -> None:
-    payload = {
-        "barrier_forward": result.barrier_forward,
-        "barrier_backward": result.barrier_backward,
-        "ts_lambda1": result.ts_lambda1,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(
+        path,
+        {
+            "barrier_forward": result.barrier_forward,
+            "barrier_backward": result.barrier_backward,
+            "ts_lambda1": result.ts_lambda1,
+        },
+    )
 
 
 def write_landscape(out_dir, graph, domain: Domain | None = None) -> list[str]:
@@ -257,7 +267,7 @@ def write_landscape(out_dir, graph, domain: Domain | None = None) -> list[str]:
         for node, kind, k, sign, message in graph.failed
     ]
     payload = {"nodes": nodes, "edges": edges, "failed": failed, "truncated": graph.truncated}
-    (out / "landscape.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(out / "landscape.json", payload)
     return names
 
 
@@ -376,16 +386,61 @@ def write_manifest(
     tolerances: dict,
     wall_time_s: float,
     outputs: list[str],
+    error: str | None = None,
 ) -> None:
-    """run.json: every emitted file must appear in ``outputs``."""
-    payload = {
-        "command": command,
-        "inputs": inputs,
-        "tolerances": tolerances,
-        "wall_time_s": wall_time_s,
-        "build_id": build_id(),
-        "outputs": sorted(outputs),
-    }
-    Path(Path(out_dir) / "run.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """run.json: every emitted file must appear in ``outputs``; ``error`` is
+    the message the run stopped with, None when it finished."""
+    write_json(
+        Path(out_dir) / "run.json",
+        {
+            "command": command,
+            "inputs": inputs,
+            "tolerances": tolerances,
+            "wall_time_s": wall_time_s,
+            "build_id": build_id(),
+            "outputs": sorted(outputs),
+            "error": error,
+        },
     )
+
+
+class RunContext:
+    """One CLI run: its output directory, clock, written files and run.json.
+
+    Entering creates the directory and starts the clock.  Each output is
+    named through `path` as it is written (or `add`, for writers that
+    name their own files).  Leaving writes run.json once, also when the
+    run raised; its `error` entry then holds the message.
+    """
+
+    def __init__(self, out_dir, command: str, inputs: dict, tolerances: dict):
+        self.out = Path(out_dir)
+        self.command = command
+        self.inputs = inputs
+        self.tolerances = tolerances
+        self.outputs: list[str] = []
+
+    def __enter__(self) -> "RunContext":
+        self.out.mkdir(parents=True, exist_ok=True)
+        self._t0 = time.perf_counter()
+        return self
+
+    def path(self, name: str) -> Path:
+        self.outputs.append(name)
+        return self.out / name
+
+    def add(self, names) -> None:
+        self.outputs.extend(names)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # a writer that raised may have left its file unwritten
+        written = [name for name in self.outputs if (self.out / name).exists()]
+        write_manifest(
+            self.out,
+            self.command,
+            self.inputs,
+            self.tolerances,
+            time.perf_counter() - self._t0,
+            written + ["run.json"],
+            error=None if exc is None else str(exc) or exc_type.__name__,
+        )

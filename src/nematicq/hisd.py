@@ -444,9 +444,6 @@ class LandscapeGraph:
             out.setdefault(rec.morse_index, []).append(rec)
         return out
 
-    def stable_nodes(self) -> list:
-        return [rec for rec in self.nodes if rec.morse_index == 0]
-
 
 def _records_match(a: SaddleRecord, b: SaddleRecord) -> bool:
     if abs(a.energy - b.energy) >= 1e-8 * (1.0 + max(abs(a.energy), abs(b.energy))):

@@ -510,9 +510,6 @@ class QTensor:
     def biaxiality(self) -> float:
         return float(biaxiality(self.vector))
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return eig3(self.vector)
-
     def classify(self, tol: float = 1e-8) -> Phase:
         return eig_classify(self.vector, tol)
 

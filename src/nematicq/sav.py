@@ -14,6 +14,8 @@ the flow dq/dt = -grad F is integrated by a Crank-Nicolson scheme in
 
 non-increasing for every step size.  A semi-implicit one-step scheme
 (implicit in L, explicit in the remainder) is kept as a baseline.
+`flow_to_equilibrium(init, dt, scheme="sav" | "semi_implicit")` is the
+one loop that runs either scheme to a stationary field.
 """
 
 from __future__ import annotations
@@ -225,48 +227,53 @@ def flow_to_equilibrium(
     max_steps: int = 100_000,
     trace: list | None = None,
     reset_every: int = 20,
+    scheme: str = "sav",
 ) -> tuple[QField, int]:
-    """Iterate sav_step until the true gradient inf-norm drops below tol_grad.
+    """Step `scheme` until the true gradient inf-norm drops below tol_grad.
 
+    `scheme` is "sav" (sav_step) or "semi_implicit" (semi_implicit_step).
     Returns (field, steps).  A stationary input returns after 0 steps.
     `trace`, if given, collects (step, time, energy, modified_energy,
-    grad_inf_norm) rows suitable for the trajectory CSV.  Stability of
-    the returned field is the caller's to certify.
+    grad_inf_norm) rows suitable for the trajectory CSV; the
+    semi-implicit scheme has no auxiliary scalar, so its modified energy
+    repeats the energy.  Stability of the returned field is the caller's
+    to certify.
 
-    Every `reset_every` steps the auxiliary scalar is re-initialized to
-    sqrt(F1).  Without this the stepper can settle on a fixed point of
+    Every `reset_every` SAV steps the auxiliary scalar is re-initialized
+    to sqrt(F1).  Without this the stepper can settle on a fixed point of
     a rescaled force balance once r drifts away from sqrt(F1), stalling
     at a field that is not stationary for the true energy.  Resets only
     touch the scalar, so the fields visited stay on the same discrete
     trajectory up to O(dt^2); pass reset_every = 0 to disable.
     """
+    if scheme not in ("sav", "semi_implicit"):
+        raise ValidationError(f"flow scheme must be 'sav' or 'semi_implicit', got {scheme!r}")
     split = sav_split(init.domain)
     d = init.domain
 
     def grad_inf(values: np.ndarray) -> float:
         return float(np.abs(gradient(d, values)).max())
 
+    def record(state: SavState, g: float) -> None:
+        if trace is not None:
+            e = state.field.energy()
+            e_mod = split.modified_energy(state.field.flat, state.r) if scheme == "sav" else e
+            trace.append((state.step, state.time, e, e_mod, g))
+
     state = sav_init(init, split)
     g = grad_inf(state.field.values)
-    if trace is not None:
-        trace.append((0, 0.0, state.field.energy(), split.modified_energy(state.field.flat, state.r), g))
+    record(state, g)
     if g < tol_grad:
         return init, 0
     for k in range(1, max_steps + 1):
-        state = sav_step(state, dt, split)
-        if reset_every and k % reset_every == 0:
-            state = replace(state, r=float(np.sqrt(split.f1(state.field.flat))))
+        if scheme == "sav":
+            state = sav_step(state, dt, split)
+            if reset_every and k % reset_every == 0:
+                state = replace(state, r=float(np.sqrt(split.f1(state.field.flat))))
+        else:
+            state = SavState(semi_implicit_step(state.field, dt, split), state.r, step=k, time=k * dt)
         g = grad_inf(state.field.values)
-        if trace is not None:
-            trace.append(
-                (
-                    state.step,
-                    state.time,
-                    state.field.energy(),
-                    split.modified_energy(state.field.flat, state.r),
-                    g,
-                )
-            )
+        record(state, g)
         if g < tol_grad:
             return state.field, state.step
     raise NoConvergence(

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from nematicq.cli import main
-from nematicq.fieldio import read_field
+from nematicq.field import seed_field
+from nematicq.fieldio import load_config, read_field, write_field
 
 
 def write_config(tmp_path, **overrides):
@@ -68,6 +69,21 @@ class TestToyCommands:
         lines = (tmp_path / "hedgehog.csv").read_text().splitlines()
         assert lines[0] == "r,h"
         assert len(lines) == 130
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["string", "--toy"],
+            ["saddle", "--toy", "--k", "2"],
+            ["maier-saupe", "--alpha", "8.0", "--gamma1", "1.3"],
+            ["hedgehog", "-N", "64"],
+        ],
+    )
+    def test_run_record_lists_every_file(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        manifest, outputs = manifest_outputs(tmp_path)
+        assert outputs == sorted(p.name for p in tmp_path.iterdir())
+        assert manifest["error"] is None
 
 
 class TestMaierSaupe:
@@ -169,6 +185,75 @@ class TestConfigCommands:
         rc = main(["string", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "field-a" in capsys.readouterr().err
+
+    def test_semi_implicit_flow(self, tmp_path):
+        cfg = write_config(tmp_path, tol=1e-5, dt=0.5, scheme="semi_implicit")
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+        steps = json.loads((out / "flow.json").read_text())["steps"]
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert steps > 0
+        assert len(lines) == steps + 2
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(row[3] == row[2] for row in rows)
+
+    def test_seed_flag_overrides_config(self, tmp_path):
+        cfg = write_config(tmp_path, init="random(0.5)", seed=3)
+        fields = []
+        for seed in (5, 9):
+            out = tmp_path / f"seed{seed}"
+            assert main(["minimize", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+            manifest, _ = manifest_outputs(out)
+            assert manifest["inputs"]["seed"] == seed
+            assert manifest["inputs"]["out_dir"] == str(out)
+            assert manifest["error"] is None
+            fields.append((out / "field.csv").read_bytes())
+        assert fields[0] != fields[1]
+
+
+class TestRunRecordOnFailure:
+    """Exit 2 still leaves run.json, with the message and every file written."""
+
+    def check_record(self, out, capsys):
+        manifest, outputs = manifest_outputs(out)
+        assert outputs == sorted(p.name for p in out.iterdir())
+        assert manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
+        return manifest
+
+    def test_string_with_non_stationary_endpoints(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        domain = load_config(cfg).domain()
+        write_field(tmp_path / "a.csv", seed_field(domain, "isotropic"))
+        write_field(tmp_path / "b.csv", seed_field(domain, "diagonal(d1)"))
+        out = tmp_path / "out"
+        argv = ["string", "--config", str(cfg), "--field-a", str(tmp_path / "a.csv")]
+        argv += ["--field-b", str(tmp_path / "b.csv"), "--n-nodes", "9", "--out", str(out)]
+        assert main(argv) == 2
+        manifest = self.check_record(out, capsys)
+        assert "not stationary" in manifest["error"]
+        assert manifest["inputs"]["n_nodes"] == 9
+
+    def test_landscape_with_stalled_seed_minimization(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, tol=1e-30)
+        out = tmp_path / "out"
+        assert main(["landscape", "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = self.check_record(out, capsys)
+        assert "stalled" in manifest["error"]
+
+    def test_minimize_short_of_tol(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, tol=1e-30)
+        out = tmp_path / "out"
+        assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 2
+        self.check_record(out, capsys)
+        assert json.loads((out / "minimize.json").read_text())["converged"] is False
+
+    def test_flow_budget_exhaustion(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, init="isotropic", tol=1e-9, dt=0.1, max_steps=3)
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 2
+        self.check_record(out, capsys)
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 3 + 2
 
 
 class TestEntryPoint:

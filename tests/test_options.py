@@ -1,13 +1,15 @@
-"""The settable surface of the solvers.
+"""The settable surface of the solvers and the command line.
 
 Step control, line-search constants and tolerances are fixed inside the
-solvers; only the fields and parameters below can be set.  Adding one
-is a deliberate change to this test.
+solvers; only the fields, parameters and CLI flags below can be set.
+Adding one is a deliberate change to this test.
 """
 
+import argparse
 import inspect
 from dataclasses import fields
 
+from nematicq.cli import build_parser
 from nematicq.hisd import LandscapeOptions, SaddleOptions
 from nematicq.minimize import MinimizeOptions, certify_stability
 from nematicq.spectrum import smallest_eigs
@@ -30,3 +32,25 @@ def test_option_fields():
 def test_spectrum_and_certificate_parameters():
     assert params(smallest_eigs) == ["system", "x", "k", "seed", "v0"]
     assert params(certify_stability) == ["system", "x", "tol_grad"]
+
+
+def cli_flags():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: sorted(opt for act in p._actions for opt in act.option_strings if opt not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+
+
+def test_cli_flags():
+    field_run = ["--config", "--out", "--seed"]
+    assert cli_flags() == {
+        "minimize": field_run,
+        "flow": field_run,
+        "string": sorted(field_run + ["--toy", "--field-a", "--field-b", "--n-nodes", "--tol"]),
+        "saddle": sorted(field_run + ["--toy", "--k", "--init", "--tol"]),
+        "landscape": sorted(field_run + ["--toy"]),
+        "maier-saupe": ["--alpha", "--gamma1", "--out"],
+        "hedgehog": ["--a", "--b", "--c", "--n-intervals", "--out", "--radius", "-N", "-R"],
+    }

@@ -314,3 +314,30 @@ class TestFlow:
         with pytest.raises(NoConvergence) as err:
             flow_to_equilibrium(seed_field(d, "random(0.5)", seed=9), dt=1e-4, tol_grad=1e-10, max_steps=3)
         assert err.value.iterations == 3
+
+    def test_semi_implicit_scheme_is_the_hand_loop(self):
+        d = tangent_domain(6, lambda2=5.0)
+        f0 = seed_field(d, "random(0.3)", seed=4)
+        dt, tol = 0.1, 1e-6
+        rows = []
+        out, steps = flow_to_equilibrium(f0, dt, tol_grad=tol, trace=rows, scheme="semi_implicit")
+
+        def grad_inf(f):
+            return float(np.abs(d.gradient(f.values)).max())
+
+        f, g = f0, grad_inf(f0)
+        expected = [(0, 0.0, f.energy(), f.energy(), g)]
+        k = 0
+        while g >= tol:
+            k += 1
+            f = semi_implicit_step(f, dt)
+            g = grad_inf(f)
+            expected.append((k, k * dt, f.energy(), f.energy(), g))
+        assert steps == k > 0
+        assert np.array_equal(out.values, f.values)
+        assert rows == expected
+
+    def test_unknown_scheme_raises(self):
+        d = tangent_domain(5, lambda2=5.0)
+        with pytest.raises(ValidationError, match="scheme"):
+            flow_to_equilibrium(seed_field(d, "isotropic"), 0.1, scheme="euler")
