@@ -316,7 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:
+        # argparse exits 2 on a usage error; 2 is reserved for a solver
+        # that failed to converge, so a bad command line exits 1
+        return 1 if err.code else 0
     try:
         return args.func(args)
     except SolveError as err:

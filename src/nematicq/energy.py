@@ -34,7 +34,6 @@ __all__ = [
     "free_energy",
     "gradient",
     "LdGSystem",
-    "Preconditioner",
     "SineSolver",
     "elastic_matrix",
     "elastic_shift_vector",
@@ -206,44 +205,23 @@ class LdGSystem(System):
     def field(self, x: np.ndarray) -> QField:
         return QField.from_flat(self.domain, x)
 
-    def preconditioner(self) -> "Preconditioner":
-        """SPD approximate Hessian M = K + shift * kron(I, G) with its exact solve.
+    def preconditioner(self) -> "SineSolver":
+        """SPD approximate Hessian M = K + shift * kron(I, G), as the
+        SineSolver that applies and solves it.
 
-        K is the sparse one-constant operator; the shift scales with the
-        bulk coefficients so M stays positive definite.  The object is
-        cached on the system: LOBPCG takes it as its ``M=``, the saddle
-        dynamics run in its metric and L-BFGS seeds its H0 with it.
+        K is the one-constant elastic operator; the shift scales with the
+        bulk coefficients so M stays positive definite.  No matrix is
+        assembled.  The object is cached on the system: LOBPCG takes it as
+        its ``M=``, the saddle dynamics run in its metric and L-BFGS seeds
+        its H0 with it.
         """
         pre = self.__dict__.get("_preconditioner")
         if pre is None:
             d = self.domain
             p = d.bulk
             shift = d.hx * d.hy * d.lambda2 * (abs(p.a) + p.b + p.c)
-            mat = elastic_matrix(d) + shift * metric_matrix(d)
-            pre = self._preconditioner = Preconditioner(mat, SineSolver(d, 0.0, 1.0, shift))
+            pre = self._preconditioner = SineSolver(d, 0.0, 1.0, shift)
         return pre
-
-
-class Preconditioner(LinearOperator):
-    """An SPD matrix M with a solver for it (any object with ``solve``).
-
-    As a LinearOperator it applies M^-1, the form LOBPCG expects for its
-    ``M=``; ``solve`` is that action on a vector or a block of columns,
-    and ``apply`` multiplies by M itself, for inner products <a, b>_M.
-    """
-
-    def __init__(self, matrix: sp.spmatrix, solver):
-        super().__init__(dtype=float, shape=matrix.shape)
-        self.matrix = matrix
-        self.solver = solver
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return self.solver.solve(r)
-
-    _matvec = _matmat = solve
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
 
 @lru_cache(maxsize=8)
@@ -258,16 +236,18 @@ def _sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SineSolver(LinearOperator):
-    """Exact inverse of c0 I + c1 kron(A + sigma I, G) by sine transforms.
+    """The operator c0 I + c1 kron(A + sigma I, G), applied and solved
+    exactly by sine transforms.
 
     A = wx T (x) I + wy I (x) T is the Dirichlet 5-point operator of
     ``elastic_matrix`` (K = kron(A, G)), G the Frobenius metric of a node.
-    A solve rotates the components into the eigenbasis of G, applies the
-    DST-I matrix along each axis, divides by the eigenvalues
-    c0 + c1 g_c (wx mu_i + wy mu_j + sigma) and transforms back: the fast
-    Poisson solver of Buzbee, Golub and Nielson (SIAM J. Numer. Anal.
-    1970).  As a LinearOperator it applies the inverse, to vectors or
-    (n, m) blocks.
+    Both actions rotate the components into the eigenbasis of G, apply
+    the DST-I matrix along each axis, scale by the eigenvalues
+    c0 + c1 g_c (wx mu_i + wy mu_j + sigma) and transform back: ``solve``
+    divides by them (the fast Poisson solver of Buzbee, Golub and
+    Nielson, SIAM J. Numer. Anal. 1970), ``apply`` multiplies.  Both take
+    vectors or (n, m) blocks.  As a LinearOperator it applies the
+    inverse, the form LOBPCG expects for its ``M=``.
     """
 
     def __init__(self, domain: Domain, c0: float, c1: float, sigma: float):
@@ -280,7 +260,8 @@ class SineSolver(LinearOperator):
         a = wx * mux[:, None] + wy * muy[None, :] + sigma
         self._eig = c0 + c1 * a[:, :, None] * _G5_EIGVALS
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
+    def _scaled(self, r: np.ndarray, scale) -> np.ndarray:
+        """Transform r to the eigenbasis, ``scale(x, eig, out=x)`` there, transform back."""
         r = np.asarray(r, dtype=float)
         nx, ny = self._eig.shape[:2]
         m = r.size // (nx * ny * 5)
@@ -288,9 +269,18 @@ class SineSolver(LinearOperator):
         x = r.reshape(nx * ny, 5 * m) @ rot
         x = self._sx @ x.reshape(nx, ny * 5 * m)
         x = np.matmul(self._sy, x.reshape(nx, ny, 5 * m))
-        x.reshape(nx, ny, 5, m)[...] /= self._eig[..., None]
+        y = x.reshape(nx, ny, 5, m)
+        scale(y, self._eig[..., None], out=y)
         x = np.matmul(self._sy, x)
         x = self._sx @ x.reshape(nx, ny * 5 * m)
         return (x.reshape(nx * ny, 5 * m) @ rot.T).reshape(r.shape)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """The inverse action on a vector or (n, m) block."""
+        return self._scaled(r, np.divide)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The operator's own action, for inner products <a, b>_M."""
+        return self._scaled(v, np.multiply)
 
     _matvec = _matmat = solve

@@ -23,6 +23,12 @@ from .qtensor import BulkParams, critical_points
 
 __all__ = ["HedgehogProfile", "solve_profile", "ode_residual"]
 
+# Newton stops below this interior max-norm residual, gives up after
+# _MAX_ITERS steps, and halves a step at most _MAX_BACKTRACKS times.
+_TOL = 1e-10
+_MAX_ITERS = 100
+_MAX_BACKTRACKS = 40
+
 
 @dataclass(frozen=True)
 class HedgehogProfile:
@@ -52,14 +58,7 @@ def ode_residual(profile: HedgehogProfile, p: BulkParams) -> np.ndarray:
     return _interior_residual(profile.h, profile.r, dr, p)
 
 
-def solve_profile(
-    p: BulkParams,
-    R: float,
-    N: int,
-    tol: float = 1e-10,
-    max_iters: int = 100,
-    max_backtracks: int = 40,
-) -> HedgehogProfile:
+def solve_profile(p: BulkParams, R: float, N: int) -> HedgehogProfile:
     """Solve the hedgehog amplitude on [0, R] with N intervals.
 
     Starts from the linear ramp h(r) = s_plus r / R (both boundary
@@ -86,8 +85,8 @@ def solve_profile(
     res = _interior_residual(h, r, dr, p)
     res_norm = float(np.abs(res).max())
     history = [res_norm]
-    for it in range(max_iters):
-        if res_norm < tol:
+    for it in range(_MAX_ITERS):
+        if res_norm < _TOL:
             return HedgehogProfile(R=float(R), r=r, h=h, s_plus=float(s_plus), residual=res_norm)
         hi = h[1:-1]
         diag = -2.0 / dr**2 - 6.0 / ri**2 - (p.a - (2.0 * p.b / 3.0) * hi + 2.0 * p.c * hi**2)
@@ -98,7 +97,7 @@ def solve_profile(
         delta = solve_banded((1, 1), ab, -res)
 
         step = 1.0
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             h_try = h.copy()
             h_try[1:-1] = hi + step * delta
             res_try = _interior_residual(h_try, r, dr, p)
@@ -114,10 +113,10 @@ def solve_profile(
                 iterations=it,
                 residual=res_norm,
             )
-    if res_norm < tol:
+    if res_norm < _TOL:
         return HedgehogProfile(R=float(R), r=r, h=h, s_plus=float(s_plus), residual=res_norm)
     raise NoConvergence(
         f"damped Newton exhausted its budget; residual history tail {history[-4:]}",
-        iterations=max_iters,
+        iterations=_MAX_ITERS,
         residual=res_norm,
     )

@@ -8,9 +8,10 @@ A saddle of index k is found by flowing
 while the k directions in V relax toward the k smallest eigenvectors of
 M^-1 H; explicit Euler steps plus a hard re-orthonormalization keep V
 orthonormal in <a, b>_M = a^T M b.  M is the system's SPD
-preconditioner when it has one (the elastic operator of a tensor field,
-solved exactly by sine transforms), which keeps the step count flat as
-the grid is refined; systems without one run the same dynamics with M = I.
+preconditioner when it has one (for a tensor field, the SineSolver of
+its elastic operator, which applies M and M^-1 by sine transforms); it
+keeps the step count flat as the grid is refined.  Systems without one
+run the same dynamics with M = I.
 
 Verified stationary points become SaddleRecords; repeated downward (and
 optionally upward) searches from a seed record grow the directed graph
@@ -157,8 +158,9 @@ def hisd_step(
     M^-1 g - 2 V (V^T g) (plain preconditioned descent when k = 0);
     each v_i then relaxes along M^-1 H v_i at the new x, shielded from
     the earlier directions, and the set is M-orthonormalized.  M is the
-    system's preconditioner (``solve`` applies M^-1, ``apply`` M), or
-    the identity for a system without one.
+    system's preconditioner (``solve`` applies M^-1, ``apply`` M; for a
+    tensor field both are the SineSolver's transforms), or the identity
+    for a system without one.
     """
     if beta_dt <= 0.0 or gamma_dt <= 0.0:
         raise ValidationError("step sizes must be positive")

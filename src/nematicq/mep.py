@@ -20,8 +20,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DegeneratePath, NoConvergence, NotIndexOne, NotStationary, ValidationError, WrongIndex
 from .field import QField
-from .hisd import SaddleOptions, find_saddle
-from .spectrum import operator_scale, smallest_eigs
+from .hisd import SaddleOptions, SaddleRecord, find_saddle
+from .spectrum import operator_scale
+from .spectrum import smallest_eigs  # noqa: F401  no caller here; perfbench/tracing.py rebinds mep.smallest_eigs
 from .systems import System
 
 __all__ = [
@@ -233,23 +234,13 @@ def _as_flat(field, system: System | None):
     return np.asarray(field, dtype=float).reshape(-1).copy(), system
 
 
-def _certify_ts(system: System, x: np.ndarray, seed: int = 0) -> float:
-    rep = smallest_eigs(system, x, k=min(3, x.size), seed=seed)
-    negatives = int(np.sum(rep.eigenvalues < -rep.tol_eig))
-    if negatives != 1:
-        raise NotIndexOne(
-            f"transition state candidate has {negatives} negative eigenvalues, "
-            f"leading spectrum {np.array2string(rep.eigenvalues, precision=6)}"
-        )
-    return float(rep.eigenvalues[0])
-
-
-def _refine_ts(system: System, x0: np.ndarray, tol: float, seed: int = 0) -> np.ndarray:
+def _refine_ts(system: System, x0: np.ndarray, tol: float, seed: int = 0) -> SaddleRecord:
     """Climbing correction: index-1 reflected dynamics with the unstable
-    direction re-solved every iteration."""
+    direction re-solved every iteration.  The returned record's index is
+    verified by find_saddle; any other index raises NotIndexOne."""
     opts = SaddleOptions(tol_grad=tol, refresh_every=1, seed=seed)
     try:
-        return find_saddle(system, 1, x0, opts=opts).field
+        return find_saddle(system, 1, x0, opts=opts)
     except WrongIndex as err:
         raise NotIndexOne(
             f"climbing correction converged to Morse index {err.found}"
@@ -284,16 +275,14 @@ def _string_loop(
 
 def _finish(global_e0: float, global_e1: float, path: Path, ts_tol: float, seed: int) -> MepResult:
     ts_index = int(np.argmax(path.energies))
-    ts_field = _refine_ts(path.system, path.nodes[ts_index].copy(), ts_tol, seed)
-    ts_lambda1 = _certify_ts(path.system, ts_field, seed)
-    e_ts = float(path.system.energy(ts_field))
+    ts = _refine_ts(path.system, path.nodes[ts_index].copy(), ts_tol, seed)
     return MepResult(
         path=path,
         ts_index=ts_index,
-        ts_field=ts_field,
-        barrier_forward=e_ts - global_e0,
-        barrier_backward=e_ts - global_e1,
-        ts_lambda1=ts_lambda1,
+        ts_field=ts.field,
+        barrier_forward=ts.energy - global_e0,
+        barrier_backward=ts.energy - global_e1,
+        ts_lambda1=float(ts.lambda_spectrum[0]),
     )
 
 

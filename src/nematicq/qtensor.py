@@ -47,10 +47,6 @@ __all__ = [
 # Biaxiality convention: tensors with |Q|^2 below this are reported beta = 0.
 ISO_NORM2_FLOOR = 1e-12
 
-# Eigenvalue gap (relative to tensor scale) below which the closed-form
-# eigenvector construction hands over to numpy's symmetric solver.
-_DEGENERATE_GAP = 1e-6
-
 
 def _check_last_axis(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
@@ -334,22 +330,6 @@ def critical_points(p: BulkParams) -> BulkCriticalSet:
     )
 
 
-def _eigvec_for(m: np.ndarray, lam: float) -> np.ndarray | None:
-    """Null vector of (M - lam I) via the largest cross product of rows."""
-    d = m - lam * np.eye(3)
-    crosses = [
-        np.cross(d[0], d[1]),
-        np.cross(d[0], d[2]),
-        np.cross(d[1], d[2]),
-    ]
-    norms = [np.linalg.norm(c) for c in crosses]
-    k = int(np.argmax(norms))
-    scale = np.linalg.norm(d, ord="fro")
-    if norms[k] <= 1e-14 * max(scale * scale, 1e-30):
-        return None
-    return crosses[k] / norms[k]
-
-
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: largest-magnitude entry positive."""
     k = int(np.argmax(np.abs(v)))
@@ -357,60 +337,13 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
 
 
 def eig3(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of one tensor.
-
-    Closed-form trigonometric eigenvalues; the eigenvector of the most
-    isolated eigenvalue comes from row cross products, the remaining pair
-    from the deflated 2x2 problem.  Near-degenerate spectra fall back to
-    numpy's symmetric solver.
-    """
+    """Eigenvalues (ascending) and orthonormal eigenvectors of one tensor,
+    each eigenvector signed by ``_fix_signs``."""
     q = _check_last_axis(q)
     if q.ndim != 1:
-        raise ShapeMismatch("eig3 handles one tensor; use eigvals3 for batches")
-    f2 = float(frob2(q))
-    if f2 < 1e-300:
-        return np.zeros(3), np.eye(3)
-    m = to_matrix(q)
-    det = float(trq3(q)) / 3.0
-    t = 2.0 * np.sqrt(f2 / 6.0)
-    cos3t = np.clip(4.0 * det / t**3, -1.0, 1.0)
-    theta = np.arccos(cos3t) / 3.0
-    w = np.sort(t * np.cos(theta - 2.0 * np.pi * np.array([0.0, 1.0, 2.0]) / 3.0))
-
-    scale = max(abs(w[0]), abs(w[2]))
-    gaps = (w[1] - w[0], w[2] - w[1])
-    if min(gaps) <= _DEGENERATE_GAP * scale:
-        w_np, v_np = np.linalg.eigh(m)
-        v_np = np.stack([_fix_signs(v_np[:, k]) for k in range(3)], axis=1)
-        return w_np, v_np
-
-    iso = 0 if gaps[0] >= gaps[1] else 2
-    v_iso = _eigvec_for(m, w[iso])
-    if v_iso is None:
-        w_np, v_np = np.linalg.eigh(m)
-        v_np = np.stack([_fix_signs(v_np[:, k]) for k in range(3)], axis=1)
-        return w_np, v_np
-
-    # Deflate onto the plane orthogonal to v_iso and solve the 2x2 block.
-    k = int(np.argmin(np.abs(v_iso)))
-    u = np.eye(3)[k] - v_iso[k] * v_iso
-    u /= np.linalg.norm(u)
-    wv = np.cross(v_iso, u)
-    b11 = u @ m @ u
-    b12 = u @ m @ wv
-    b22 = wv @ m @ wv
-    half = 0.5 * np.arctan2(2.0 * b12, b11 - b22)
-    cth, sth = np.cos(half), np.sin(half)
-    v_hi = cth * u + sth * wv
-    v_lo = -sth * u + cth * wv
-    lam_hi = b11 * cth * cth + 2.0 * b12 * cth * sth + b22 * sth * sth
-    lam_lo = (b11 + b22) - lam_hi
-
-    pairs = [(w[iso], v_iso), (lam_lo, v_lo), (lam_hi, v_hi)]
-    pairs.sort(key=lambda pw: pw[0])
-    w_out = np.array([pw[0] for pw in pairs])
-    v_out = np.stack([_fix_signs(pw[1]) for pw in pairs], axis=1)
-    return w_out, v_out
+        raise ShapeMismatch("eig3 handles one tensor")
+    w, v = np.linalg.eigh(to_matrix(q))
+    return w, np.stack([_fix_signs(v[:, k]) for k in range(3)], axis=1)
 
 
 def is_physical(q: np.ndarray, margin: float = 0.0) -> bool:

@@ -125,6 +125,24 @@ class TestMaierSaupe:
         assert (a / "branches.csv").read_bytes() == (b / "branches.csv").read_bytes()
 
 
+class TestUsageErrors:
+    """A bad command line exits 1; 2 is reserved for a solver that failed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["maier-saupe", "--alpha", "7", "--seed", "3", "--out", "out"], []],
+        ids=["unknown_flag", "missing_subcommand"],
+    )
+    def test_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: nematicq" in capsys.readouterr().out
+
+
 class TestConfigCommands:
     def test_minimize_pipeline(self, tmp_path):
         cfg = write_config(tmp_path, init="diagonal(d1)", tol=1e-7)

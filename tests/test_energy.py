@@ -277,22 +277,28 @@ class TestBatchedKernels:
 
 
 class TestSineSolver:
-    """The sine-transform solve against the assembled sparse operators."""
+    """The sine-transform solve and apply against the assembled sparse operators."""
 
     @staticmethod
-    def assert_inverse(op, solver, gen):
+    def assert_solves_and_applies(op, solver, gen):
         for r in (gen.normal(size=op.shape[0]), gen.normal(size=(op.shape[0], 3))):
             x = solver.solve(r)
             assert x.shape == r.shape
             assert np.linalg.norm(op @ x - r) <= 1e-12 * np.linalg.norm(r)
+            y = solver.apply(r)
+            assert y.shape == r.shape
+            assert np.linalg.norm(y - op @ r) <= 1e-12 * np.linalg.norm(op @ r)
 
     @pytest.mark.parametrize("boundary", ["tangent", "planar", "zero"])
     @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
     def test_inverts_preconditioner_and_sav_operators(self, boundary, l23):
         d = Domain(nx=12, ny=9, lambda2=5.0, bulk=BULK, boundary=boundary, l2=l23[0], l3=l23[1])
         gen = make_rng(7, "test:energy:sine")
-        pre = LdGSystem(d).preconditioner()
-        self.assert_inverse(pre.matrix, pre, gen)
+        # the preconditioner M = K + shift * kron(I, G), assembled as the oracle
+        p = d.bulk
+        shift = d.hx * d.hy * d.lambda2 * (abs(p.a) + p.b + p.c)
+        m = elastic_matrix(d) + shift * metric_matrix(d)
+        self.assert_solves_and_applies(m, LdGSystem(d).preconditioner(), gen)
         # the CG preconditioners of the flow: I/dt + L1/2 and I/dt + L1,
         # L1 the one-constant part of the split's linear operator
         split = SavSplit(d)
@@ -300,8 +306,8 @@ class TestSineSolver:
         l1 = elastic_matrix(d) + sigma * metric_matrix(d)
         eye = sp.identity(d.n_dof)
         for dt in (1e-3, 2.0):
-            self.assert_inverse(eye / dt + 0.5 * l1, SineSolver(d, 1.0 / dt, 0.5, sigma), gen)
-            self.assert_inverse(eye / dt + l1, SineSolver(d, 1.0 / dt, 1.0, sigma), gen)
+            self.assert_solves_and_applies(eye / dt + 0.5 * l1, SineSolver(d, 1.0 / dt, 0.5, sigma), gen)
+            self.assert_solves_and_applies(eye / dt + l1, SineSolver(d, 1.0 / dt, 1.0, sigma), gen)
 
     def test_is_the_linear_operator_it_solves_with(self):
         d = make_domain(8)

@@ -13,7 +13,6 @@ from nematicq.errors import (
 from nematicq.field import Domain, seed_field
 from nematicq.mep import (
     Path,
-    _certify_ts,
     _refine_ts,
     evolve_step,
     find_mep,
@@ -274,13 +273,14 @@ class TestFindMep:
 
 
 class TestTransitionStateHelpers:
-    def test_certify_rejects_index_two(self):
+    def test_refine_rejects_index_two(self):
         with pytest.raises(NotIndexOne):
-            _certify_ts(Quartic2D(), np.zeros(2))
+            _refine_ts(Quartic2D(), np.zeros(2), 1e-8)
 
-    def test_certify_accepts_index_one(self):
-        lam1 = _certify_ts(Quartic2D(), np.array([0.0, 1.0]))
-        assert lam1 < 0
+    def test_refine_returns_index_one_record(self):
+        record = _refine_ts(Quartic2D(), np.array([0.0, 1.0]), 1e-8)
+        assert record.morse_index == 1
+        assert record.lambda_spectrum[0] < 0
 
     def test_refine_raises_when_climb_lands_on_minimum(self):
         # nearest unstable direction at (0.9, 0) is the soft y mode, so the

@@ -10,6 +10,7 @@ import inspect
 from dataclasses import fields
 
 from nematicq.cli import build_parser
+from nematicq.hedgehog import solve_profile
 from nematicq.hisd import LandscapeOptions, SaddleOptions
 from nematicq.minimize import MinimizeOptions, certify_stability
 from nematicq.spectrum import smallest_eigs
@@ -32,6 +33,7 @@ def test_option_fields():
 def test_spectrum_and_certificate_parameters():
     assert params(smallest_eigs) == ["system", "x", "k", "seed", "v0"]
     assert params(certify_stability) == ["system", "x", "tol_grad"]
+    assert params(solve_profile) == ["p", "R", "N"]
 
 
 def cli_flags():
