@@ -58,7 +58,7 @@ class NoConvergence(SolveError):
 
 
 class LinearSolveFailure(SolveError):
-    """An inner linear solve (CG, banded, LU) did not reach its tolerance."""
+    """The SAV flow's conjugate-gradient solve did not reach its tolerance."""
 
 
 class DegeneratePath(ValidationError):

@@ -79,22 +79,22 @@ def _metric(system: System):
 def gram_schmidt(v: np.ndarray, precond=None) -> np.ndarray:
     """Orthonormalize columns in order, with one reorthogonalization pass.
 
-    The inner product is <a, b>_M = a^T M b with M applied by
-    ``precond.apply`` (the Euclidean one when precond is None).
+    The inner product is <a, b>_M = a^T M b, with M applied once to the
+    block by ``precond.apply`` (the Euclidean one when precond is None).
     """
     precond = _Euclidean if precond is None else precond
     v = np.array(v, dtype=float)
-    mv = np.empty_like(v)  # M times each finished column
+    mv = np.array(precond.apply(v), dtype=float)  # M v, updated along with v
     for i in range(v.shape[1]):
         for _ in range(2):
             for j in range(i):
-                v[:, i] -= (mv[:, j] @ v[:, i]) * v[:, j]
-        col = np.ascontiguousarray(v[:, i])
-        w = precond.apply(col)
-        nrm = float(np.sqrt(col @ w))
+                c = mv[:, j] @ v[:, i]
+                v[:, i] -= c * v[:, j]
+                mv[:, i] -= c * mv[:, j]
+        nrm = float(np.sqrt(v[:, i] @ mv[:, i]))
         if nrm < 1e-13:
             raise NoConvergence("direction set degenerated during orthonormalization")
-        mv[:, i] = w / nrm
+        mv[:, i] /= nrm
         v[:, i] /= nrm
     return v
 
@@ -156,11 +156,11 @@ def hisd_step(
 
     x moves along the M-reflected preconditioned gradient
     M^-1 g - 2 V (V^T g) (plain preconditioned descent when k = 0);
-    each v_i then relaxes along M^-1 H v_i at the new x, shielded from
-    the earlier directions, and the set is M-orthonormalized.  M is the
-    system's preconditioner (``solve`` applies M^-1, ``apply`` M; for a
-    tensor field both are the SineSolver's transforms), or the identity
-    for a system without one.
+    the v_i then relax along M^-1 H v_i at the new x (one block product),
+    each shielded from the earlier directions, and the set is
+    M-orthonormalized.  M is the system's preconditioner (``solve``
+    applies M^-1, ``apply`` M; for a tensor field both are the
+    SineSolver's transforms), or the identity for a system without one.
     """
     if beta_dt <= 0.0 or gamma_dt <= 0.0:
         raise ValidationError("step sizes must be positive")
@@ -172,7 +172,7 @@ def hisd_step(
         d = d - 2.0 * v @ (v.T @ g)
     x_new = x - beta_dt * d
     if k:
-        hv = np.column_stack([system.hessian_vec(x_new, v[:, i]) for i in range(k)])
+        hv = system.hessian_vec(x_new, v)
         # <v_j, M^-1 H v_i>_M = v_j^T H v_i
         coef = v.T @ hv
         # shield[j, i]: weight of v_j in the update of v_i; the running

@@ -85,11 +85,7 @@ class Path:
 
     def chord_spread(self) -> float:
         """Relative spread of consecutive chord lengths."""
-        chords = np.linalg.norm(np.diff(self.nodes, axis=0), axis=1)
-        mean = chords.mean()
-        if mean == 0.0:
-            return 0.0
-        return float((chords.max() - chords.min()) / mean)
+        return _spread(np.linalg.norm(np.diff(self.nodes, axis=0), axis=1))
 
 
 @dataclass(frozen=True)
@@ -349,8 +345,6 @@ def refine_multiscale(
         raise ValidationError("a fine string needs at least 3 nodes")
     order = np.argsort(coarse.energies)
     lo, hi = sorted((int(order[-1]), int(order[-2])))
-    if hi == lo:
-        raise ValidationError("coarse path has fewer than two distinct node energies")
     frac = np.linspace(0.0, 1.0, fine_n)[:, None]
     nodes = (1.0 - frac) * coarse.nodes[lo] + frac * coarse.nodes[hi]
     fine = Path.from_nodes(coarse.system, nodes)

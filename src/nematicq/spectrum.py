@@ -1,13 +1,13 @@
 """Smallest Hessian eigenpairs through matrix-free operator actions.
 
 The Hessian is only available as matrix-vector products (central
-differences of the gradient), so the small end of the spectrum comes
-from LOBPCG with a deterministic seeded start, Rayleigh-Ritz cleanup
-and residual verification: up to 800 iterations per attempt and three
-restarts from the last Ritz block.  ``smallest_eigs`` preconditions
-with the system's SPD preconditioner when it has one.  Tiny problems
-are assembled densely instead.  The spectral scale used for tolerances
-is estimated with ten power iterations.
+differences of the gradient, taken a whole block at a time), so the
+small end of the spectrum comes from LOBPCG with a deterministic seeded
+start, Rayleigh-Ritz cleanup and residual verification: up to 800
+iterations per attempt and three restarts from the last Ritz block.
+``smallest_eigs`` preconditions with the system's SPD preconditioner
+when it has one.  Tiny problems are assembled densely instead.  Ten
+power iterations estimate the spectral scale behind the tolerances.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ _DENSE_CUTOFF = 160
 # LOBPCG iterations per attempt, and restarts after the first attempt
 _MAXITER = 800
 _RESTARTS = 3
+# Power iterations behind the spectral scale
+_POWER_ITERS = 10
 
 
 @dataclass
@@ -55,27 +57,27 @@ class SpectrumReport:
         return self.morse_index == 0
 
 
-def operator_scale(apply_h, n: int, iters: int = 10, seed: int = 0) -> float:
-    """Dominant |eigenvalue| estimate from ``iters`` power iterations."""
+def operator_scale(apply_h, n: int, seed: int = 0) -> float:
+    """Dominant |eigenvalue| estimate from _POWER_ITERS power iterations."""
     gen = make_rng(seed, "spectrum:power")
     v = gen.normal(size=n)
     v /= np.linalg.norm(v)
     nrm = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = apply_h(v)
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0 or not np.isfinite(nrm):
             break
         v = w / nrm
     if not np.isfinite(nrm):
-        raise NoConvergence("operator norm estimate diverged", iters, nrm)
+        raise NoConvergence("operator norm estimate diverged", _POWER_ITERS, nrm)
     return max(nrm, 1e-300)
 
 
 def _rayleigh_ritz(apply_h, v: np.ndarray):
     """Orthonormalize the block and rotate it onto Ritz pairs."""
     v, _ = np.linalg.qr(v)
-    hv = np.column_stack([apply_h(v[:, j]) for j in range(v.shape[1])])
+    hv = apply_h(v)
     b = v.T @ hv
     b = 0.5 * (b + b.T)
     w, u = np.linalg.eigh(b)
@@ -89,13 +91,13 @@ def solve_smallest(
     apply_h,
     n: int,
     k: int,
-    scale: float | None = None,
     seed: int = 0,
     v0: np.ndarray | None = None,
     precond: LinearOperator | None = None,
 ) -> SpectrumReport:
     """k smallest eigenpairs of the symmetric operator ``apply_h`` on R^n.
 
+    ``apply_h`` takes a vector or an (n, m) block and returns its shape.
     Residuals must verify below 1e-6 * scale or NoConvergence is raised.
     Deterministic for fixed (seed, v0).
     """
@@ -103,16 +105,14 @@ def solve_smallest(
         raise ShapeMismatch(f"eigenpair count k must be in [1, 30], got {k}")
     if k > n:
         raise ShapeMismatch(f"requested {k} eigenpairs of an operator on R^{n}")
-    if scale is None:
-        scale = operator_scale(apply_h, n, iters=10, seed=seed)
+    scale = operator_scale(apply_h, n, seed=seed)
     tol_eig = 1e-8 * scale
     res_required = 1e-6 * scale
     res_target = 1e-8 * scale
 
     iterations = 0
     if n <= max(_DENSE_CUTOFF, 5 * k + 5):
-        eye = np.eye(n)
-        h = np.column_stack([apply_h(eye[:, j]) for j in range(n)])
+        h = apply_h(np.eye(n))
         h = 0.5 * (h + h.T)
         w_all, v_all = np.linalg.eigh(h)
         w, v = w_all[:k], v_all[:, :k]
@@ -127,8 +127,7 @@ def solve_smallest(
             m = min(k, v0.shape[1])
             x[:, :m] = v0[:, :m]
         x, _ = np.linalg.qr(x)
-        op = LinearOperator((n, n), matvec=apply_h, dtype=float)
-        w = v = res = None
+        op = LinearOperator((n, n), matvec=apply_h, matmat=apply_h, dtype=float)
         for attempt in range(_RESTARTS + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -148,7 +147,7 @@ def solve_smallest(
             if res.max() <= res_required:
                 break
             x = v
-        if res is None or res.max() > res_required:
+        if res.max() > res_required:
             raise NoConvergence(
                 "eigensolver residuals above tolerance", iterations, float(res.max())
             )
@@ -183,8 +182,6 @@ def smallest_eigs(
     unpreconditioned otherwise; ``solve_smallest`` takes any other.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-
-    def apply_h(v):
-        return system.hessian_vec(x, np.asarray(v, dtype=float).reshape(-1))
-
-    return solve_smallest(apply_h, x.size, k, seed=seed, v0=v0, precond=preconditioner_of(system))
+    return solve_smallest(
+        lambda v: system.hessian_vec(x, v), x.size, k, seed=seed, v0=v0, precond=preconditioner_of(system)
+    )

@@ -29,11 +29,8 @@ def make_rng(seed: int, stream: str = "") -> np.random.Generator:
 
 
 def default_probe_length(x: np.ndarray, v: np.ndarray) -> float:
-    """Default finite-difference length: 1e-4 times the field scale per unit v."""
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return 1e-4
-    return 1e-4 * (1.0 + float(np.linalg.norm(x))) / nv
+    """Default finite-difference length for a nonzero v: 1e-4 times the field scale per unit v."""
+    return 1e-4 * (1.0 + float(np.linalg.norm(x))) / float(np.linalg.norm(v))
 
 
 class System:
@@ -59,20 +56,31 @@ class System:
         return np.array([self.gradient(x) for x in xs])
 
     def hessian_vec(self, x: np.ndarray, v: np.ndarray, l: float | None = None) -> np.ndarray:
-        """Hessian action approximated by a central difference of the gradient:
+        """H(x) v by a central difference, (grad(x + l v) - grad(x - l v)) / (2 l).
 
-            H(x) v ~ (grad(x + l v) - grad(x - l v)) / (2 l)
-
-        Exact (independent of l) whenever the gradient is affine in x.
+        ``v`` is a vector or an (n, m) block, and so is the result: each
+        nonzero column gets its own probe length (``l`` or the default) and
+        all probes go through one ``gradients`` call.  Exact (independent of
+        l) whenever the gradient is affine in x.
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        if not np.any(v):
-            return np.zeros_like(v)
-        if l is None:
-            l = default_probe_length(x, v)
-        g = self.gradients(np.stack((x + l * v, x - l * v)))
-        return (g[0] - g[1]) / (2.0 * l)
+        # one contiguous row per column, and the large arrays written in
+        # place: at 64^2 fresh temporaries cost more than the arithmetic
+        cols = np.ascontiguousarray(v.reshape(v.shape[0], -1).T)
+        hv = np.zeros_like(cols)
+        live = np.flatnonzero(cols.any(axis=1))
+        if live.size:
+            m = live.size
+            step = np.array([[default_probe_length(x, cols[j]) if l is None else float(l)] for j in live])
+            probes = np.empty((2 * m, x.size))  # x + step v above x - step v
+            np.multiply(step, cols[live], out=probes[m:])
+            np.add(x, probes[m:], out=probes[:m])
+            np.subtract(x, probes[m:], out=probes[m:])
+            g = self.gradients(probes)
+            diff = np.subtract(g[:m], g[m:], out=g[:m])
+            hv[live] = np.divide(diff, 2.0 * step, out=diff)
+        return np.ascontiguousarray(hv.T).reshape(v.shape)
 
 
 def preconditioner_of(system: System):

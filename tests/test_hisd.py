@@ -135,6 +135,36 @@ class TestStep:
         g = sy.gradient(x)
         assert np.array_equal(out.x, x - 0.1 * (g - 2.0 * v @ (v.T @ g)))
 
+    def test_k2_step_takes_one_hessian_product(self):
+        calls = []
+
+        class Counting(DiagQuadratic):
+            def hessian_vec(self, x, v, l=None):
+                calls.append(np.shape(v))
+                return super().hessian_vec(x, v, l)
+
+        gen = make_rng(11, "test:hisd:block")
+        sy = Counting(np.array([-3.0, -1.0, 0.5, 2.0, 4.0]))
+        state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2))), 2)
+        hisd_step(sy, state, 0.1, 0.1)
+        assert calls == [(5, 2)]
+
+    def test_gram_schmidt_applies_the_metric_once(self):
+        d = Domain(nx=6, ny=6, lambda2=5.0, bulk=BULK, l2=0.6, l3=0.4)
+        pre = LdGSystem(d).preconditioner()
+        applied = []
+
+        class Counting:
+            solve = pre.solve
+
+            def apply(self, v):
+                applied.append(np.shape(v))
+                return pre.apply(v)
+
+        v = gram_schmidt(make_rng(12, "test:hisd:gsm").normal(size=(pre.shape[0], 4)), Counting())
+        assert applied == [v.shape]
+        assert np.abs(v.T @ pre.apply(v) - np.eye(4)).max() < 1e-12
+
     def test_gram_schmidt_degenerate_raises(self):
         v = np.ones((4, 2))
         with pytest.raises(NoConvergence):
@@ -384,9 +414,7 @@ class TestTensorField:
         res = minimize(sy, seed_field(d, "random(0.4)", seed=11).flat, MinimizeOptions(tol_grad=1e-10))
         rec = make_record(sy, res.x, tol_grad=1e-8)
 
-        n = sy.n
-        eye = np.eye(n)
-        h = np.column_stack([sy.hessian_vec(res.x, eye[:, j]) for j in range(n)])
+        h = sy.hessian_vec(res.x, np.eye(sy.n))
         h = 0.5 * (h + h.T)
         eigs = np.linalg.eigh(h)[0]
         _, _, rep = classify_stationary(sy, res.x, tol_grad=1e-8)

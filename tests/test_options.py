@@ -13,7 +13,7 @@ from nematicq.cli import build_parser
 from nematicq.hedgehog import solve_profile
 from nematicq.hisd import LandscapeOptions, SaddleOptions
 from nematicq.minimize import MinimizeOptions, certify_stability
-from nematicq.spectrum import smallest_eigs
+from nematicq.spectrum import operator_scale, smallest_eigs, solve_smallest
 
 
 def names(cls):
@@ -32,6 +32,8 @@ def test_option_fields():
 
 def test_spectrum_and_certificate_parameters():
     assert params(smallest_eigs) == ["system", "x", "k", "seed", "v0"]
+    assert params(solve_smallest) == ["apply_h", "n", "k", "seed", "v0", "precond"]
+    assert params(operator_scale) == ["apply_h", "n", "seed"]
     assert params(certify_stability) == ["system", "x", "tol_grad"]
     assert params(solve_profile) == ["p", "R", "N"]
 

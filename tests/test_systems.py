@@ -1,9 +1,13 @@
 """The base-class block evaluations and the finite-difference Hessian product."""
 
 import numpy as np
+import pytest
 
+from nematicq.energy import LdGSystem
+from nematicq.field import Domain
+from nematicq.qtensor import BulkParams
 from nematicq.systems import default_probe_length, make_rng
-from nematicq.toys import Quartic2D
+from nematicq.toys import DiagQuadratic, Quartic2D
 
 
 class CountingQuartic(Quartic2D):
@@ -34,4 +38,43 @@ def test_hessian_vec_takes_both_probes_in_one_block():
     assert sy.blocks == [(2, 2)] and sy.n_grad == 2
     l = default_probe_length(x, v)
     assert np.array_equal(hv, (sy.gradient(x + l * v) - sy.gradient(x - l * v)) / (2.0 * l))
+    # a block of three columns: all six probes in one call
+    sy.blocks, sy.n_grad = [], 0
+    block = np.array([[0.7, -0.2, 1.5], [0.4, 0.9, 0.3]])
+    assert sy.hessian_vec(x, block).shape == (2, 3)
+    assert sy.blocks == [(6, 2)] and sy.n_grad == 6
+
+
+def ldg(grid, boundary, l23):
+    d = Domain(nx=grid[0], ny=grid[1], lambda2=5.0, bulk=BulkParams(-1.0, 1.0, 1.0),
+               boundary=boundary, l2=l23[0], l3=l23[1])
+    return LdGSystem(d)
+
+
+BLOCK_SYSTEMS = [
+    pytest.param(lambda: Quartic2D(), id="quartic"),
+    pytest.param(lambda: DiagQuadratic(np.linspace(-2.0, 3.0, 11)), id="diag"),
+] + [
+    pytest.param(lambda g=g, b=b, l=l: ldg(g, b, l), id=f"ldg-{g[0]}x{g[1]}-{b}-{l[0]}")
+    for g in ((8, 8), (9, 6))
+    for b in ("tangent", "planar")
+    for l in ((0.0, 0.0), (0.6, 0.4))
+]
+
+
+@pytest.mark.parametrize("make", BLOCK_SYSTEMS)
+def test_hessian_block_equals_columns(make):
+    """One block product equals the column-by-column products, bit for bit."""
+    sy = make()
+    gen = make_rng(17, "test:systems:block")
+    x = 0.4 * gen.normal(size=sy.n)
+    block = gen.normal(size=(sy.n, 3))
+    block[:, 1] = 0.0
+    for v in (block, block[:, :1], np.zeros((sy.n, 2))):
+        for l in (None, 1e-3):
+            hv = sy.hessian_vec(x, v, l)
+            assert hv.shape == v.shape
+            cols = [sy.hessian_vec(x, v[:, j], l) for j in range(v.shape[1])]
+            assert np.array_equal(hv, np.column_stack(cols))
+    assert not sy.hessian_vec(x, block)[:, 1].any()
 
