@@ -52,7 +52,7 @@ from .maier_saupe import (
     solve_branches,
 )
 from .mep import MepResult, Path, find_mep, perpendicular_residual, refine_multiscale, reparametrize
-from .minimize import MinimizeOptions, MinimizeResult, certify_stability, minimize
+from .minimize import MinimizeOptions, MinimizeResult, minimize
 from .qtensor import (
     BulkCriticalSet,
     BulkParams,
@@ -113,7 +113,6 @@ __all__ = [
     "build_landscape",
     "bulk_energy",
     "bulk_gradient",
-    "certify_stability",
     "classify_stationary",
     "critical_alpha",
     "critical_points",

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from .field import Domain, QField
-from .qtensor import bulk_energy, bulk_gradient, frob2, metric_apply, to_matrix
+from .qtensor import G, bulk_energy, bulk_gradient, frob2, metric_apply, to_matrix
 from .systems import System
 
 __all__ = [
@@ -40,16 +40,7 @@ __all__ = [
     "metric_matrix",
 ]
 
-_G5 = np.array(
-    [
-        [2.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, 2.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 2.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 2.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 2.0],
-    ]
-)
-_G5_EIGVALS, _G5_EIGVECS = np.linalg.eigh(_G5)  # 1, 2, 2, 2, 3
+_G_EIGVALS, _G_EIGVECS = np.linalg.eigh(G)  # 1, 2, 2, 2, 3
 
 
 def _cell_density_23(u: np.ndarray, l2: float, l3: float) -> float:
@@ -147,7 +138,7 @@ def gradient(domain: Domain, values: np.ndarray) -> np.ndarray:
 
 def metric_matrix(domain: Domain) -> sp.csr_matrix:
     """Block-diagonal Frobenius metric on the flat vector: kron(I_nodes, G)."""
-    return sp.kron(sp.identity(domain.nx * domain.ny, format="csr"), _G5, format="csr")
+    return sp.kron(sp.identity(domain.nx * domain.ny, format="csr"), G, format="csr")
 
 
 def elastic_matrix(domain: Domain) -> sp.csr_matrix:
@@ -166,7 +157,7 @@ def elastic_matrix(domain: Domain) -> sp.csr_matrix:
     a = wx * sp.kron(lap1d(domain.nx), sp.identity(domain.ny)) + wy * sp.kron(
         sp.identity(domain.nx), lap1d(domain.ny)
     )
-    return sp.kron(a, _G5, format="csr")
+    return sp.kron(a, G, format="csr")
 
 
 def elastic_apply(domain: Domain, flat: np.ndarray) -> np.ndarray:
@@ -258,14 +249,14 @@ class SineSolver(LinearOperator):
         wx = domain.hy / domain.hx
         wy = domain.hx / domain.hy
         a = wx * mux[:, None] + wy * muy[None, :] + sigma
-        self._eig = c0 + c1 * a[:, :, None] * _G5_EIGVALS
+        self._eig = c0 + c1 * a[:, :, None] * _G_EIGVALS
 
     def _scaled(self, r: np.ndarray, scale) -> np.ndarray:
         """Transform r to the eigenbasis, ``scale(x, eig, out=x)`` there, transform back."""
         r = np.asarray(r, dtype=float)
         nx, ny = self._eig.shape[:2]
         m = r.size // (nx * ny * 5)
-        rot = _G5_EIGVECS if m == 1 else np.kron(_G5_EIGVECS, np.eye(m))
+        rot = _G_EIGVECS if m == 1 else np.kron(_G_EIGVECS, np.eye(m))
         x = r.reshape(nx * ny, 5 * m) @ rot
         x = self._sx @ x.reshape(nx, ny * 5 * m)
         x = np.matmul(self._sy, x.reshape(nx, ny, 5 * m))

@@ -75,11 +75,6 @@ class Domain:
         return 1.0 / (self.ny + 1)
 
     @property
-    def h(self) -> float:
-        """Uniform spacing; meaningful for the square grids (nx == ny)."""
-        return self.hx
-
-    @property
     def n_dof(self) -> int:
         return 5 * self.nx * self.ny
 
@@ -177,11 +172,6 @@ class Domain:
         from . import energy
 
         return energy.gradient(self, values)
-
-    def system(self):
-        from .energy import LdGSystem
-
-        return LdGSystem(self)
 
 
 @dataclass(frozen=True)

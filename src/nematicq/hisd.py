@@ -13,9 +13,10 @@ its elastic operator, which applies M and M^-1 by sine transforms); it
 keeps the step count flat as the grid is refined.  Systems without one
 run the same dynamics with M = I.
 
-Verified stationary points become SaddleRecords; repeated downward (and
-optionally upward) searches from a seed record grow the directed graph
-of stationary points connected by search pathways.
+Verified stationary points become SaddleRecords, which keep the
+eigenvectors of their certificate; repeated downward (and optionally
+upward) searches start from those and, from a seed record, grow the
+directed graph of stationary points connected by search pathways.
 """
 
 from __future__ import annotations
@@ -115,14 +116,18 @@ class SaddleRecord:
     `field` is the flat coefficient vector (QField.from_flat views it on
     a domain); `lambda_spectrum` holds the smallest morse_index + 2
     eigenvalues (capped at the problem size), so the sign change behind
-    the index count is visible; `iterations` counts the saddle-dynamics
-    steps that reached it (0 for a record made on the spot).
+    the index count is visible, and `eigenvectors` the matching
+    Euclidean-orthonormal columns from the same solve, from which every
+    branch search leaving the point starts; `iterations` counts the
+    saddle-dynamics steps that reached it (0 for a record made on the
+    spot).
     """
 
     field: np.ndarray
     energy: float
     morse_index: int
     lambda_spectrum: np.ndarray
+    eigenvectors: np.ndarray  # (n, len(lambda_spectrum))
     grad_inf: float
     id: int | None = None
     iterations: int = 0
@@ -210,13 +215,15 @@ def classify_stationary(
 def make_record(
     system: System, x: np.ndarray, tol_grad: float = 1e-8, seed: int = 0, k_hint: int = 0
 ) -> SaddleRecord:
-    m, spectrum, _ = classify_stationary(system, x, tol_grad, seed, k_hint)
+    """Certify x by classify_stationary and keep its eigenpairs."""
+    m, spectrum, rep = classify_stationary(system, x, tol_grad, seed, k_hint)
     g_inf = float(np.abs(system.gradient(x)).max())
     return SaddleRecord(
         field=np.array(x, dtype=float),
         energy=float(system.energy(x)),
         morse_index=m,
         lambda_spectrum=spectrum,
+        eigenvectors=rep.eigenvectors[:, : spectrum.size].copy(),
         grad_inf=g_inf,
     )
 
@@ -310,32 +317,29 @@ def find_saddle(
     )
 
 
-def _default_eps(x: np.ndarray, eps: float | None) -> float:
-    if eps is not None:
-        if eps <= 0.0:
-            raise ValidationError("eps must be positive")
-        return eps
-    return 1e-2 * max(1.0, float(np.linalg.norm(x)))
-
-
 def _branch_searches(
     system: System,
     origin: SaddleRecord,
     k: int,
-    directions: np.ndarray,
-    v0: np.ndarray,
-    eps: float,
     opts: SaddleOptions,
     errors_out: list | None,
 ) -> list[tuple[float, SaddleRecord]]:
-    """Run find_saddle from origin +/- eps * last direction; keep verified
-    records (including wrong-index landings) and report failed branches
-    as (sign, error) to errors_out when given."""
+    """Run find_saddle toward index k from origin +/- eps * v_j, with
+    V = (v_1 .. v_k) from the origin's eigenvectors: j = k + 1 below the
+    origin's index, j = k above it.  Only a target beyond the record's
+    columns solves for more.  Keeps verified records (including
+    wrong-index landings) and reports failed branches as (sign, error)
+    to errors_out when given."""
+    want = k + 1 if k < origin.morse_index else k
+    vecs = origin.eigenvectors
+    if vecs.shape[1] < want:
+        vecs = smallest_eigs(system, origin.field, want, seed=opts.seed).eigenvectors
+    eps = 1e-2 * max(1.0, float(np.linalg.norm(origin.field)))
     found = []
     for sign in (1.0, -1.0):
-        x0 = origin.field + (sign * eps) * directions
+        x0 = origin.field + (sign * eps) * vecs[:, want - 1]
         try:
-            rec = find_saddle(system, k, x0, v0=v0, opts=opts)
+            rec = find_saddle(system, k, x0, v0=vecs[:, :k], opts=opts)
         except WrongIndex as err:
             rec = err.record
         except NoConvergence as err:
@@ -350,49 +354,38 @@ def downward_search(
     system: System,
     parent: SaddleRecord,
     k: int,
-    eps: float | None = None,
     opts: SaddleOptions | None = None,
     errors_out: list | None = None,
 ) -> list[SaddleRecord]:
     """Search for index-k saddles below a higher-index parent.
 
-    Starts at parent +/- eps * v_{k+1} with V = (v_1 .. v_k), the parent
-    eigenvectors recomputed on the spot.  Failed branches never abort
-    the sibling; wrong-index landings are kept with their true index.
+    Starts at parent +/- eps * v_{k+1} with V = (v_1 .. v_k), the
+    eigenvectors the parent's record carries from its certificate.
+    Failed branches never abort the sibling; wrong-index landings are
+    kept with their true index.
     """
     if k >= parent.morse_index:
         raise ValidationError("downward target index must be below the parent index")
-    opts = opts or SaddleOptions()
-    rep = smallest_eigs(system, parent.field, k + 1, seed=opts.seed)
-    eps = _default_eps(parent.field, eps)
-    hits = _branch_searches(
-        system, parent, k, rep.eigenvectors[:, k], rep.eigenvectors[:, :k], eps, opts, errors_out
-    )
-    return [rec for _, rec in hits]
+    return [rec for _, rec in _branch_searches(system, parent, k, opts or SaddleOptions(), errors_out)]
 
 
 def upward_search(
     system: System,
     child: SaddleRecord,
     k: int,
-    eps: float | None = None,
     opts: SaddleOptions | None = None,
     errors_out: list | None = None,
 ) -> list[SaddleRecord]:
     """Search for an index-k saddle above a lower-index child.
 
     V starts as the child's unstable eigenvectors extended by the
-    smallest-positive ones up to k; x starts at child +/- eps * v_k.
+    smallest-positive ones up to k, all from the child's record (a fresh
+    eigensolve only when k exceeds its morse_index + 2 columns); x starts
+    at child +/- eps * v_k.
     """
     if k <= child.morse_index:
         raise ValidationError("upward target index must be above the child index")
-    opts = opts or SaddleOptions()
-    rep = smallest_eigs(system, child.field, k, seed=opts.seed)
-    eps = _default_eps(child.field, eps)
-    hits = _branch_searches(
-        system, child, k, rep.eigenvectors[:, k - 1], rep.eigenvectors[:, :k], eps, opts, errors_out
-    )
-    return [rec for _, rec in hits]
+    return [rec for _, rec in _branch_searches(system, child, k, opts or SaddleOptions(), errors_out)]
 
 
 @dataclass
@@ -402,10 +395,10 @@ class LandscapeOptions:
     `search` configures every branch search; `max_nodes` and
     `max_searches` bound the graph; `max_index`, when set, adds upward
     sweeps from every node up to that index (there is no a priori
-    bound, so it is an explicit budget).  Branches start 1e-2*(1 + |x|)
-    off their node, and two records match when both the energy gap is
-    below 1e-8*(1+|E|) and the field distance is below 1e-4*(1 + field
-    scale).
+    bound, so it is an explicit budget).  Branches start 1e-2*max(1, |x|)
+    off their node along the eigenvectors its record carries, and two
+    records match when both the energy gap is below 1e-8*(1+|E|) and the
+    field distance is below 1e-4*(1 + field scale).
     """
 
     search: SaddleOptions = field(default_factory=SaddleOptions)
@@ -484,41 +477,15 @@ def build_landscape(
         return jobs
 
     queue = schedule(0)
-    eig_cache: dict[int, SpectrumReport] = {}
-
-    def directions_for(node_id: int, want: int) -> SpectrumReport:
-        rep = eig_cache.get(node_id)
-        if rep is None or rep.eigenvalues.size < want:
-            rec = nodes[node_id]
-            # one solve covers every search scheduled from this node
-            k_fetch = max(want, rec.morse_index, opts.max_index or 0)
-            k_fetch = min(k_fetch, rec.field.size, 30)
-            k_fetch = max(k_fetch, want)
-            rep = smallest_eigs(system, rec.field, k_fetch, seed=opts.search.seed)
-            eig_cache[node_id] = rep
-        return rep
-
     while queue:
         if searches >= opts.max_searches or len(nodes) >= opts.max_nodes:
             truncated = True
             break
         node_id, kind, k = queue.popleft()
         parent = nodes[node_id]
-        want = k + 1 if kind == "downward" else k
-        rep = directions_for(node_id, want)
-        eps = _default_eps(parent.field, None)
         searches += 2
         errors: list = []
-        hits = _branch_searches(
-            system,
-            parent,
-            k,
-            rep.eigenvectors[:, want - 1],
-            rep.eigenvectors[:, :k],
-            eps,
-            opts.search,
-            errors,
-        )
+        hits = _branch_searches(system, parent, k, opts.search, errors)
         failed.extend((node_id, kind, k, sign, str(err)) for sign, err in errors)
         for sign, rec in hits:
             match_id = None

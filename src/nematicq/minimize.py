@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotStationary
-from .spectrum import SpectrumReport, smallest_eigs
+from .spectrum import smallest_eigs  # noqa: F401  no caller here; perfbench/tracing.py rebinds minimize.smallest_eigs
 from .systems import System, preconditioner_of
 
 __all__ = [
     "MinimizeOptions",
     "MinimizeResult",
     "minimize",
-    "certify_stability",
     "lbfgs_direction",
     "ensure_descent",
 ]
@@ -37,9 +35,6 @@ _MEMORY = 10
 _C1 = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
-# certify_stability: eigenpairs reported, and the slack on tol_grad
-_CERTIFY_K = 3
-_STATIONARITY_FACTOR = 10.0
 
 
 @dataclass
@@ -171,17 +166,3 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
         n_grad=n_grad,
     )
 
-
-def certify_stability(system: System, x: np.ndarray, tol_grad: float = 1e-8) -> SpectrumReport:
-    """Verify x is a stationary point and report its 3 smallest eigenpairs.
-
-    Raises NotStationary when |grad|_inf >= 10 * tol_grad.
-    The returned report's ``stable`` property is the certificate: no
-    eigenvalue below -tol_eig.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    gn = float(np.abs(system.gradient(x)).max())
-    threshold = _STATIONARITY_FACTOR * tol_grad
-    if gn >= threshold:
-        raise NotStationary(gn, threshold)
-    return smallest_eigs(system, x, _CERTIFY_K)

@@ -29,6 +29,7 @@ __all__ = [
     "to_matrix",
     "sym_components",
     "dual_components",
+    "G",
     "metric_apply",
     "frob2",
     "trq3",
@@ -46,6 +47,17 @@ __all__ = [
 
 # Biaxiality convention: tensors with |Q|^2 below this are reported beta = 0.
 ISO_NORM2_FLOOR = 1e-12
+
+# The Frobenius metric on the five components: |Q|^2 = q . G q.
+G = np.array(
+    [
+        [2.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 2.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 2.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 2.0],
+    ]
+)
 
 
 def _check_last_axis(q: np.ndarray) -> np.ndarray:
@@ -103,14 +115,7 @@ def dual_components(t: np.ndarray) -> np.ndarray:
 
 def metric_apply(q: np.ndarray) -> np.ndarray:
     """Apply the Frobenius metric G, so that |Q|^2 = q . metric_apply(q)."""
-    q = _check_last_axis(q)
-    out = np.empty_like(q)
-    out[..., 0] = 2.0 * q[..., 0] + q[..., 3]
-    out[..., 1] = 2.0 * q[..., 1]
-    out[..., 2] = 2.0 * q[..., 2]
-    out[..., 3] = q[..., 0] + 2.0 * q[..., 3]
-    out[..., 4] = 2.0 * q[..., 4]
-    return out
+    return _check_last_axis(q) @ G
 
 
 def frob2(q: np.ndarray) -> np.ndarray:

@@ -130,13 +130,13 @@ class SavSplit:
         def matvec(v):
             return v / dt + 0.5 * self.l_apply(v) + bvec * float(bvec @ v)
 
-        a_op = LinearOperator((n, n), matvec=matvec)
+        a_op = LinearOperator((n, n), matvec=matvec, dtype=float)
         return _run_cg(a_op, rhs, SineSolver(self.domain, 1.0 / dt, 0.5, self.a1 * self._hw))
 
     def solve_si(self, dt: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (I/dt + L) x = rhs by CG, preconditioned by I/dt + L1."""
         n = rhs.size
-        a_op = LinearOperator((n, n), matvec=lambda v: v / dt + self.l_apply(v))
+        a_op = LinearOperator((n, n), matvec=lambda v: v / dt + self.l_apply(v), dtype=float)
         return _run_cg(a_op, rhs, SineSolver(self.domain, 1.0 / dt, 1.0, self.a1 * self._hw))
 
 

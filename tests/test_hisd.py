@@ -1,6 +1,8 @@
 """Saddle dynamics, verified records, and landscape assembly on known
 stationary sets."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -23,14 +25,44 @@ from nematicq.hisd import (
 )
 from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams
-from nematicq.systems import make_rng
+from nematicq.systems import System, make_rng
 from nematicq.toys import DiagQuadratic, DoubleWell2D, Quartic2D
+
+hisd = importlib.import_module("nematicq.hisd")
 
 BULK = BulkParams(-1.0, 1.0, 1.0)
 
 
 def quartic_record(point, k_hint=0):
     return make_record(Quartic2D(), np.array(point, dtype=float), k_hint=k_hint)
+
+
+def count_calls(monkeypatch, module, name):
+    """Rebind module.name to a wrapper; the returned list collects the
+    positional arguments of every call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class WeightedQuartic(System):
+    """E(x) = sum_i c_i (x_i^2 - 1)^2 with c = 1..5: stationary points
+    have coordinates in {0, +-1}, and the index counts the zeros."""
+
+    c = np.arange(1.0, 6.0)
+    n = 5
+
+    def energy(self, x):
+        return float(self.c @ (x * x - 1.0) ** 2)
+
+    def gradient(self, x):
+        return 4.0 * self.c * x * (x * x - 1.0)
 
 
 class DiagMetric:
@@ -292,8 +324,6 @@ class TestDirectionalSearches:
         top = quartic_record((0.0, 0.0), k_hint=2)
         with pytest.raises(ValidationError):
             downward_search(Quartic2D(), top, 2)
-        with pytest.raises(ValidationError):
-            downward_search(Quartic2D(), top, 1, eps=-0.1)
 
     def test_upward_from_minimum(self):
         child = quartic_record((1.0, 1.0))
@@ -313,6 +343,30 @@ class TestDirectionalSearches:
         assert len(hits) == 1
         assert np.abs(hits[0].field - [0.0, 0.0]).max() < 1e-6
         assert hits[0].morse_index == 2
+
+    def test_upward_past_the_record_window_solves_afresh(self, monkeypatch):
+        # a minimum's record holds 2 eigenvectors; index 3 needs a third
+        sy = DiagQuadratic([1.0, 2.0, 3.0, 4.0, 5.0])
+        minimum = make_record(sy, np.zeros(5))
+        assert minimum.eigenvectors.shape == (5, 2)
+        eigs = count_calls(monkeypatch, hisd, "smallest_eigs")
+        errs = []
+        hits = upward_search(sy, minimum, 3, errors_out=errs)
+        assert [args[2] for args in eigs] == [3]
+        # a convex quadratic has no index-3 point: both branches run off
+        assert hits == [] and len(errs) == 2
+        assert all(isinstance(err, NoConvergence) for _, err in errs)
+
+        sy = WeightedQuartic()
+        minimum = make_record(sy, np.ones(5))
+        eigs.clear()
+        hits = upward_search(sy, minimum, 3)
+        assert eigs[0][2] == 3
+        assert hits and len(eigs) == 1 + len(hits)  # the fallback, then one certificate each
+        for rec in hits:
+            index, spectrum, _ = classify_stationary(sy, rec.field)
+            assert rec.morse_index == index == int(np.sum(np.abs(rec.field) < 1e-6))
+            assert np.array_equal(rec.lambda_spectrum, spectrum)
 
     def test_upward_index_validation(self):
         child = quartic_record((1.0, 1.0))
@@ -364,6 +418,17 @@ class TestLandscape:
                 same = _records_match(a, b)
                 assert same == _records_match(b, a)
                 assert same == (a.id == b.id)
+
+    def test_each_spectrum_is_solved_once(self, monkeypatch):
+        # searches start from the eigenvectors their node's record carries,
+        # so the only eigensolves are the certificates of new records
+        seed = quartic_record((0.0, 0.0), k_hint=2)
+        for max_index in (None, 2):
+            eigs = count_calls(monkeypatch, hisd, "smallest_eigs")
+            records = count_calls(monkeypatch, hisd, "make_record")
+            build_landscape(Quartic2D(), seed, LandscapeOptions(max_index=max_index))
+            assert records and len(eigs) == len(records)
+            monkeypatch.undo()
 
     def test_budget_truncates_without_raising(self):
         graph = self.toy_graph(max_searches=2)
@@ -419,6 +484,24 @@ class TestTensorField:
         eigs = np.linalg.eigh(h)[0]
         _, _, rep = classify_stationary(sy, res.x, tol_grad=1e-8)
         assert rec.morse_index == int(np.sum(eigs < -rep.tol_eig))
+
+    def test_record_eigenvectors_are_certified_eigenpairs(self):
+        d = Domain(nx=8, ny=8, lambda2=5.0, bulk=BULK)
+        sy = LdGSystem(d)
+        res = minimize(sy, seed_field(d, "random(0.4)", seed=11).flat, MinimizeOptions(tol_grad=1e-10))
+        cases = [
+            (Quartic2D(), np.array(Quartic2D.TOP), 2),
+            (Quartic2D(), np.array([0.0, 1.0]), 1),
+            (sy, res.x, 0),  # 320 unknowns: the LOBPCG path
+        ]
+        for system, x, k_hint in cases:
+            rec = make_record(system, x, k_hint=k_hint)
+            _, _, rep = classify_stationary(system, x, k_hint=k_hint)
+            v = rec.eigenvectors
+            assert v.shape == (x.size, len(rec.lambda_spectrum))
+            assert np.abs(v.T @ v - np.eye(v.shape[1])).max() < 1e-10
+            residuals = np.linalg.norm(system.hessian_vec(x, v) - v * rec.lambda_spectrum, axis=0)
+            assert residuals.max() <= 1e-6 * rep.scale
 
     def test_saddle_search_returns_perturbed_minimizer(self):
         d, sy = self.make_system(5)

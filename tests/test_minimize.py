@@ -6,10 +6,10 @@ import pytest
 from nematicq.energy import LdGSystem
 from nematicq.errors import NotStationary
 from nematicq.field import Domain, seed_field
+from nematicq.hisd import classify_stationary
 from nematicq.minimize import (
     MinimizeOptions,
     MinimizeResult,
-    certify_stability,
     ensure_descent,
     lbfgs_direction,
     minimize,
@@ -143,13 +143,13 @@ class TestCertify:
         sy = LdGSystem(d)
         res = minimize(sy, seed_field(d, "isotropic").flat)
         assert res.converged
-        rep = certify_stability(sy, res.x)
-        assert rep.stable
-        assert rep.eigenvalues[0] > -rep.tol_eig
+        index, spectrum, rep = classify_stationary(sy, res.x)
+        assert index == 0
+        assert spectrum[0] > -rep.tol_eig
 
     def test_not_stationary_raises(self):
         d = Domain(nx=6, ny=6, lambda2=5.0, bulk=BULK)
         sy = LdGSystem(d)
         x = seed_field(d, "random(0.5)", seed=4).flat
         with pytest.raises(NotStationary):
-            certify_stability(sy, x)
+            classify_stationary(sy, x)

@@ -11,8 +11,8 @@ from dataclasses import fields
 
 from nematicq.cli import build_parser
 from nematicq.hedgehog import solve_profile
-from nematicq.hisd import LandscapeOptions, SaddleOptions
-from nematicq.minimize import MinimizeOptions, certify_stability
+from nematicq.hisd import LandscapeOptions, SaddleOptions, classify_stationary, downward_search, upward_search
+from nematicq.minimize import MinimizeOptions
 from nematicq.spectrum import operator_scale, smallest_eigs, solve_smallest
 
 
@@ -34,7 +34,9 @@ def test_spectrum_and_certificate_parameters():
     assert params(smallest_eigs) == ["system", "x", "k", "seed", "v0"]
     assert params(solve_smallest) == ["apply_h", "n", "k", "seed", "v0", "precond"]
     assert params(operator_scale) == ["apply_h", "n", "seed"]
-    assert params(certify_stability) == ["system", "x", "tol_grad"]
+    assert params(classify_stationary) == ["system", "x", "tol_grad", "seed", "k_hint"]
+    assert params(downward_search) == ["system", "parent", "k", "opts", "errors_out"]
+    assert params(upward_search) == ["system", "child", "k", "opts", "errors_out"]
     assert params(solve_profile) == ["p", "R", "N"]
 
 
