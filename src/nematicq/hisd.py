@@ -7,11 +7,11 @@ A saddle of index k is found by flowing
 
 while the k directions in V relax toward the k smallest eigenvectors of
 M^-1 H; explicit Euler steps plus a hard re-orthonormalization keep V
-orthonormal in <a, b>_M = a^T M b.  M is the system's SPD
-preconditioner when it has one (for a tensor field, the SineSolver of
-its elastic operator, which applies M and M^-1 by sine transforms); it
-keeps the step count flat as the grid is refined.  Systems without one
-run the same dynamics with M = I.
+orthonormal in <a, b>_M = a^T M b.  M is the system's SPD metric from
+``preconditioner_of`` (for a tensor field, the SineSolver of its
+elastic operator, which applies M and M^-1 by sine transforms; it keeps
+the step count flat as the grid is refined), and the identity for a
+system that brings none.
 
 Verified stationary points become SaddleRecords, which keep the
 eigenvectors of their certificate; repeated downward (and optionally
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotStationary, ValidationError, WrongIndex
 from .spectrum import SpectrumReport, operator_scale, smallest_eigs
-from .systems import System, preconditioner_of
+from .systems import EUCLIDEAN, System, preconditioner_of
 
 __all__ = [
     "SaddleSearchState",
@@ -59,31 +59,12 @@ _SCALE_CHECK_EVERY = 25
 _TOL_X = 1e-4
 
 
-class _Euclidean:
-    """M = I: the metric of systems that bring no preconditioner."""
-
-    @staticmethod
-    def solve(r: np.ndarray) -> np.ndarray:
-        return r
-
-    @staticmethod
-    def apply(v: np.ndarray) -> np.ndarray:
-        return v
-
-
-def _metric(system: System):
-    """The system's preconditioner, or M = I when it brings none."""
-    precond = preconditioner_of(system)
-    return _Euclidean if precond is None else precond
-
-
-def gram_schmidt(v: np.ndarray, precond=None) -> np.ndarray:
+def gram_schmidt(v: np.ndarray, precond=EUCLIDEAN) -> np.ndarray:
     """Orthonormalize columns in order, with one reorthogonalization pass.
 
     The inner product is <a, b>_M = a^T M b, with M applied once to the
-    block by ``precond.apply`` (the Euclidean one when precond is None).
+    block by ``precond.apply`` (the identity by default).
     """
-    precond = _Euclidean if precond is None else precond
     v = np.array(v, dtype=float)
     mv = np.array(precond.apply(v), dtype=float)  # M v, updated along with v
     for i in range(v.shape[1]):
@@ -139,15 +120,13 @@ class SaddleOptions:
 
     The search stops when the gradient inf-norm falls below `tol_grad`
     and gives up after `max_iters` steps; `seed` fixes the eigensolver
-    starts.  `refresh_every` (periodically recompute V by a subspace
-    eigensolve) is off by default.  Step control is fixed: see
-    find_saddle.
+    starts (the start V, when none is given, and the certificate).  Step
+    control is fixed, and V is relaxed, not re-solved: see find_saddle.
     """
 
     tol_grad: float = 1e-8
     max_iters: int = 50_000
     seed: int = 0
-    refresh_every: int = 0
 
 
 def hisd_step(
@@ -163,13 +142,13 @@ def hisd_step(
     M^-1 g - 2 V (V^T g) (plain preconditioned descent when k = 0);
     the v_i then relax along M^-1 H v_i at the new x (one block product),
     each shielded from the earlier directions, and the set is
-    M-orthonormalized.  M is the system's preconditioner (``solve``
+    M-orthonormalized.  M is ``preconditioner_of(system)`` (``solve``
     applies M^-1, ``apply`` M; for a tensor field both are the
-    SineSolver's transforms), or the identity for a system without one.
+    SineSolver's transforms, for a system without one the identity).
     """
     if beta_dt <= 0.0 or gamma_dt <= 0.0:
         raise ValidationError("step sizes must be positive")
-    precond = _metric(system)
+    precond = preconditioner_of(system)
     x, v, k = state.x, state.v, state.k
     g = system.gradient(x) if grad is None else grad
     d = precond.solve(g)
@@ -237,17 +216,19 @@ def find_saddle(
 ) -> SaddleRecord:
     """Flow the saddle dynamics to a stationary point and verify its index.
 
-    The dynamics run in the metric of the system's preconditioner when
-    it has one (see hisd_step), with one step size for x and V: 1/|M^-1 H|
-    estimated by power iteration at the start point and, for k > 0,
-    capped by a fresh estimate every 25 steps.  The step halves when the
-    energy blows up (or, for k = 0, rises); a position that runs far off
-    its start scale raises NoConvergence.  Raises WrongIndex (carrying the
+    The dynamics run in the metric ``preconditioner_of(system)`` (see
+    hisd_step), with one step size for x and V: 1/|M^-1 H| estimated by
+    power iteration at the start point and, for k > 0, capped by a fresh
+    estimate every 25 steps.  V starts at v0 (else at the k smallest
+    eigenvectors at x0) and is relaxed by the dynamics from then on; the
+    next eigensolve is the certificate.  The step halves when the energy
+    blows up (or, for k = 0, rises); a position that runs far off its
+    start scale raises NoConvergence.  Raises WrongIndex (carrying the
     verified record) when the landing point is stationary but of a
     different index than requested; the caller may keep that record.
     """
     opts = opts or SaddleOptions()
-    precond = _metric(system)
+    precond = preconditioner_of(system)
     x = np.array(x0, dtype=float).reshape(-1)
     n = x.size
     if not 0 <= k <= n:
@@ -287,9 +268,6 @@ def find_saddle(
             if record.morse_index != k:
                 raise WrongIndex(record.morse_index, k, record=record)
             return record
-        if k and opts.refresh_every and it and it % opts.refresh_every == 0:
-            rep = smallest_eigs(system, state.x, k, seed=opts.seed, v0=state.v)
-            state = replace(state, v=gram_schmidt(rep.eigenvectors, precond))
         if k and it and it % _SCALE_CHECK_EVERY == 0:
             # curvature can grow along the way; keep the step below 1/|M^-1 H|
             # at the current point or the unstable modes start to rattle

@@ -98,21 +98,15 @@ class MepResult:
     ts_lambda1: float
 
 
-def _base_step(system: System, x: np.ndarray, seed: int = 0) -> float:
-    return 1.0 / operator_scale(lambda w: system.hessian_vec(x, w), x.size, seed=seed)
-
-
-def evolve_step(p: Path, base_step: float | None = None) -> Path:
+def evolve_step(p: Path, base_step: float) -> Path:
     """Step 1: move every interior node down its full gradient.
 
-    The per-node step starts at a shared base and halves until the node's
-    energy does not increase; a node that cannot descend stays put.
-    Endpoints are untouched.  Node updates are mutually independent; the
-    nodes still backtracking are evaluated in one ``energies`` call.
+    The per-node step starts at the shared ``base_step`` and halves until
+    the node's energy does not increase; a node that cannot descend stays
+    put.  Endpoints are untouched.  Node updates are mutually independent;
+    the nodes still backtracking are evaluated in one ``energies`` call.
     """
     system = p.system
-    if base_step is None:
-        base_step = _base_step(system, p.nodes[p.n_nodes // 2])
     if base_step <= 0.0:
         raise ValidationError("base step must be positive")
     nodes = p.nodes.copy()
@@ -231,28 +225,22 @@ def _as_flat(field, system: System | None):
 
 
 def _refine_ts(system: System, x0: np.ndarray, tol: float, seed: int = 0) -> SaddleRecord:
-    """Climbing correction: index-1 reflected dynamics with the unstable
-    direction re-solved every iteration.  The returned record's index is
+    """Climbing correction: index-1 saddle dynamics from x0, whose unstable
+    direction is solved once at the start and then relaxed with the
+    position, as in every other search.  The returned record's index is
     verified by find_saddle; any other index raises NotIndexOne."""
-    opts = SaddleOptions(tol_grad=tol, refresh_every=1, seed=seed)
     try:
-        return find_saddle(system, 1, x0, opts=opts)
+        return find_saddle(system, 1, x0, opts=SaddleOptions(tol_grad=tol, seed=seed))
     except WrongIndex as err:
         raise NotIndexOne(
             f"climbing correction converged to Morse index {err.found}"
         ) from err
 
 
-def _string_loop(
-    path: Path,
-    tol: float,
-    max_sweeps: int,
-    mode: str,
-    interp: str,
-    base_step: float | None,
-) -> Path:
-    if base_step is None:
-        base_step = _base_step(path.system, path.nodes[path.n_nodes // 2])
+def _string_loop(path: Path, tol: float, max_sweeps: int, mode: str, interp: str) -> Path:
+    # one step for every sweep: 1/|H| at the middle node
+    mid = path.nodes[path.n_nodes // 2]
+    base_step = 1.0 / operator_scale(lambda w: path.system.hessian_vec(mid, w), mid.size)
     path = reparametrize(path, mode, interp)
     for _ in range(max_sweeps):
         if perpendicular_residual(path) < tol:
@@ -291,7 +279,6 @@ def find_mep(
     mode: str = "equal_arc",
     interp: str = "linear",
     max_sweeps: int = 5_000,
-    base_step: float | None = None,
     ts_tol: float | None = None,
     seed: int = 0,
 ) -> MepResult:
@@ -318,7 +305,7 @@ def find_mep(
             raise NotStationary(g_inf, 10.0 * tol)
     frac = np.linspace(0.0, 1.0, n_nodes)[:, None]
     path = Path.from_nodes(system, (1.0 - frac) * xa + frac * xb)
-    path = _string_loop(path, tol, max_sweeps, mode, interp, base_step)
+    path = _string_loop(path, tol, max_sweeps, mode, interp)
     ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
     return _finish(path.energies[0], path.energies[-1], path, ts_tol, seed)
 
@@ -330,7 +317,6 @@ def refine_multiscale(
     mode: str = "equal_arc",
     interp: str = "linear",
     max_sweeps: int = 5_000,
-    base_step: float | None = None,
     ts_tol: float | None = None,
     seed: int = 0,
 ) -> MepResult:
@@ -348,6 +334,6 @@ def refine_multiscale(
     frac = np.linspace(0.0, 1.0, fine_n)[:, None]
     nodes = (1.0 - frac) * coarse.nodes[lo] + frac * coarse.nodes[hi]
     fine = Path.from_nodes(coarse.system, nodes)
-    fine = _string_loop(fine, tol, max_sweeps, mode, interp, base_step)
+    fine = _string_loop(fine, tol, max_sweeps, mode, interp)
     ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
     return _finish(coarse.energies[0], coarse.energies[-1], fine, ts_tol, seed)

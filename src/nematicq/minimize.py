@@ -6,10 +6,11 @@ the gradient.  When the two-loop direction fails to point downhill (for
 example after a corrupted curvature history) the step falls back to
 steepest descent and the history is discarded.
 
-A system with an SPD preconditioner M (``preconditioner_of``) seeds
-the inverse Hessian with gamma M^-1 instead of gamma I and descends
-along -M^-1 g; with M the elastic operator of a tensor-field system the
-iteration count no longer grows with the grid.
+The inverse Hessian is seeded with gamma M^-1 and the fallback descends
+along -M^-1 g, where M is the system's SPD metric (``preconditioner_of``:
+the identity for a system that brings none).  With M the elastic
+operator of a tensor-field system the iteration count no longer grows
+with the grid.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectrum import smallest_eigs  # noqa: F401  no caller here; perfbench/tracing.py rebinds minimize.smallest_eigs
-from .systems import System, preconditioner_of
+from .systems import EUCLIDEAN, System, preconditioner_of
 
 __all__ = [
     "MinimizeOptions",
@@ -58,11 +59,12 @@ class MinimizeResult:
     n_grad: int = 0
 
 
-def lbfgs_direction(g: np.ndarray, pairs, gamma: float, precond=None) -> np.ndarray:
+def lbfgs_direction(g: np.ndarray, pairs, gamma: float, precond=EUCLIDEAN) -> np.ndarray:
     """Two-loop recursion: approximate -H^{-1} g from curvature pairs.
 
     ``pairs`` holds (s, y, rho = 1/(s.y)) tuples, oldest first; the seed
-    inverse Hessian is ``gamma`` times I, or times M^-1 (``precond.solve``).
+    inverse Hessian is ``gamma`` times M^-1 (``precond.solve``; the
+    identity by default).
     """
     q = g.copy()
     alphas = []
@@ -70,22 +72,19 @@ def lbfgs_direction(g: np.ndarray, pairs, gamma: float, precond=None) -> np.ndar
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    if precond is None:
-        q *= gamma
-    else:
-        q = gamma * precond.solve(q)
+    q = gamma * precond.solve(q)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return -q
 
 
-def ensure_descent(g: np.ndarray, d: np.ndarray, precond=None) -> np.ndarray:
+def ensure_descent(g: np.ndarray, d: np.ndarray, precond=EUCLIDEAN) -> np.ndarray:
     """Return d when it is a descent direction for g, else steepest
-    descent: -g, or -M^-1 g with M from ``precond``."""
+    descent -M^-1 g in the metric ``precond`` (the identity by default)."""
     gd = float(g @ d)
     if not np.isfinite(gd) or gd >= -1e-14 * np.linalg.norm(g) * np.linalg.norm(d):
-        return -g if precond is None else -precond.solve(g)
+        return -precond.solve(g)
     return d
 
 
@@ -115,8 +114,8 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
         used_fallback = d is not d_qn
         while True:
             gd = float(g @ d)
-            # M^-1 g already carries the scale of a Newton step
-            alpha = 1.0 if pairs or precond is not None else 1.0 / max(1.0, float(np.abs(g).max()))
+            # M^-1 g already carries the scale of a Newton step; plain g does not
+            alpha = 1.0 if pairs or precond is not EUCLIDEAN else 1.0 / max(1.0, float(np.abs(g).max()))
             accepted = False
             for _ in range(_MAX_BACKTRACKS):
                 x_try = x + alpha * d
@@ -150,7 +149,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-            gamma = sy / float(y @ (y if precond is None else precond.solve(y)))
+            gamma = sy / float(y @ precond.solve(y))
         x, e, g = x_try, e_try, g_try
         energies.append(e)
         converged = float(np.abs(g).max()) < opts.tol_grad

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.splu
 
@@ -57,27 +56,18 @@ def _shifted_uniaxial_floor(domain: Domain, a1: float) -> float:
     """Global minimum over s of g(s) = lambda^2 f(s) - (a1/3) s^2.
 
     The minimum of the shifted bulk density over all tensors is attained
-    on the uniaxial family for b >= 0, so a bracketed 1D search suffices.
-    The coarse grid locates the basin (g can be bimodal), a bounded
-    refinement polishes it.
+    on the uniaxial family for b >= 0.  There g is a quartic with
+    positive leading coefficient and g'(s) = s (c3 s^2 - c2 s + c1), so
+    the floor is the least g over s = 0 and the real roots of the
+    quadratic factor.
     """
     lam2, p = domain.lambda2, domain.bulk
-
-    def g(s):
-        return lam2 * bulk_energy_uniaxial(s, p) - (a1 / 3.0) * np.asarray(s) ** 2
-
-    # Cauchy root bound for g'(s) = c3 s^3 + c2 s^2 + c1 s: every
-    # stationary point has |s| <= 1 + max(|c2|, |c1|) / c3.
     c3 = 4.0 * lam2 * p.c / 9.0
     c2 = 2.0 * lam2 * p.b / 9.0
-    c1 = 2.0 * abs(lam2 * p.a - a1) / 3.0
-    span = 1.0 + max(c2, c1) / c3
-    grid = np.linspace(-span, span, 4001)
-    vals = g(grid)
-    i = int(np.argmin(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(g, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
-    return float(min(vals[i], g(res.x)))
+    c1 = 2.0 * (lam2 * p.a - a1) / 3.0
+    roots = np.roots([c3, -c2, c1])
+    s = np.append(roots[np.isreal(roots)].real, 0.0)
+    return float(np.min(lam2 * bulk_energy_uniaxial(s, p) - (a1 / 3.0) * s**2))
 
 
 class SavSplit:

@@ -5,9 +5,10 @@ differences of the gradient, taken a whole block at a time), so the
 small end of the spectrum comes from LOBPCG with a deterministic seeded
 start, Rayleigh-Ritz cleanup and residual verification: up to 800
 iterations per attempt and three restarts from the last Ritz block.
-``smallest_eigs`` preconditions with the system's SPD preconditioner
-when it has one.  Tiny problems are assembled densely instead.  Ten
-power iterations estimate the spectral scale behind the tolerances.
+``smallest_eigs`` preconditions with the system's SPD metric
+(``preconditioner_of``, the identity for a system that brings none).
+Tiny problems are assembled densely instead.  Ten power iterations
+estimate the spectral scale behind the tolerances.
 """
 
 from __future__ import annotations
@@ -177,9 +178,9 @@ def smallest_eigs(
 ) -> SpectrumReport:
     """k smallest Hessian eigenpairs of ``system`` at the point ``x``.
 
-    LOBPCG runs with the system's SPD preconditioner when it provides
-    one (tensor-field systems solve their elastic operator exactly) and
-    unpreconditioned otherwise; ``solve_smallest`` takes any other.
+    LOBPCG is preconditioned by ``preconditioner_of(system)`` (tensor-field
+    systems solve their elastic operator exactly; the identity changes
+    nothing); ``solve_smallest`` takes any other.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     return solve_smallest(

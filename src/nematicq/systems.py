@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["System", "make_rng", "preconditioner_of"]
+__all__ = ["System", "EUCLIDEAN", "make_rng", "preconditioner_of"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -83,7 +83,20 @@ class System:
         return np.ascontiguousarray(hv.T).reshape(v.shape)
 
 
+class _Identity:
+    """M = I: ``solve``, ``apply`` and a call (LOBPCG's ``M=``) return their argument."""
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        return v
+
+    apply = __call__ = solve
+
+
+EUCLIDEAN = _Identity()
+
+
 def preconditioner_of(system: System):
-    """The system's SPD preconditioner, or None when it brings none."""
+    """The system's SPD metric M: its own ``preconditioner()`` when it
+    brings one, else the identity EUCLIDEAN."""
     build = getattr(system, "preconditioner", None)
-    return build() if callable(build) else None
+    return build() if callable(build) else EUCLIDEAN

@@ -1,5 +1,7 @@
 """String method on analytic potentials with known minimal energy paths."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,22 @@ class TestTransitionStateHelpers:
         record = _refine_ts(Quartic2D(), np.array([0.0, 1.0]), 1e-8)
         assert record.morse_index == 1
         assert record.lambda_spectrum[0] < 0
+
+    def test_climb_solves_for_its_direction_only_at_the_start_and_certificate(self, monkeypatch):
+        hisd = importlib.import_module("nematicq.hisd")
+        calls = []
+        original = hisd.smallest_eigs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hisd, "smallest_eigs", counted)
+        record = _refine_ts(DoubleWell2D(), np.array([0.1, 0.05]), 1e-8)
+        assert record.morse_index == 1 and record.iterations > 1
+        # one solve for the start V, one for the certificate; the
+        # dynamics track V in between
+        assert len(calls) == 2
 
     def test_refine_raises_when_climb_lands_on_minimum(self):
         # nearest unstable direction at (0.9, 0) is the soft y mode, so the

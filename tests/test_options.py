@@ -25,7 +25,7 @@ def params(fn):
 
 
 def test_option_fields():
-    assert names(SaddleOptions) == ["tol_grad", "max_iters", "seed", "refresh_every"]
+    assert names(SaddleOptions) == ["tol_grad", "max_iters", "seed"]
     assert names(MinimizeOptions) == ["tol_grad", "max_iters", "project"]
     assert names(LandscapeOptions) == ["search", "max_nodes", "max_searches", "max_index"]
 

@@ -1,12 +1,15 @@
-"""The base-class block evaluations and the finite-difference Hessian product."""
+"""The base-class block evaluations, the finite-difference Hessian product and the identity metric."""
 
 import numpy as np
 import pytest
 
 from nematicq.energy import LdGSystem
 from nematicq.field import Domain
+from nematicq.hisd import gram_schmidt
+from nematicq.minimize import ensure_descent, lbfgs_direction
 from nematicq.qtensor import BulkParams
-from nematicq.systems import default_probe_length, make_rng
+from nematicq.spectrum import solve_smallest
+from nematicq.systems import EUCLIDEAN, default_probe_length, make_rng, preconditioner_of
 from nematicq.toys import DiagQuadratic, Quartic2D
 
 
@@ -78,3 +81,30 @@ def test_hessian_block_equals_columns(make):
             assert np.array_equal(hv, np.column_stack(cols))
     assert not sy.hessian_vec(x, block)[:, 1].any()
 
+
+def test_a_system_without_a_preconditioner_gets_the_identity_metric():
+    assert preconditioner_of(Quartic2D()) is EUCLIDEAN
+    gen = make_rng(2, "test:systems:metric")
+    v, g = gen.normal(size=(6, 3)), gen.normal(size=6)
+    s, y = gen.normal(size=6), gen.normal(size=6)
+    pairs = [(s, y, 1.0 / float(s @ y))]
+    # the identity is every metric argument's default: passing it changes no bit
+    assert np.array_equal(gram_schmidt(v), gram_schmidt(v, EUCLIDEAN))
+    assert np.array_equal(lbfgs_direction(g, pairs, 0.7), lbfgs_direction(g, pairs, 0.7, EUCLIDEAN))
+    for d in (-g, g):
+        assert np.array_equal(ensure_descent(g, d), ensure_descent(g, d, EUCLIDEAN))
+    assert np.array_equal(EUCLIDEAN.apply(g), g) and np.array_equal(EUCLIDEAN(g), g)
+
+
+def test_identity_metric_leaves_lobpcg_unchanged():
+    d = np.linspace(-1.0, 4.0, 300)  # above the dense cutoff, so LOBPCG runs
+    sy = DiagQuadratic(d)
+    x = np.ones(300)
+
+    def solve(precond):
+        return solve_smallest(lambda v: sy.hessian_vec(x, v), 300, 4, seed=3, precond=precond)
+
+    plain, identity = solve(None), solve(EUCLIDEAN)
+    assert plain.iterations > 0
+    assert np.array_equal(plain.eigenvalues, identity.eigenvalues)
+    assert np.array_equal(plain.eigenvectors, identity.eigenvectors)
