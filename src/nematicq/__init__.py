@@ -2,14 +2,17 @@
 solution landscapes of the Landau-de Gennes Q-tensor model, plus the
 homogeneous Maier-Saupe branch structure.
 
-The flat five-component tensor calculus lives in ``qtensor``; ``field``
-and ``energy`` discretize the square-domain free energy; ``minimize``,
-``sav``, ``hisd``, and ``mep`` provide the solvers; ``maier_saupe`` and
-``hedgehog`` cover the molecular model and the radial defect profile;
-``fieldio`` and ``cli`` handle persistence and the command line.
+The five-component tensor calculus, broadcast over whole fields, lives
+in ``qtensor``; ``field`` and ``energy`` discretize the square-domain
+free energy; ``minimize``, ``sav``, ``hisd`` (saddle dynamics and
+landscapes) and ``mep`` (the string method, reparametrized to equal arc
+length) provide the solvers, ``spectrum`` their matrix-free
+eigensolver; ``maier_saupe`` and ``hedgehog`` cover the molecular model
+and the radial defect profile; ``fieldio`` and ``cli`` handle
+persistence and the command line.
 """
 
-from .energy import LdGSystem, elastic_matrix, free_energy, gradient, metric_matrix
+from .energy import LdGSystem, free_energy, gradient
 from .errors import (
     ConfigError,
     DegeneratePath,
@@ -56,14 +59,11 @@ from .minimize import MinimizeOptions, MinimizeResult, minimize
 from .qtensor import (
     BulkCriticalSet,
     BulkParams,
-    QTensor,
     biaxiality,
     bulk_energy,
     bulk_gradient,
     critical_points,
-    eig_classify,
     frob2,
-    is_physical,
     trq3,
     uniaxial_components,
 )
@@ -98,7 +98,6 @@ __all__ = [
     "ParseError",
     "Path",
     "QField",
-    "QTensor",
     "RunConfig",
     "SaddleOptions",
     "SaddleRecord",
@@ -117,8 +116,6 @@ __all__ = [
     "critical_alpha",
     "critical_points",
     "downward_search",
-    "eig_classify",
-    "elastic_matrix",
     "find_mep",
     "find_saddle",
     "flow_to_equilibrium",
@@ -126,12 +123,10 @@ __all__ = [
     "frob2",
     "gradient",
     "hisd_step",
-    "is_physical",
     "leslie_coefficients",
     "load_config",
     "make_record",
     "make_rng",
-    "metric_matrix",
     "minimize",
     "ode_residual",
     "order_parameters",

@@ -57,6 +57,14 @@ __all__ = ["main"]
 _KEY_FLAGS = ("out_dir", "seed", "tol", "n_nodes", "k")
 
 
+def _positive(text: str) -> float:
+    """argparse type of a tolerance: a number above zero."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _given(args) -> dict:
     """The config keys set by flags on the command line."""
     return {key: getattr(args, key) for key in _KEY_FLAGS if getattr(args, key, None) is not None}
@@ -284,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field-a", help="snapshot CSV of the first endpoint")
     p.add_argument("--field-b", help="snapshot CSV of the second endpoint")
     p.add_argument("--n-nodes", type=int, help="string nodes (overrides config n_nodes; toy 16)")
-    p.add_argument("--tol", type=float, help="string residual (overrides config tol; toy 1e-6)")
+    p.add_argument("--tol", type=_positive, help="string residual (overrides config tol; toy 1e-6)")
     p.set_defaults(func=cmd_string)
 
     p = sub.add_parser("saddle", help="index-k saddle search")
     common(p, toy=True)
     p.add_argument("--k", type=int, help="target index (overrides config k; toy 1)")
     p.add_argument("--init", help="snapshot CSV to start from")
-    p.add_argument("--tol", type=float, help="gradient tolerance (overrides config tol; toy 1e-8)")
+    p.add_argument("--tol", type=_positive, help="gradient tolerance (overrides config tol; toy 1e-8)")
     p.set_defaults(func=cmd_saddle)
 
     p = sub.add_parser("landscape", help="breadth-first solution landscape")

@@ -23,7 +23,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from .field import Domain, QField
@@ -35,9 +34,7 @@ __all__ = [
     "gradient",
     "LdGSystem",
     "SineSolver",
-    "elastic_matrix",
     "elastic_shift_vector",
-    "metric_matrix",
 ]
 
 _G_EIGVALS, _G_EIGVECS = np.linalg.eigh(G)  # 1, 2, 2, 2, 3
@@ -136,30 +133,6 @@ def gradient(domain: Domain, values: np.ndarray) -> np.ndarray:
     return g
 
 
-def metric_matrix(domain: Domain) -> sp.csr_matrix:
-    """Block-diagonal Frobenius metric on the flat vector: kron(I_nodes, G)."""
-    return sp.kron(sp.identity(domain.nx * domain.ny, format="csr"), G, format="csr")
-
-
-def elastic_matrix(domain: Domain) -> sp.csr_matrix:
-    """Sparse one-constant elastic operator K with F_1[q] = 1/2 q^T K q + c^T q + const.
-
-    Only the one-constant term is assembled; with l2 = l3 = 0 this is the
-    full homogeneous elastic operator.  Node-major flat ordering matches
-    ``QField.flat``.
-    """
-    wx = domain.hy / domain.hx
-    wy = domain.hx / domain.hy
-
-    def lap1d(n: int) -> sp.csr_matrix:
-        return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
-
-    a = wx * sp.kron(lap1d(domain.nx), sp.identity(domain.ny)) + wy * sp.kron(
-        sp.identity(domain.nx), lap1d(domain.ny)
-    )
-    return sp.kron(a, G, format="csr")
-
-
 def elastic_apply(domain: Domain, flat: np.ndarray) -> np.ndarray:
     """Homogeneous elastic operator action (all elastic terms), matrix-free."""
     values = flat.reshape(domain.shape)
@@ -230,8 +203,10 @@ class SineSolver(LinearOperator):
     """The operator c0 I + c1 kron(A + sigma I, G), applied and solved
     exactly by sine transforms.
 
-    A = wx T (x) I + wy I (x) T is the Dirichlet 5-point operator of
-    ``elastic_matrix`` (K = kron(A, G)), G the Frobenius metric of a node.
+    A = wx T (x) I + wy I (x) T is the Dirichlet 5-point operator on the
+    interior nodes, with T = tridiag(-1, 2, -1), wx = hy/hx and wy = hx/hy;
+    kron(A, G) is the one-constant elastic operator, G the Frobenius
+    metric of a node.
     Both actions rotate the components into the eigenbasis of G, apply
     the DST-I matrix along each axis, scale by the eigenvalues
     c0 + c1 g_c (wx mu_i + wy mu_j + sigma) and transform back: ``solve``

@@ -351,6 +351,10 @@ def load_config(path) -> RunConfig:
         elif not isinstance(value, str):
             raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
     cfg = RunConfig(**raw)
+    for key in ("tol", "dt"):
+        # a tol at or below zero is never met and would spend the whole budget
+        if not getattr(cfg, key) > 0.0:
+            raise ConfigError(f"config key {key!r} must be positive, got {getattr(cfg, key)!r}")
     if cfg.scheme not in ("sav", "semi_implicit"):
         raise ConfigError(f"config key 'scheme' must be 'sav' or 'semi_implicit', got {cfg.scheme!r}")
     if cfg.boundary not in ("tangent", "planar", "zero"):

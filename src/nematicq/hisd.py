@@ -130,31 +130,27 @@ class SaddleOptions:
 
 
 def hisd_step(
-    system: System,
-    state: SaddleSearchState,
-    beta_dt: float,
-    gamma_dt: float,
-    grad: np.ndarray | None = None,
+    system: System, state: SaddleSearchState, dt: float, grad: np.ndarray | None = None
 ) -> SaddleSearchState:
-    """One explicit Euler step of the saddle dynamics in the metric M.
+    """One explicit Euler step of size dt of the saddle dynamics in the metric M.
 
-    x moves along the M-reflected preconditioned gradient
+    x moves by dt along the M-reflected preconditioned gradient
     M^-1 g - 2 V (V^T g) (plain preconditioned descent when k = 0);
-    the v_i then relax along M^-1 H v_i at the new x (one block product),
-    each shielded from the earlier directions, and the set is
-    M-orthonormalized.  M is ``preconditioner_of(system)`` (``solve``
+    the v_i then relax by the same dt along M^-1 H v_i at the new x (one
+    block product), each shielded from the earlier directions, and the set
+    is M-orthonormalized.  M is ``preconditioner_of(system)`` (``solve``
     applies M^-1, ``apply`` M; for a tensor field both are the
     SineSolver's transforms, for a system without one the identity).
     """
-    if beta_dt <= 0.0 or gamma_dt <= 0.0:
-        raise ValidationError("step sizes must be positive")
+    if dt <= 0.0:
+        raise ValidationError("step size must be positive")
     precond = preconditioner_of(system)
     x, v, k = state.x, state.v, state.k
     g = system.gradient(x) if grad is None else grad
     d = precond.solve(g)
     if k:
         d = d - 2.0 * v @ (v.T @ g)
-    x_new = x - beta_dt * d
+    x_new = x - dt * d
     if k:
         hv = system.hessian_vec(x_new, v)
         # <v_j, M^-1 H v_i>_M = v_j^T H v_i
@@ -162,7 +158,7 @@ def hisd_step(
         # shield[j, i]: weight of v_j in the update of v_i; the running
         # direction counts once, every earlier one twice, later ones not at all
         shield = np.triu(2.0 * np.ones((k, k)), 1) + np.eye(k)
-        v_new = gram_schmidt(v - gamma_dt * (precond.solve(hv) - v @ (shield * coef)), precond)
+        v_new = gram_schmidt(v - dt * (precond.solve(hv) - v @ (shield * coef)), precond)
     else:
         v_new = v
     return SaddleSearchState(x_new, v_new, k)
@@ -272,7 +268,7 @@ def find_saddle(
             # curvature can grow along the way; keep the step below 1/|M^-1 H|
             # at the current point or the unstable modes start to rattle
             step = min(step, 1.0 / scale_at(state.x))
-        trial = hisd_step(system, state, step, step, grad=g)
+        trial = hisd_step(system, state, step, grad=g)
         # a position running off to _RADIUS_FACTOR times the start scale is
         # divergence, not a step-size problem; halving cannot rescue it
         if not np.all(np.isfinite(trial.x)) or np.abs(trial.x).max() > _RADIUS_FACTOR * x_scale:

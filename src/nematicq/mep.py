@@ -2,12 +2,12 @@
 
 A path is a polyline of N fields between two stationary endpoints.  Each
 sweep moves every interior node down the full gradient (step 1) and then
-redistributes nodes to an equal or energy-weighted arc-length
-parametrization (step 2); the reparametrization supplies the tangential
-control that makes the plain-descent step well posed.  The converged
-string's energy maximum seeds an index-1 climbing refinement, and the
-refined transition state is certified through its leading Hessian
-eigenvalues.
+redistributes nodes to equal arc length by linear interpolation (step 2),
+as in the simplified string method; the reparametrization supplies the
+tangential control that makes the plain-descent step well posed.  The
+converged string's energy maximum seeds an index-1 climbing refinement,
+and the refined transition state is certified through its leading
+Hessian eigenvalues.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DegeneratePath, NoConvergence, NotIndexOne, NotStationary, ValidationError, WrongIndex
 from .field import QField
@@ -38,9 +37,7 @@ __all__ = [
 _CHORD_SPREAD_TOL = 1e-8
 # halvings of a node's step before it stays put (evolve_step)
 _MAX_BACKTRACKS = 30
-# weight of the highest segment in energy-weighted arc length, and the
 # resampling passes allowed to reach uniform spacing (reparametrize)
-_WEIGHT_BETA = 4.0
 _MAX_PASSES = 200
 
 
@@ -65,7 +62,7 @@ class Path:
             raise ValidationError("a path needs at least 3 nodes of equal size")
         if energies is None:
             energies = system.energies(nodes)
-        chords = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
+        chords = _chords(nodes)
         total = float(chords.sum())
         if total < 1e-14:
             raise DegeneratePath("total path length below resolution")
@@ -85,7 +82,7 @@ class Path:
 
     def chord_spread(self) -> float:
         """Relative spread of consecutive chord lengths."""
-        return _spread(np.linalg.norm(np.diff(self.nodes, axis=0), axis=1))
+        return _spread(_chords(self.nodes))
 
 
 @dataclass(frozen=True)
@@ -126,21 +123,6 @@ def evolve_step(p: Path, base_step: float) -> Path:
     return Path.from_nodes(system, nodes, energies)
 
 
-def _segment_weights(energies: np.ndarray) -> np.ndarray:
-    span = float(energies.max() - energies.min())
-    if span == 0.0:
-        return np.ones(energies.size - 1)
-    mid = 0.5 * (energies[:-1] + energies[1:])
-    return 1.0 + _WEIGHT_BETA * (mid - energies.min()) / span
-
-
-def _weighted_chords(nodes: np.ndarray, energies: np.ndarray, mode: str) -> np.ndarray:
-    chords = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
-    if mode == "energy_weighted":
-        chords = chords * _segment_weights(energies)
-    return chords
-
-
 def _spread(chords: np.ndarray) -> float:
     mean = chords.mean()
     if mean == 0.0:
@@ -148,51 +130,44 @@ def _spread(chords: np.ndarray) -> float:
     return float((chords.max() - chords.min()) / mean)
 
 
-def _resample(
-    nodes: np.ndarray, energies: np.ndarray, mode: str, interp: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """One redistribution pass; energies are carried by interpolation."""
+def _chords(nodes: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(np.diff(nodes, axis=0), axis=1)
+
+
+def _resample(nodes: np.ndarray) -> np.ndarray:
+    """One linear redistribution pass to equal chord-length targets."""
     n = nodes.shape[0]
-    s = np.concatenate([[0.0], np.cumsum(_weighted_chords(nodes, energies, mode))])
+    s = np.concatenate([[0.0], np.cumsum(_chords(nodes))])
     if s[-1] < 1e-14:
         raise DegeneratePath("total path length below resolution")
     targets = np.linspace(0.0, s[-1], n)
     keep = np.concatenate([[True], np.diff(s) > 0.0])
-    pts, e_sup, s_sup = nodes[keep], energies[keep], s[keep]
-    if interp == "spline" and pts.shape[0] > 2:
-        out = CubicSpline(s_sup, pts, axis=0)(targets)
-        e_out = CubicSpline(s_sup, e_sup)(targets)
-    else:
-        seg = np.clip(np.searchsorted(s_sup, targets, side="right") - 1, 0, pts.shape[0] - 2)
-        frac = (targets - s_sup[seg]) / np.diff(s_sup)[seg]
-        out = pts[seg] + frac[:, None] * (pts[seg + 1] - pts[seg])
-        e_out = e_sup[seg] + frac * (e_sup[seg + 1] - e_sup[seg])
+    pts, s_sup = nodes[keep], s[keep]
+    seg = np.clip(np.searchsorted(s_sup, targets, side="right") - 1, 0, pts.shape[0] - 2)
+    frac = (targets - s_sup[seg]) / np.diff(s_sup)[seg]
+    out = pts[seg] + frac[:, None] * (pts[seg + 1] - pts[seg])
     out[0], out[-1] = nodes[0], nodes[-1]
-    e_out[0], e_out[-1] = energies[0], energies[-1]
-    return out, e_out
+    return out
 
 
-def reparametrize(p: Path, mode: str = "equal_arc", interp: str = "linear") -> Path:
-    """Step 2: redistribute nodes to the target arc-length measure.
+def reparametrize(p: Path) -> Path:
+    """Step 2: redistribute nodes to equal arc length.
 
     A single resample leaves a corner-cutting residue, so the resampling
-    is iterated to its fixed point: uniform (weighted) chord lengths
-    within 1e-8 relative spread.  Intermediate passes interpolate the
-    stored energies; the returned path carries freshly evaluated ones.
-    Endpoints and their energies come back bit-identical.
+    is iterated to its fixed point: uniform chord lengths within 1e-8
+    relative spread.  The returned path carries freshly evaluated
+    interior energies; endpoints and their energies come back
+    bit-identical.
     """
-    if mode not in ("equal_arc", "energy_weighted"):
-        raise ValidationError(f"unknown reparametrization mode {mode!r}")
-    if interp not in ("linear", "spline"):
-        raise ValidationError(f"unknown interpolation {interp!r}")
-    nodes, energies = p.nodes, p.energies
-    spread = _spread(_weighted_chords(nodes, energies, mode))
+    nodes = p.nodes
+    spread = _spread(_chords(nodes))
     if spread < _CHORD_SPREAD_TOL:
         return p
     for _ in range(_MAX_PASSES):
-        nodes, energies = _resample(nodes, energies, mode, interp)
-        spread = _spread(_weighted_chords(nodes, energies, mode))
+        nodes = _resample(nodes)
+        spread = _spread(_chords(nodes))
         if spread < _CHORD_SPREAD_TOL:
+            energies = p.energies.copy()
             energies[1:-1] = p.system.energies(nodes[1:-1])
             return Path.from_nodes(p.system, nodes, energies)
     raise NoConvergence(
@@ -237,16 +212,16 @@ def _refine_ts(system: System, x0: np.ndarray, tol: float, seed: int = 0) -> Sad
         ) from err
 
 
-def _string_loop(path: Path, tol: float, max_sweeps: int, mode: str, interp: str) -> Path:
+def _string_loop(path: Path, tol: float, max_sweeps: int) -> Path:
     # one step for every sweep: 1/|H| at the middle node
     mid = path.nodes[path.n_nodes // 2]
     base_step = 1.0 / operator_scale(lambda w: path.system.hessian_vec(mid, w), mid.size)
-    path = reparametrize(path, mode, interp)
+    path = reparametrize(path)
     for _ in range(max_sweeps):
         if perpendicular_residual(path) < tol:
             return path
         path = evolve_step(path, base_step)
-        path = reparametrize(path, mode, interp)
+        path = reparametrize(path)
     residual = perpendicular_residual(path)
     if residual < tol:
         return path
@@ -276,8 +251,6 @@ def find_mep(
     n_nodes: int = 16,
     tol: float = 1e-6,
     system: System | None = None,
-    mode: str = "equal_arc",
-    interp: str = "linear",
     max_sweeps: int = 5_000,
     ts_tol: float | None = None,
     seed: int = 0,
@@ -305,7 +278,7 @@ def find_mep(
             raise NotStationary(g_inf, 10.0 * tol)
     frac = np.linspace(0.0, 1.0, n_nodes)[:, None]
     path = Path.from_nodes(system, (1.0 - frac) * xa + frac * xb)
-    path = _string_loop(path, tol, max_sweeps, mode, interp)
+    path = _string_loop(path, tol, max_sweeps)
     ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
     return _finish(path.energies[0], path.energies[-1], path, ts_tol, seed)
 
@@ -314,8 +287,6 @@ def refine_multiscale(
     coarse: Path,
     fine_n: int = 16,
     tol: float = 1e-8,
-    mode: str = "equal_arc",
-    interp: str = "linear",
     max_sweeps: int = 5_000,
     ts_tol: float | None = None,
     seed: int = 0,
@@ -334,6 +305,6 @@ def refine_multiscale(
     frac = np.linspace(0.0, 1.0, fine_n)[:, None]
     nodes = (1.0 - frac) * coarse.nodes[lo] + frac * coarse.nodes[hi]
     fine = Path.from_nodes(coarse.system, nodes)
-    fine = _string_loop(fine, tol, max_sweeps, mode, interp)
+    fine = _string_loop(fine, tol, max_sweeps)
     ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
     return _finish(coarse.energies[0], coarse.energies[-1], fine, ts_tol, seed)

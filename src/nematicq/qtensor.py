@@ -24,8 +24,6 @@ from .errors import NoNematicRoots, ShapeMismatch
 __all__ = [
     "BulkParams",
     "BulkCriticalSet",
-    "QTensor",
-    "Phase",
     "to_matrix",
     "sym_components",
     "dual_components",
@@ -40,9 +38,6 @@ __all__ = [
     "bulk_energy_uniaxial_deriv",
     "uniaxial_components",
     "critical_points",
-    "eig3",
-    "eig_classify",
-    "is_physical",
 ]
 
 # Biaxiality convention: tensors with |Q|^2 below this are reported beta = 0.
@@ -333,123 +328,3 @@ def critical_points(p: BulkParams) -> BulkCriticalSet:
         t_c=t_c,
         t_ii=t_ii,
     )
-
-
-def _fix_signs(v: np.ndarray) -> np.ndarray:
-    """Deterministic sign convention: largest-magnitude entry positive."""
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
-
-
-def eig3(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of one tensor,
-    each eigenvector signed by ``_fix_signs``."""
-    q = _check_last_axis(q)
-    if q.ndim != 1:
-        raise ShapeMismatch("eig3 handles one tensor")
-    w, v = np.linalg.eigh(to_matrix(q))
-    return w, np.stack([_fix_signs(v[:, k]) for k in range(3)], axis=1)
-
-
-def is_physical(q: np.ndarray, margin: float = 0.0) -> bool:
-    """True when all eigenvalues lie strictly inside (-1/3, 2/3)."""
-    w, _ = eig3(np.asarray(q, dtype=float))
-    return bool(w[0] > -1.0 / 3.0 + margin and w[2] < 2.0 / 3.0 - margin)
-
-
-@dataclass(frozen=True)
-class Phase:
-    """Classification of a single tensor by eigenvalue degeneracy.
-
-    ``kind`` is "isotropic", "uniaxial" or "biaxial".  For uniaxial
-    tensors ``s`` is the scalar amplitude (positive prolate, negative
-    oblate) and ``director`` the distinguished unit eigenvector.
-    """
-
-    kind: str
-    eigenvalues: np.ndarray
-    s: float | None = None
-    director: np.ndarray | None = None
-    physical: bool = True
-
-
-def eig_classify(q: np.ndarray, tol: float = 1e-8) -> Phase:
-    """Classify one tensor as isotropic, uniaxial(s, n) or biaxial.
-
-    Eigenvalues closer than ``tol`` (absolute) count as equal.  A
-    uniaxial tensor s (n n^T - I/3) has spectrum {2s/3, -s/3, -s/3}, so
-    the distinct eigenvalue recovers s = 3/2 * lambda_distinct.
-    """
-    w, v = eig3(np.asarray(q, dtype=float))
-    physical = bool(w[0] > -1.0 / 3.0 and w[2] < 2.0 / 3.0)
-    lo, hi = w[1] - w[0], w[2] - w[1]
-    if lo <= tol and hi <= tol:
-        return Phase(kind="isotropic", eigenvalues=w, physical=physical)
-    if lo <= tol:
-        # bottom pair equal: distinct eigenvalue on top, prolate.
-        return Phase(
-            kind="uniaxial", eigenvalues=w, s=1.5 * w[2], director=v[:, 2], physical=physical
-        )
-    if hi <= tol:
-        # top pair equal: distinct eigenvalue at the bottom, oblate.
-        return Phase(
-            kind="uniaxial", eigenvalues=w, s=1.5 * w[0], director=v[:, 0], physical=physical
-        )
-    return Phase(kind="biaxial", eigenvalues=w, physical=physical)
-
-
-@dataclass(frozen=True)
-class QTensor:
-    """One traceless symmetric tensor held as its five components."""
-
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-    q5: float
-
-    @classmethod
-    def from_vector(cls, q) -> "QTensor":
-        q = np.asarray(q, dtype=float)
-        if q.shape != (5,):
-            raise ShapeMismatch(f"expected 5 components, got shape {q.shape}")
-        return cls(*(float(x) for x in q))
-
-    @classmethod
-    def from_matrix(cls, m, tol: float = 1e-10) -> "QTensor":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ShapeMismatch(f"expected a 3x3 matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > tol * scale or abs(np.trace(m)) > tol * scale:
-            raise ShapeMismatch("matrix is not symmetric traceless within tolerance")
-        return cls(m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2])
-
-    @classmethod
-    def uniaxial(cls, s: float, n) -> "QTensor":
-        n = np.asarray(n, dtype=float)
-        n = n / np.linalg.norm(n)
-        return cls.from_vector(uniaxial_components(s, n))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.q1, self.q2, self.q3, self.q4, self.q5])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return to_matrix(self.vector)
-
-    def frob2(self) -> float:
-        return float(frob2(self.vector))
-
-    def trq3(self) -> float:
-        return float(trq3(self.vector))
-
-    def biaxiality(self) -> float:
-        return float(biaxiality(self.vector))
-
-    def classify(self, tol: float = 1e-8) -> Phase:
-        return eig_classify(self.vector, tol)
-
-    def is_physical(self, margin: float = 0.0) -> bool:
-        return is_physical(self.vector, margin)

@@ -2,9 +2,12 @@
 
 The Hessian is only available as matrix-vector products (central
 differences of the gradient, taken a whole block at a time), so the
-small end of the spectrum comes from LOBPCG with a deterministic seeded
-start, Rayleigh-Ritz cleanup and residual verification: up to 800
-iterations per attempt and three restarts from the last Ritz block.
+small end of the spectrum comes from LOBPCG with Rayleigh-Ritz cleanup
+and residual verification: up to 800 iterations per attempt and three
+restarts from the last Ritz block.  Every solve starts from a block drawn
+from its seed alone, so equal seeds give equal spectra; a caller that
+already holds eigenvectors (a ``SaddleRecord``) uses them instead of
+solving again.
 ``smallest_eigs`` preconditions with the system's SPD metric
 (``preconditioner_of``, the identity for a system that brings none).
 Tiny problems are assembled densely instead.  Ten power iterations
@@ -93,14 +96,13 @@ def solve_smallest(
     n: int,
     k: int,
     seed: int = 0,
-    v0: np.ndarray | None = None,
     precond: LinearOperator | None = None,
 ) -> SpectrumReport:
     """k smallest eigenpairs of the symmetric operator ``apply_h`` on R^n.
 
     ``apply_h`` takes a vector or an (n, m) block and returns its shape.
     Residuals must verify below 1e-6 * scale or NoConvergence is raised.
-    Deterministic for fixed (seed, v0).
+    Deterministic for a fixed seed.
     """
     if not 1 <= k <= 30:
         raise ShapeMismatch(f"eigenpair count k must be in [1, 30], got {k}")
@@ -120,14 +122,7 @@ def solve_smallest(
         res = np.linalg.norm(h @ v - v * w, axis=0)
     else:
         gen = make_rng(seed, "spectrum:init")
-        x = gen.normal(size=(n, k))
-        if v0 is not None:
-            v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-            if v0.shape[0] != n:
-                v0 = v0.T
-            m = min(k, v0.shape[1])
-            x[:, :m] = v0[:, :m]
-        x, _ = np.linalg.qr(x)
+        x, _ = np.linalg.qr(gen.normal(size=(n, k)))
         op = LinearOperator((n, n), matvec=apply_h, matmat=apply_h, dtype=float)
         for attempt in range(_RESTARTS + 1):
             with warnings.catch_warnings():
@@ -169,13 +164,7 @@ def solve_smallest(
     )
 
 
-def smallest_eigs(
-    system: System,
-    x: np.ndarray,
-    k: int,
-    seed: int = 0,
-    v0: np.ndarray | None = None,
-) -> SpectrumReport:
+def smallest_eigs(system: System, x: np.ndarray, k: int, seed: int = 0) -> SpectrumReport:
     """k smallest Hessian eigenpairs of ``system`` at the point ``x``.
 
     LOBPCG is preconditioned by ``preconditioner_of(system)`` (tensor-field
@@ -184,5 +173,5 @@ def smallest_eigs(
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     return solve_smallest(
-        lambda v: system.hessian_vec(x, v), x.size, k, seed=seed, v0=v0, precond=preconditioner_of(system)
+        lambda v: system.hessian_vec(x, v), x.size, k, seed=seed, precond=preconditioner_of(system)
     )

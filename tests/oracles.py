@@ -1,0 +1,55 @@
+"""Independent reference implementations that the tests compare against.
+
+Sparse assemblies of the metric and the one-constant elastic operator,
+and an eigendecomposition-based reading of a single tensor; the package
+itself applies these operators matrix-free.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from nematicq.field import Domain
+from nematicq.qtensor import G, to_matrix
+
+
+def metric_matrix(domain: Domain) -> sp.csr_matrix:
+    """Block-diagonal Frobenius metric on the flat vector: kron(I_nodes, G)."""
+    return sp.kron(sp.identity(domain.nx * domain.ny, format="csr"), G, format="csr")
+
+
+def elastic_matrix(domain: Domain) -> sp.csr_matrix:
+    """Sparse one-constant elastic operator K with F_1[q] = 1/2 q^T K q + c^T q + const.
+
+    Only the one-constant term is assembled; with l2 = l3 = 0 this is the
+    full homogeneous elastic operator.  Node-major flat ordering matches
+    ``QField.flat``.
+    """
+    wx = domain.hy / domain.hx
+    wy = domain.hx / domain.hy
+
+    def lap1d(n: int) -> sp.csr_matrix:
+        return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+
+    a = wx * sp.kron(lap1d(domain.nx), sp.identity(domain.ny)) + wy * sp.kron(
+        sp.identity(domain.nx), lap1d(domain.ny)
+    )
+    return sp.kron(a, G, format="csr")
+
+
+def uniaxial_reading(q: np.ndarray, tol: float = 1e-8):
+    """(kind, s, director) of one tensor from ``np.linalg.eigh(to_matrix(q))``.
+
+    ``kind`` is "isotropic", "uniaxial" or "biaxial"; eigenvalues closer
+    than ``tol`` count as equal.  A uniaxial s (n n^T - I/3) has spectrum
+    {2s/3, -s/3, -s/3}, so s is 3/2 of the distinct eigenvalue and n its
+    eigenvector (sign arbitrary); s and n are None otherwise.
+    """
+    w, v = np.linalg.eigh(to_matrix(q))
+    lo, hi = w[1] - w[0], w[2] - w[1]
+    if lo <= tol and hi <= tol:
+        return "isotropic", None, None
+    if lo <= tol:
+        return "uniaxial", 1.5 * w[2], v[:, 2]
+    if hi <= tol:
+        return "uniaxial", 1.5 * w[0], v[:, 0]
+    return "biaxial", None, None

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from nematicq.energy import LdGSystem, elastic_matrix, metric_matrix
+from nematicq.energy import LdGSystem
 from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.hisd import (
     SaddleOptions,
@@ -34,6 +34,7 @@ from nematicq.sav import flow_to_equilibrium, sav_init, sav_split, sav_step
 from nematicq.spectrum import smallest_eigs
 from nematicq.systems import make_rng
 from nematicq.toys import DoubleWell2D, Quartic2D
+from oracles import elastic_matrix, metric_matrix
 
 # Bulk constants for the square-domain checks: the s_plus = 1 family,
 # scaled so that the pinned domain sizes land in the calibrated regime

@@ -193,6 +193,23 @@ class TestConfigCommands:
         assert rc == 1
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("tol", 0), ("tol", -1), ("dt", 0), ("dt", -0.5)])
+    def test_non_positive_tolerance_or_step_exits_1(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "o"
+        for command in ("minimize", "flow"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            assert f"config key '{key}' must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["saddle", "string"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_tol_flag_exits_1(self, tmp_path, capsys, command, value):
+        out = tmp_path / "o"
+        assert main([command, "--toy", f"--tol={value}", "--out", str(out)]) == 1
+        assert "argument --tol: must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_required(self, tmp_path, capsys):
         rc = main(["minimize", "--out", str(tmp_path)])
         assert rc == 1

@@ -9,17 +9,16 @@ from nematicq.energy import (
     LdGSystem,
     SineSolver,
     elastic_apply,
-    elastic_matrix,
     elastic_shift_vector,
     free_energy,
     gradient,
-    metric_matrix,
 )
 from nematicq.errors import ShapeMismatch
 from nematicq.field import Domain
 from nematicq.qtensor import BulkParams, bulk_energy, to_matrix, uniaxial_components
 from nematicq.sav import SavSplit
 from nematicq.systems import make_rng
+from oracles import elastic_matrix, metric_matrix
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
 

@@ -97,14 +97,14 @@ class TestStep:
         state = SaddleSearchState(np.array([0.3, 0.7]), np.zeros((2, 0)), 0)
         manual = np.array([0.3, 0.7])
         for _ in range(50):
-            state = hisd_step(sy, state, beta, beta)
+            state = hisd_step(sy, state, beta)
             manual = manual - beta * sy.gradient(manual)
             assert np.array_equal(state.x, manual)
 
     def test_fixed_point_at_exact_saddle(self):
         sy = Quartic2D()
         state = SaddleSearchState(np.array([0.0, 1.0]), np.eye(2)[:, :1], 1)
-        out = hisd_step(sy, state, 0.1, 0.1)
+        out = hisd_step(sy, state, 0.1)
         assert np.array_equal(out.x, state.x)
         assert np.allclose(out.v, state.v, atol=1e-12)
 
@@ -112,9 +112,9 @@ class TestStep:
         sy = Quartic2D()
         state = SaddleSearchState(np.zeros(2), np.zeros((2, 0)), 0)
         with pytest.raises(ValidationError):
-            hisd_step(sy, state, 0.0, 0.1)
+            hisd_step(sy, state, 0.0)
         with pytest.raises(ValidationError):
-            hisd_step(sy, state, 0.1, -1.0)
+            hisd_step(sy, state, -1.0)
 
     def test_directions_stay_orthonormal(self):
         gen = make_rng(7, "test:hisd:orth")
@@ -123,7 +123,7 @@ class TestStep:
         v = gram_schmidt(gen.normal(size=(5, 2)))
         state = SaddleSearchState(gen.normal(size=5), v, 2)
         for _ in range(100):
-            state = hisd_step(sy, state, 0.05, 0.05)
+            state = hisd_step(sy, state, 0.05)
             gram = state.v.T @ state.v
             assert np.abs(gram - np.eye(2)).max() < 1e-10
         # with a preconditioner the directions are orthonormal in <a, b>_M
@@ -132,7 +132,7 @@ class TestStep:
         pre = msy.preconditioner()
         state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2)), pre), 2)
         for _ in range(100):
-            state = hisd_step(msy, state, 0.05, 0.05)
+            state = hisd_step(msy, state, 0.05)
             gram = state.v.T @ (m[:, None] * state.v)
             assert np.abs(gram - np.eye(2)).max() < 1e-10
 
@@ -143,14 +143,14 @@ class TestStep:
         sy = MetricQuadratic(d, m)
         v = gram_schmidt(gen.normal(size=(5, 2)), sy.preconditioner())
         x = gen.normal(size=5)
-        out = hisd_step(sy, SaddleSearchState(x, v, 2), 0.1, 0.2)
-        # x <- x - beta (M^-1 g - 2 V V^T g), with g = H x and H = diag(d)
+        out = hisd_step(sy, SaddleSearchState(x, v, 2), 0.1)
+        # x <- x - dt (M^-1 g - 2 V V^T g), with g = H x and H = diag(d)
         g = d * x
         assert np.allclose(out.x, x - 0.1 * (g / m - 2.0 * v @ (v.T @ g)), rtol=0, atol=1e-12)
         # v_i relaxes along M^-1 H v_i against the shielded coefficients V^T H V
         hv = d[:, None] * v
         coef = v.T @ hv
-        raw = v - 0.2 * (hv / m[:, None] - v @ (np.array([[1.0, 2.0], [0.0, 1.0]]) * coef))
+        raw = v - 0.1 * (hv / m[:, None] - v @ (np.array([[1.0, 2.0], [0.0, 1.0]]) * coef))
         q0 = raw[:, 0] / np.sqrt(raw[:, 0] @ (m * raw[:, 0]))
         q1 = raw[:, 1] - (q0 @ (m * raw[:, 1])) * q0
         q1 /= np.sqrt(q1 @ (m * q1))
@@ -163,7 +163,7 @@ class TestStep:
         sy = DiagQuadratic(np.array([-3.0, -1.0, 0.5, 2.0, 4.0]))
         v = gram_schmidt(gen.normal(size=(5, 2)))
         x = gen.normal(size=5)
-        out = hisd_step(sy, SaddleSearchState(x, v, 2), 0.1, 0.1)
+        out = hisd_step(sy, SaddleSearchState(x, v, 2), 0.1)
         g = sy.gradient(x)
         assert np.array_equal(out.x, x - 0.1 * (g - 2.0 * v @ (v.T @ g)))
 
@@ -178,7 +178,7 @@ class TestStep:
         gen = make_rng(11, "test:hisd:block")
         sy = Counting(np.array([-3.0, -1.0, 0.5, 2.0, 4.0]))
         state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2))), 2)
-        hisd_step(sy, state, 0.1, 0.1)
+        hisd_step(sy, state, 0.1)
         assert calls == [(5, 2)]
 
     def test_gram_schmidt_applies_the_metric_once(self):

@@ -179,13 +179,12 @@ class TestReparametrize:
         out = reparametrize(p)
         assert np.abs(out.nodes[1] - [0.5, 0.0]).max() < 1e-12
 
-    @pytest.mark.parametrize("interp", ["linear", "spline"])
-    def test_curved_path_reaches_uniform_chords(self, interp):
+    def test_curved_path_reaches_uniform_chords(self):
         sy = DoubleWell2D()
         t = np.linspace(0.0, 1.0, 21) ** 2  # deliberately uneven
         nodes = np.column_stack([2.0 * t - 1.0, np.sin(np.pi * t)])
         p = Path.from_nodes(sy, nodes)
-        out = reparametrize(p, interp=interp)
+        out = reparametrize(p)
         assert out.chord_spread() < 1e-8
         assert np.array_equal(out.nodes[0], nodes[0])
         assert np.array_equal(out.nodes[-1], nodes[-1])
@@ -201,22 +200,6 @@ class TestReparametrize:
         for k in (0, -1):
             assert np.array_equal(out.nodes[k], p.nodes[k])
             assert out.energies[k] == p.energies[k]
-
-    def test_energy_weighted_concentrates_near_barrier(self):
-        sy = DoubleWell2D()
-        p = straight_path(sy, [-1.0, 0.0], [1.0, 0.0], 24)
-        eq = reparametrize(p, mode="equal_arc")
-        ew = reparametrize(p, mode="energy_weighted")
-        count_eq = int(np.sum(np.abs(eq.nodes[:, 0]) < 0.2))
-        count_ew = int(np.sum(np.abs(ew.nodes[:, 0]) < 0.2))
-        assert count_ew > count_eq
-
-    def test_mode_validation(self):
-        p = straight_path(DoubleWell2D(), [-1.0, 0.0], [1.0, 0.0], 5)
-        with pytest.raises(ValidationError):
-            reparametrize(p, mode="by_vibes")
-        with pytest.raises(ValidationError):
-            reparametrize(p, interp="quintic")
 
 
 class TestFindMep:

@@ -11,7 +11,15 @@ from dataclasses import fields
 
 from nematicq.cli import build_parser
 from nematicq.hedgehog import solve_profile
-from nematicq.hisd import LandscapeOptions, SaddleOptions, classify_stationary, downward_search, upward_search
+from nematicq.hisd import (
+    LandscapeOptions,
+    SaddleOptions,
+    classify_stationary,
+    downward_search,
+    hisd_step,
+    upward_search,
+)
+from nematicq.mep import find_mep, refine_multiscale, reparametrize
 from nematicq.minimize import MinimizeOptions
 from nematicq.spectrum import operator_scale, smallest_eigs, solve_smallest
 
@@ -31,13 +39,20 @@ def test_option_fields():
 
 
 def test_spectrum_and_certificate_parameters():
-    assert params(smallest_eigs) == ["system", "x", "k", "seed", "v0"]
-    assert params(solve_smallest) == ["apply_h", "n", "k", "seed", "v0", "precond"]
+    assert params(smallest_eigs) == ["system", "x", "k", "seed"]
+    assert params(solve_smallest) == ["apply_h", "n", "k", "seed", "precond"]
     assert params(operator_scale) == ["apply_h", "n", "seed"]
     assert params(classify_stationary) == ["system", "x", "tol_grad", "seed", "k_hint"]
     assert params(downward_search) == ["system", "parent", "k", "opts", "errors_out"]
     assert params(upward_search) == ["system", "child", "k", "opts", "errors_out"]
     assert params(solve_profile) == ["p", "R", "N"]
+
+
+def test_string_and_step_parameters():
+    assert params(reparametrize) == ["p"]
+    assert params(find_mep) == ["a", "b", "n_nodes", "tol", "system", "max_sweeps", "ts_tol", "seed"]
+    assert params(refine_multiscale) == ["coarse", "fine_n", "tol", "max_sweeps", "ts_tol", "seed"]
+    assert params(hisd_step) == ["system", "state", "dt", "grad"]
 
 
 def cli_flags():

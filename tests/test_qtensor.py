@@ -1,4 +1,4 @@
-"""Pointwise tensor algebra: oracles are numpy eigh, central finite
+"""Pointwise tensor algebra: oracles are the matrix forms, central finite
 differences, and direct stationarity residuals."""
 
 import numpy as np
@@ -7,7 +7,6 @@ import pytest
 from nematicq.errors import NoNematicRoots, ShapeMismatch
 from nematicq.qtensor import (
     BulkParams,
-    QTensor,
     biaxiality,
     bulk_energy,
     bulk_energy_uniaxial,
@@ -15,10 +14,7 @@ from nematicq.qtensor import (
     bulk_gradient,
     critical_points,
     dual_components,
-    eig3,
-    eig_classify,
     frob2,
-    is_physical,
     metric_apply,
     sym_components,
     to_matrix,
@@ -221,85 +217,3 @@ class TestBiaxiality:
         q = gen.normal(size=(10_000, 5))
         beta = biaxiality(q)
         assert np.all(beta >= 0.0) and np.all(beta <= 1.0)
-
-
-class TestEig:
-    def test_matches_eigh_random(self):
-        gen = rng(9)
-        for _ in range(500):
-            q = gen.normal(size=5)
-            w, v = eig3(q)
-            m = to_matrix(q)
-            w_ref = np.linalg.eigvalsh(m)
-            scale = max(1.0, np.abs(w_ref).max())
-            assert np.abs(w - w_ref).max() <= 1e-12 * scale
-            assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-12
-            assert np.abs(m @ v - v * w).max() <= 1e-10 * scale
-
-    def test_near_degenerate_fallback(self):
-        gen = rng(10)
-        for _ in range(100):
-            n = gen.normal(size=3)
-            n /= np.linalg.norm(n)
-            q = uniaxial_components(0.8, n) + 1e-10 * gen.normal(size=5)
-            w, v = eig3(q)
-            m = to_matrix(q)
-            assert np.abs(m @ v - v * w).max() <= 1e-9
-            assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-10
-
-    def test_zero_tensor(self):
-        w, v = eig3(np.zeros(5))
-        assert np.all(w == 0.0)
-        assert np.allclose(v, np.eye(3))
-
-
-class TestClassify:
-    def test_uniaxial_recovers_s_and_director(self):
-        n = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
-        ph = eig_classify(uniaxial_components(0.7, n))
-        assert ph.kind == "uniaxial"
-        assert ph.s == pytest.approx(0.7, abs=1e-12)
-        assert abs(abs(ph.director @ n) - 1.0) < 1e-12
-
-    def test_oblate_uniaxial(self):
-        n = np.array([0.0, 1.0, 0.0])
-        ph = eig_classify(uniaxial_components(-0.4, n))
-        assert ph.kind == "uniaxial"
-        assert ph.s == pytest.approx(-0.4, abs=1e-12)
-
-    def test_isotropic_and_biaxial(self):
-        assert eig_classify(np.zeros(5)).kind == "isotropic"
-        ph = eig_classify(sym_components(np.diag([0.3, -0.1, -0.2])))
-        assert ph.kind == "biaxial"
-
-    def test_physicality_window(self):
-        z = np.array([0.0, 0.0, 1.0])
-        assert is_physical(uniaxial_components(0.9, z))  # eigs 0.6, -0.3
-        assert not is_physical(uniaxial_components(1.0, z))  # hits 2/3 boundary
-        assert not is_physical(uniaxial_components(-1.01, z))  # below -1/3
-        ph = eig_classify(uniaxial_components(1.2, z))
-        assert not ph.physical
-
-
-class TestQTensorClass:
-    def test_uniaxial_constructor_and_roundtrip(self):
-        t = QTensor.uniaxial(0.5, [0.0, 0.0, 2.0])  # director normalized internally
-        assert t.vector == pytest.approx(
-            uniaxial_components(0.5, np.array([0.0, 0.0, 1.0]))
-        )
-        t2 = QTensor.from_matrix(t.matrix)
-        assert t2 == t
-
-    def test_from_matrix_rejects_bad_input(self):
-        with pytest.raises(ShapeMismatch):
-            QTensor.from_matrix(np.eye(3))  # not traceless
-        bad = np.zeros((3, 3))
-        bad[0, 1] = 1.0  # not symmetric
-        with pytest.raises(ShapeMismatch):
-            QTensor.from_matrix(bad)
-
-    def test_invariant_methods_delegate(self):
-        t = QTensor.uniaxial(1.0, [0.0, 0.0, 1.0])
-        assert t.frob2() == pytest.approx(2.0 / 3.0)
-        assert t.biaxiality() < 1e-12
-        assert t.classify().kind == "uniaxial"

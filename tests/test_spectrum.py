@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from nematicq.energy import LdGSystem, elastic_matrix, metric_matrix
+from nematicq.energy import LdGSystem
 from nematicq.errors import ShapeMismatch
 from nematicq.field import Domain
 from nematicq.qtensor import BulkParams
 from nematicq.spectrum import _MAXITER, operator_scale, smallest_eigs, solve_smallest
 from nematicq.systems import make_rng
 from nematicq.toys import DiagQuadratic, Quartic2D
+from oracles import elastic_matrix, metric_matrix
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
 
