@@ -207,13 +207,13 @@ class SineSolver(LinearOperator):
     interior nodes, with T = tridiag(-1, 2, -1), wx = hy/hx and wy = hx/hy;
     kron(A, G) is the one-constant elastic operator, G the Frobenius
     metric of a node.
-    Both actions rotate the components into the eigenbasis of G, apply
-    the DST-I matrix along each axis, scale by the eigenvalues
-    c0 + c1 g_c (wx mu_i + wy mu_j + sigma) and transform back: ``solve``
-    divides by them (the fast Poisson solver of Buzbee, Golub and
-    Nielson, SIAM J. Numer. Anal. 1970), ``apply`` multiplies.  Both take
-    vectors or (n, m) blocks.  As a LinearOperator it applies the
-    inverse, the form LOBPCG expects for its ``M=``.
+    Both actions rotate r straight into component-major planes in the
+    eigenbasis of G, apply DST-I as S_x X S_y to each plane, scale by the
+    eigenvalues c0 + c1 g_c (wx mu_i + wy mu_j + sigma) and transform
+    back: ``solve`` divides by them (the fast Poisson solver of Buzbee,
+    Golub and Nielson, SIAM J. Numer. Anal. 1970), ``apply`` multiplies.
+    Both take vectors or (n, m) blocks.  As a LinearOperator it applies
+    the inverse, the form LOBPCG expects for its ``M=``.
     """
 
     def __init__(self, domain: Domain, c0: float, c1: float, sigma: float):
@@ -224,22 +224,19 @@ class SineSolver(LinearOperator):
         wx = domain.hy / domain.hx
         wy = domain.hx / domain.hy
         a = wx * mux[:, None] + wy * muy[None, :] + sigma
-        self._eig = c0 + c1 * a[:, :, None] * _G_EIGVALS
+        self._eig = c0 + c1 * _G_EIGVALS[:, None, None] * a  # (5, nx, ny)
 
     def _scaled(self, r: np.ndarray, scale) -> np.ndarray:
         """Transform r to the eigenbasis, ``scale(x, eig, out=x)`` there, transform back."""
         r = np.asarray(r, dtype=float)
-        nx, ny = self._eig.shape[:2]
+        _, nx, ny = self._eig.shape
         m = r.size // (nx * ny * 5)
         rot = _G_EIGVECS if m == 1 else np.kron(_G_EIGVECS, np.eye(m))
-        x = r.reshape(nx * ny, 5 * m) @ rot
-        x = self._sx @ x.reshape(nx, ny * 5 * m)
-        x = np.matmul(self._sy, x.reshape(nx, ny, 5 * m))
-        y = x.reshape(nx, ny, 5, m)
-        scale(y, self._eig[..., None], out=y)
-        x = np.matmul(self._sy, x)
-        x = self._sx @ x.reshape(nx, ny * 5 * m)
-        return (x.reshape(nx * ny, 5 * m) @ rot.T).reshape(r.shape)
+        x = (rot.T @ r.reshape(nx * ny, 5 * m).T).reshape(5, m, nx, ny)
+        x = self._sx @ x @ self._sy
+        scale(x, self._eig[:, None], out=x)
+        x = (self._sx @ x @ self._sy).reshape(5 * m, nx * ny)
+        return (x.T @ rot.T).reshape(r.shape)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """The inverse action on a vector or (n, m) block."""

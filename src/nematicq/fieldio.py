@@ -277,7 +277,8 @@ def write_landscape(out_dir, graph, domain: Domain | None = None) -> list[str]:
 
 @dataclass
 class RunConfig:
-    """One JSON document driving a CLI run; unknown keys are rejected."""
+    """One JSON document driving a CLI run; unknown keys are rejected, and an
+    out-of-range value raises ConfigError, also when replace() sets it from a flag."""
 
     nx: int
     ny: int
@@ -300,6 +301,19 @@ class RunConfig:
     max_nodes: int = 200
     max_searches: int = 2000
     max_index: int | None = None
+
+    def __post_init__(self):
+        for key in ("tol", "dt", "max_steps", "max_nodes", "max_searches"):
+            # a tol at or below zero is never met and would spend the whole budget;
+            # a budget below one step, node or search leaves nothing to run
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"config key {key!r} must be positive, got {getattr(self, key)!r}")
+        if self.scheme not in ("sav", "semi_implicit"):
+            raise ConfigError(f"config key 'scheme' must be 'sav' or 'semi_implicit', got {self.scheme!r}")
+        if self.boundary not in ("tangent", "planar", "zero"):
+            raise ConfigError(
+                f"config key 'boundary' must be 'tangent', 'planar' or 'zero', got {self.boundary!r}"
+            )
 
     def domain(self) -> Domain:
         return Domain(
@@ -350,18 +364,7 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
         elif not isinstance(value, str):
             raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
-    cfg = RunConfig(**raw)
-    for key in ("tol", "dt"):
-        # a tol at or below zero is never met and would spend the whole budget
-        if not getattr(cfg, key) > 0.0:
-            raise ConfigError(f"config key {key!r} must be positive, got {getattr(cfg, key)!r}")
-    if cfg.scheme not in ("sav", "semi_implicit"):
-        raise ConfigError(f"config key 'scheme' must be 'sav' or 'semi_implicit', got {cfg.scheme!r}")
-    if cfg.boundary not in ("tangent", "planar", "zero"):
-        raise ConfigError(
-            f"config key 'boundary' must be 'tangent', 'planar' or 'zero', got {cfg.boundary!r}"
-        )
-    return cfg
+    return RunConfig(**raw)
 
 
 # ---------------------------------------------------------------------------

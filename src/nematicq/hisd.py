@@ -173,7 +173,11 @@ def classify_stationary(
     (or the problem size is reached), so the count is the true index,
     not a lower bound.
     """
-    g_inf = float(np.abs(system.gradient(x)).max())
+    return _certify(system, x, float(np.abs(system.gradient(x)).max()), tol_grad, seed, k_hint)
+
+
+def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, seed: int, k_hint: int):
+    """classify_stationary at a point whose gradient inf-norm g_inf is known."""
     if g_inf >= tol_grad:
         raise NotStationary(g_inf, tol_grad)
     n = x.size
@@ -188,11 +192,13 @@ def classify_stationary(
 
 
 def make_record(
-    system: System, x: np.ndarray, tol_grad: float = 1e-8, seed: int = 0, k_hint: int = 0
+    system: System, x: np.ndarray, tol_grad: float = 1e-8, seed: int = 0, k_hint: int = 0,
+    *, grad_inf: float | None = None,
 ) -> SaddleRecord:
-    """Certify x by classify_stationary and keep its eigenpairs."""
-    m, spectrum, rep = classify_stationary(system, x, tol_grad, seed, k_hint)
-    g_inf = float(np.abs(system.gradient(x)).max())
+    """Certify x as classify_stationary does and keep its eigenpairs;
+    `grad_inf` passes on the |g|inf at x the caller already measured."""
+    g_inf = float(np.abs(system.gradient(x)).max()) if grad_inf is None else grad_inf
+    m, spectrum, rep = _certify(system, x, g_inf, tol_grad, seed, k_hint)
     return SaddleRecord(
         field=np.array(x, dtype=float),
         energy=float(system.energy(x)),
@@ -259,7 +265,7 @@ def find_saddle(
         g_inf = float(np.abs(g).max())
         if g_inf < opts.tol_grad:
             record = replace(
-                make_record(system, state.x, opts.tol_grad, opts.seed, k_hint=k), iterations=it
+                make_record(system, state.x, opts.tol_grad, opts.seed, k, grad_inf=g_inf), iterations=it
             )
             if record.morse_index != k:
                 raise WrongIndex(record.morse_index, k, record=record)

@@ -81,6 +81,7 @@ class SavSplit:
         self.c0 = 1.0 - _shifted_uniaxial_floor(domain, self.a1)
         self.shift = elastic_shift_vector(domain)
         self._hw = domain.hx * domain.hy
+        self._solvers: dict = {}  # c1 -> (dt, SineSolver of I/dt + c1 L1)
 
     def l_apply(self, flat: np.ndarray) -> np.ndarray:
         values = flat.reshape(self.domain.shape)
@@ -112,33 +113,41 @@ class SavSplit:
         return quad + r * r + self._constant
 
     def solve_cn(self, dt: float, bvec: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I/dt + L/2 + b b^T) x = rhs by CG, preconditioned by the exact
-        inverse of I/dt + L1/2, L1 the one-constant part of L (all of it when
-        l2 = l3 = 0)."""
-        n = rhs.size
-
-        def matvec(v):
-            return v / dt + 0.5 * self.l_apply(v) + bvec * float(bvec @ v)
-
-        a_op = LinearOperator((n, n), matvec=matvec, dtype=float)
-        return _run_cg(a_op, rhs, SineSolver(self.domain, 1.0 / dt, 0.5, self.a1 * self._hw))
+        """Solve (I/dt + L/2 + b b^T) x = rhs, directly when l2 = l3 = 0; see _solve."""
+        return self._solve(dt, 0.5, rhs, bvec)
 
     def solve_si(self, dt: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I/dt + L) x = rhs by CG, preconditioned by I/dt + L1."""
+        """Solve (I/dt + L) x = rhs, directly when l2 = l3 = 0; see _solve."""
+        return self._solve(dt, 1.0, rhs, np.zeros(rhs.size))
+
+    def _solve(self, dt: float, c1: float, rhs: np.ndarray, bvec: np.ndarray) -> np.ndarray:
+        """Solve (I/dt + c1 L + b b^T) x = rhs by CG, started from and preconditioned by
+        (P + b b^T)^-1 by Sherman-Morrison, P = I/dt + c1 L1 a SineSolver kept per (c1, dt)
+        and L1 the one-constant part of L; when l2 = l3 = 0 CG stops at its first check."""
         n = rhs.size
-        a_op = LinearOperator((n, n), matvec=lambda v: v / dt + self.l_apply(v), dtype=float)
-        return _run_cg(a_op, rhs, SineSolver(self.domain, 1.0 / dt, 1.0, self.a1 * self._hw))
+        if self._solvers.get(c1, (None,))[0] != dt:
+            self._solvers[c1] = (dt, SineSolver(self.domain, 1.0 / dt, c1, self.a1 * self._hw))
+        p = self._solvers[c1][1]
+        u = p.solve(bvec) if bvec.any() else bvec
+        denom = 1.0 + float(bvec @ u)
 
+        def precond(v):
+            z = p.solve(v)
+            return z - u * (float(bvec @ z) / denom)
 
-def _run_cg(a_op: LinearOperator, rhs: np.ndarray, precond: LinearOperator) -> np.ndarray:
-    x, info = cg(a_op, rhs, rtol=1e-13, atol=_CG_ATOL, maxiter=_CG_MAXITER, M=precond)
-    if info != 0:
-        residual = float(np.linalg.norm(a_op @ x - rhs))
-        if residual > _CG_ATOL * (1.0 + float(np.linalg.norm(rhs))):
-            raise LinearSolveFailure(
-                f"conjugate gradient stalled at residual {residual:.3e} after {_CG_MAXITER} iterations"
-            )
-    return x
+        def matvec(v):
+            return v / dt + c1 * self.l_apply(v) + bvec * float(bvec @ v)
+
+        a_op = LinearOperator((n, n), matvec=matvec, dtype=float)
+        m_op = LinearOperator((n, n), matvec=precond, dtype=float)
+        x, info = cg(a_op, rhs, precond(rhs), rtol=1e-13, atol=_CG_ATOL, maxiter=_CG_MAXITER, M=m_op)
+        if info != 0:
+            residual = float(np.linalg.norm(a_op @ x - rhs))
+            if residual > _CG_ATOL * (1.0 + float(np.linalg.norm(rhs))):
+                raise LinearSolveFailure(
+                    f"conjugate gradient stalled at residual {residual:.3e} after {_CG_MAXITER} iterations"
+                )
+        return x
 
 
 def sav_split(domain: Domain) -> SavSplit:

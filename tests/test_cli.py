@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nematicq.cli import main
+from nematicq.errors import ConfigError
 from nematicq.field import seed_field
 from nematicq.fieldio import load_config, read_field, write_field
 
@@ -201,6 +203,22 @@ class TestConfigCommands:
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
             assert f"config key '{key}' must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value", [("flow", "max_steps", -5), ("landscape", "max_nodes", 0)])
+    def test_budget_below_one_exits_1(self, tmp_path, capsys, command, key, value):
+        # a budget that leaves nothing to run is a configuration mistake,
+        # not a solver failure (exit 2) or an empty result
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config key '{key}' must be positive, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overrides_are_range_checked(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        for key, value in (("max_searches", 0), ("tol", -1.0), ("scheme", "euler")):
+            with pytest.raises(ConfigError, match=key):
+                replace(cfg, **{key: value})
 
     @pytest.mark.parametrize("command", ["saddle", "string"])
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -280,13 +280,17 @@ class TestSineSolver:
 
     @staticmethod
     def assert_solves_and_applies(op, solver, gen):
-        for r in (gen.normal(size=op.shape[0]), gen.normal(size=(op.shape[0], 3))):
+        # vectors and blocks of 2 and 5 columns: the transforms run on
+        # (5m, nx, ny) planes, which must keep the columns and axes apart
+        n = op.shape[0]
+        for r in (gen.normal(size=n), gen.normal(size=(n, 2)), gen.normal(size=(n, 5))):
             x = solver.solve(r)
             assert x.shape == r.shape
             assert np.linalg.norm(op @ x - r) <= 1e-12 * np.linalg.norm(r)
             y = solver.apply(r)
             assert y.shape == r.shape
             assert np.linalg.norm(y - op @ r) <= 1e-12 * np.linalg.norm(op @ r)
+            assert np.linalg.norm(solver.solve(y) - r) <= 1e-12 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("boundary", ["tangent", "planar", "zero"])
     @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])

@@ -291,6 +291,26 @@ class TestFindSaddle:
             find_saddle(Quartic2D(), 0, np.array([1e-2, 0.0]))
         assert info.value.record.iterations > 0
 
+    def test_gradient_measured_once_at_the_record(self):
+        # the stopping test's |g| is the certificate's and the record's;
+        # a plain make_record measures it once too
+        class Counting(Quartic2D):
+            def __init__(self):
+                self.at = []
+
+            def gradient(self, x):
+                self.at.append(np.array(x, dtype=float))
+                return super().gradient(x)
+
+        sy = Counting()
+        rec = find_saddle(sy, 1, np.array([0.2, 0.8]))
+        assert sum(np.array_equal(x, rec.field) for x in sy.at) == 1
+        assert rec.grad_inf == float(np.abs(Quartic2D().gradient(rec.field)).max())
+        sy.at.clear()
+        again = make_record(sy, rec.field, k_hint=1)
+        assert sum(np.array_equal(x, rec.field) for x in sy.at) == 1
+        assert again.grad_inf == rec.grad_inf and again.morse_index == rec.morse_index
+
     def test_spectrum_length_is_index_plus_two_capped(self):
         assert quartic_record((1.0, 1.0)).lambda_spectrum.shape == (2,)
         assert quartic_record((0.0, 1.0), k_hint=1).lambda_spectrum.shape == (2,)

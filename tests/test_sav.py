@@ -121,6 +121,60 @@ class TestSplit:
             SavSplit(d)
 
 
+class TestDirectSolve:
+    """Each step's linear solve: Sherman-Morrison on the exact sine solve,
+    checked (and, with l2/l3, finished) by CG."""
+
+    @staticmethod
+    def residuals(split, dt, gen):
+        """Residual norms of solve_cn and solve_si on random data, and the
+        number of operator actions each made."""
+        calls = []
+        l_apply = split.l_apply
+
+        def counted(v):
+            calls.append(1)
+            return l_apply(v)
+
+        split.l_apply = counted
+        n = split.domain.n_dof
+        b, rhs = 0.3 * gen.normal(size=n), gen.normal(size=n)
+        x = split.solve_cn(dt, b, rhs)
+        n_cn = len(calls)
+        y = split.solve_si(dt, rhs)
+        n_si = len(calls) - n_cn
+        del split.l_apply
+        res_cn = np.linalg.norm(x / dt + 0.5 * split.l_apply(x) + b * (b @ x) - rhs)
+        res_si = np.linalg.norm(y / dt + split.l_apply(y) - rhs)
+        return res_cn, res_si, n_cn, n_si
+
+    @pytest.mark.parametrize("boundary", ["tangent", "planar"])
+    def test_one_operator_action_without_l2_l3(self, boundary):
+        split = SavSplit(tangent_domain(8, boundary=boundary))
+        gen = make_rng(3, "test:sav:direct")
+        # dt changes back and forth, so a stale cached solver would show
+        for dt in (1e-3, 2.0, 1e-3):
+            res_cn, res_si, n_cn, n_si = self.residuals(split, dt, gen)
+            assert n_cn == n_si == 1
+            assert res_cn <= 1e-10 and res_si <= 1e-10
+
+    def test_residual_within_tolerance_with_l2_l3(self):
+        split = SavSplit(tangent_domain(8, l2=0.6, l3=0.4))
+        gen = make_rng(4, "test:sav:direct")
+        for dt in (1e-3, 2.0):
+            res_cn, res_si, n_cn, n_si = self.residuals(split, dt, gen)
+            assert n_cn > 1 and n_si > 1
+            assert res_cn <= 1e-10 and res_si <= 1e-10
+
+    def test_planar_flow_keeps_its_trajectory(self):
+        # step count and end energy of this flow as recorded before the
+        # direct solve; the solve only shifts rounding
+        d = tangent_domain(16, boundary="planar")
+        out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
+        assert steps == 388
+        assert abs(out.energy() - 14.230663497098234) <= 1e-12
+
+
 class TestStep:
     def test_stationary_fixed_point(self):
         d = tangent_domain(6, lambda2=5.0)
