@@ -192,12 +192,14 @@ def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, seed:
 
 
 def make_record(
-    system: System, x: np.ndarray, tol_grad: float = 1e-8, seed: int = 0, k_hint: int = 0,
-    *, grad_inf: float | None = None,
+    system: System, x: np.ndarray, tol_grad: float = 1e-8, seed: int = 0, k_hint: int = 0
 ) -> SaddleRecord:
-    """Certify x as classify_stationary does and keep its eigenpairs;
-    `grad_inf` passes on the |g|inf at x the caller already measured."""
-    g_inf = float(np.abs(system.gradient(x)).max()) if grad_inf is None else grad_inf
+    """Certify x by classify_stationary and keep its eigenpairs."""
+    return _record(system, x, float(np.abs(system.gradient(x)).max()), tol_grad, seed, k_hint)
+
+
+def _record(system: System, x: np.ndarray, g_inf: float, tol_grad: float, seed: int, k_hint: int):
+    """make_record at a point whose gradient inf-norm g_inf is known."""
     m, spectrum, rep = _certify(system, x, g_inf, tol_grad, seed, k_hint)
     return SaddleRecord(
         field=np.array(x, dtype=float),
@@ -264,9 +266,7 @@ def find_saddle(
         g = system.gradient(state.x)
         g_inf = float(np.abs(g).max())
         if g_inf < opts.tol_grad:
-            record = replace(
-                make_record(system, state.x, opts.tol_grad, opts.seed, k, grad_inf=g_inf), iterations=it
-            )
+            record = replace(_record(system, state.x, g_inf, opts.tol_grad, opts.seed, k), iterations=it)
             if record.morse_index != k:
                 raise WrongIndex(record.morse_index, k, record=record)
             return record

@@ -442,7 +442,7 @@ class TestLandscape:
         seed = quartic_record((0.0, 0.0), k_hint=2)
         for max_index in (None, 2):
             eigs = count_calls(monkeypatch, hisd, "smallest_eigs")
-            records = count_calls(monkeypatch, hisd, "make_record")
+            records = count_calls(monkeypatch, hisd, "_record")
             build_landscape(Quartic2D(), seed, LandscapeOptions(max_index=max_index))
             assert records and len(eigs) == len(records)
             monkeypatch.undo()

@@ -17,6 +17,7 @@ from nematicq.hisd import (
     classify_stationary,
     downward_search,
     hisd_step,
+    make_record,
     upward_search,
 )
 from nematicq.mep import find_mep, refine_multiscale, reparametrize
@@ -43,6 +44,7 @@ def test_spectrum_and_certificate_parameters():
     assert params(solve_smallest) == ["apply_h", "n", "k", "seed", "precond"]
     assert params(operator_scale) == ["apply_h", "n", "seed"]
     assert params(classify_stationary) == ["system", "x", "tol_grad", "seed", "k_hint"]
+    assert params(make_record) == ["system", "x", "tol_grad", "seed", "k_hint"]
     assert params(downward_search) == ["system", "parent", "k", "opts", "errors_out"]
     assert params(upward_search) == ["system", "child", "k", "opts", "errors_out"]
     assert params(solve_profile) == ["p", "R", "N"]

@@ -174,6 +174,15 @@ class TestDirectSolve:
         assert steps == 388
         assert abs(out.energy() - 14.230663497098234) <= 1e-12
 
+    def test_l2_l3_flow_keeps_its_trajectory_to_the_cg_tolerance(self):
+        # CG now starts from the Sherman-Morrison solution and stops at a
+        # different iterate inside the same atol, so the end state moves
+        # at that level rather than at the rounding level
+        d = tangent_domain(16, boundary="planar", l2=0.6, l3=0.4)
+        out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
+        assert steps == 233
+        assert abs(out.energy() - 21.547831753032415) <= 1e-10
+
 
 class TestStep:
     def test_stationary_fixed_point(self):
