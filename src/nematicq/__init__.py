@@ -67,7 +67,7 @@ from .qtensor import (
     trq3,
     uniaxial_components,
 )
-from .sav import SavSplit, flow_to_equilibrium, sav_init, sav_split, sav_step, semi_implicit_step
+from .sav import SavSplit, flow_to_equilibrium, sav_init, sav_split, sav_step
 from .spectrum import SpectrumReport, smallest_eigs
 from .systems import System, make_rng
 
@@ -139,7 +139,6 @@ __all__ = [
     "sav_split",
     "sav_step",
     "seed_field",
-    "semi_implicit_step",
     "smallest_eigs",
     "solve_branches",
     "solve_profile",

@@ -116,9 +116,7 @@ def cmd_flow(args) -> int:
         init = seed_field(cfg.domain(), cfg.init, cfg.seed)
         trace: list = []
         try:
-            f, steps = flow_to_equilibrium(
-                init, cfg.dt, tol_grad=cfg.tol, max_steps=cfg.max_steps, trace=trace, scheme=cfg.scheme
-            )
+            f, steps = flow_to_equilibrium(init, cfg.dt, tol_grad=cfg.tol, max_steps=cfg.max_steps, trace=trace)
         finally:
             write_trajectory(run.path("trajectory.csv"), trace)
         # the flow has just met cfg.tol, so the certificate can demand it

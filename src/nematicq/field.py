@@ -20,12 +20,15 @@ from .qtensor import BulkParams, critical_points, sym_components, to_matrix
 from .systems import make_rng
 
 __all__ = [
+    "BOUNDARY_KINDS",
     "Domain",
     "QField",
     "seed_field",
     "symmetrize",
     "square_symmetry_orbit",
 ]
+
+BOUNDARY_KINDS = ("tangent", "planar", "zero")  # the named Dirichlet data; see Domain
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +62,7 @@ class Domain:
             raise ShapeMismatch(f"grid needs nx, ny >= 4, got {self.nx} x {self.ny}")
         if not (self.lambda2 > 0) or not np.isfinite(self.lambda2):
             raise ShapeMismatch(f"lambda2 must be positive, got {self.lambda2}")
-        if isinstance(self.boundary, str) and self.boundary not in (
-            "tangent",
-            "planar",
-            "zero",
-        ):
+        if isinstance(self.boundary, str) and self.boundary not in BOUNDARY_KINDS:
             raise ShapeMismatch(f"unknown boundary kind {self.boundary!r}")
 
     @property

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import subprocess
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, ShapeMismatch
-from .field import Domain, QField
+from .field import BOUNDARY_KINDS, Domain, QField
 from .qtensor import BulkParams
 
 __all__ = [
@@ -111,7 +111,7 @@ def read_field(path, domain: Domain | None = None) -> QField:
         *(_parse_float(tok, 1, k + 3) for k, tok in enumerate(head[2:8])),
         *head[8:],
     )
-    if header[8:] and header[8] not in ("tangent", "planar", "zero", "custom"):
+    if header[8:] and header[8] not in (*BOUNDARY_KINDS, "custom"):
         raise ParseError(f"unknown boundary kind {header[8]!r}", line=1, column=9)
     if domain is None:
         if len(header) == 6:
@@ -292,7 +292,6 @@ class RunConfig:
     seed: int = 0
     tol: float = 1e-8
     dt: float = 0.1
-    scheme: str = "sav"
     init: str = "isotropic"
     out_dir: str = "out"
     max_steps: int = 100_000
@@ -308,12 +307,10 @@ class RunConfig:
             # a budget below one step, node or search leaves nothing to run
             if not getattr(self, key) > 0:
                 raise ConfigError(f"config key {key!r} must be positive, got {getattr(self, key)!r}")
-        if self.scheme not in ("sav", "semi_implicit"):
-            raise ConfigError(f"config key 'scheme' must be 'sav' or 'semi_implicit', got {self.scheme!r}")
-        if self.boundary not in ("tangent", "planar", "zero"):
-            raise ConfigError(
-                f"config key 'boundary' must be 'tangent', 'planar' or 'zero', got {self.boundary!r}"
-            )
+        if self.boundary not in BOUNDARY_KINDS:
+            *head, last = BOUNDARY_KINDS
+            kinds = ", ".join(map(repr, head)) + f" or {last!r}"
+            raise ConfigError(f"config key 'boundary' must be {kinds}, got {self.boundary!r}")
 
     def domain(self) -> Domain:
         return Domain(
@@ -330,12 +327,13 @@ class RunConfig:
         return asdict(self)
 
 
-_REQUIRED_KEYS = ("nx", "ny", "lambda2", "a", "b", "c")
-_ALLOWED_KEYS = frozenset(RunConfig.__dataclass_fields__)
-_INT_KEYS = frozenset(
-    {"nx", "ny", "seed", "max_steps", "n_nodes", "k", "max_nodes", "max_searches", "max_index"}
-)
-_REAL_KEYS = frozenset({"lambda2", "a", "b", "c", "L2", "L3", "tol", "dt"})
+# annotation of a RunConfig field -> (JSON values it accepts, what an error calls them)
+_JSON_TYPES = {
+    "int": (int, "an integer"),
+    "int | None": ((int, type(None)), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+}
 
 
 def load_config(path) -> RunConfig:
@@ -347,23 +345,17 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    schema = {f.name: f for f in fields(RunConfig)}
     for key in raw:
-        if key not in _ALLOWED_KEYS:
+        if key not in schema:
             raise ConfigError(f"unknown config key {key!r}")
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
+    for key, f in schema.items():
+        if f.default is MISSING and key not in raw:
             raise ConfigError(f"missing required config key {key!r}")
     for key, value in raw.items():
-        if key in _INT_KEYS:
-            if value is None and key == "max_index":
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-        elif key in _REAL_KEYS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        elif not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
+        accepted, kind = _JSON_TYPES[schema[key].type]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
     return RunConfig(**raw)
 
 

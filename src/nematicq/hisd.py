@@ -184,7 +184,7 @@ def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, seed:
     k_query = min(n, max(2, k_hint + 2))
     while True:
         rep = smallest_eigs(system, x, k_query, seed=seed)
-        m = int(np.sum(rep.eigenvalues < -rep.tol_eig))
+        m = rep.morse_index
         if m + 2 <= k_query or k_query >= n:
             break
         k_query = min(n, m + 2)

@@ -39,6 +39,8 @@ _CHORD_SPREAD_TOL = 1e-8
 _MAX_BACKTRACKS = 30
 # resampling passes allowed to reach uniform spacing (reparametrize)
 _MAX_PASSES = 200
+# evolve/reparametrize sweeps allowed to bring a string below tol (find_mep, refine_multiscale)
+_MAX_SWEEPS = 5_000
 
 
 @dataclass(frozen=True)
@@ -212,12 +214,12 @@ def _refine_ts(system: System, x0: np.ndarray, tol: float, seed: int = 0) -> Sad
         ) from err
 
 
-def _string_loop(path: Path, tol: float, max_sweeps: int) -> Path:
+def _string_loop(path: Path, tol: float) -> Path:
     # one step for every sweep: 1/|H| at the middle node
     mid = path.nodes[path.n_nodes // 2]
     base_step = 1.0 / operator_scale(lambda w: path.system.hessian_vec(mid, w), mid.size)
     path = reparametrize(path)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if perpendicular_residual(path) < tol:
             return path
         path = evolve_step(path, base_step)
@@ -226,8 +228,8 @@ def _string_loop(path: Path, tol: float, max_sweeps: int) -> Path:
     if residual < tol:
         return path
     raise NoConvergence(
-        f"string residual {residual:.3e} above {tol:.3e} after {max_sweeps} sweeps",
-        iterations=max_sweeps,
+        f"string residual {residual:.3e} above {tol:.3e} after {_MAX_SWEEPS} sweeps",
+        iterations=_MAX_SWEEPS,
         residual=residual,
     )
 
@@ -251,7 +253,6 @@ def find_mep(
     n_nodes: int = 16,
     tol: float = 1e-6,
     system: System | None = None,
-    max_sweeps: int = 5_000,
     ts_tol: float | None = None,
     seed: int = 0,
 ) -> MepResult:
@@ -278,7 +279,7 @@ def find_mep(
             raise NotStationary(g_inf, 10.0 * tol)
     frac = np.linspace(0.0, 1.0, n_nodes)[:, None]
     path = Path.from_nodes(system, (1.0 - frac) * xa + frac * xb)
-    path = _string_loop(path, tol, max_sweeps)
+    path = _string_loop(path, tol)
     ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
     return _finish(path.energies[0], path.energies[-1], path, ts_tol, seed)
 
@@ -287,7 +288,6 @@ def refine_multiscale(
     coarse: Path,
     fine_n: int = 16,
     tol: float = 1e-8,
-    max_sweeps: int = 5_000,
     ts_tol: float | None = None,
     seed: int = 0,
 ) -> MepResult:
@@ -305,6 +305,6 @@ def refine_multiscale(
     frac = np.linspace(0.0, 1.0, fine_n)[:, None]
     nodes = (1.0 - frac) * coarse.nodes[lo] + frac * coarse.nodes[hi]
     fine = Path.from_nodes(coarse.system, nodes)
-    fine = _string_loop(fine, tol, max_sweeps)
+    fine = _string_loop(fine, tol)
     ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
     return _finish(coarse.energies[0], coarse.energies[-1], fine, ts_tol, seed)

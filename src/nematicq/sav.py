@@ -12,10 +12,8 @@ the flow dq/dt = -grad F is integrated by a Crank-Nicolson scheme in
 
     1/2 q.Lq + c.q + r^2
 
-non-increasing for every step size.  A semi-implicit one-step scheme
-(implicit in L, explicit in the remainder) is kept as a baseline.
-`flow_to_equilibrium(init, dt, scheme="sav" | "semi_implicit")` is the
-one loop that runs either scheme to a stationary field.
+non-increasing for every step size.  `flow_to_equilibrium(init, dt)`
+runs that scheme to a stationary field.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "sav_split",
     "sav_init",
     "sav_step",
-    "semi_implicit_step",
     "flow_to_equilibrium",
 ]
 
@@ -81,7 +78,7 @@ class SavSplit:
         self.c0 = 1.0 - _shifted_uniaxial_floor(domain, self.a1)
         self.shift = elastic_shift_vector(domain)
         self._hw = domain.hx * domain.hy
-        self._solvers: dict = {}  # c1 -> (dt, SineSolver of I/dt + c1 L1)
+        self._solver: tuple | None = None  # (dt, SineSolver of I/dt + L1/2)
 
     def l_apply(self, flat: np.ndarray) -> np.ndarray:
         values = flat.reshape(self.domain.shape)
@@ -113,22 +110,14 @@ class SavSplit:
         return quad + r * r + self._constant
 
     def solve_cn(self, dt: float, bvec: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I/dt + L/2 + b b^T) x = rhs, directly when l2 = l3 = 0; see _solve."""
-        return self._solve(dt, 0.5, rhs, bvec)
-
-    def solve_si(self, dt: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I/dt + L) x = rhs, directly when l2 = l3 = 0; see _solve."""
-        return self._solve(dt, 1.0, rhs, np.zeros(rhs.size))
-
-    def _solve(self, dt: float, c1: float, rhs: np.ndarray, bvec: np.ndarray) -> np.ndarray:
-        """Solve (I/dt + c1 L + b b^T) x = rhs by CG, started from and preconditioned by
-        (P + b b^T)^-1 by Sherman-Morrison, P = I/dt + c1 L1 a SineSolver kept per (c1, dt)
-        and L1 the one-constant part of L; when l2 = l3 = 0 CG stops at its first check."""
+        """Solve (I/dt + L/2 + b b^T) x = rhs by CG, started from and preconditioned by
+        (P + b b^T)^-1 by Sherman-Morrison, P = I/dt + L1/2 a SineSolver kept for the last
+        dt and L1 the one-constant part of L; when l2 = l3 = 0 CG stops at its first check."""
         n = rhs.size
-        if self._solvers.get(c1, (None,))[0] != dt:
-            self._solvers[c1] = (dt, SineSolver(self.domain, 1.0 / dt, c1, self.a1 * self._hw))
-        p = self._solvers[c1][1]
-        u = p.solve(bvec) if bvec.any() else bvec
+        if self._solver is None or self._solver[0] != dt:
+            self._solver = (dt, SineSolver(self.domain, 1.0 / dt, 0.5, self.a1 * self._hw))
+        p = self._solver[1]
+        u = p.solve(bvec)
         denom = 1.0 + float(bvec @ u)
 
         def precond(v):
@@ -136,7 +125,7 @@ class SavSplit:
             return z - u * (float(bvec @ z) / denom)
 
         def matvec(v):
-            return v / dt + c1 * self.l_apply(v) + bvec * float(bvec @ v)
+            return v / dt + 0.5 * self.l_apply(v) + bvec * float(bvec @ v)
 
         a_op = LinearOperator((n, n), matvec=matvec, dtype=float)
         m_op = LinearOperator((n, n), matvec=precond, dtype=float)
@@ -209,16 +198,6 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
     )
 
 
-def semi_implicit_step(f: QField, dt: float, split: SavSplit | None = None) -> QField:
-    """First-order baseline: implicit in L, explicit in the remainder."""
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
-    split = split or sav_split(f.domain)
-    q = f.flat
-    rhs = q / dt - split.shift - split.grad_f1(q)
-    return QField.from_flat(f.domain, split.solve_si(dt, rhs))
-
-
 def flow_to_equilibrium(
     init: QField,
     dt: float,
@@ -226,17 +205,13 @@ def flow_to_equilibrium(
     max_steps: int = 100_000,
     trace: list | None = None,
     reset_every: int = 20,
-    scheme: str = "sav",
 ) -> tuple[QField, int]:
-    """Step `scheme` until the true gradient inf-norm drops below tol_grad.
+    """Step sav_step until the true gradient inf-norm drops below tol_grad.
 
-    `scheme` is "sav" (sav_step) or "semi_implicit" (semi_implicit_step).
     Returns (field, steps).  A stationary input returns after 0 steps.
     `trace`, if given, collects (step, time, energy, modified_energy,
-    grad_inf_norm) rows suitable for the trajectory CSV; the
-    semi-implicit scheme has no auxiliary scalar, so its modified energy
-    repeats the energy.  Stability of the returned field is the caller's
-    to certify.
+    grad_inf_norm) rows suitable for the trajectory CSV.  Stability of
+    the returned field is the caller's to certify.
 
     Every `reset_every` SAV steps the auxiliary scalar is re-initialized
     to sqrt(F1).  Without this the stepper can settle on a fixed point of
@@ -245,8 +220,6 @@ def flow_to_equilibrium(
     touch the scalar, so the fields visited stay on the same discrete
     trajectory up to O(dt^2); pass reset_every = 0 to disable.
     """
-    if scheme not in ("sav", "semi_implicit"):
-        raise ValidationError(f"flow scheme must be 'sav' or 'semi_implicit', got {scheme!r}")
     split = sav_split(init.domain)
     d = init.domain
 
@@ -256,8 +229,7 @@ def flow_to_equilibrium(
     def record(state: SavState, g: float) -> None:
         if trace is not None:
             e = state.field.energy()
-            e_mod = split.modified_energy(state.field.flat, state.r) if scheme == "sav" else e
-            trace.append((state.step, state.time, e, e_mod, g))
+            trace.append((state.step, state.time, e, split.modified_energy(state.field.flat, state.r), g))
 
     state = sav_init(init, split)
     g = grad_inf(state.field.values)
@@ -265,12 +237,9 @@ def flow_to_equilibrium(
     if g < tol_grad:
         return init, 0
     for k in range(1, max_steps + 1):
-        if scheme == "sav":
-            state = sav_step(state, dt, split)
-            if reset_every and k % reset_every == 0:
-                state = replace(state, r=float(np.sqrt(split.f1(state.field.flat))))
-        else:
-            state = SavState(semi_implicit_step(state.field, dt, split), state.r, step=k, time=k * dt)
+        state = sav_step(state, dt, split)
+        if reset_every and k % reset_every == 0:
+            state = replace(state, r=float(np.sqrt(split.f1(state.field.flat))))
         g = grad_inf(state.field.values)
         record(state, g)
         if g < tol_grad:

@@ -216,7 +216,7 @@ class TestConfigCommands:
 
     def test_overrides_are_range_checked(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        for key, value in (("max_searches", 0), ("tol", -1.0), ("scheme", "euler")):
+        for key, value in (("max_searches", 0), ("tol", -1.0)):
             with pytest.raises(ConfigError, match=key):
                 replace(cfg, **{key: value})
 
@@ -238,17 +238,6 @@ class TestConfigCommands:
         rc = main(["string", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "field-a" in capsys.readouterr().err
-
-    def test_semi_implicit_flow(self, tmp_path):
-        cfg = write_config(tmp_path, tol=1e-5, dt=0.5, scheme="semi_implicit")
-        out = tmp_path / "out"
-        assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
-        steps = json.loads((out / "flow.json").read_text())["steps"]
-        lines = (out / "trajectory.csv").read_text().splitlines()
-        assert steps > 0
-        assert len(lines) == steps + 2
-        rows = [line.split(",") for line in lines[1:]]
-        assert all(row[3] == row[2] for row in rows)
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, init="random(0.5)", seed=3)

@@ -258,7 +258,6 @@ class TestConfig:
     def test_defaults_fill_in(self, tmp_path):
         cfg = load_config(self.write(tmp_path, self.base()))
         assert cfg.L2 == 0.0 and cfg.L3 == 0.0
-        assert cfg.scheme == "sav"
         d = cfg.domain()
         assert d.nx == 8 and d.lambda2 == 5.0
         assert d.boundary == "tangent"
@@ -290,8 +289,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nx"):
             load_config(self.write(tmp_path, payload))
         payload = self.base()
-        payload["scheme"] = "verlet"
-        with pytest.raises(ConfigError, match="scheme"):
+        payload["init"] = 3
+        with pytest.raises(ConfigError, match="'init' must be a string"):
             load_config(self.write(tmp_path, payload))
 
     def test_not_json(self, tmp_path):

@@ -222,7 +222,7 @@ class TestFindMep:
         # the string residual floors out at the resolution/step limit, so
         # the tolerance is coarse; the refined transition state is not
         sy = CurvedWell()
-        res = find_mep([-1.0, 0.5], [1.0, 0.5], n_nodes=24, tol=0.15, system=sy, max_sweeps=2000)
+        res = find_mep([-1.0, 0.5], [1.0, 0.5], n_nodes=24, tol=0.15, system=sy)
         assert np.abs(res.ts_field).max() < 1e-6
         assert abs(res.barrier_forward - 1.0) < 1e-6
         assert abs(res.barrier_backward - 1.0) < 1e-6
@@ -307,7 +307,7 @@ class TestMultiscale:
 
     def test_converged_top_is_left_alone(self):
         sy = CurvedWell()
-        coarse = find_mep([-1.0, 0.5], [1.0, 0.5], n_nodes=32, tol=0.15, system=sy, max_sweeps=2000)
+        coarse = find_mep([-1.0, 0.5], [1.0, 0.5], n_nodes=32, tol=0.15, system=sy)
         fine = refine_multiscale(coarse.path, fine_n=9, tol=5e-3)
         # both transition states are climbing-refined to 1e-8, so the
         # fine pass has nothing left to improve

@@ -10,6 +10,7 @@ import inspect
 from dataclasses import fields
 
 from nematicq.cli import build_parser
+from nematicq.fieldio import RunConfig
 from nematicq.hedgehog import solve_profile
 from nematicq.hisd import (
     LandscapeOptions,
@@ -22,6 +23,7 @@ from nematicq.hisd import (
 )
 from nematicq.mep import find_mep, refine_multiscale, reparametrize
 from nematicq.minimize import MinimizeOptions
+from nematicq.sav import flow_to_equilibrium
 from nematicq.spectrum import operator_scale, smallest_eigs, solve_smallest
 
 
@@ -37,6 +39,10 @@ def test_option_fields():
     assert names(SaddleOptions) == ["tol_grad", "max_iters", "seed"]
     assert names(MinimizeOptions) == ["tol_grad", "max_iters", "project"]
     assert names(LandscapeOptions) == ["search", "max_nodes", "max_searches", "max_index"]
+    assert names(RunConfig) == [
+        "nx", "ny", "lambda2", "a", "b", "c", "L2", "L3", "boundary", "seed", "tol", "dt",
+        "init", "out_dir", "max_steps", "n_nodes", "k", "max_nodes", "max_searches", "max_index",
+    ]
 
 
 def test_spectrum_and_certificate_parameters():
@@ -52,9 +58,10 @@ def test_spectrum_and_certificate_parameters():
 
 def test_string_and_step_parameters():
     assert params(reparametrize) == ["p"]
-    assert params(find_mep) == ["a", "b", "n_nodes", "tol", "system", "max_sweeps", "ts_tol", "seed"]
-    assert params(refine_multiscale) == ["coarse", "fine_n", "tol", "max_sweeps", "ts_tol", "seed"]
+    assert params(find_mep) == ["a", "b", "n_nodes", "tol", "system", "ts_tol", "seed"]
+    assert params(refine_multiscale) == ["coarse", "fine_n", "tol", "ts_tol", "seed"]
     assert params(hisd_step) == ["system", "state", "dt", "grad"]
+    assert params(flow_to_equilibrium) == ["init", "dt", "tol_grad", "max_steps", "trace", "reset_every"]
 
 
 def cli_flags():
