@@ -153,7 +153,7 @@ def cmd_string(args) -> int:
         write_mep_summary(run.path("summary.json"), result)
     print(
         f"string: barrier_forward={result.barrier_forward:.12g} "
-        f"barrier_backward={result.barrier_backward:.12g} ts_lambda1={result.ts_lambda1:.6g}"
+        f"barrier_backward={result.barrier_backward:.12g} ts_lambda1={result.ts_lambda1:.6g} sweeps={result.sweeps}"
     )
     return 0
 

@@ -233,14 +233,8 @@ def write_path_nodes(out_dir, mep_path, domain: Domain | None = None) -> list[st
 
 
 def write_mep_summary(path, result) -> None:
-    write_json(
-        path,
-        {
-            "barrier_forward": result.barrier_forward,
-            "barrier_backward": result.barrier_backward,
-            "ts_lambda1": result.ts_lambda1,
-        },
-    )
+    keys = ("barrier_forward", "barrier_backward", "ts_lambda1", "sweeps")
+    write_json(path, {key: getattr(result, key) for key in keys})
 
 
 def write_landscape(out_dir, graph, domain: Domain | None = None) -> list[str]:

@@ -1,13 +1,13 @@
 """Minimal energy paths by the two-step string method.
 
 A path is a polyline of N fields between two stationary endpoints.  Each
-sweep moves every interior node down the full gradient (step 1) and then
-redistributes nodes to equal arc length by linear interpolation (step 2),
-as in the simplified string method; the reparametrization supplies the
-tangential control that makes the plain-descent step well posed.  The
+sweep moves every interior node downhill (step 1) and then redistributes
+nodes to equal arc length by linear interpolation (step 2), as in the
+simplified string method.  The normal part of each move is preconditioned
+by the system's metric M, as in the preconditioned string of Makri,
+Ortner and Kermode, so the sweep count does not grow with the grid.  The
 converged string's energy maximum seeds an index-1 climbing refinement,
-and the refined transition state is certified through its leading
-Hessian eigenvalues.
+certified through its leading Hessian eigenvalues.
 """
 
 from __future__ import annotations
@@ -22,16 +22,10 @@ from .field import QField
 from .hisd import SaddleOptions, SaddleRecord, find_saddle
 from .spectrum import operator_scale
 from .spectrum import smallest_eigs  # noqa: F401  no caller here; perfbench/tracing.py rebinds mep.smallest_eigs
-from .systems import System
+from .systems import System, preconditioner_of
 
 __all__ = [
-    "Path",
-    "MepResult",
-    "evolve_step",
-    "reparametrize",
-    "find_mep",
-    "refine_multiscale",
-    "perpendicular_residual",
+    "Path", "MepResult", "evolve_step", "reparametrize", "perpendicular_residual", "find_mep", "refine_multiscale"
 ]
 
 _CHORD_SPREAD_TOL = 1e-8
@@ -95,11 +89,15 @@ class MepResult:
     barrier_forward: float
     barrier_backward: float
     ts_lambda1: float
+    sweeps: int  # evolve/reparametrize sweeps the string took
 
 
 def evolve_step(p: Path, base_step: float) -> Path:
-    """Step 1: move every interior node down its full gradient.
+    """Step 1: move every interior node i along d_i = g_i + Π_i(M⁻¹Π_i g_i − Π_i g_i).
 
+    Π_i = I − τ_iτ_iᵀ removes the unit tangent τ_i (``_tangents``); M⁻¹,
+    from ``preconditioner_of(system)``, is one block solve over all nodes.
+    d_i vanishes exactly where Π_i g_i does, gᵀd ≥ 0, and with M = I, d = g.
     The per-node step starts at the shared ``base_step`` and halves until
     the node's energy does not increase; a node that cannot descend stays
     put.  Endpoints are untouched.  Node updates are mutually independent;
@@ -108,12 +106,14 @@ def evolve_step(p: Path, base_step: float) -> Path:
     system = p.system
     if base_step <= 0.0:
         raise ValidationError("base step must be positive")
-    nodes = p.nodes.copy()
-    energies = p.energies.copy()
+    tangent = _tangents(p.nodes)
+    pg = _normal(p.gradients, tangent)
+    d = p.gradients + _normal(preconditioner_of(system).solve(pg.T).T - pg, tangent)
+    nodes, energies = p.nodes.copy(), p.energies.copy()
     active = np.arange(1, p.n_nodes - 1)  # nodes still backtracking
     step = base_step
     for _ in range(_MAX_BACKTRACKS + 1):
-        trial = p.nodes[active] - step * p.gradients[active - 1]
+        trial = p.nodes[active] - step * d[active - 1]
         e_trial = system.energies(trial)
         ok = np.isfinite(e_trial) & (e_trial <= energies[active])
         nodes[active[ok]] = trial[ok]
@@ -123,6 +123,18 @@ def evolve_step(p: Path, base_step: float) -> Path:
             break
         step *= 0.5
     return Path.from_nodes(system, nodes, energies)
+
+
+def _tangents(nodes: np.ndarray) -> np.ndarray:
+    """Unit chords nodes[i + 1] - nodes[i - 1] (row i - 1 for node i); zero where the chord is."""
+    tangent = nodes[2:] - nodes[:-2]
+    nt = np.linalg.norm(tangent, axis=1)[:, None]
+    return np.divide(tangent, nt, out=np.zeros_like(tangent), where=nt > 0.0)
+
+
+def _normal(v: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """Each row of v minus its component along the matching unit tangent."""
+    return v - np.sum(v * tangent, axis=1)[:, None] * tangent
 
 
 def _spread(chords: np.ndarray) -> float:
@@ -161,14 +173,12 @@ def reparametrize(p: Path) -> Path:
     interior energies; endpoints and their energies come back
     bit-identical.
     """
-    nodes = p.nodes
-    spread = _spread(_chords(nodes))
-    if spread < _CHORD_SPREAD_TOL:
+    if p.chord_spread() < _CHORD_SPREAD_TOL:
         return p
+    nodes = p.nodes
     for _ in range(_MAX_PASSES):
         nodes = _resample(nodes)
-        spread = _spread(_chords(nodes))
-        if spread < _CHORD_SPREAD_TOL:
+        if (spread := _spread(_chords(nodes))) < _CHORD_SPREAD_TOL:
             energies = p.energies.copy()
             energies[1:-1] = p.system.energies(nodes[1:-1])
             return Path.from_nodes(p.system, nodes, energies)
@@ -182,12 +192,7 @@ def reparametrize(p: Path) -> Path:
 def perpendicular_residual(p: Path) -> float:
     """Max over interior nodes of the gradient component normal to the chord
     nodes[i + 1] - nodes[i - 1]; where that chord is zero, of the whole gradient."""
-    tangent = p.nodes[2:] - p.nodes[:-2]
-    nt = np.linalg.norm(tangent, axis=1)[:, None]
-    tangent = np.divide(tangent, nt, out=np.zeros_like(tangent), where=nt > 0.0)
-    g = p.gradients
-    g = g - np.sum(g * tangent, axis=1)[:, None] * tangent
-    return float(np.abs(g).max())
+    return float(np.abs(_normal(p.gradients, _tangents(p.nodes))).max())
 
 
 def _as_flat(field, system: System | None):
@@ -214,36 +219,40 @@ def _refine_ts(system: System, x0: np.ndarray, tol: float, seed: int = 0) -> Sad
         ) from err
 
 
-def _string_loop(path: Path, tol: float) -> Path:
-    # one step for every sweep: 1/|H| at the middle node
-    mid = path.nodes[path.n_nodes // 2]
-    base_step = 1.0 / operator_scale(lambda w: path.system.hessian_vec(mid, w), mid.size)
+def _string_loop(path: Path, tol: float) -> tuple[Path, int]:
+    # one step for every sweep: 1/ρ(M⁻¹H) at the middle node
+    system, mid = path.system, path.nodes[path.n_nodes // 2]
+    precond = preconditioner_of(system)
+    base_step = 1.0 / operator_scale(lambda w: precond.solve(system.hessian_vec(mid, w)), mid.size)
     path = reparametrize(path)
-    for _ in range(_MAX_SWEEPS):
-        if perpendicular_residual(path) < tol:
-            return path
+    sweeps = 0
+    while (residual := perpendicular_residual(path)) >= tol:
+        if sweeps == _MAX_SWEEPS:
+            raise NoConvergence(
+                f"string residual {residual:.3e} above {tol:.3e} after {_MAX_SWEEPS} sweeps",
+                iterations=_MAX_SWEEPS,
+                residual=residual,
+            )
         path = evolve_step(path, base_step)
         path = reparametrize(path)
-    residual = perpendicular_residual(path)
-    if residual < tol:
-        return path
-    raise NoConvergence(
-        f"string residual {residual:.3e} above {tol:.3e} after {_MAX_SWEEPS} sweeps",
-        iterations=_MAX_SWEEPS,
-        residual=residual,
-    )
+        sweeps += 1
+    return path, sweeps
 
 
-def _finish(global_e0: float, global_e1: float, path: Path, ts_tol: float, seed: int) -> MepResult:
+def _solve(path: Path, e0: float, e1: float, tol: float, ts_tol: float | None, seed: int) -> MepResult:
+    """Converge the string, then refine and certify its top; barriers are measured from e0 and e1."""
+    path, sweeps = _string_loop(path, tol)
     ts_index = int(np.argmax(path.energies))
+    ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
     ts = _refine_ts(path.system, path.nodes[ts_index].copy(), ts_tol, seed)
     return MepResult(
         path=path,
         ts_index=ts_index,
         ts_field=ts.field,
-        barrier_forward=ts.energy - global_e0,
-        barrier_backward=ts.energy - global_e1,
+        barrier_forward=ts.energy - e0,
+        barrier_backward=ts.energy - e1,
         ts_lambda1=float(ts.lambda_spectrum[0]),
+        sweeps=sweeps,
     )
 
 
@@ -279,9 +288,7 @@ def find_mep(
             raise NotStationary(g_inf, 10.0 * tol)
     frac = np.linspace(0.0, 1.0, n_nodes)[:, None]
     path = Path.from_nodes(system, (1.0 - frac) * xa + frac * xb)
-    path = _string_loop(path, tol)
-    ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
-    return _finish(path.energies[0], path.energies[-1], path, ts_tol, seed)
+    return _solve(path, path.energies[0], path.energies[-1], tol, ts_tol, seed)
 
 
 def refine_multiscale(
@@ -305,6 +312,4 @@ def refine_multiscale(
     frac = np.linspace(0.0, 1.0, fine_n)[:, None]
     nodes = (1.0 - frac) * coarse.nodes[lo] + frac * coarse.nodes[hi]
     fine = Path.from_nodes(coarse.system, nodes)
-    fine = _string_loop(fine, tol)
-    ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
-    return _finish(coarse.energies[0], coarse.energies[-1], fine, ts_tol, seed)
+    return _solve(fine, coarse.energies[0], coarse.energies[-1], tol, ts_tol, seed)

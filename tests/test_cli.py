@@ -46,13 +46,15 @@ class TestToyCommands:
         emitted = sorted(p.name for p in tmp_path.iterdir())
         assert outputs == emitted
 
-    def test_string_toy_barrier(self, tmp_path):
+    def test_string_toy_barrier(self, tmp_path, capsys):
         rc = main(["string", "--toy", "--out", str(tmp_path)])
         assert rc == 0
         payload = json.loads((tmp_path / "summary.json").read_text())
         assert abs(payload["barrier_forward"] - 1.0) < 1e-4
         assert abs(payload["barrier_backward"] - 1.0) < 1e-4
         assert payload["ts_lambda1"] < 0.0
+        assert payload["sweeps"] == 0  # the straight start already lies on the axis path
+        assert capsys.readouterr().out.rstrip().endswith(f"sweeps={payload['sweeps']}")
         profile = (tmp_path / "profile.csv").read_text().splitlines()
         assert profile[0] == "node,alpha,energy"
         assert len(profile) == 17

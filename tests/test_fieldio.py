@@ -189,8 +189,9 @@ class TestTables:
         res = find_mep(np.array([-1.0, 0.0]), np.array([1.0, 0.0]), n_nodes=8, system=system)
         write_mep_summary(tmp_path / "summary.json", res)
         payload = json.loads((tmp_path / "summary.json").read_text())
-        assert set(payload) == {"barrier_forward", "barrier_backward", "ts_lambda1"}
+        assert set(payload) == {"barrier_forward", "barrier_backward", "ts_lambda1", "sweeps"}
         assert payload["barrier_forward"] == res.barrier_forward
+        assert payload["sweeps"] == res.sweeps
 
     def test_branches_rows(self, tmp_path):
         points = solve_branches(7.0)

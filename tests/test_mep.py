@@ -15,7 +15,9 @@ from nematicq.errors import (
 from nematicq.field import Domain, seed_field
 from nematicq.mep import (
     Path,
+    _normal,
     _refine_ts,
+    _tangents,
     evolve_step,
     find_mep,
     perpendicular_residual,
@@ -119,7 +121,8 @@ def test_one_sweep_evaluates_each_interior_gradient_once():
 
 
 class RowByRow(System):
-    """Forwards only energy and gradient, so the base-class block loops run."""
+    """Forwards energy, gradient and the metric only, so the base-class
+    block loops run in the same metric as the wrapped system."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -130,6 +133,9 @@ class RowByRow(System):
 
     def gradient(self, x):
         return self.inner.gradient(x)
+
+    def preconditioner(self):
+        return self.inner.preconditioner()
 
 
 def ldg_path_8x8(fold: bool) -> Path:
@@ -151,13 +157,32 @@ def test_batched_sweep_equals_row_by_row(fold):
     looped = Path.from_nodes(RowByRow(batched.system), batched.nodes)
     assert np.array_equal(looped.energies, batched.energies)
     assert perpendicular_residual(looped) == perpendicular_residual(batched)
-    base = 1.5  # about 33 times the stable step: nodes halve it 3 or 4 times
+    base = 10.0  # about 8 times the stable step 1/ρ(M⁻¹H): nodes halve it 2 or 3 times
     out, ref = evolve_step(batched, base), evolve_step(looped, base)
     for name in ("nodes", "energies", "alpha"):
         assert np.array_equal(getattr(out, name), getattr(ref, name))
+    g, tangent = batched.gradients, _tangents(batched.nodes)
+    pg = _normal(g, tangent)
+    d = g + _normal(batched.system.preconditioner().solve(pg.T).T - pg, tangent)
     moved = np.linalg.norm(out.nodes[1:-1] - batched.nodes[1:-1], axis=1)
-    halvings = np.round(np.log2(base * np.linalg.norm(batched.gradients, axis=1) / moved))
+    halvings = np.round(np.log2(base * np.linalg.norm(d, axis=1) / moved))
     assert halvings.min() >= 1 and np.unique(halvings).size > 1
+
+
+@pytest.mark.parametrize(
+    "system, nodes",
+    [
+        (CurvedWell(), [[-1.0, 0.5], [-0.4, 0.3], [0.1, 0.2], [0.5, 0.3], [1.0, 0.5]]),
+        (DoubleWell2D(), [[-1.0, 0.0], [-0.3, 0.4], [0.3, 0.2], [-0.3, 0.4], [1.0, 0.0]]),
+    ],
+)
+def test_euclidean_systems_step_along_the_gradient(system, nodes):
+    # no preconditioner: M = I, so every node moves by exactly -step g_i
+    # (nodes 1 and 3 of the double-well string coincide, so node 2 has a zero chord)
+    p = Path.from_nodes(system, nodes)
+    step = 1e-3  # small enough that no node halves it
+    out = evolve_step(p, step)
+    assert np.array_equal(out.nodes[1:-1], p.nodes[1:-1] - step * p.gradients)
 
 
 def test_zero_chord_counts_the_whole_gradient():
@@ -288,6 +313,27 @@ class TestTransitionStateHelpers:
         # climb slides to the minimum (1, 0) and must report the failure
         with pytest.raises(NotIndexOne):
             _refine_ts(DoubleWell2D(), np.array([0.9, 0.0]), 1e-8)
+
+
+def ldg_string_ends(n: int):
+    d = Domain(nx=n, ny=n, lambda2=27.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+    sy = LdGSystem(d)
+    opts = MinimizeOptions(tol_grad=1e-9, max_iters=20000)
+    return sy, [minimize(sy, seed_field(d, spec).flat, opts).x for spec in ("diagonal(d1)", "diagonal(d2)")]
+
+
+def test_preconditioned_sweeps_do_not_grow_with_the_grid():
+    # the diagonal-to-diagonal string at 16^2 and 32^2: the sweeps stay
+    # flat, the barriers match their grids and both tops are certified
+    sweeps = []
+    for n, barrier in ((16, 0.01209), (32, 0.012212)):
+        sy, (a, b) = ldg_string_ends(n)
+        res = find_mep(a, b, n_nodes=32, tol=1e-4, ts_tol=1e-4, system=sy)
+        assert abs(res.barrier_forward - barrier) < 1e-4
+        assert abs(res.barrier_backward - barrier) < 1e-4
+        assert res.ts_lambda1 < 0.0
+        sweeps.append(res.sweeps)
+    assert sweeps[1] <= sweeps[0] <= 40
 
 
 class TestMultiscale:
