@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .field import Domain, QField
-from .qtensor import G, bulk_energy, bulk_gradient, frob2, metric_apply, to_matrix
+from .qtensor import G, bulk_energy, bulk_gradient, bulk_hessian_vec, metric_apply, to_matrix
 from .systems import System
 
 __all__ = [
@@ -77,13 +77,17 @@ def _cell_gradients(domain: Domain, ext: np.ndarray) -> np.ndarray:
     return np.concatenate([ax, ay], axis=-1)
 
 
+def _edge_sum(diff: np.ndarray):
+    """Sum of |Q_a - Q_b|^2 over one edge direction, 2 (sum a^2 + sum a1 a4), per field."""
+    a = diff.reshape(diff.shape[:-3] + (-1, 5))
+    return 2.0 * (np.sum(a * a, axis=(-2, -1)) + np.sum(a[..., 0] * a[..., 3], axis=-1))
+
+
 def _energy_from_ext(domain: Domain, ext: np.ndarray):
     wx = domain.hy / domain.hx
     wy = domain.hx / domain.hy
-    dx = ext[..., 1:, :, :] - ext[..., :-1, :, :]
-    dy = ext[..., :, 1:, :] - ext[..., :, :-1, :]
-    e = 0.5 * wx * np.sum(frob2(dx[..., :, 1:-1, :]), axis=(-2, -1))
-    e += 0.5 * wy * np.sum(frob2(dy[..., 1:-1, :, :]), axis=(-2, -1))
+    e = 0.5 * wx * _edge_sum(ext[..., 1:, 1:-1, :] - ext[..., :-1, 1:-1, :])
+    e += 0.5 * wy * _edge_sum(ext[..., 1:-1, 1:, :] - ext[..., 1:-1, :-1, :])
     if domain.l2 != 0.0 or domain.l3 != 0.0:
         u = _cell_gradients(domain, ext)
         w = _cell_form(domain.l2, domain.l3)
@@ -134,11 +138,12 @@ def gradient(domain: Domain, values: np.ndarray) -> np.ndarray:
 
 
 def elastic_apply(domain: Domain, flat: np.ndarray) -> np.ndarray:
-    """Homogeneous elastic operator action (all elastic terms), matrix-free."""
-    values = flat.reshape(domain.shape)
-    ext = np.zeros((domain.nx + 2, domain.ny + 2, 5))
-    ext[1:-1, 1:-1] = values
-    return _elastic_grad_from_ext(domain, ext).reshape(-1)
+    """Homogeneous elastic operator action (all elastic terms), matrix-free,
+    on each row of a (..., n_dof) block; the result has the same shape."""
+    lead = flat.shape[:-1]
+    ext = np.zeros(lead + (domain.nx + 2, domain.ny + 2, 5))
+    ext[..., 1:-1, 1:-1, :] = flat.reshape(lead + domain.shape)
+    return _elastic_grad_from_ext(domain, ext).reshape(flat.shape)
 
 
 def elastic_shift_vector(domain: Domain) -> np.ndarray:
@@ -165,6 +170,22 @@ class LdGSystem(System):
 
     def gradients(self, xs: np.ndarray) -> np.ndarray:
         return gradient(self.domain, xs).reshape(np.shape(xs))
+
+    def hessian_vec(self, x: np.ndarray, v: np.ndarray, l: float | None = None) -> np.ndarray:
+        """H(x) v exactly: ``elastic_apply`` plus lambda2 hx hy ``bulk_hessian_vec``.
+
+        The contract of ``System.hessian_vec`` (vector or (n, m) block, each
+        column equal to its single-vector call bit for bit, zero columns
+        zero); no probe is taken, so ``l`` is ignored.  Reads only ``self.domain``.
+        """
+        d = self.domain
+        v = np.asarray(v, dtype=float)
+        rows = np.ascontiguousarray(v.reshape(v.shape[0], -1).T)
+        hv = elastic_apply(d, rows)
+        bulk = bulk_hessian_vec(d.check_values(x), rows.reshape((-1,) + d.shape), d.bulk)
+        bulk *= d.lambda2 * d.hx * d.hy
+        hv += bulk.reshape(hv.shape)
+        return np.ascontiguousarray(hv.T).reshape(v.shape)
 
     def field(self, x: np.ndarray) -> QField:
         return QField.from_flat(self.domain, x)

@@ -34,6 +34,7 @@ __all__ = [
     "biaxiality",
     "bulk_energy",
     "bulk_gradient",
+    "bulk_hessian_vec",
     "bulk_energy_uniaxial",
     "bulk_energy_uniaxial_deriv",
     "uniaxial_components",
@@ -209,6 +210,49 @@ def bulk_gradient(q: np.ndarray, p: BulkParams) -> np.ndarray:
     out[..., 3] = s * (q1 + 2.0 * q4) - b * (q1 * (q6 - q4) - q3 * q3 + q2 * q2)
     out[..., 4] = 2.0 * (s * q5 - b * (q2 * q3 - q1 * q5))
     return out
+
+
+def _det_hessian(q1, q2, q3, q4, q5) -> np.ndarray:
+    """d^2 det Q / dq^2: the derivatives of the det partials in bulk_gradient."""
+    q6 = -q1 - q4
+    return 2.0 * np.array(
+        [
+            [-q4, q2, 0.0, q6, -q5],
+            [q2, -q6, q5, q2, q3],
+            [0.0, q5, -q4, -q3, q2],
+            [q6, q2, -q3, -q1, 0.0],
+            [-q5, q3, q2, 0.0, -q1],
+        ]
+    )
+
+
+# det Q is cubic, so d^2 det Q / dq_i dq_j is row 5i + j of this (25, 5) table dotted with q
+_DET_HESSIAN = np.array([_det_hessian(*e) for e in np.eye(5)]).reshape(5, 25).T.copy()
+
+
+def bulk_hessian_vec(q: np.ndarray, v: np.ndarray, p: BulkParams) -> np.ndarray:
+    """The bulk Hessian at each tensor of q (..., 5) applied to each row of v (m, ..., 5),
+
+        (a + c |Q|^2) G v + 2c (q^T G v) G q - b (d^2 det Q / dq^2) v,
+
+    the derivative of ``bulk_gradient`` along v.  Each tensor's 5 x 5 matrix
+    (less the rank-one term) is assembled once, component-major, and one
+    contraction applies it to all m rows, so each row of a block equals its
+    single call bit for bit.
+    """
+    q = _check_last_axis(q)
+    n = q.size // 5
+    qc = q.reshape(n, 5).T
+    gq = G @ qc
+    # row 5i + j: -b d^2 det Q / dq_i dq_j + (a + c |Q|^2) G_ij
+    table = np.hstack([(-p.b) * _DET_HESSIAN, G.reshape(25, 1)])
+    h = table @ np.vstack([qc, p.a + p.c * np.einsum("in,in->n", qc, gq)])
+    vc = np.ascontiguousarray(_check_last_axis(v).reshape(-1, n, 5).transpose(2, 0, 1))
+    out = np.einsum("ijn,jmn->imn", h.reshape(5, 5, n), vc)
+    t = np.einsum("jn,jmn->mn", gq, vc)
+    t *= 2.0 * p.c
+    out += gq[:, None] * t
+    return np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(v.shape)
 
 
 def uniaxial_components(s, n) -> np.ndarray:

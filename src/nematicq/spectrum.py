@@ -1,9 +1,10 @@
 """Smallest Hessian eigenpairs through matrix-free operator actions.
 
-The Hessian is only available as matrix-vector products (central
-differences of the gradient, taken a whole block at a time), so the
-small end of the spectrum comes from LOBPCG with Rayleigh-Ritz cleanup
-and residual verification: up to 800 iterations per attempt and three
+The Hessian is only available as matrix-vector products, taken a whole
+block at a time (exact for ``LdGSystem``, central differences of the
+gradient by default for other systems), so the small end of the
+spectrum comes from LOBPCG with Rayleigh-Ritz cleanup and residual
+verification: up to 800 iterations per attempt and three
 restarts from the last Ritz block.  Every solve starts from a block drawn
 from its seed alone, so equal seeds give equal spectra; a caller that
 already holds eigenvectors (a ``SaddleRecord``) uses them instead of

@@ -56,7 +56,8 @@ class System:
         return np.array([self.gradient(x) for x in xs])
 
     def hessian_vec(self, x: np.ndarray, v: np.ndarray, l: float | None = None) -> np.ndarray:
-        """H(x) v by a central difference, (grad(x + l v) - grad(x - l v)) / (2 l).
+        """H(x) v, by default a central difference (grad(x + l v) - grad(x - l v)) / (2 l);
+        ``LdGSystem`` overrides it with the exact action.
 
         ``v`` is a vector or an (n, m) block, and so is the result: each
         nonzero column gets its own probe length (``l`` or the default) and

@@ -15,9 +15,9 @@ from nematicq.energy import (
 )
 from nematicq.errors import ShapeMismatch
 from nematicq.field import Domain
-from nematicq.qtensor import BulkParams, bulk_energy, to_matrix, uniaxial_components
+from nematicq.qtensor import BulkParams, bulk_energy, dual_components, to_matrix, uniaxial_components
 from nematicq.sav import SavSplit
-from nematicq.systems import make_rng
+from nematicq.systems import System, make_rng
 from oracles import elastic_matrix, metric_matrix
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
@@ -217,7 +217,7 @@ class TestLdGSystem:
             hv = sy.hessian_vec(x, v)
             hw = sy.hessian_vec(x, w)
             a, b = float(w @ hv), float(v @ hw)
-            assert a == pytest.approx(b, rel=1e-6, abs=1e-8)
+            assert a == pytest.approx(b, rel=1e-12)
 
     def test_hessian_vec_matches_dense_fd_oracle(self):
         d = make_domain(n=4, lambda2=3.0)
@@ -244,6 +244,66 @@ def _swirl_boundary(x, y):
     out[..., 1] = 0.2 * x * y
     out[..., 4] = 0.1 * np.cos(y)
     return out
+
+
+def _bulk_hessian_oracle(q: np.ndarray, p: BulkParams) -> np.ndarray:
+    """5 x 5 bulk Hessian at one tensor from the matrix-form derivative of
+    a Q - b (Q^2 - |Q|^2/3 I) + c |Q|^2 Q along each component direction."""
+    qm = to_matrix(q)
+    cols = []
+    for e in np.eye(5):
+        vm = to_matrix(e)
+        qv = float(np.sum(qm * vm))
+        dm = (
+            p.a * vm
+            - p.b * (qm @ vm + vm @ qm - (2.0 / 3.0) * qv * np.eye(3))
+            + p.c * (float(np.sum(qm * qm)) * vm + 2.0 * qv * qm)
+        )
+        cols.append(dual_components(dm))
+    return np.column_stack(cols)
+
+
+class TestExactHessian:
+    """LdGSystem.hessian_vec: the closed-form action against dense and finite-difference oracles."""
+
+    def test_matches_dense_oracle(self):
+        d = Domain(nx=4, ny=4, lambda2=3.0, bulk=BULK, boundary="planar")
+        sy = LdGSystem(d)
+        x = 0.4 * make_rng(32, "test:energy:exact").normal(size=sy.n)
+        blocks = [_bulk_hessian_oracle(q, d.bulk) for q in x.reshape(-1, 5)]
+        h = elastic_matrix(d).toarray() + d.lambda2 * d.hx * d.hy * sp.block_diag(blocks).toarray()
+        assert sy.n == 80
+        assert np.linalg.norm(sy.hessian_vec(x, np.eye(sy.n)) - h) <= 1e-12 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("boundary", ["planar", "tangent", "zero", _swirl_boundary])
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    def test_matches_finite_differences(self, boundary, l23):
+        d = Domain(nx=7, ny=6, lambda2=5.0, bulk=BULK, boundary=boundary, l2=l23[0], l3=l23[1])
+        sy = LdGSystem(d)
+        gen = make_rng(33, "test:energy:exact")
+        x = 0.4 * gen.normal(size=sy.n)
+        v = gen.normal(size=(sy.n, 3))
+        exact = sy.hessian_vec(x, v)
+        fd = System.hessian_vec(sy, x, v)
+        assert np.linalg.norm(exact - fd, axis=0).max() <= 1e-8 * np.linalg.norm(fd, axis=0).min()
+
+    @pytest.mark.parametrize("boundary", ["tangent", _swirl_boundary])
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    @pytest.mark.parametrize("grid", [(8, 8), (9, 6)])
+    def test_block_columns_equal_vector_calls(self, boundary, l23, grid):
+        d = Domain(nx=grid[0], ny=grid[1], lambda2=5.0, bulk=BULK, boundary=boundary, l2=l23[0], l3=l23[1])
+        sy = LdGSystem(d)
+        gen = make_rng(34, "test:energy:exact")
+        x = 0.4 * gen.normal(size=sy.n)
+        v = gen.normal(size=(sy.n, 5))
+        v[:, 2] = 0.0
+        hv = sy.hessian_vec(x, v)
+        assert hv.shape == v.shape
+        assert np.array_equal(hv, np.column_stack([sy.hessian_vec(x, col) for col in v.T]))
+        assert np.array_equal(sy.hessian_vec(x, v[:, :1]), hv[:, :1])
+        assert not hv[:, 2].any()
+        # no probe is taken, so the probe length changes nothing
+        assert np.array_equal(sy.hessian_vec(x, v, l=1e-2), hv)
 
 
 class TestBatchedKernels:
