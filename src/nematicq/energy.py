@@ -26,7 +26,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .field import Domain, QField
-from .qtensor import G, bulk_energy, bulk_gradient, bulk_hessian_vec, metric_apply, to_matrix
+from .qtensor import G, bulk_energy, bulk_energy_gradient, bulk_gradient, bulk_hessian_vec
+from .qtensor import metric_apply, to_matrix
 from .systems import System
 
 __all__ = [
@@ -83,33 +84,42 @@ def _edge_sum(diff: np.ndarray):
     return 2.0 * (np.sum(a * a, axis=(-2, -1)) + np.sum(a[..., 0] * a[..., 3], axis=-1))
 
 
-def _energy_from_ext(domain: Domain, ext: np.ndarray):
+def _cell_terms(domain: Domain, ext: np.ndarray):
+    """(u, u W) per cell for the l2/l3 form W (see ``_cell_gradients``); None when l2 = l3 = 0."""
+    if domain.l2 == 0.0 and domain.l3 == 0.0:
+        return None
+    u = _cell_gradients(domain, ext)
+    return u, u @ _cell_form(domain.l2, domain.l3)
+
+
+def _energy_from_ext(domain: Domain, ext: np.ndarray, cells=None, bulk: np.ndarray | None = None):
+    """The energy of ext; its ``_cell_terms`` and the bulk density per
+    interior node are computed here, after the edge sums, unless given."""
     wx = domain.hy / domain.hx
     wy = domain.hx / domain.hy
     e = 0.5 * wx * _edge_sum(ext[..., 1:, 1:-1, :] - ext[..., :-1, 1:-1, :])
     e += 0.5 * wy * _edge_sum(ext[..., 1:-1, 1:, :] - ext[..., 1:-1, :-1, :])
-    if domain.l2 != 0.0 or domain.l3 != 0.0:
-        u = _cell_gradients(domain, ext)
-        w = _cell_form(domain.l2, domain.l3)
-        e += 0.5 * domain.hx * domain.hy * np.sum((u @ w) * u, axis=(-3, -2, -1))
-    interior = ext[..., 1:-1, 1:-1, :]
-    bulk = np.sum(bulk_energy(interior, domain.bulk), axis=(-2, -1))
-    e += domain.lambda2 * domain.hx * domain.hy * bulk
+    cells = _cell_terms(domain, ext) if cells is None else cells
+    if cells is not None:
+        u, uw = cells
+        e += 0.5 * domain.hx * domain.hy * np.sum(uw * u, axis=(-3, -2, -1))
+    bulk = bulk_energy(ext[..., 1:-1, 1:-1, :], domain.bulk) if bulk is None else bulk
+    e += domain.lambda2 * domain.hx * domain.hy * np.sum(bulk, axis=(-2, -1))
     return e
 
 
-def _elastic_grad_from_ext(domain: Domain, ext: np.ndarray) -> np.ndarray:
-    """Partials of the elastic terms with respect to interior nodes."""
+def _elastic_grad_from_ext(domain: Domain, ext: np.ndarray, cells=None) -> np.ndarray:
+    """Partials of the elastic terms with respect to interior nodes; the
+    ``_cell_terms`` of ext are computed here unless given."""
     wx = domain.hy / domain.hx
     wy = domain.hx / domain.hy
     v = ext[..., 1:-1, 1:-1, :]
     lap = wx * (2.0 * v - ext[..., :-2, 1:-1, :] - ext[..., 2:, 1:-1, :])
     lap += wy * (2.0 * v - ext[..., 1:-1, :-2, :] - ext[..., 1:-1, 2:, :])
     g = metric_apply(lap)
-    if domain.l2 != 0.0 or domain.l3 != 0.0:
-        u = _cell_gradients(domain, ext)
-        w = _cell_form(domain.l2, domain.l3)
-        s = domain.hx * domain.hy * (u @ w)
+    cells = _cell_terms(domain, ext) if cells is None else cells
+    if cells is not None:
+        s = domain.hx * domain.hy * cells[1]
         sx = s[..., :5] / (2.0 * domain.hx)
         sy = s[..., 5:] / (2.0 * domain.hy)
         plus, minus = sx + sy, sx - sy
@@ -164,6 +174,19 @@ class LdGSystem(System):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return gradient(self.domain, x.reshape(self.domain.shape)).reshape(-1)
+
+    def energy_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(energy(x), gradient(x))`` bit for bit, from one extension of the
+        field, one set of cell terms and one bulk pass."""
+        d = self.domain
+        ext = d.extend(x.reshape(d.shape))
+        cells = _cell_terms(d, ext)
+        density, g = bulk_energy_gradient(ext[..., 1:-1, 1:-1, :], d.bulk)
+        e = float(_energy_from_ext(d, ext, cells, density))
+        # gradient's elastic + lambda2 hx hy bulk, in place to hold fewer large temporaries
+        g *= d.lambda2 * d.hx * d.hy
+        g += _elastic_grad_from_ext(d, ext, cells)
+        return e, g.reshape(-1)
 
     def energies(self, xs: np.ndarray) -> np.ndarray:
         return free_energy(self.domain, xs)

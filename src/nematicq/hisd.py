@@ -16,12 +16,13 @@ system that brings none.
 Verified stationary points become SaddleRecords, which keep the
 eigenvectors of their certificate; repeated downward (and optionally
 upward) searches start from those and, from a seed record, grow the
-directed graph of stationary points connected by search pathways.
+directed graph of stationary points connected by search pathways, in
+which only a new node pays for a certificate.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -195,19 +196,27 @@ def make_record(
     system: System, x: np.ndarray, tol_grad: float = 1e-8, seed: int = 0, k_hint: int = 0
 ) -> SaddleRecord:
     """Certify x by classify_stationary and keep its eigenpairs."""
-    return _record(system, x, float(np.abs(system.gradient(x)).max()), tol_grad, seed, k_hint)
+    e, g = system.energy_gradient(x)
+    return _record(system, _Landing(x, None, e, float(np.abs(g).max()), 0), tol_grad, seed, k_hint)
 
 
-def _record(system: System, x: np.ndarray, g_inf: float, tol_grad: float, seed: int, k_hint: int):
-    """make_record at a point whose gradient inf-norm g_inf is known."""
-    m, spectrum, rep = _certify(system, x, g_inf, tol_grad, seed, k_hint)
+# where a search stopped, not yet certified: the point, its relaxed V,
+# energy and gradient inf-norm, and the steps taken
+_Landing = namedtuple("_Landing", "field v energy grad_inf iterations")
+
+
+def _record(system: System, hit: _Landing, tol_grad: float, seed: int, k_hint: int) -> SaddleRecord:
+    """Certify a point whose energy and gradient are known (make_record's
+    x, or the landing of an index-k_hint search) under the index it has."""
+    m, spectrum, rep = _certify(system, hit.field, hit.grad_inf, tol_grad, seed, k_hint)
     return SaddleRecord(
-        field=np.array(x, dtype=float),
-        energy=float(system.energy(x)),
+        field=np.array(hit.field, dtype=float),
+        energy=hit.energy,
         morse_index=m,
         lambda_spectrum=spectrum,
         eigenvectors=rep.eigenvectors[:, : spectrum.size].copy(),
-        grad_inf=g_inf,
+        grad_inf=hit.grad_inf,
+        iterations=hit.iterations,
     )
 
 
@@ -225,13 +234,23 @@ def find_saddle(
     power iteration at the start point and, for k > 0, capped by a fresh
     estimate every 25 steps.  V starts at v0 (else at the k smallest
     eigenvectors at x0) and is relaxed by the dynamics from then on; the
-    next eigensolve is the certificate.  The step halves when the energy
-    blows up (or, for k = 0, rises); a position that runs far off its
-    start scale raises NoConvergence.  Raises WrongIndex (carrying the
-    verified record) when the landing point is stationary but of a
-    different index than requested; the caller may keep that record.
+    next eigensolve is the certificate.  Each trial point costs one
+    ``energy_gradient``, and an accepted trial's gradient drives the next
+    step.  The step halves when the energy blows up (or, for k = 0,
+    rises); a position that runs far off its start scale raises
+    NoConvergence.  Raises WrongIndex (carrying the verified record) when
+    the landing point is stationary but of a different index than
+    requested; the caller may keep that record.
     """
     opts = opts or SaddleOptions()
+    record = _record(system, _search(system, k, x0, v0, opts), opts.tol_grad, opts.seed, k)
+    if record.morse_index != k:
+        raise WrongIndex(record.morse_index, k, record=record)
+    return record
+
+
+def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts: SaddleOptions) -> _Landing:
+    """find_saddle's dynamics, up to the landing and short of its certificate."""
     precond = preconditioner_of(system)
     x = np.array(x0, dtype=float).reshape(-1)
     n = x.size
@@ -250,7 +269,7 @@ def find_saddle(
         return operator_scale(lambda w: precond.solve(system.hessian_vec(y, w)), n, seed=opts.seed)
 
     step = step0 = 1.0 / scale_at(x)
-    e_state = float(system.energy(x))
+    e_state, g = system.energy_gradient(x)
     e_scale = 1.0 + abs(e_state)
     x_scale = 1.0 + float(np.abs(x).max())
     state = SaddleSearchState(x, v, k)
@@ -263,13 +282,9 @@ def find_saddle(
             raise NoConvergence("saddle dynamics stalled despite step halving", it, g_inf)
 
     for it in range(opts.max_iters):
-        g = system.gradient(state.x)
         g_inf = float(np.abs(g).max())
         if g_inf < opts.tol_grad:
-            record = replace(_record(system, state.x, g_inf, opts.tol_grad, opts.seed, k), iterations=it)
-            if record.morse_index != k:
-                raise WrongIndex(record.morse_index, k, record=record)
-            return record
+            return _Landing(state.x, state.v, e_state, g_inf, it)
         if k and it and it % _SCALE_CHECK_EVERY == 0:
             # curvature can grow along the way; keep the step below 1/|M^-1 H|
             # at the current point or the unstable modes start to rattle
@@ -279,7 +294,7 @@ def find_saddle(
         # divergence, not a step-size problem; halving cannot rescue it
         if not np.all(np.isfinite(trial.x)) or np.abs(trial.x).max() > _RADIUS_FACTOR * x_scale:
             raise NoConvergence("position diverged during saddle dynamics", it, g_inf)
-        e_new = float(system.energy(trial.x))
+        e_new, g_new = system.energy_gradient(trial.x)
         if not np.isfinite(e_new) or abs(e_new) > _BLOW_FACTOR * e_scale:
             halve()
             continue
@@ -288,8 +303,7 @@ def find_saddle(
             # step has outrun the local curvature
             halve()
             continue
-        state = trial
-        e_state = e_new
+        state, e_state, g = trial, e_new, g_new
     raise NoConvergence(
         f"gradient inf-norm {g_inf:.3e} above {opts.tol_grad:.3e} after {opts.max_iters} steps",
         iterations=opts.max_iters,
@@ -303,13 +317,13 @@ def _branch_searches(
     k: int,
     opts: SaddleOptions,
     errors_out: list | None,
-) -> list[tuple[float, SaddleRecord]]:
-    """Run find_saddle toward index k from origin +/- eps * v_j, with
+) -> list[tuple[float, _Landing]]:
+    """Run the index-k search from origin +/- eps * v_j, with
     V = (v_1 .. v_k) from the origin's eigenvectors: j = k + 1 below the
     origin's index, j = k above it.  Only a target beyond the record's
-    columns solves for more.  Keeps verified records (including
-    wrong-index landings) and reports failed branches as (sign, error)
-    to errors_out when given."""
+    columns solves for more.  Returns the (sign, landing) of each branch,
+    uncertified, and reports failed branches as (sign, error) to
+    errors_out when given."""
     want = k + 1 if k < origin.morse_index else k
     vecs = origin.eigenvectors
     if vecs.shape[1] < want:
@@ -319,14 +333,10 @@ def _branch_searches(
     for sign in (1.0, -1.0):
         x0 = origin.field + (sign * eps) * vecs[:, want - 1]
         try:
-            rec = find_saddle(system, k, x0, v0=vecs[:, :k], opts=opts)
-        except WrongIndex as err:
-            rec = err.record
+            found.append((sign, _search(system, k, x0, vecs[:, :k], opts)))
         except NoConvergence as err:
             if errors_out is not None:
                 errors_out.append((sign, err))
-            continue
-        found.append((sign, rec))
     return found
 
 
@@ -341,12 +351,14 @@ def downward_search(
 
     Starts at parent +/- eps * v_{k+1} with V = (v_1 .. v_k), the
     eigenvectors the parent's record carries from its certificate.
-    Failed branches never abort the sibling; wrong-index landings are
-    kept with their true index.
+    Failed branches never abort the sibling; every landing is certified,
+    and wrong-index landings are kept with their true index.
     """
     if k >= parent.morse_index:
         raise ValidationError("downward target index must be below the parent index")
-    return [rec for _, rec in _branch_searches(system, parent, k, opts or SaddleOptions(), errors_out)]
+    opts = opts or SaddleOptions()
+    hits = _branch_searches(system, parent, k, opts, errors_out)
+    return [_record(system, hit, opts.tol_grad, opts.seed, k) for _, hit in hits]
 
 
 def upward_search(
@@ -361,11 +373,13 @@ def upward_search(
     V starts as the child's unstable eigenvectors extended by the
     smallest-positive ones up to k, all from the child's record (a fresh
     eigensolve only when k exceeds its morse_index + 2 columns); x starts
-    at child +/- eps * v_k.
+    at child +/- eps * v_k.  Every landing is certified.
     """
     if k <= child.morse_index:
         raise ValidationError("upward target index must be above the child index")
-    return [rec for _, rec in _branch_searches(system, child, k, opts or SaddleOptions(), errors_out)]
+    opts = opts or SaddleOptions()
+    hits = _branch_searches(system, child, k, opts, errors_out)
+    return [_record(system, hit, opts.tol_grad, opts.seed, k) for _, hit in hits]
 
 
 @dataclass
@@ -420,7 +434,8 @@ class LandscapeGraph:
         return out
 
 
-def _records_match(a: SaddleRecord, b: SaddleRecord) -> bool:
+def _records_match(a, b) -> bool:
+    """Whether two records (or a record and a landing) are one stationary point."""
     if abs(a.energy - b.energy) >= 1e-8 * (1.0 + max(abs(a.energy), abs(b.energy))):
         return False
     scale = 1.0 + max(float(np.linalg.norm(a.field)), float(np.linalg.norm(b.field)))
@@ -435,9 +450,12 @@ def build_landscape(
     Breadth-first: every accepted node schedules downward searches to
     each index below it (and upward sweeps up to max_index when set),
     both perturbation signs, in a fixed order, so discovery ids are
-    deterministic.  Hitting a budget stops scheduling and returns the
-    partial graph with truncated = True; branches that fail to converge
-    are recorded in the graph's `failed` list.
+    deterministic.  A landing that matches a node reuses that node's
+    record and index; only a new node (within max_nodes) is certified,
+    under the index it has, whatever the search's target.  Hitting a
+    budget stops scheduling and returns the partial graph with
+    truncated = True; branches that fail to converge are recorded in the
+    graph's `failed` list.
     """
     opts = opts or LandscapeOptions()
     nodes: list[SaddleRecord] = [replace(seed, id=0)]
@@ -467,10 +485,10 @@ def build_landscape(
         errors: list = []
         hits = _branch_searches(system, parent, k, opts.search, errors)
         failed.extend((node_id, kind, k, sign, str(err)) for sign, err in errors)
-        for sign, rec in hits:
+        for sign, hit in hits:
             match_id = None
             for existing in nodes:
-                if _records_match(existing, rec):
+                if _records_match(existing, hit):
                     match_id = existing.id
                     break
             if match_id is None:
@@ -478,6 +496,7 @@ def build_landscape(
                     truncated = True
                     continue
                 match_id = len(nodes)
+                rec = _record(system, hit, opts.search.tol_grad, opts.search.seed, k)
                 nodes.append(replace(rec, id=match_id))
                 queue.extend(schedule(match_id))
             found_index = nodes[match_id].morse_index

@@ -34,6 +34,7 @@ __all__ = [
     "biaxiality",
     "bulk_energy",
     "bulk_gradient",
+    "bulk_energy_gradient",
     "bulk_hessian_vec",
     "bulk_energy_uniaxial",
     "bulk_energy_uniaxial_deriv",
@@ -114,24 +115,27 @@ def metric_apply(q: np.ndarray) -> np.ndarray:
     return _check_last_axis(q) @ G
 
 
+def _half_frob2(q1, q2, q3, q4, q5):
+    """|Q|^2 / 2 from the component planes."""
+    return q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5 + q1 * q4
+
+
+def _det(q1, q2, q3, q4, q5, q6):
+    """det Q from the component planes, q6 = -q1 - q4."""
+    return q1 * (q4 * q6 - q5 * q5) - q2 * (q2 * q6 - q3 * q5) + q3 * (q2 * q5 - q3 * q4)
+
+
 def frob2(q: np.ndarray) -> np.ndarray:
     """|Q|^2 = tr(Q^2), broadcast over leading axes."""
     q = _check_last_axis(q)
-    q1, q2, q3, q4, q5 = (q[..., k] for k in range(5))
-    return 2.0 * (q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5 + q1 * q4)
+    return 2.0 * _half_frob2(*(q[..., k] for k in range(5)))
 
 
 def trq3(q: np.ndarray) -> np.ndarray:
     """tr(Q^3) = 3 det(Q) for traceless Q, broadcast over leading axes."""
     q = _check_last_axis(q)
     q1, q2, q3, q4, q5 = (q[..., k] for k in range(5))
-    q6 = -q1 - q4
-    det = (
-        q1 * (q4 * q6 - q5 * q5)
-        - q2 * (q2 * q6 - q3 * q5)
-        + q3 * (q2 * q5 - q3 * q4)
-    )
-    return 3.0 * det
+    return 3.0 * _det(q1, q2, q3, q4, q5, -q1 - q4)
 
 
 def biaxiality(q: np.ndarray) -> np.ndarray:
@@ -183,10 +187,14 @@ class BulkParams:
         return cls(thermal_slope * (temperature - t_star), b, c, thermal_slope, t_star)
 
 
+def _density(p: BulkParams, f2, t3):
+    """a/2 |Q|^2 - b/3 tr Q^3 + c/4 |Q|^4 from f2 = |Q|^2 and t3 = tr Q^3."""
+    return 0.5 * p.a * f2 - (p.b / 3.0) * t3 + 0.25 * p.c * f2 * f2
+
+
 def bulk_energy(q: np.ndarray, p: BulkParams) -> np.ndarray:
     """Bulk density a/2 |Q|^2 - b/3 tr Q^3 + c/4 |Q|^4 per tensor."""
-    f2 = frob2(q)
-    return 0.5 * p.a * f2 - (p.b / 3.0) * trq3(q) + 0.25 * p.c * f2 * f2
+    return _density(p, frob2(q), trq3(q))
 
 
 def bulk_gradient(q: np.ndarray, p: BulkParams) -> np.ndarray:
@@ -197,11 +205,24 @@ def bulk_gradient(q: np.ndarray, p: BulkParams) -> np.ndarray:
     G the Frobenius metric; the matrix form a Q - b (Q^2 - |Q|^2/3 I)
     + c |Q|^2 Q contracted by ``dual_components``, without the matrices.
     """
+    return _bulk_pass(q, p, False)[1]
+
+
+def bulk_energy_gradient(q: np.ndarray, p: BulkParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(bulk_energy(q, p), bulk_gradient(q, p))`` bit for bit, from one
+    component-major pass that evaluates |Q|^2 and det Q once per tensor."""
+    return _bulk_pass(q, p, True)
+
+
+def _bulk_pass(q: np.ndarray, p: BulkParams, energy: bool):
+    """(bulk_energy or None, bulk_gradient) of q, the energy only when asked for."""
     q = _check_last_axis(q)
     # component-major copy, so that every product below runs on contiguous data
     q1, q2, q3, q4, q5 = np.moveaxis(q, -1, 0).copy()
     q6 = -q1 - q4
-    s = p.a + 2.0 * p.c * (q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5 + q1 * q4)
+    half = _half_frob2(q1, q2, q3, q4, q5)
+    density = _density(p, 2.0 * half, 3.0 * _det(q1, q2, q3, q4, q5, q6)) if energy else None
+    s = p.a + 2.0 * p.c * half
     b = p.b
     out = np.empty_like(q)
     out[..., 0] = s * (2.0 * q1 + q4) - b * (q4 * (q6 - q1) - q5 * q5 + q2 * q2)
@@ -209,7 +230,7 @@ def bulk_gradient(q: np.ndarray, p: BulkParams) -> np.ndarray:
     out[..., 2] = 2.0 * (s * q3 - b * (q2 * q5 - q3 * q4))
     out[..., 3] = s * (q1 + 2.0 * q4) - b * (q1 * (q6 - q4) - q3 * q3 + q2 * q2)
     out[..., 4] = 2.0 * (s * q5 - b * (q2 * q3 - q1 * q5))
-    return out
+    return density, out
 
 
 def _det_hessian(q1, q2, q3, q4, q5) -> np.ndarray:

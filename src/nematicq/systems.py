@@ -37,8 +37,9 @@ class System:
     """Base class: subclasses implement ``energy`` and ``gradient``.
 
     ``n`` is the number of degrees of freedom; vectors passed in and out
-    are flat float64 arrays of that length.  ``energies``/``gradients``
-    evaluate the rows of an (m, n) block; these defaults loop.
+    are flat float64 arrays of that length.  ``energy_gradient`` returns
+    both at one point; ``energies``/``gradients`` evaluate the rows of an
+    (m, n) block.  These defaults call ``energy`` and ``gradient``.
     """
 
     n: int = 0
@@ -48,6 +49,11 @@ class System:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def energy_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(energy(x), gradient(x))``, the energy as a float; a system that
+        can share work between the two overrides it with the same values."""
+        return float(self.energy(x)), self.gradient(x)
 
     def energies(self, xs: np.ndarray) -> np.ndarray:
         return np.array([self.energy(x) for x in xs])

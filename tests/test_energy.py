@@ -15,9 +15,18 @@ from nematicq.energy import (
 )
 from nematicq.errors import ShapeMismatch
 from nematicq.field import Domain
-from nematicq.qtensor import BulkParams, bulk_energy, dual_components, to_matrix, uniaxial_components
+from nematicq.qtensor import (
+    BulkParams,
+    bulk_energy,
+    bulk_energy_gradient,
+    bulk_gradient,
+    dual_components,
+    to_matrix,
+    uniaxial_components,
+)
 from nematicq.sav import SavSplit
 from nematicq.systems import System, make_rng
+from nematicq.toys import DiagQuadratic, DoubleWell2D, Quartic2D
 from oracles import elastic_matrix, metric_matrix
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
@@ -378,3 +387,32 @@ class TestSineSolver:
         r = make_rng(8, "test:energy:sine").normal(size=(d.n_dof, 2))
         assert np.array_equal(solver @ r, solver.solve(r))
         assert np.array_equal(solver @ r[:, 0], solver.solve(r[:, 0]))
+
+
+class TestEnergyGradient:
+    """``energy_gradient`` is ``(energy, gradient)`` bit for bit."""
+
+    @pytest.mark.parametrize("boundary", ["planar", "tangent", "zero", _swirl_boundary])
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    @pytest.mark.parametrize("grid", [(8, 8), (9, 6)])
+    def test_ldg_equals_the_two_calls(self, boundary, l23, grid):
+        d = Domain(nx=grid[0], ny=grid[1], lambda2=5.0, bulk=BULK, boundary=boundary, l2=l23[0], l3=l23[1])
+        sy = LdGSystem(d)
+        gen = make_rng(35, "test:energy:fused")
+        for scale in (0.1, 0.4, 1.5):
+            x = scale * gen.normal(size=sy.n)
+            e, g = sy.energy_gradient(x)
+            assert type(e) is float and e == sy.energy(x)
+            assert g.shape == (sy.n,) and np.array_equal(g, sy.gradient(x))
+
+    def test_bulk_pass_equals_the_two_kernels(self):
+        q = 0.7 * make_rng(36, "test:energy:fused").normal(size=(9, 6, 5))
+        density, grad = bulk_energy_gradient(q[1:-1, 1:-1], BULK)
+        assert np.array_equal(density, bulk_energy(q[1:-1, 1:-1], BULK))
+        assert np.array_equal(grad, bulk_gradient(q[1:-1, 1:-1], BULK))
+
+    def test_toy_default_makes_the_two_calls(self):
+        x = np.array([0.3, -1.2])
+        for sy, y in ((Quartic2D(), x), (DoubleWell2D(), x), (DiagQuadratic([-1.0, 2.0, 3.0]), np.array([0.5, 1.0, -2.0]))):
+            e, g = sy.energy_gradient(y)
+            assert e == sy.energy(y) and np.array_equal(g, sy.gradient(y))

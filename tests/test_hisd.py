@@ -438,13 +438,36 @@ class TestLandscape:
 
     def test_each_spectrum_is_solved_once(self, monkeypatch):
         # searches start from the eigenvectors their node's record carries,
-        # so the only eigensolves are the certificates of new records
+        # and a landing is matched before it is certified, so the only
+        # eigensolves are the certificates of new nodes
         seed = quartic_record((0.0, 0.0), k_hint=2)
         for max_index in (None, 2):
             eigs = count_calls(monkeypatch, hisd, "smallest_eigs")
             records = count_calls(monkeypatch, hisd, "_record")
-            build_landscape(Quartic2D(), seed, LandscapeOptions(max_index=max_index))
-            assert records and len(eigs) == len(records)
+            landings = []
+            search = hisd._search
+
+            def recorded(system, k, *args, search=search):
+                landing = search(system, k, *args)
+                landings.append((k, landing))
+                return landing
+
+            monkeypatch.setattr(hisd, "_search", recorded)
+            graph = build_landscape(Quartic2D(), seed, LandscapeOptions(max_index=max_index))
+            assert records and len(eigs) == len(records) == len(graph.nodes) - 1
+            if max_index is not None:
+                # each minimum's index-2 search lands on an index-1 point
+                # already in the graph: its edge points at that node, whose
+                # index is kept
+                dups = [hit for k, hit in landings if k == 2 and not _records_match(hit, graph.node(0))]
+                assert dups
+                for hit in dups:
+                    (node,) = [rec for rec in graph.nodes if _records_match(rec, hit)]
+                    assert node.morse_index == 1
+                    assert any(
+                        e.target == node.id and e.kind == "upward" and graph.node(e.source).morse_index == 0
+                        for e in graph.edges
+                    )
             monkeypatch.undo()
 
     def test_budget_truncates_without_raising(self):
@@ -559,3 +582,14 @@ def test_downward_search_steps_do_not_grow_with_the_grid():
         found[n] = ([rec.morse_index for rec in hits], sum(rec.iterations for rec in hits))
     assert found[16][0] == found[32][0] == [1, 1]
     assert found[32][1] <= 1.5 * found[16][1]
+
+
+def test_landscape_certifies_each_new_node_once(monkeypatch):
+    # 8 searches land 8 times below the cross; only the 4 new nodes pay for
+    # a certificate, the 4 landings on known minima reuse their records
+    sy, parent = planar_cross_parent(16)
+    eigs = count_calls(monkeypatch, hisd, "smallest_eigs")
+    graph = build_landscape(sy, parent, LandscapeOptions(search=SaddleOptions(tol_grad=1e-6)))
+    assert [rec.morse_index for rec in graph.nodes] == [2, 1, 1, 0, 0]
+    assert len(graph.edges) == 8 and graph.searches == 8
+    assert len(eigs) == 4

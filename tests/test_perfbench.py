@@ -53,3 +53,18 @@ def test_counting_proxy_runs_the_exact_ldg_product():
     assert table.calls("systems.hessian_vec") == 2
     assert table.total("systems.gradient", "systems.hessian_vec") == 0
     assert table.total("systems.gradient") == 0
+
+
+def test_counting_proxy_counts_energy_gradient_as_two_calls():
+    # the proxy keeps the base-class energy_gradient, so one call is one
+    # counted energy and one counted gradient, and traced counts stay comparable
+    tracing = _tracing()
+    sy = LdGSystem(Domain(nx=6, ny=6, lambda2=5.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar"))
+    tracer = tracing.Tracer()
+    proxy = tracing.CountingSystem(sy, tracer)
+    x = 0.4 * make_rng(6, "test:perfbench").normal(size=sy.n)
+    e, g = proxy.energy_gradient(x)
+    assert e == sy.energy(x) and np.array_equal(g, sy.gradient(x))
+    table = tracing.SpanTable(tracer)
+    assert table.total("systems.energy") == 1
+    assert table.total("systems.gradient") == 1
