@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nematicq.energy import LdGSystem, free_energy
+from nematicq import sav
+from nematicq.energy import LdGSystem, SineSolver, free_energy
 from nematicq.errors import NoConvergence, SolveError, ValidationError
 from nematicq.field import Domain, QField, seed_field
 from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams, bulk_energy_uniaxial
 from nematicq.sav import (
     SavSplit,
+    SavState,
     flow_to_equilibrium,
     sav_init,
     sav_split,
@@ -176,6 +178,104 @@ class TestDirectSolve:
         out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
         assert steps == 233
         assert abs(out.energy() - 21.547831753032415) <= 1e-10
+
+
+def count(monkeypatch, owner, name, calls):
+    """Route owner.name through a wrapper that appends name to calls."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def chained_state(d, nsteps=2, dt=0.5):
+    """A state reached by sav_step, so it carries q_prev and L q + c."""
+    split = sav_split(d)
+    state = sav_init(seed_field(d, "random(0.2)", seed=1), split)
+    for _ in range(nsteps):
+        state = sav_step(state, dt, split)
+    return split, state
+
+
+def cn_residual(split, state, out, dt):
+    """Norm of the step's Crank-Nicolson equation, rebuilt from scratch."""
+    q, q_new = state.field.flat, out.field.flat
+    q_bar = 1.5 * q - 0.5 * state.q_prev.flat
+    b = split.grad_f1(q_bar) / (2.0 * np.sqrt(split.f1(q_bar)))
+    lin, lin_new = (split.l_apply(x) + split.shift for x in (q, q_new))
+    return np.linalg.norm((q_new - q) / dt + 0.5 * (lin + lin_new) + (state.r + out.r) * b)
+
+
+class TestStepWork:
+    """What one step evaluates: one elastic apply, one bulk pass and two
+    sine solves, with CG only when the direct solve misses."""
+
+    @staticmethod
+    def counted_step(monkeypatch, split, state, dt):
+        calls = []
+        for name in ("bulk_energy", "bulk_gradient", "bulk_energy_gradient", "cg"):
+            count(monkeypatch, sav, name, calls)
+        count(monkeypatch, SineSolver, "solve", calls)
+        count(monkeypatch, split, "l_apply", calls)
+        out = sav_step(state, dt, split)
+        monkeypatch.undo()
+        return out, calls
+
+    @pytest.mark.parametrize("boundary", ["tangent", "planar"])
+    def test_one_of_each_without_l2_l3(self, monkeypatch, boundary):
+        split, state = chained_state(tangent_domain(8, boundary=boundary))
+        out, calls = self.counted_step(monkeypatch, split, state, 0.5)
+        assert calls.count("l_apply") == 1
+        assert calls.count("bulk_energy") + calls.count("bulk_gradient") + calls.count("bulk_energy_gradient") == 1
+        assert calls.count("solve") == 2
+        assert calls.count("cg") == 0
+        assert cn_residual(split, state, out, 0.5) <= 1e-10
+
+    def test_cg_finishes_with_l2_l3(self, monkeypatch):
+        split, state = chained_state(tangent_domain(8, l2=0.6, l3=0.4))
+        out, calls = self.counted_step(monkeypatch, split, state, 0.5)
+        assert calls.count("cg") == 1
+        assert cn_residual(split, state, out, 0.5) <= 1e-10
+
+
+LINEAR_CASES = [(b, l23) for b in ("planar", "tangent") for l23 in ((0.0, 0.0), (0.6, 0.4))]
+
+
+class TestCarriedLinearGradient:
+    @pytest.mark.parametrize("boundary, l23", LINEAR_CASES)
+    def test_carried_value_is_fresh_bit_for_bit(self, boundary, l23):
+        d = tangent_domain(16, boundary=boundary, l2=l23[0], l3=l23[1])
+        split, state = chained_state(d, nsteps=50)
+        q = state.field.flat
+        assert np.array_equal(state.linear_gradient, split.l_apply(q) + split.shift)
+        # a hand-built state has it computed afresh, to the same next field
+        bare = SavState(state.field, state.r, state.q_prev, state.step, state.time)
+        assert bare.linear_gradient is None
+        assert np.array_equal(sav_step(bare, 0.5, split).field.flat, sav_step(state, 0.5, split).field.flat)
+
+    @pytest.mark.parametrize("boundary, l23", LINEAR_CASES)
+    def test_flow_measure_is_the_gradient(self, monkeypatch, boundary, l23):
+        d = tangent_domain(16, boundary=boundary, l2=l23[0], l3=l23[1])
+        sy = LdGSystem(d)
+        states, rows = [], []
+        step = sav.sav_step
+
+        def recorded(*args, **kwargs):
+            states.append(step(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(sav, "sav_step", recorded)
+        with pytest.raises(NoConvergence):
+            flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-13, max_steps=50, trace=rows)
+        assert len(states) == 50
+        for state in states:
+            # the two sum the same terms in another order, so they agree
+            # to rounding at the scale of those terms
+            g = np.abs(sy.gradient(state.field.flat)).max()
+            assert abs(rows[state.step][4] - g) <= 1e-14 * np.abs(state.linear_gradient).max()
 
 
 class TestStep:
@@ -355,4 +455,41 @@ class TestFlow:
         d = tangent_domain(5, lambda2=5.0)
         with pytest.raises(NoConvergence) as err:
             flow_to_equilibrium(seed_field(d, "random(0.5)", seed=9), dt=1e-4, tol_grad=1e-10, max_steps=3)
+        assert err.value.iterations == 3
+
+    @pytest.mark.parametrize("boundary, l23", LINEAR_CASES)
+    def test_returned_field_meets_tol_by_a_fresh_gradient(self, boundary, l23):
+        d = tangent_domain(16, boundary=boundary, l2=l23[0], l3=l23[1])
+        out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
+        assert steps > 0
+        assert np.abs(LdGSystem(d).gradient(out.flat)).max() < 1e-8
+
+    @staticmethod
+    def nan_on_third_call(monkeypatch, name, pick):
+        calls = []
+        original = getattr(SavSplit, name)
+
+        def poisoned(self, flat):
+            calls.append(1)
+            out = original(self, flat)
+            return pick(out) if len(calls) == 3 else out
+
+        monkeypatch.setattr(SavSplit, name, poisoned)
+
+    def test_non_finite_measure_raises_at_its_step(self, monkeypatch):
+        # the flow's measure is the only caller of grad_f1: once at the
+        # start and once after each step, so the third call is at step 2
+        self.nan_on_third_call(monkeypatch, "grad_f1", lambda g: np.full_like(g, np.nan))
+        d = tangent_domain(6)
+        with pytest.raises(NoConvergence, match="finite") as err:
+            flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
+        assert err.value.iterations == 2
+
+    def test_non_finite_field_raises_at_its_step(self, monkeypatch):
+        # each step makes one fused bulk pass; a NaN force in the third
+        # step's pass makes that step's field NaN
+        self.nan_on_third_call(monkeypatch, "f1_grad_f1", lambda fg: (fg[0], np.full_like(fg[1], np.nan)))
+        d = tangent_domain(6)
+        with pytest.raises(NoConvergence, match="finite") as err:
+            flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
         assert err.value.iterations == 3
