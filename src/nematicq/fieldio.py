@@ -58,20 +58,22 @@ def _header(d: Domain) -> tuple:
     return (d.nx, d.ny, d.lambda2, d.bulk.a, d.bulk.b, d.bulk.c, d.l2, d.l3, boundary)
 
 
+# one snapshot row: i,j then x, y, q1..q5 at 17 significant digits
+_ROW = "%d,%d" + ",%.17g" * 7
+
+
 def write_field(path, f: QField) -> None:
     """One node per row: i,j,x,y,q1..q5 under a
     "# nx,ny,lambda2,a,b,c,l2,l3,boundary" header."""
     d = f.domain
     nx, ny, *reals, boundary = _header(d)
-    lines = ["# " + ",".join([str(nx), str(ny)] + [_g17(v) for v in reals] + [boundary])]
-    xs, ys = d.xs, d.ys
-    for i in range(d.nx):
-        for j in range(d.ny):
-            q = f.values[i, j]
-            lines.append(
-                ",".join([str(i), str(j), _g17(xs[i]), _g17(ys[j])] + [_g17(v) for v in q])
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = "# " + ",".join([str(nx), str(ny)] + [_g17(v) for v in reals] + [boundary])
+    i, j = np.meshgrid(np.arange(d.nx), np.arange(d.ny), indexing="ij")
+    table = np.column_stack(
+        [i.ravel(), j.ravel(), d.xs[i.ravel()], d.ys[j.ravel()], f.values.reshape(-1, 5)]
+    )
+    rows = [_ROW % tuple(row) for row in table.tolist()]
+    Path(path).write_text("\n".join([head] + rows) + "\n")
 
 
 def _parse_float(token: str, line_no: int, column: int) -> float:
@@ -125,6 +127,39 @@ def read_field(path, domain: Domain | None = None) -> QField:
         if header != expected:
             raise ShapeMismatch(f"snapshot header {header} does not match domain {expected}")
 
+    try:
+        values, n_rows = _node_rows(lines, domain)
+    except ValueError:
+        # some row is malformed: find it, and say where, row by row
+        values, n_rows = _node_rows_checked(lines, domain)
+    if n_rows != domain.nx * domain.ny or np.isnan(values).any():
+        raise ParseError(
+            f"expected {domain.nx * domain.ny} node rows, got {n_rows}",
+            line=len(lines) + 1,
+        )
+    return QField(domain, values)
+
+
+def _node_rows(lines: list[str], domain: Domain) -> tuple[np.ndarray, int]:
+    """The node values and row count of a snapshot's body, all tokens parsed
+    in one pass; ValueError on any malformed row."""
+    body = [line for line in lines[1:] if line.strip()]
+    if any(line.count(",") != 8 for line in body):
+        raise ValueError("a row without 9 fields")
+    tokens = ",".join(body).split(",")
+    table = np.array(list(map(float, tokens))).reshape(-1, 9)
+    i = np.array(list(map(int, tokens[0::9])), dtype=int)
+    j = np.array(list(map(int, tokens[1::9])), dtype=int)
+    if not ((0 <= i) & (i < domain.nx) & (0 <= j) & (j < domain.ny)).all():
+        raise ValueError("a node outside the grid")
+    values = np.full(domain.shape, np.nan)
+    values[i, j] = table[:, 4:]
+    return values, len(body)
+
+
+def _node_rows_checked(lines: list[str], domain: Domain) -> tuple[np.ndarray, int]:
+    """``_node_rows`` one row at a time, raising ParseError at the first bad
+    row with its line and, for a bad number, its column."""
     values = np.full(domain.shape, np.nan)
     n_rows = 0
     for line_no, line in enumerate(lines[1:], start=2):
@@ -141,12 +176,7 @@ def read_field(path, domain: Domain | None = None) -> QField:
         _parse_float(tokens[3], line_no, 4)
         values[i, j] = [_parse_float(tok, line_no, k + 5) for k, tok in enumerate(tokens[4:])]
         n_rows += 1
-    if n_rows != domain.nx * domain.ny or np.isnan(values).any():
-        raise ParseError(
-            f"expected {domain.nx * domain.ny} node rows, got {n_rows}",
-            line=len(lines) + 1,
-        )
-    return QField(domain, values)
+    return values, n_rows
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ respect to the five components.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ __all__ = [
     "bulk_energy",
     "bulk_gradient",
     "bulk_energy_gradient",
-    "bulk_hessian_vec",
+    "bulk_hessian",
     "bulk_energy_uniaxial",
     "bulk_energy_uniaxial_deriv",
     "uniaxial_components",
@@ -251,15 +252,16 @@ def _det_hessian(q1, q2, q3, q4, q5) -> np.ndarray:
 _DET_HESSIAN = np.array([_det_hessian(*e) for e in np.eye(5)]).reshape(5, 25).T.copy()
 
 
-def bulk_hessian_vec(q: np.ndarray, v: np.ndarray, p: BulkParams) -> np.ndarray:
-    """The bulk Hessian at each tensor of q (..., 5) applied to each row of v (m, ..., 5),
+def bulk_hessian(q: np.ndarray, p: BulkParams) -> Callable[[np.ndarray], np.ndarray]:
+    """The bulk Hessian at each tensor of q (..., 5), as a map that applies it
+    to each row of a block v (m, ..., 5):
 
         (a + c |Q|^2) G v + 2c (q^T G v) G q - b (d^2 det Q / dq^2) v,
 
     the derivative of ``bulk_gradient`` along v.  Each tensor's 5 x 5 matrix
-    (less the rank-one term) is assembled once, component-major, and one
-    contraction applies it to all m rows, so each row of a block equals its
-    single call bit for bit.
+    (less the rank-one term) is assembled once, component-major, when the
+    map is made, and one contraction applies it to all m rows, so each row
+    of a block equals its single call bit for bit.
     """
     q = _check_last_axis(q)
     n = q.size // 5
@@ -267,13 +269,17 @@ def bulk_hessian_vec(q: np.ndarray, v: np.ndarray, p: BulkParams) -> np.ndarray:
     gq = G @ qc
     # row 5i + j: -b d^2 det Q / dq_i dq_j + (a + c |Q|^2) G_ij
     table = np.hstack([(-p.b) * _DET_HESSIAN, G.reshape(25, 1)])
-    h = table @ np.vstack([qc, p.a + p.c * np.einsum("in,in->n", qc, gq)])
-    vc = np.ascontiguousarray(_check_last_axis(v).reshape(-1, n, 5).transpose(2, 0, 1))
-    out = np.einsum("ijn,jmn->imn", h.reshape(5, 5, n), vc)
-    t = np.einsum("jn,jmn->mn", gq, vc)
-    t *= 2.0 * p.c
-    out += gq[:, None] * t
-    return np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(v.shape)
+    h = (table @ np.vstack([qc, p.a + p.c * np.einsum("in,in->n", qc, gq)])).reshape(5, 5, n)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        vc = np.ascontiguousarray(_check_last_axis(v).reshape(-1, n, 5).transpose(2, 0, 1))
+        out = np.einsum("ijn,jmn->imn", h, vc)
+        t = np.einsum("jn,jmn->mn", gq, vc)
+        t *= 2.0 * p.c
+        out += gq[:, None] * t
+        return np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(v.shape)
+
+    return apply
 
 
 def uniaxial_components(s, n) -> np.ndarray:

@@ -2,13 +2,16 @@
 
 Sparse assemblies of the metric and the one-constant elastic operator,
 and an eigendecomposition-based reading of a single tensor; the package
-itself applies these operators matrix-free.
+itself applies these operators matrix-free.  A field snapshot written
+one value at a time, which the package writes one row at a time.
 """
+
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from nematicq.field import Domain
+from nematicq.field import Domain, QField
 from nematicq.qtensor import G, to_matrix
 
 
@@ -53,3 +56,21 @@ def uniaxial_reading(q: np.ndarray, tol: float = 1e-8):
     if hi <= tol:
         return "uniaxial", 1.5 * w[0], v[:, 0]
     return "biaxial", None, None
+
+
+def write_field_per_value(path, f: QField) -> None:
+    """The snapshot format of ``fieldio.write_field``, each value formatted
+    on its own with ``format(float(v), ".17g")``."""
+    d = f.domain
+
+    def g17(v) -> str:
+        return format(float(v), ".17g")
+
+    boundary = d.boundary if isinstance(d.boundary, str) else "custom"
+    reals = (d.lambda2, d.bulk.a, d.bulk.b, d.bulk.c, d.l2, d.l3)
+    lines = ["# " + ",".join([str(d.nx), str(d.ny)] + [g17(v) for v in reals] + [boundary])]
+    for i in range(d.nx):
+        for j in range(d.ny):
+            cells = [str(i), str(j), g17(d.xs[i]), g17(d.ys[j])]
+            lines.append(",".join(cells + [g17(v) for v in f.values[i, j]]))
+    Path(path).write_text("\n".join(lines) + "\n")

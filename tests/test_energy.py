@@ -5,6 +5,7 @@ import pytest
 
 import scipy.sparse as sp
 
+import nematicq.energy as energy_module
 from nematicq.energy import (
     LdGSystem,
     SineSolver,
@@ -313,6 +314,19 @@ class TestExactHessian:
         assert not hv[:, 2].any()
         # no probe is taken, so the probe length changes nothing
         assert np.array_equal(sy.hessian_vec(x, v, l=1e-2), hv)
+
+    @pytest.mark.parametrize("grid, m", [(64, 3), (16, 13)])
+    def test_chunked_block_equals_column_calls(self, grid, m, monkeypatch):
+        d = Domain(nx=grid, ny=grid, lambda2=5.0, bulk=BULK, boundary="planar")
+        sy = LdGSystem(d)
+        gen = make_rng(35, "test:energy:chunks")
+        x = 0.4 * gen.normal(size=sy.n)
+        v = gen.normal(size=(sy.n, m))
+        assert v.nbytes > energy_module._CHUNK_BYTES  # more than one chunk
+        hv = sy.hessian_vec(x, v)
+        assert np.array_equal(hv, np.column_stack([sy.hessian_vec(x, col) for col in v.T]))
+        monkeypatch.setattr(energy_module, "_CHUNK_BYTES", v.nbytes)  # the block in one chunk
+        assert np.array_equal(sy.hessian_vec(x, v), hv)
 
 
 class TestBatchedKernels:

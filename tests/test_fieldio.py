@@ -27,6 +27,7 @@ from nematicq.mep import find_mep
 from nematicq.qtensor import BulkParams
 from nematicq.systems import make_rng
 from nematicq.toys import DoubleWell2D, Quartic2D
+from oracles import write_field_per_value
 
 BULK = BulkParams(-1.0, 1.0, 1.0)
 
@@ -153,6 +154,42 @@ class TestFieldRoundTrip:
             read_field(path)
         assert info.value.line == 5
         assert info.value.column == 7
+
+    @pytest.mark.parametrize(
+        "column, token, where",
+        [
+            (1, "1.5", (5, 1)),  # a float where the node index belongs
+            (2, "", (5, 2)),
+            (9, "1e", (5, 9)),
+            (9, "1,2", (5, 0)),  # ten fields
+            (1, "7", (5, 0)),  # a node outside the grid
+        ],
+    )
+    def test_bad_row_names_line_and_column(self, tmp_path, column, token, where):
+        f = random_field(small_domain())
+        path = tmp_path / "f.csv"
+        write_field(path, f)
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[column - 1] = token
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_field(path)
+        assert (info.value.line, info.value.column) == where
+
+    @pytest.mark.parametrize("grid", [(5, 4), (64, 64)])
+    def test_writer_matches_per_value_formatter(self, tmp_path, grid):
+        d = small_domain(*grid)
+        f = random_field(d)
+        f.values[0, 0, :] = [-0.0, 5e-324, 1e-300, 1.0, -1.7976931348623157e308]
+        f.values[1, 2, :] = [0.1, 1 / 3, 2.0**60, -1e16, 123456789.0]
+        write_field(tmp_path / "rows.csv", f)
+        write_field_per_value(tmp_path / "values.csv", f)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+        back = read_field(tmp_path / "rows.csv", d)
+        assert np.array_equal(back.values, f.values)
+        assert np.array_equal(np.signbit(back.values), np.signbit(f.values))
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import nematicq.hisd as hisd
+import nematicq.spectrum as spectrum
 from nematicq.energy import LdGSystem
-from nematicq.errors import ShapeMismatch
-from nematicq.field import Domain
+from nematicq.errors import NoConvergence, ShapeMismatch
+from nematicq.field import Domain, QField, symmetrize
+from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams
-from nematicq.spectrum import _MAXITER, operator_scale, smallest_eigs, solve_smallest
+from nematicq.spectrum import _GUARD, _MAXITER, operator_scale, smallest_eigs, solve_smallest
 from nematicq.systems import make_rng
 from nematicq.toys import DiagQuadratic, Quartic2D
 from oracles import elastic_matrix, metric_matrix
@@ -85,6 +88,96 @@ def test_quartic_hessians():
     assert rep.morse_index == 1
     rep = smallest_eigs(sy, np.array([1.0, 1.0]), k=2)
     assert rep.morse_index == 0 and rep.stable
+
+
+def record_lobpcg_blocks(monkeypatch) -> list:
+    """Record the start block of every LOBPCG call that ``solve_smallest`` makes."""
+    blocks = []
+    lobpcg = spectrum.lobpcg
+
+    def recorded(op, x, **kwargs):
+        blocks.append(np.array(x))
+        return lobpcg(op, x, **kwargs)
+
+    monkeypatch.setattr(spectrum, "lobpcg", recorded)
+    return blocks
+
+
+class TestGuardColumns:
+    """LOBPCG iterates k + _GUARD columns and reports the smallest k."""
+
+    def test_guarded_report_has_k_columns(self, monkeypatch):
+        blocks = record_lobpcg_blocks(monkeypatch)
+        n, k = 400, 3
+        rep = smallest_eigs(DiagQuadratic(np.arange(1.0, n + 1.0)), np.zeros(n), k=k, seed=3)
+        assert [b.shape for b in blocks] == [(n, k + _GUARD)]
+        assert rep.eigenvalues.shape == (k,) and rep.residuals.shape == (k,)
+        assert rep.eigenvectors.shape == (n, k)
+        assert rep.eigenvalues == pytest.approx([1.0, 2.0, 3.0], abs=1e-7)
+
+    def test_restart_keeps_the_guard_columns(self, monkeypatch):
+        blocks = record_lobpcg_blocks(monkeypatch)
+        monkeypatch.setattr(spectrum, "_MAXITER", 2)  # too few to converge in one attempt
+        n, k = 400, 2
+        sy = DiagQuadratic(np.arange(1.0, n + 1.0))
+        try:
+            smallest_eigs(sy, np.zeros(n), k=k, seed=3)
+        except NoConvergence:
+            pass
+        assert len(blocks) > 1
+        assert all(b.shape == (n, k + _GUARD) for b in blocks)
+        # each restart starts from the whole orthonormal Ritz block of the last attempt
+        for b in blocks[1:]:
+            assert np.allclose(b.T @ b, np.eye(k + _GUARD), atol=1e-10)
+
+    def test_dense_cutoff_counts_the_guard(self):
+        k, n = 30, 165  # n = 5 (k + 2) + 5 > 5 k + 5: dense only when the guard is counted
+        rep = smallest_eigs(DiagQuadratic(np.arange(1.0, n + 1.0)), np.zeros(n), k=k)
+        assert rep.iterations == 0
+        assert rep.eigenvalues == pytest.approx(np.arange(1.0, k + 1.0), abs=1e-12)
+
+
+def _cross_guess(domain: Domain) -> np.ndarray:
+    """Cross-shaped in-plane start whose order melts on the two diagonals."""
+    x, y = np.meshgrid(domain.xs, domain.ys, indexing="ij")
+    sign = np.where(np.abs(y - 0.5) > np.abs(x - 0.5), 1.0, -1.0)
+    ramp = np.minimum(1.0, 3.0 * np.minimum(np.abs(x - y), np.abs(x + y - 1.0)))
+    q = np.zeros(domain.shape)
+    q[:, :, 0] = 0.5 * domain.s_plus * sign * ramp
+    q[:, :, 3] = -q[:, :, 0]
+    return q.reshape(-1)
+
+
+def test_cross_parent_certificate_with_degenerate_pairs(monkeypatch):
+    """The index-2 cross state at 16^2, lambda2 = 50: the k = 4 window ends
+    on a degenerate pair, with the next pair 2 % above it."""
+    d = Domain(nx=16, ny=16, lambda2=50.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+    sy = LdGSystem(d)
+
+    def project(flat):
+        return symmetrize(QField.from_flat(d, flat)).flat
+
+    opts = MinimizeOptions(tol_grad=1e-8, max_iters=20000, project=project)
+    cross = minimize(sy, project(_cross_guess(d)), opts)
+    assert cross.converged
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(smallest_eigs(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(hisd, "smallest_eigs", recorded)
+    rec = hisd.make_record(sy, cross.x, tol_grad=1e-6, k_hint=2)
+    assert rec.morse_index == 2
+    (rep,) = reports
+    assert rep.eigenvalues.shape == (4,)
+    assert 0 < rep.iterations <= 120
+    h = sy.hessian_vec(cross.x, np.eye(sy.n))
+    w_ref = np.linalg.eigvalsh(0.5 * (h + h.T))
+    assert np.abs(rep.eigenvalues - w_ref[:4]).max() <= 1e-8 * rep.scale
+    # the window cuts between lambda4 and lambda5, 2 % apart
+    assert w_ref[3] == pytest.approx(w_ref[2], rel=1e-9)
+    assert w_ref[4] == pytest.approx(1.018 * w_ref[3], rel=1e-3)
 
 
 class TestLdGSpectrum:
