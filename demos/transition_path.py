@@ -3,7 +3,7 @@
 First a closed-form double well, where the exact barrier is 1 and the
 transition state is the origin; then a real field problem, connecting
 the two diagonal states of a nematic square through their lowest
-barrier.  Takes about 3 s on a 2-core VM.
+barrier.  Takes about 2 s on a 2-core VM.
 """
 
 import numpy as np

@@ -185,6 +185,8 @@ def cmd_saddle(args) -> int:
                 "morse_index": rec.morse_index,
                 "lambda_spectrum": list(rec.lambda_spectrum),
                 "grad_inf_norm": rec.grad_inf,
+                "iterations": rec.iterations,
+                "newton_steps": rec.newton_steps,
             },
         )
     print(f"saddle: index={rec.morse_index} energy={rec.energy:.12g} grad_inf={rec.grad_inf:.3e}")

@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 _G_EIGVALS, _G_EIGVECS = np.linalg.eigh(G)  # 1, 2, 2, 2, 3
-# A block Hessian action takes its columns in chunks of at most this many
-# bytes (one column at a time from 32^2 up), so that each chunk's
+# A block Hessian action and a block sine solve take their columns in
+# chunks of at most this many bytes (one column at a time from 32^2 up,
+# seven at 16^2), so that each chunk's
 # temporaries, about ten times its size, stay small: of 8 KiB to 512 KiB
 # and a whole block, 64 KiB was fastest from 16^2 to 128^2.
 _CHUNK_BYTES = 1 << 16
@@ -283,18 +284,30 @@ class SineSolver(LinearOperator):
         wy = domain.hx / domain.hy
         a = wx * mux[:, None] + wy * muy[None, :] + sigma
         self._eig = c0 + c1 * _G_EIGVALS[:, None, None] * a  # (5, nx, ny)
+        self._chunk = max(1, _CHUNK_BYTES // (8 * n))  # columns per chunk
 
     def _scaled(self, r: np.ndarray, scale) -> np.ndarray:
-        """Transform r to the eigenbasis, ``scale(x, eig, out=x)`` there, transform back."""
+        """Transform r to the eigenbasis, ``scale(x, eig, out=x)`` there, transform
+        back; a block goes through in column chunks of at most ``_CHUNK_BYTES``."""
         r = np.asarray(r, dtype=float)
         _, nx, ny = self._eig.shape
         m = r.size // (nx * ny * 5)
-        rot = _G_EIGVECS if m == 1 else np.kron(_G_EIGVECS, np.eye(m))
-        x = (rot.T @ r.reshape(nx * ny, 5 * m).T).reshape(5, m, nx, ny)
+        step = self._chunk
+        if m > step:
+            out = np.empty(r.shape)
+            for lo in range(0, m, step):
+                out[:, lo : lo + step] = self._scaled(r[:, lo : lo + step], scale)
+            return out
+        # node-major rows (node, component, column) become component-major
+        # planes (component, column, node) by one transpose (a view for one
+        # column), and one 5 x 5 product rotates the components of all of
+        # them at once; the way back mirrors it
+        x = r.reshape(nx * ny, 5 * m).T.reshape(5, m * nx * ny)
+        x = (_G_EIGVECS.T @ x).reshape(5, m, nx, ny)
         x = self._sx @ x @ self._sy
         scale(x, self._eig[:, None], out=x)
-        x = (self._sx @ x @ self._sy).reshape(5 * m, nx * ny)
-        return (x.T @ rot.T).reshape(r.shape)
+        x = (self._sx @ x @ self._sy).reshape(5, m * nx * ny)
+        return np.ascontiguousarray((x.T @ _G_EIGVECS.T).reshape(m, nx * ny * 5).T).reshape(r.shape)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """The inverse action on a vector or (n, m) block."""

@@ -13,6 +13,19 @@ elastic operator, which applies M and M^-1 by sine transforms; it keeps
 the step count flat as the grid is refined), and the identity for a
 system that brings none.
 
+Once the gradient inf-norm of a search has fallen a decade below its
+start, the search tries a guarded Newton endgame (Newton-Krylov, Knoll
+and Keyes, J. Comput. Phys. 193, 2004): each step solves H d = -g by
+MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975), which
+takes the indefinite H, preconditioned by M^-1.  Newton heads for the
+nearest stationary point of any index, so the endgame is kept only when
+its first step points along the last dynamics step (cos_M >= 1/2),
+every step lowers the gradient inf-norm, the energy never rises when
+k = 0, and it reaches the search's tolerance within 10 steps; otherwise
+it is discarded and the dynamics go on from where they were, with the
+next attempt a decade further down.  The certificate alone decides the
+index of a landing, polished or not.
+
 Verified stationary points become SaddleRecords, which keep the
 eigenvectors of their certificate; repeated downward (and optionally
 upward) searches start from those and, from a seed record, grow the
@@ -26,6 +39,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import NoConvergence, NotStationary, ValidationError, WrongIndex
 from .spectrum import SpectrumReport, operator_scale, smallest_eigs
@@ -55,6 +69,11 @@ __all__ = [
 _BLOW_FACTOR = 1e6
 _RADIUS_FACTOR = 1e3
 _SCALE_CHECK_EVERY = 25
+# The Newton endgame: MINRES relative tolerance, steps per attempt, and the
+# least M-cosine between the first Newton step and the last dynamics step
+_NEWTON_RTOL = 1e-10
+_NEWTON_STEPS = 10
+_NEWTON_COS = 0.5
 # Two landscape records are one node when their field distance is below
 # _TOL_X times the field scale (and their energies agree).
 _TOL_X = 1e-4
@@ -101,8 +120,9 @@ class SaddleRecord:
     the index count is visible, and `eigenvectors` the matching
     Euclidean-orthonormal columns from the same solve, from which every
     branch search leaving the point starts; `iterations` counts the
-    saddle-dynamics steps that reached it (0 for a record made on the
-    spot).
+    saddle-dynamics steps that reached it and `newton_steps` the Newton
+    steps of the endgame that finished the search (both 0 for a record
+    made on the spot).
     """
 
     field: np.ndarray
@@ -113,6 +133,7 @@ class SaddleRecord:
     grad_inf: float
     id: int | None = None
     iterations: int = 0
+    newton_steps: int = 0
 
 
 @dataclass
@@ -197,12 +218,12 @@ def make_record(
 ) -> SaddleRecord:
     """Certify x by classify_stationary and keep its eigenpairs."""
     e, g = system.energy_gradient(x)
-    return _record(system, _Landing(x, None, e, float(np.abs(g).max()), 0), tol_grad, seed, k_hint)
+    return _record(system, _Landing(x, e, float(np.abs(g).max()), 0, 0), tol_grad, seed, k_hint)
 
 
-# where a search stopped, not yet certified: the point, its relaxed V,
-# energy and gradient inf-norm, and the steps taken
-_Landing = namedtuple("_Landing", "field v energy grad_inf iterations")
+# where a search stopped, not yet certified: the point, its energy and
+# gradient inf-norm, and the dynamics and Newton steps taken
+_Landing = namedtuple("_Landing", "field energy grad_inf iterations newton_steps")
 
 
 def _record(system: System, hit: _Landing, tol_grad: float, seed: int, k_hint: int) -> SaddleRecord:
@@ -217,6 +238,7 @@ def _record(system: System, hit: _Landing, tol_grad: float, seed: int, k_hint: i
         eigenvectors=rep.eigenvectors[:, : spectrum.size].copy(),
         grad_inf=hit.grad_inf,
         iterations=hit.iterations,
+        newton_steps=hit.newton_steps,
     )
 
 
@@ -238,9 +260,13 @@ def find_saddle(
     ``energy_gradient``, and an accepted trial's gradient drives the next
     step.  The step halves when the energy blows up (or, for k = 0,
     rises); a position that runs far off its start scale raises
-    NoConvergence.  Raises WrongIndex (carrying the verified record) when
-    the landing point is stationary but of a different index than
-    requested; the caller may keep that record.
+    NoConvergence.  Once the gradient inf-norm has fallen a decade below
+    its start, the guarded Newton endgame of the module docstring may
+    finish the search (a rejected attempt is retried a decade further
+    down); the record counts its steps in `newton_steps`, apart from the
+    dynamics steps in `iterations`.  Raises WrongIndex (carrying the
+    verified record) when the landing point is stationary but of a
+    different index than requested; the caller may keep that record.
     """
     opts = opts or SaddleOptions()
     record = _record(system, _search(system, k, x0, v0, opts), opts.tol_grad, opts.seed, k)
@@ -274,6 +300,10 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
     x_scale = 1.0 + float(np.abs(x).max())
     state = SaddleSearchState(x, v, k)
     g_inf = np.inf
+    # the Newton endgame is tried below this gradient inf-norm, once there
+    # is a last step (x_prev to state.x) to check its direction against
+    polish_below = 0.1 * float(np.abs(g).max())
+    x_prev = None
 
     def halve():
         nonlocal step
@@ -284,7 +314,12 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
     for it in range(opts.max_iters):
         g_inf = float(np.abs(g).max())
         if g_inf < opts.tol_grad:
-            return _Landing(state.x, state.v, e_state, g_inf, it)
+            return _Landing(state.x, e_state, g_inf, it, 0)
+        if x_prev is not None and g_inf < polish_below:
+            polished = _polish(system, state.x, e_state, g, k, state.x - x_prev, opts.tol_grad)
+            if polished is not None:
+                return _Landing(*polished[:3], it, polished[3])
+            polish_below = 0.1 * g_inf
         if k and it and it % _SCALE_CHECK_EVERY == 0:
             # curvature can grow along the way; keep the step below 1/|M^-1 H|
             # at the current point or the unstable modes start to rattle
@@ -303,12 +338,52 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
             # step has outrun the local curvature
             halve()
             continue
-        state, e_state, g = trial, e_new, g_new
+        state, e_state, g, x_prev = trial, e_new, g_new, state.x
     raise NoConvergence(
         f"gradient inf-norm {g_inf:.3e} above {opts.tol_grad:.3e} after {opts.max_iters} steps",
         iterations=opts.max_iters,
         residual=g_inf,
     )
+
+
+def _polish(
+    system: System, x: np.ndarray, e: float, g: np.ndarray, k: int, move: np.ndarray, tol_grad: float
+):
+    """Guarded Newton steps from x (energy e, gradient g) to a gradient
+    inf-norm below tol_grad; `move` is the last dynamics step into x.
+
+    Each step solves H d = -g by MINRES at relative tolerance
+    _NEWTON_RTOL, preconditioned by M^-1.  Returns (x, energy, |g|inf,
+    steps) at the first point below tol_grad, or None when a guard fails:
+    the first step makes an M-cosine below _NEWTON_COS with `move`, a
+    step does not lower |g|inf, or (k = 0) raises the energy, or
+    _NEWTON_STEPS steps do not reach tol_grad.
+    """
+    precond = preconditioner_of(system)
+    n = x.size
+    m_inv = LinearOperator((n, n), matvec=precond.solve, dtype=float)
+    g_inf = float(np.abs(g).max())
+    for steps in range(1, _NEWTON_STEPS + 1):
+        h = LinearOperator((n, n), matvec=lambda w, y=x: system.hessian_vec(y, w), dtype=float)
+        d = minres(h, -g, rtol=_NEWTON_RTOL, M=m_inv)[0]
+        if steps == 1:
+            pair = np.column_stack([d, move])
+            gram = pair.T @ precond.apply(pair)
+            if gram[0, 1] < _NEWTON_COS * np.sqrt(gram[0, 0] * gram[1, 1]):
+                return None
+        x = x + d
+        if not np.all(np.isfinite(x)):
+            return None
+        e_new, g = system.energy_gradient(x)
+        g_new = float(np.abs(g).max())
+        if not (np.isfinite(e_new) and g_new < g_inf):
+            return None
+        if k == 0 and e_new > e + 1e-12 * (1.0 + abs(e)):
+            return None
+        e, g_inf = e_new, g_new
+        if g_inf < tol_grad:
+            return x, e, g_inf, steps
+    return None
 
 
 def _branch_searches(

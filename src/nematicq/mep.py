@@ -209,8 +209,9 @@ def _as_flat(field, system: System | None):
 def _refine_ts(system: System, x0: np.ndarray, tol: float, seed: int = 0) -> SaddleRecord:
     """Climbing correction: index-1 saddle dynamics from x0, whose unstable
     direction is solved once at the start and then relaxed with the
-    position, as in every other search.  The returned record's index is
-    verified by find_saddle; any other index raises NotIndexOne."""
+    position, finished by the guarded Newton endgame, as in every other
+    search.  The returned record's index is verified by find_saddle; any
+    other index raises NotIndexOne."""
     try:
         return find_saddle(system, 1, x0, opts=SaddleOptions(tol_grad=tol, seed=seed))
     except WrongIndex as err:

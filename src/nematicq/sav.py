@@ -140,10 +140,13 @@ class SavSplit:
 
         return solve
 
-    def solve_cn(self, dt: float, bvec: np.ndarray, rhs: np.ndarray, precond=None, x0=None) -> np.ndarray:
-        """Solve (I/dt + L/2 + b b^T) x = rhs by CG, preconditioned by `sherman_morrison`
-        (or `precond`, that same inverse already built) and started from x0, by default the
-        preconditioned rhs; when l2 = l3 = 0 that start is exact and CG stops at its first check."""
+    def solve_cn(
+        self, dt: float, bvec: np.ndarray, rhs: np.ndarray, precond=None, x0=None, atol: float = _CG_ATOL
+    ) -> np.ndarray:
+        """Solve (I/dt + L/2 + b b^T) x = rhs by CG to a residual below max(atol, 1e-13 |rhs|),
+        preconditioned by `sherman_morrison` (or `precond`, that same inverse already built)
+        and started from x0, by default the preconditioned rhs; when l2 = l3 = 0 that start is
+        exact and CG stops at its first check.  A zero x0 costs no operator action."""
         n = rhs.size
         precond = precond or self.sherman_morrison(dt, bvec)
 
@@ -153,10 +156,10 @@ class SavSplit:
         a_op = LinearOperator((n, n), matvec=matvec, dtype=float)
         m_op = LinearOperator((n, n), matvec=precond, dtype=float)
         x0 = precond(rhs) if x0 is None else x0
-        x, info = cg(a_op, rhs, x0, rtol=1e-13, atol=_CG_ATOL, maxiter=_CG_MAXITER, M=m_op)
+        x, info = cg(a_op, rhs, x0, rtol=1e-13, atol=atol, maxiter=_CG_MAXITER, M=m_op)
         if info != 0:
             residual = float(np.linalg.norm(a_op @ x - rhs))
-            if residual > _CG_ATOL * (1.0 + float(np.linalg.norm(rhs))):
+            if residual > atol * (1.0 + float(np.linalg.norm(rhs))):
                 raise LinearSolveFailure(
                     f"conjugate gradient stalled at residual {residual:.3e} after {_CG_MAXITER} iterations"
                 )
@@ -207,7 +210,9 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
     and one elastic apply, L q+ + c at q+ = q + delta, carried to the new
     state.  delta is accepted when the residual of the step's equation
     delta/dt + (Lq + c + Lq+ + c)/2 + 2 (r + b.delta/2) b is below the CG
-    tolerance; otherwise CG finishes from delta and L q+ + c is redone.
+    tolerance; otherwise CG solves for the correction e with A e = -residual
+    from e = 0, to the same absolute tolerance, so the residual the check
+    computed is not computed again, and L q+ + c is redone.
     A non-finite q+ raises NoConvergence with `iterations` at this step.
     """
     if dt <= 0.0:
@@ -227,8 +232,9 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
     lin_next = split.l_apply(q_next) + split.shift
     residual = delta / dt + 0.5 * (lin + lin_next) + (2.0 * state.r + float(bvec @ delta)) * bvec
     # scipy cg's stopping test; a non-finite delta skips CG and is caught below
-    if np.linalg.norm(residual) >= max(_CG_ATOL, 1e-13 * np.linalg.norm(rhs)):
-        delta = split.solve_cn(dt, bvec, rhs, precond, delta)
+    tol = max(_CG_ATOL, 1e-13 * float(np.linalg.norm(rhs)))
+    if np.linalg.norm(residual) >= tol:
+        delta = delta + split.solve_cn(dt, bvec, -residual, precond, np.zeros_like(delta), atol=tol)
         q_next = q + delta
         lin_next = split.l_apply(q_next) + split.shift
     if not np.isfinite(q_next).all():

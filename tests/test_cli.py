@@ -66,6 +66,8 @@ class TestToyCommands:
         assert payload["morse_index"] == 1
         assert abs(payload["energy"] - 1.0) < 1e-10
         assert len(payload["lambda_spectrum"]) >= 2
+        # the saddle dynamics, then the Newton endgame, each counted apart
+        assert payload["iterations"] > 0 and payload["newton_steps"] >= 1
 
     def test_hedgehog_profile(self, tmp_path):
         rc = main(["hedgehog", "--out", str(tmp_path), "-R", "10", "-N", "128"])

@@ -395,6 +395,19 @@ class TestSineSolver:
             self.assert_solves_and_applies(eye / dt + 0.5 * l1, SineSolver(d, 1.0 / dt, 0.5, sigma), gen)
             self.assert_solves_and_applies(eye / dt + l1, SineSolver(d, 1.0 / dt, 1.0, sigma), gen)
 
+    @pytest.mark.parametrize("grid, m", [(64, 4), (16, 30), (9, 3)])
+    def test_block_columns_match_vector_calls(self, grid, m):
+        # at 64^2 and 16^2 the block goes through in several chunks
+        d = Domain(nx=grid, ny=grid, lambda2=5.0, bulk=BULK, boundary="planar")
+        solver = LdGSystem(d).preconditioner()
+        r = make_rng(9, "test:energy:sine").normal(size=(d.n_dof, m))
+        for act in (solver.solve, solver.apply):
+            block = act(r)
+            cols = np.column_stack([act(col) for col in r.T])
+            assert block.shape == r.shape and block.flags.c_contiguous
+            assert np.all(np.abs(block - cols).max(axis=0) <= 1e-14 * np.abs(cols).max(axis=0))
+            assert act(r[:, :0]).shape == (d.n_dof, 0)  # k = 0 saddle dynamics carry an empty V
+
     def test_is_the_linear_operator_it_solves_with(self):
         d = make_domain(8)
         solver = SineSolver(d, 0.5, 2.0, 0.1)

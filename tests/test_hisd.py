@@ -320,6 +320,37 @@ class TestFindSaddle:
         assert np.allclose(rec.lambda_spectrum, [-2.0, -1.0, 1.0, 3.0], atol=1e-6)
 
 
+class TestNewtonEndgame:
+    def test_polish_back_toward_the_parent_is_rejected(self):
+        # at (0, 0.05) Newton heads for the index-2 top (0, 0), against the
+        # last step of a search that is moving up toward (0, 1)
+        sy = Quartic2D()
+        x = np.array([0.0, 0.05])
+        e, g = sy.energy_gradient(x)
+        assert hisd._polish(sy, x, e, g, 1, np.array([0.0, 1.0]), 1e-8) is None
+
+    def test_search_from_near_the_top_lands_by_newton(self):
+        rec = find_saddle(Quartic2D(), 1, np.array([0.0, 0.05]))
+        assert rec.morse_index == 1
+        assert np.abs(rec.field - [0.0, 1.0]).max() < 1e-8
+        assert rec.newton_steps >= 1 and rec.iterations > 0
+
+    def test_descent_polish_may_not_climb(self):
+        # from (0.05, 0) Newton goes to the double well's saddle (0, 0):
+        # a smaller gradient at a higher energy, which a descent rejects
+        # and an index-1 search keeps
+        sy = DoubleWell2D()
+        x = np.array([0.05, 0.0])
+        e, g = sy.energy_gradient(x)
+        move = np.array([-1.0, 0.0])
+        assert hisd._polish(sy, x, e, g, 0, move, 1e-8) is None
+        x1, e1, g1, steps = hisd._polish(sy, x, e, g, 1, move, 1e-8)
+        assert np.abs(x1).max() < 1e-8 and e1 > e and g1 < 1e-8 and 1 <= steps <= 10
+
+    def test_record_on_the_spot_takes_no_newton_step(self):
+        assert quartic_record((0.0, 1.0), k_hint=1).newton_steps == 0
+
+
 class TestDirectionalSearches:
     def test_downward_from_top(self):
         top = quartic_record((0.0, 0.0), k_hint=2)

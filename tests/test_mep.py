@@ -336,6 +336,27 @@ def test_preconditioned_sweeps_do_not_grow_with_the_grid():
     assert sweeps[1] <= sweeps[0] <= 40
 
 
+def test_tight_climb_ends_in_a_few_newton_steps(monkeypatch):
+    # the 16^2 diagonal-to-diagonal string climbed to 1e-8: the saddle
+    # dynamics alone took 572 steps to this barrier; the Newton endgame
+    # finishes the climb in a few steps and lands on the same barrier
+    mep = importlib.import_module("nematicq.mep")
+    records = []
+    original = mep.find_saddle
+
+    def recorded(*args, **kwargs):
+        records.append(original(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(mep, "find_saddle", recorded)
+    sy, (a, b) = ldg_string_ends(16)
+    res = find_mep(a, b, n_nodes=32, tol=1e-4, ts_tol=1e-8, system=sy)
+    (ts,) = records
+    assert 1 <= ts.newton_steps <= 10 and ts.grad_inf < 1e-8
+    assert abs(res.barrier_forward - 0.012107685384624034) <= 1e-10
+    assert res.ts_lambda1 < 0.0
+
+
 class TestMultiscale:
     def test_fine_string_tightens_double_well_top(self):
         coarse = find_mep([-1.0, 0.0], [1.0, 0.0], n_nodes=8, tol=1e-6, system=DoubleWell2D())

@@ -234,6 +234,30 @@ class TestStepWork:
         assert calls.count("cg") == 0
         assert cn_residual(split, state, out, 0.5) <= 1e-10
 
+    def test_l2_l3_flow_makes_no_extra_apply_for_cg(self, monkeypatch):
+        # each step applies L to q+ for the check, once per CG iteration
+        # (CG solves for the correction from zero, so it does not apply L
+        # to recompute the check's residual) and once more to the
+        # corrected q+; sav_init applies it once
+        d = tangent_domain(16, boundary="planar", l2=0.6, l3=0.4)
+        applies, iterations = [], []
+        count(monkeypatch, sav_split(d), "l_apply", applies)
+        solver = sav.cg
+
+        def counted_cg(*args, **kwargs):
+            iterations.append(0)
+
+            def tick(xk):
+                iterations[-1] += 1
+
+            return solver(*args, callback=tick, **kwargs)
+
+        monkeypatch.setattr(sav, "cg", counted_cg)
+        _, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
+        assert steps == 233
+        assert len(iterations) == steps
+        assert len(applies) == 1 + 2 * steps + sum(iterations)
+
     def test_cg_finishes_with_l2_l3(self, monkeypatch):
         split, state = chained_state(tangent_domain(8, l2=0.6, l3=0.4))
         out, calls = self.counted_step(monkeypatch, split, state, 0.5)
