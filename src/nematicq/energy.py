@@ -41,7 +41,7 @@ __all__ = [
 _G_EIGVALS, _G_EIGVECS = np.linalg.eigh(G)  # 1, 2, 2, 2, 3
 # A block Hessian action and a block sine solve take their columns in
 # chunks of at most this many bytes (one column at a time from 32^2 up,
-# seven at 16^2), so that each chunk's
+# six at 16^2), so that each chunk's
 # temporaries, about ten times its size, stay small: of 8 KiB to 512 KiB
 # and a whole block, 64 KiB was fastest from 16^2 to 128^2.
 _CHUNK_BYTES = 1 << 16
@@ -207,13 +207,17 @@ class LdGSystem(System):
         column equal to its single-vector call bit for bit, zero columns
         zero); no probe is taken, so ``l`` is ignored.  The columns go
         through in chunks of at most ``_CHUNK_BYTES`` each, so that a wide
-        block on a large grid does not page in fresh temporaries; the bulk
-        matrices at x are assembled once.  Reads only ``self.domain``.
+        block on a large grid does not page in fresh temporaries.  A copy of
+        the last x and its ``bulk_hessian`` map are kept on ``self``; a call
+        at an x equal to it by content reuses the map.
         """
         d = self.domain
         v = np.asarray(v, dtype=float)
         cols = v.reshape(v.shape[0], -1)
-        bulk = bulk_hessian(d.check_values(x), d.bulk)
+        last_x, bulk = self.__dict__.get("_bulk_hessian", (None, None))
+        if not np.array_equal(last_x, x):
+            bulk = bulk_hessian(d.check_values(x), d.bulk)
+            self._bulk_hessian = (np.array(x, dtype=float), bulk)
         hv = np.empty_like(cols)
         step = max(1, _CHUNK_BYTES // (8 * d.n_dof))
         for lo in range(0, cols.shape[1], step):

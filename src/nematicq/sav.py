@@ -6,9 +6,11 @@ The discrete free energy is split as
 
 where L collects the elastic operator plus an `a1` multiple of the
 Frobenius metric, and the nonlinear remainder F1 is shifted by a
-constant C0 so that F1 >= 1 on every field.  Writing r = sqrt(F1),
-the flow dq/dt = -grad F is integrated by a Crank-Nicolson scheme in
-(q, r) that keeps the modified energy
+constant C0 so that F1 >= 1 on every field.  F1 - C0 is itself a bulk
+energy, with the coefficients hx hy (lambda2 a - a1, lambda2 b, lambda2 c)
+of lambda2 f_b - a1/2 |Q|^2, so F1 or its gradient is one bulk pass.
+Writing r = sqrt(F1), the flow dq/dt = -grad F is integrated by a
+Crank-Nicolson scheme in (q, r) that keeps the modified energy
 
     1/2 q.Lq + c.q + r^2
 
@@ -33,14 +35,8 @@ from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/
 
 from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
 from .field import Domain, QField
-from .energy import (
-    SineSolver,
-    elastic_apply,
-    elastic_shift_vector,
-    free_energy,
-    gradient,
-)
-from .qtensor import bulk_energy, bulk_energy_gradient, bulk_energy_uniaxial, bulk_gradient, frob2, metric_apply
+from .energy import SineSolver, elastic_apply, elastic_shift_vector, free_energy, gradient
+from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_energy_uniaxial, bulk_gradient, metric_apply
 
 __all__ = [
     "SavSplit",
@@ -55,22 +51,16 @@ _CG_ATOL = 1e-10
 _CG_MAXITER = 500
 
 
-def _shifted_uniaxial_floor(domain: Domain, a1: float) -> float:
-    """Global minimum over s of g(s) = lambda^2 f(s) - (a1/3) s^2.
+def _uniaxial_floor(p: BulkParams) -> float:
+    """Global minimum over all tensors of the bulk density with coefficients p.
 
-    The minimum of the shifted bulk density over all tensors is attained
-    on the uniaxial family for b >= 0.  There g is a quartic with
-    positive leading coefficient and g'(s) = s (c3 s^2 - c2 s + c1), so
-    the floor is the least g over s = 0 and the real roots of the
-    quadratic factor.
+    For b >= 0 it is attained on the uniaxial family, where the density's
+    derivative is (2s/9)(2c s^2 - b s + 3a), so it is the least value over
+    s = 0 and the real roots of the quadratic factor.
     """
-    lam2, p = domain.lambda2, domain.bulk
-    c3 = 4.0 * lam2 * p.c / 9.0
-    c2 = 2.0 * lam2 * p.b / 9.0
-    c1 = 2.0 * (lam2 * p.a - a1) / 3.0
-    roots = np.roots([c3, -c2, c1])
+    roots = np.roots([2.0 * p.c, -p.b, 3.0 * p.a])
     s = np.append(roots[np.isreal(roots)].real, 0.0)
-    return float(np.min(lam2 * bulk_energy_uniaxial(s, p) - (a1 / 3.0) * s**2))
+    return float(np.min(bulk_energy_uniaxial(s, p)))
 
 
 class SavSplit:
@@ -80,10 +70,14 @@ class SavSplit:
         if domain.bulk.c <= 0.0:
             raise ValidationError("the stabilized flow needs a positive quartic bulk coefficient")
         self.domain = domain
-        self.a1 = domain.lambda2 * max(0.0, -domain.bulk.a) + 1.0
-        self.c0 = 1.0 - _shifted_uniaxial_floor(domain, self.a1)
+        lam2, p = domain.lambda2, domain.bulk
+        self.a1 = lam2 * max(0.0, -p.a) + 1.0
+        # lambda2 f_b - a1/2 |Q|^2 as one bulk density (lambda2 > 0 keeps b, c >= 0)
+        shifted = BulkParams(lam2 * p.a - self.a1, lam2 * p.b, lam2 * p.c)
+        self.c0 = 1.0 - _uniaxial_floor(shifted)
         self.shift = elastic_shift_vector(domain)
-        self._hw = domain.hx * domain.hy
+        self._hw = hw = domain.hx * domain.hy
+        self._bulk = BulkParams(hw * shifted.a, hw * shifted.b, hw * shifted.c)  # F1 - C0 per node
         self._solver: tuple | None = None  # (dt, SineSolver of I/dt + L1/2)
 
     def l_apply(self, flat: np.ndarray) -> np.ndarray:
@@ -94,25 +88,15 @@ class SavSplit:
 
     def f1(self, flat: np.ndarray) -> float:
         """Nonlinear remainder; >= 1 on every field by choice of C0."""
-        values = flat.reshape(self.domain.shape)
-        return self._f1(values, bulk_energy(values, self.domain.bulk))
+        return float(np.sum(bulk_energy(flat.reshape(self.domain.shape), self._bulk))) + self.c0
 
     def grad_f1(self, flat: np.ndarray) -> np.ndarray:
-        values = flat.reshape(self.domain.shape)
-        return self._grad_f1(values, bulk_gradient(values, self.domain.bulk))
+        return bulk_gradient(flat.reshape(self.domain.shape), self._bulk).reshape(-1)
 
     def f1_grad_f1(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
         """``(f1(flat), grad_f1(flat))`` bit for bit, from one bulk pass."""
-        values = flat.reshape(self.domain.shape)
-        density, g = bulk_energy_gradient(values, self.domain.bulk)
-        return self._f1(values, density), self._grad_f1(values, g)
-
-    def _f1(self, values, bulk):
-        dens = self.domain.lambda2 * bulk - 0.5 * self.a1 * frob2(values)
-        return self._hw * float(np.sum(dens)) + self.c0
-
-    def _grad_f1(self, values, bulk_grad):
-        return (self._hw * (self.domain.lambda2 * bulk_grad - self.a1 * metric_apply(values))).reshape(-1)
+        density, g = bulk_energy_gradient(flat.reshape(self.domain.shape), self._bulk)
+        return float(np.sum(density)) + self.c0, g.reshape(-1)
 
     @cached_property
     def _constant(self) -> float:
@@ -136,7 +120,8 @@ class SavSplit:
 
         def solve(v):
             z = p.solve(v)
-            return z - u * (float(bvec @ z) / denom)
+            z -= u * (float(bvec @ z) / denom)
+            return z
 
         return solve
 
@@ -215,22 +200,26 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
     computed is not computed again, and L q+ + c is redone.
     A non-finite q+ raises NoConvergence with `iterations` at this step.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValidationError("dt must be positive")
     split = split or sav_split(state.field.domain)
     q = state.field.flat
     lin = split.l_apply(q) + split.shift if state.linear_gradient is None else state.linear_gradient
     q_bar = q if state.q_prev is None else 1.5 * q - 0.5 * state.q_prev.flat
-    f1_bar, g1_bar = split.f1_grad_f1(q_bar)
+    f1_bar, bvec = split.f1_grad_f1(q_bar)
     if not f1_bar >= 1.0 - 1e-9:
         raise SolveError(f"nonlinear remainder {f1_bar!r} dropped below its certified floor 1")
-    bvec = g1_bar / (2.0 * np.sqrt(f1_bar))
-    rhs = -(lin + (2.0 * state.r) * bvec)
+    bvec /= 2.0 * np.sqrt(f1_bar)
+    rhs = (-2.0 * state.r) * bvec
+    rhs -= lin
     precond = split.sherman_morrison(dt, bvec)
     delta = precond(rhs)
     q_next = q + delta
-    lin_next = split.l_apply(q_next) + split.shift
-    residual = delta / dt + 0.5 * (lin + lin_next) + (2.0 * state.r + float(bvec @ delta)) * bvec
+    lin_next = split.l_apply(q_next)
+    lin_next += split.shift
+    residual = 0.5 * (lin + lin_next)
+    residual += delta / dt
+    residual += (2.0 * state.r + float(bvec @ delta)) * bvec
     # scipy cg's stopping test; a non-finite delta skips CG and is caught below
     tol = max(_CG_ATOL, 1e-13 * float(np.linalg.norm(rhs)))
     if np.linalg.norm(residual) >= tol:
@@ -267,7 +256,8 @@ def flow_to_equilibrium(
     Each step's measure is |L q + c + grad F1(q)|inf from the carried
     L q + c and one bulk gradient, `gradient` up to rounding; a fresh
     `gradient` confirms it below tol_grad before the field is returned.
-    A non-finite field or measure raises NoConvergence at its step.
+    A non-finite field or measure raises NoConvergence at its step, and
+    a bad dt, tol_grad or max_steps raises ValidationError before any.
 
     Every `reset_every` SAV steps the auxiliary scalar is re-initialized
     to sqrt(F1).  Without this the stepper can settle on a fixed point of
@@ -276,10 +266,14 @@ def flow_to_equilibrium(
     touch the scalar, so the fields visited stay on the same discrete
     trajectory up to O(dt^2); pass reset_every = 0 to disable.
     """
+    if not (dt > 0.0 and 0.0 < tol_grad < np.inf and max_steps >= 0):
+        raise ValidationError(f"need dt > 0, finite tol_grad > 0 and max_steps >= 0, got {dt}, {tol_grad}, {max_steps}")
     split = sav_split(init.domain)
 
     def grad_inf(state: SavState) -> float:
-        return float(np.abs(state.linear_gradient + split.grad_f1(state.field.flat)).max())
+        g = split.grad_f1(state.field.flat)
+        g += state.linear_gradient
+        return float(np.abs(g, out=g).max())
 
     def record(state: SavState, g: float) -> None:
         if trace is not None:

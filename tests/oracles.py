@@ -2,8 +2,10 @@
 
 Sparse assemblies of the metric and the one-constant elastic operator,
 and an eigendecomposition-based reading of a single tensor; the package
-itself applies these operators matrix-free.  A field snapshot written
-one value at a time, which the package writes one row at a time.
+itself applies these operators matrix-free.  The SAV flow's nonlinear
+remainder term by term, which the package folds into one bulk density.
+A field snapshot written one value at a time, which the package writes
+one row at a time.
 """
 
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from nematicq.field import Domain, QField
-from nematicq.qtensor import G, to_matrix
+from nematicq.qtensor import G, bulk_energy, bulk_gradient, frob2, metric_apply, to_matrix
 
 
 def metric_matrix(domain: Domain) -> sp.csr_matrix:
@@ -37,6 +39,17 @@ def elastic_matrix(domain: Domain) -> sp.csr_matrix:
         sp.identity(domain.nx), lap1d(domain.ny)
     )
     return sp.kron(a, G, format="csr")
+
+
+def sav_remainder(split, flat: np.ndarray) -> tuple[float, np.ndarray]:
+    """F1 = hx hy sum(lambda2 f_b - a1/2 |Q|^2) + C0 and its gradient
+    hx hy (lambda2 grad f_b - a1 G q), for the split of ``split.domain``."""
+    d = split.domain
+    values = flat.reshape(d.shape)
+    hw = d.hx * d.hy
+    dens = d.lambda2 * bulk_energy(values, d.bulk) - 0.5 * split.a1 * frob2(values)
+    grad = d.lambda2 * bulk_gradient(values, d.bulk) - split.a1 * metric_apply(values)
+    return hw * float(np.sum(dens)) + split.c0, hw * grad.reshape(-1)
 
 
 def uniaxial_reading(q: np.ndarray, tol: float = 1e-8):

@@ -329,6 +329,44 @@ class TestExactHessian:
         assert np.array_equal(sy.hessian_vec(x, v), hv)
 
 
+class TestBulkHessianReuse:
+    """LdGSystem.hessian_vec keeps the last point's bulk matrices and reuses
+    them only at a point equal to it by content."""
+
+    @staticmethod
+    def setup(n=8):
+        d = Domain(nx=n, ny=n, lambda2=5.0, bulk=BULK, boundary="planar")
+        gen = make_rng(36, "test:energy:reuse")
+        return d, 0.4 * gen.normal(size=d.n_dof), gen.normal(size=(d.n_dof, 3))
+
+    def test_reused_product_equals_a_fresh_systems(self, monkeypatch):
+        d, x, v = self.setup()
+        sy = LdGSystem(d)
+        assemblies = []
+        original = energy_module.bulk_hessian
+        monkeypatch.setattr(energy_module, "bulk_hessian", lambda *a: assemblies.append(1) or original(*a))
+        first = sy.hessian_vec(x, v)
+        again = sy.hessian_vec(x.copy(), v[:, 1])  # equal content, another array
+        assert len(assemblies) == 1
+        assert np.array_equal(first, LdGSystem(d).hessian_vec(x, v))
+        assert np.array_equal(again, LdGSystem(d).hessian_vec(x, v[:, 1]))
+
+    def test_x_changed_in_place_gets_its_own_product(self):
+        d, x, v = self.setup()
+        sy = LdGSystem(d)
+        sy.hessian_vec(x, v)
+        x[7] += 0.25
+        assert np.array_equal(sy.hessian_vec(x, v), LdGSystem(d).hessian_vec(x, v))
+
+    def test_non_finite_x_still_raises(self):
+        d, x, v = self.setup()
+        sy = LdGSystem(d)
+        sy.hessian_vec(x, v)
+        x[3] = np.nan
+        with pytest.raises(ShapeMismatch):
+            sy.hessian_vec(x, v)
+
+
 class TestBatchedKernels:
     """One kernel call on a block of fields equals the row-by-row calls, bit for bit."""
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nematicq import sav
+from nematicq import energy, qtensor, sav
 from nematicq.energy import LdGSystem, SineSolver, free_energy
 from nematicq.errors import NoConvergence, SolveError, ValidationError
 from nematicq.field import Domain, QField, seed_field
@@ -22,7 +22,7 @@ from nematicq.sav import (
     sav_step,
 )
 from nematicq.systems import make_rng
-from oracles import elastic_matrix, metric_matrix
+from oracles import elastic_matrix, metric_matrix, sav_remainder
 
 BULK = BulkParams(-1.0, 1.0, 1.0)
 
@@ -106,6 +106,22 @@ class TestSplit:
         assert np.allclose(g_split, sy.gradient(x), rtol=1e-12, atol=1e-13)
         r = np.sqrt(split.f1(x))
         assert split.modified_energy(x, r) == pytest.approx(sy.energy(x), rel=1e-12)
+
+    @pytest.mark.parametrize("boundary", ["planar", "tangent"])
+    @pytest.mark.parametrize("a", [-1.0, 0.02])
+    def test_folded_remainder_matches_the_literal_sum(self, boundary, a):
+        # F1 is one bulk pass with folded coefficients; the oracle adds
+        # lambda2 f_b and the -a1/2 |Q|^2 shift term by term
+        d = Domain(nx=6, ny=6, lambda2=5.0, bulk=BulkParams(a, 1.0, 1.0), boundary=boundary)
+        split = SavSplit(d)
+        gen = make_rng(12, "test:sav:fold")
+        for scale in (0.05, 0.5, 2.0):
+            x = gen.normal(scale=scale, size=d.n_dof)
+            f_ref, g_ref = sav_remainder(split, x)
+            f, g = split.f1_grad_f1(x)
+            assert f == split.f1(x) and np.array_equal(g, split.grad_f1(x))
+            assert abs(f - f_ref) <= 1e-13 * abs(f_ref)
+            assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
 
     def test_split_lives_as_long_as_its_domain(self):
         d = tangent_domain(4)
@@ -234,6 +250,38 @@ class TestStepWork:
         assert calls.count("cg") == 0
         assert cn_residual(split, state, out, 0.5) <= 1e-10
 
+    @pytest.mark.parametrize("boundary", ["tangent", "planar"])
+    def test_metric_terms_only_inside_l_apply(self, monkeypatch, boundary):
+        # the remainder's -a1/2 |Q|^2 shift is folded into its bulk
+        # coefficients, so |Q|^2 and G q are formed only by L's own apply
+        split, state = chained_state(tangent_domain(8, boundary=boundary))
+        calls, inside = [], []
+        l_apply = split.l_apply
+
+        def tracked(flat):
+            inside.append(1)
+            try:
+                return l_apply(flat)
+            finally:
+                inside.pop()
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append((name, bool(inside)))
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (qtensor, energy, sav):
+            for name in ("frob2", "metric_apply"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(split, "l_apply", tracked)
+        sav_step(state, 0.5, split)
+        monkeypatch.undo()
+        assert ("metric_apply", True) in calls
+        assert all(within for _, within in calls)
+
     def test_l2_l3_flow_makes_no_extra_apply_for_cg(self, monkeypatch):
         # each step applies L to q+ for the check, once per CG iteration
         # (CG solves for the correction from zero, so it does not apply L
@@ -328,8 +376,9 @@ class TestStep:
     def test_dt_validation(self):
         d = tangent_domain(4)
         state = sav_init(seed_field(d, "isotropic"))
-        with pytest.raises(ValidationError):
-            sav_step(state, 0.0)
+        for dt in (0.0, -1.0, np.nan):
+            with pytest.raises(ValidationError):
+                sav_step(state, dt)
 
     def test_eigenmode_decay_second_order(self):
         # with b = 0 and a tiny amplitude the flow is linear to 1e-10,
@@ -446,6 +495,37 @@ class TestFlow:
         assert steps > 0
         scale = np.abs(res.x).max()
         assert np.abs(out.flat - res.x).max() / scale < 1e-5
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": 0.0},
+            {"dt": -1.0},
+            {"dt": np.nan},
+            {"tol_grad": 0.0},
+            {"tol_grad": -1e-8},
+            {"tol_grad": np.inf},
+            {"tol_grad": np.nan},
+            {"max_steps": -1},
+        ],
+    )
+    def test_bad_inputs_raise_before_any_step(self, monkeypatch, kwargs):
+        # a stationary start would return after 0 steps and a tol_grad <= 0
+        # would spend every step; both are refused up front
+        steps = []
+        step = sav.sav_step
+        monkeypatch.setattr(sav, "sav_step", lambda *a, **k: steps.append(1) or step(*a, **k))
+        d = tangent_domain(6, lambda2=5.0, boundary="planar")
+        args = {"dt": 0.5, "tol_grad": 1e-8, "max_steps": 10} | kwargs
+        with pytest.raises(ValidationError):
+            flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), **args)
+        assert steps == []
+
+    def test_zero_max_steps_is_a_valid_budget(self):
+        d = tangent_domain(6, lambda2=5.0)
+        with pytest.raises(NoConvergence) as err:
+            flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, max_steps=0)
+        assert err.value.iterations == 0
 
     def test_trace_rows(self):
         d = tangent_domain(5, lambda2=5.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nematicq.energy as energy
 import nematicq.hisd as hisd
 import nematicq.spectrum as spectrum
 from nematicq.energy import LdGSystem
@@ -246,6 +247,24 @@ class TestLdGSpectrum:
         assert rep.residuals.max() < 1e-6 * rep.scale
         # LOBPCG's iterations and the Rayleigh-Ritz cleanup act on blocks
         assert any(len(s) == 2 and s[1] > 1 for s in shapes)
+
+    def test_one_bulk_hessian_assembly_per_certificate(self, monkeypatch):
+        # every product of one eigensolve is taken at the same x
+        d = Domain(nx=8, ny=8, lambda2=5.0, bulk=BULK, boundary="planar")
+        x = 0.3 * make_rng(6, "test:spectrum:reuse").normal(size=d.n_dof)
+        assemblies, products = [], []
+        original = energy.bulk_hessian
+        monkeypatch.setattr(energy, "bulk_hessian", lambda *a: assemblies.append(1) or original(*a))
+
+        class Counting(LdGSystem):
+            def hessian_vec(self, x, v, l=None):
+                products.append(1)
+                return super().hessian_vec(x, v, l)
+
+        rep = smallest_eigs(Counting(d), x, k=2, seed=1)
+        assert rep.iterations > 0
+        assert len(products) > 10
+        assert len(assemblies) == 1
 
     def test_preconditioner_is_one_cached_spd_object(self):
         d = Domain(nx=6, ny=6, lambda2=5.0, bulk=BULK)
