@@ -231,7 +231,8 @@ def cmd_landscape(args) -> int:
         run.add(write_landscape(run.out, graph, domain))
     print(
         f"landscape: nodes={len(graph.nodes)} edges={len(graph.edges)} "
-        f"searches={graph.searches} failed={len(graph.failed)} truncated={graph.truncated}"
+        f"searches={graph.searches} branches_run={graph.branches_run} "
+        f"failed={len(graph.failed)} truncated={graph.truncated}"
     )
     return 0
 

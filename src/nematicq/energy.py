@@ -20,12 +20,12 @@ the densities.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
-from .field import Domain, QField
+from .field import Domain, QField, d4_actions
 from .qtensor import G, bulk_energy, bulk_energy_gradient, bulk_gradient, bulk_hessian
 from .qtensor import metric_apply, to_matrix
 from .systems import System
@@ -231,6 +231,13 @@ class LdGSystem(System):
 
     def field(self, x: np.ndarray) -> QField:
         return QField.from_flat(self.domain, x)
+
+    @cached_property
+    def symmetries(self) -> tuple:
+        """The square's eight symmetries (``field.d4_actions``: exact signed
+        permutations of flat vectors and (n, m) blocks, identity first) when
+        the domain is ``d4_invariant``, else none."""
+        return d4_actions(self.domain.nx) if self.domain.d4_invariant else ()
 
     def preconditioner(self) -> "SineSolver":
         """SPD approximate Hessian M = K + shift * kron(I, G), as the

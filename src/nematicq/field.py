@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -138,6 +138,15 @@ class Domain:
             ext[-1, 1:-1] = qy
         ext.setflags(write=False)
         return ext
+
+    @cached_property
+    def d4_invariant(self) -> bool:
+        """Whether nx == ny and the boundary ring equals each of its 8 images to
+        1e-12 of its scale; the energy, l2 and l3 terms included, is then invariant."""
+        if self.nx != self.ny:
+            return False
+        tol = 1e-12 * (1.0 + float(np.abs(self.ring).max()))
+        return all(np.abs(img - self.ring).max() <= tol for img in square_symmetry_orbit(self.ring))
 
     def extend(self, values: np.ndarray) -> np.ndarray:
         """Each field of ``values`` framed by the Dirichlet ring, shape (..., nx+2, ny+2, 5)."""
@@ -297,6 +306,18 @@ def square_symmetry_orbit(values: np.ndarray) -> list[np.ndarray]:
     if values.shape[0] != values.shape[1]:
         raise ShapeMismatch("square symmetry ops need nx == ny")
     return [_apply_d4(values, o2) for o2 in _d4_elements()]
+
+
+def d4_actions(n: int) -> tuple:
+    """``square_symmetry_orbit``'s eight maps (identity first) on flat n x n fields and
+    (5 n^2, m) blocks, as the exact signed permutations read off the images of 1, 2, 3, ..."""
+    code = np.arange(1.0, 5 * n * n + 1.0).reshape(n, n, 5)
+    images = [img.reshape(-1) for img in square_symmetry_orbit(code)]
+    return tuple(partial(_signed_permute, np.abs(img).astype(np.intp) - 1, np.sign(img)) for img in images)
+
+
+def _signed_permute(perm: np.ndarray, sign: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (v[perm].T * sign).T
 
 
 def symmetrize(field: QField) -> QField:

@@ -291,6 +291,7 @@ def write_landscape(out_dir, graph, domain: Domain | None = None) -> list[str]:
         for node, kind, k, sign, message in graph.failed
     ]
     payload = {"nodes": nodes, "edges": edges, "failed": failed, "truncated": graph.truncated}
+    payload.update(searches=graph.searches, branches_run=graph.branches_run)
     write_json(out / "landscape.json", payload)
     return names
 

@@ -30,7 +30,9 @@ Verified stationary points become SaddleRecords, which keep the
 eigenvectors of their certificate; repeated downward (and optionally
 upward) searches start from those and, from a seed record, grow the
 directed graph of stationary points connected by search pathways, in
-which only a new node pays for a certificate.
+which only a new node pays for a certificate, and with a symmetry group
+only a new orbit (Han et al., Nonlinearity 34, 2021; Yin, Wang and Zhang,
+Sci. China Math. 64, 2021).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import NoConvergence, NotStationary, ValidationError, WrongIndex
 from .spectrum import SpectrumReport, operator_scale, smallest_eigs
-from .systems import EUCLIDEAN, System, preconditioner_of
+from .systems import EUCLIDEAN, System, preconditioner_of, symmetries_of
 
 __all__ = [
     "SaddleSearchState",
@@ -77,6 +79,9 @@ _NEWTON_COS = 0.5
 # Two landscape records are one node when their field distance is below
 # _TOL_X times the field scale (and their energies agree).
 _TOL_X = 1e-4
+# A symmetry g negates a unit branch direction v when |g.v + v| < _TOL_V: the
+# - start is then within a tenth of the matching distance of g.(the + start).
+_TOL_V = 1e-3
 
 
 def gram_schmidt(v: np.ndarray, precond=EUCLIDEAN) -> np.ndarray:
@@ -392,13 +397,15 @@ def _branch_searches(
     k: int,
     opts: SaddleOptions,
     errors_out: list | None,
+    given=None,
 ) -> list[tuple[float, _Landing]]:
     """Run the index-k search from origin +/- eps * v_j, with
     V = (v_1 .. v_k) from the origin's eigenvectors: j = k + 1 below the
     origin's index, j = k above it.  Only a target beyond the record's
     columns solves for more.  Returns the (sign, landing) of each branch,
     uncertified, and reports failed branches as (sign, error) to
-    errors_out when given."""
+    errors_out when given.  `given(sign, v_j, found)` may return a
+    branch's landing in place of its search."""
     want = k + 1 if k < origin.morse_index else k
     vecs = origin.eigenvectors
     if vecs.shape[1] < want:
@@ -406,6 +413,10 @@ def _branch_searches(
     eps = 1e-2 * max(1.0, float(np.linalg.norm(origin.field)))
     found = []
     for sign in (1.0, -1.0):
+        hit = None if given is None else given(sign, vecs[:, want - 1], found)
+        if hit is not None:
+            found.append((sign, hit))
+            continue
         x0 = origin.field + (sign * eps) * vecs[:, want - 1]
         try:
             found.append((sign, _search(system, k, x0, vecs[:, :k], opts)))
@@ -497,6 +508,7 @@ class LandscapeGraph:
     edges: list  # Edges
     truncated: bool
     searches: int
+    branches_run: int
     failed: list = field(default_factory=list)
 
     def node(self, node_id: int) -> SaddleRecord:
@@ -509,12 +521,26 @@ class LandscapeGraph:
         return out
 
 
-def _records_match(a, b) -> bool:
-    """Whether two records (or a record and a landing) are one stationary point."""
+def _records_match(a, b, g=None) -> bool:
+    """Whether two records (or a record and a landing) are one stationary
+    point; with a symmetry g, whether b is the image g.a."""
     if abs(a.energy - b.energy) >= 1e-8 * (1.0 + max(abs(a.energy), abs(b.energy))):
         return False
-    scale = 1.0 + max(float(np.linalg.norm(a.field)), float(np.linalg.norm(b.field)))
-    return float(np.linalg.norm(a.field - b.field)) < _TOL_X * scale
+    fa = a.field if g is None else g(a.field)
+    scale = 1.0 + max(float(np.linalg.norm(fa)), float(np.linalg.norm(b.field)))
+    return float(np.linalg.norm(fa - b.field)) < _TOL_X * scale
+
+
+def _image_record(system: System, rec: SaddleRecord, g, hit: _Landing, tol_grad: float):
+    """g.rec for the landing `hit` that matched it, field and eigenvectors mapped, index
+    and spectrum copied; None when the fresh gradient is not below tol_grad."""
+    x = g(rec.field)
+    e, grad = system.energy_gradient(x)
+    g_inf = float(np.abs(grad).max())
+    if not g_inf < tol_grad:
+        return None
+    mapped = replace(rec, field=x, energy=e, eigenvectors=g(rec.eigenvectors), grad_inf=g_inf)
+    return replace(mapped, iterations=hit.iterations, newton_steps=hit.newton_steps)
 
 
 def build_landscape(
@@ -531,12 +557,22 @@ def build_landscape(
     budget stops scheduling and returns the partial graph with
     truncated = True; branches that fail to converge are recorded in the
     graph's `failed` list.
+
+    With a symmetry group (``symmetries_of``) a landing that matches only
+    the image g.n of a node takes n's record mapped by g, for one
+    energy_gradient.  A - branch whose direction an element g of the
+    origin's stabilizer negates lands at g.(the + landing), and a node
+    mapped from n by g takes n's landings mapped by g; a branch runs only
+    when there is none to map.  `branches_run` counts the branches run.
     """
     opts = opts or LandscapeOptions()
+    group = symmetries_of(system)[1:]  # the identity is the plain match
     nodes: list[SaddleRecord] = [replace(seed, id=0)]
     edges: list[Edge] = []
     failed: list[tuple] = []
-    searches = 0
+    source: dict = {}  # node id -> (id of the node it was mapped from, g)
+    landed: dict = {}  # (node id, kind, k) -> {sign: landing}
+    searches = skipped = 0
     truncated = False
 
     def schedule(node_id: int) -> deque:
@@ -549,6 +585,21 @@ def build_landscape(
                 jobs.append((node_id, "upward", k))
         return jobs
 
+    def mapped(sign: float, v: np.ndarray, found: list):
+        # the current job's `sign` landing as the image g.hit of a known one, if any
+        nonlocal skipped
+        src, g = source.get(node_id, (None, None))
+        hit = landed.get((src, kind, k), {}).get(sign)
+        if hit is None and sign < 0 and found:
+            origin = nodes[node_id]
+            stabilizer = (g for g in group if _records_match(origin, origin, g))
+            g = next((g for g in stabilizer if np.linalg.norm(g(v) + v) < _TOL_V), None)
+            hit = None if g is None else found[0][1]
+        if hit is None:
+            return None
+        skipped += 1
+        return hit._replace(field=g(hit.field))
+
     queue = schedule(0)
     while queue:
         if searches >= opts.max_searches or len(nodes) >= opts.max_nodes:
@@ -558,20 +609,22 @@ def build_landscape(
         parent = nodes[node_id]
         searches += 2
         errors: list = []
-        hits = _branch_searches(system, parent, k, opts.search, errors)
+        hits = _branch_searches(system, parent, k, opts.search, errors, mapped)
+        landed[(node_id, kind, k)] = dict(hits)
         failed.extend((node_id, kind, k, sign, str(err)) for sign, err in errors)
         for sign, hit in hits:
-            match_id = None
-            for existing in nodes:
-                if _records_match(existing, hit):
-                    match_id = existing.id
-                    break
+            match_id = next((rec.id for rec in nodes if _records_match(rec, hit)), None)
             if match_id is None:
                 if len(nodes) >= opts.max_nodes:
                     truncated = True
                     continue
                 match_id = len(nodes)
-                rec = _record(system, hit, opts.search.tol_grad, opts.search.seed, k)
+                image = next(((rec, g) for rec in nodes for g in group if _records_match(rec, hit, g)), None)
+                rec = None if image is None else _image_record(system, *image, hit, opts.search.tol_grad)
+                if rec is None:
+                    rec = _record(system, hit, opts.search.tol_grad, opts.search.seed, k)
+                else:
+                    source[match_id] = (image[0].id, image[1])
                 nodes.append(replace(rec, id=match_id))
                 queue.extend(schedule(match_id))
             found_index = nodes[match_id].morse_index
@@ -581,6 +634,4 @@ def build_landscape(
                 edges.append(Edge(node_id, match_id, "downward", sign))
             elif kind == "upward" and found_index > parent.morse_index:
                 edges.append(Edge(node_id, match_id, "upward", sign))
-    return LandscapeGraph(
-        nodes=nodes, edges=edges, truncated=truncated, searches=searches, failed=failed
-    )
+    return LandscapeGraph(nodes, edges, truncated, searches, searches - skipped, failed)

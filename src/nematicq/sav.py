@@ -126,21 +126,19 @@ class SavSplit:
         return solve
 
     def solve_cn(
-        self, dt: float, bvec: np.ndarray, rhs: np.ndarray, precond=None, x0=None, atol: float = _CG_ATOL
+        self, dt: float, bvec: np.ndarray, rhs: np.ndarray, precond, x0: np.ndarray, atol: float = _CG_ATOL
     ) -> np.ndarray:
         """Solve (I/dt + L/2 + b b^T) x = rhs by CG to a residual below max(atol, 1e-13 |rhs|),
-        preconditioned by `sherman_morrison` (or `precond`, that same inverse already built)
-        and started from x0, by default the preconditioned rhs; when l2 = l3 = 0 that start is
-        exact and CG stops at its first check.  A zero x0 costs no operator action."""
+        preconditioned by `precond`, the `sherman_morrison(dt, bvec)` inverse, and started
+        from x0.  From the preconditioned rhs with l2 = l3 = 0 the start is exact and CG
+        stops at its first check; a zero x0 costs no operator action."""
         n = rhs.size
-        precond = precond or self.sherman_morrison(dt, bvec)
 
         def matvec(v):
             return v / dt + 0.5 * self.l_apply(v) + bvec * float(bvec @ v)
 
         a_op = LinearOperator((n, n), matvec=matvec, dtype=float)
         m_op = LinearOperator((n, n), matvec=precond, dtype=float)
-        x0 = precond(rhs) if x0 is None else x0
         x, info = cg(a_op, rhs, x0, rtol=1e-13, atol=atol, maxiter=_CG_MAXITER, M=m_op)
         if info != 0:
             residual = float(np.linalg.norm(a_op @ x - rhs))
@@ -250,7 +248,8 @@ def flow_to_equilibrium(
 
     Returns (field, steps).  A stationary input returns after 0 steps.
     `trace`, if given, collects (step, time, energy, modified_energy,
-    grad_inf_norm) rows suitable for the trajectory CSV.  Stability of
+    grad_inf_norm) rows suitable for the trajectory CSV, built from the
+    carried L q + c and F1 from the measure's bulk pass.  Stability of
     the returned field is the caller's to certify.
 
     Each step's measure is |L q + c + grad F1(q)|inf from the carried
@@ -271,19 +270,21 @@ def flow_to_equilibrium(
     split = sav_split(init.domain)
 
     def grad_inf(state: SavState) -> float:
-        g = split.grad_f1(state.field.flat)
-        g += state.linear_gradient
-        return float(np.abs(g, out=g).max())
-
-    def record(state: SavState, g: float) -> None:
+        """The state's stopping measure; with a trace, its row is appended too."""
+        q, lin = state.field.flat, state.linear_gradient
+        f1, g = (None, split.grad_f1(q)) if trace is None else split.f1_grad_f1(q)
+        g += lin
+        g_inf = float(np.abs(g, out=g).max())
         if trace is not None:
-            e = state.field.energy()
-            trace.append((state.step, state.time, e, split.modified_energy(state.field.flat, state.r), g))
+            # 1/2 q.Lq + c.q from the carried L q + c, F1 from the measure's bulk pass
+            quad = 0.5 * float(q @ (lin - split.shift)) + float(split.shift @ q)
+            row = (quad + f1 + split._constant, quad + state.r * state.r + split._constant, g_inf)
+            trace.append((state.step, state.time) + row)
+        return g_inf
 
     state = sav_init(init, split)
     while True:
         g = grad_inf(state)
-        record(state, g)
         if not np.isfinite(g):
             raise NoConvergence(f"the flow left finite values at step {state.step}", iterations=state.step, residual=g)
         if g < tol_grad and float(np.abs(gradient(split.domain, state.field.values)).max()) < tol_grad:

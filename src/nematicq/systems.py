@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["System", "EUCLIDEAN", "make_rng", "preconditioner_of"]
+__all__ = ["System", "EUCLIDEAN", "make_rng", "preconditioner_of", "symmetries_of"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -107,3 +107,9 @@ def preconditioner_of(system: System):
     brings one, else the identity EUCLIDEAN."""
     build = getattr(system, "preconditioner", None)
     return build() if callable(build) else EUCLIDEAN
+
+
+def symmetries_of(system: System) -> tuple:
+    """The system's own ``symmetries`` (maps of flat vectors and (n, m) blocks,
+    identity first) when it brings them, else none."""
+    return tuple(getattr(system, "symmetries", ()))

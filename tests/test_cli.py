@@ -35,9 +35,10 @@ def manifest_outputs(out_dir):
 
 
 class TestToyCommands:
-    def test_landscape_toy_emits_nine_nodes(self, tmp_path):
+    def test_landscape_toy_emits_nine_nodes(self, tmp_path, capsys):
         rc = main(["landscape", "--toy", "--out", str(tmp_path)])
         assert rc == 0
+        assert "searches=12 branches_run=12 " in capsys.readouterr().out
         payload = json.loads((tmp_path / "landscape.json").read_text())
         assert len(payload["nodes"]) == 9
         indices = sorted(n["index"] for n in payload["nodes"])

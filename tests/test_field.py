@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nematicq.energy import free_energy
+from nematicq.energy import LdGSystem, free_energy
 from nematicq.errors import ShapeMismatch
 from nematicq.field import Domain, QField, seed_field, square_symmetry_orbit, symmetrize
 from nematicq.qtensor import BulkParams, to_matrix
@@ -195,3 +195,51 @@ class TestSquareSymmetry:
     def test_requires_square_grid(self):
         with pytest.raises(ShapeMismatch):
             square_symmetry_orbit(np.zeros((4, 6, 5)))
+
+
+def _tilted_ring(d: Domain, tilt: float):
+    """A callable wall: the domain's planar data plus `tilt` times x on the
+    in-plane order, which breaks the reflection x -> 1 - x when nonzero."""
+    planar = make_domain(d.nx, boundary="planar").ring
+
+    def wall(x, y):
+        return planar + tilt * x[..., None] * np.array([1.0, 0.0, 0.0, -1.0, 0.0])
+
+    return wall
+
+
+class TestD4Invariance:
+    @pytest.mark.parametrize("boundary", ["tangent", "planar", "zero"])
+    @pytest.mark.parametrize("l2,l3", [(0.0, 0.0), (0.7, 0.0), (0.0, 0.4), (0.7, 0.4)])
+    def test_named_walls_are_invariant(self, boundary, l2, l3):
+        d = make_domain(n=8, boundary=boundary, l2=l2, l3=l3)
+        assert d.d4_invariant
+        sy = LdGSystem(d)
+        assert len(sy.symmetries) == 8
+        vals = 0.3 * make_rng(14, "test:symmetry").normal(size=d.shape)
+        e0 = sy.energy(vals.reshape(-1))
+        for g in sy.symmetries:
+            assert sy.energy(g(vals.reshape(-1))) == pytest.approx(e0, rel=1e-13)
+
+    def test_flat_action_is_the_orbit(self):
+        d = make_domain(n=6)
+        sy = LdGSystem(d)
+        vals = make_rng(15, "test:symmetry").normal(size=d.shape)
+        flat = vals.reshape(-1)
+        block = np.column_stack([flat, 2.0 * flat])
+        for g, img in zip(sy.symmetries, square_symmetry_orbit(vals)):
+            assert np.array_equal(g(flat), img.reshape(-1))
+            assert np.array_equal(g(block), np.column_stack([img.reshape(-1), 2.0 * img.reshape(-1)]))
+        assert np.array_equal(sy.symmetries[0](flat), flat)
+
+    def test_non_square_grid_is_not_invariant(self):
+        d = Domain(nx=8, ny=7, lambda2=5.0, bulk=BULK, boundary="planar")
+        assert not d.d4_invariant
+        assert LdGSystem(d).symmetries == ()
+
+    def test_callable_walls(self):
+        d = make_domain(n=8)
+        assert Domain(8, 8, 5.0, BULK, boundary=_tilted_ring(d, 0.0)).d4_invariant
+        skew = Domain(8, 8, 5.0, BULK, boundary=_tilted_ring(d, 1e-3))
+        assert not skew.d4_invariant
+        assert LdGSystem(skew).symmetries == ()

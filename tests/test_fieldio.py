@@ -271,6 +271,8 @@ class TestLandscapeOutput:
             assert edge["sign"] in (1, -1)
         assert payload["failed"] == []
         assert payload["truncated"] is False
+        # the toy has no symmetry group: every branch accounted for is run
+        assert payload["branches_run"] == payload["searches"] == graph.searches
 
     def test_failed_branches_written(self, tmp_path):
         system = Quartic2D()

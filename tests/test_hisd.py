@@ -430,6 +430,7 @@ class TestLandscape:
     def test_toy_recovers_all_nine_points(self):
         graph = self.toy_graph()
         assert not graph.truncated
+        assert graph.branches_run == graph.searches  # no symmetry group
         assert [rec.id for rec in graph.nodes] == list(range(9))
         by_index = graph.by_index()
         assert sorted(by_index) == [0, 1, 2]
@@ -616,11 +617,42 @@ def test_downward_search_steps_do_not_grow_with_the_grid():
 
 
 def test_landscape_certifies_each_new_node_once(monkeypatch):
-    # 8 searches land 8 times below the cross; only the 4 new nodes pay for
-    # a certificate, the 4 landings on known minima reuse their records
+    # 8 branches land 8 times below the cross, in 3 orbits of the square's
+    # symmetry: 3 branches run, the other 5 landings are images of theirs;
+    # only the 2 orbit-new nodes pay for a certificate, the 2 images of them
+    # are mapped records and the rest land on known nodes
     sy, parent = planar_cross_parent(16)
     eigs = count_calls(monkeypatch, hisd, "smallest_eigs")
     graph = build_landscape(sy, parent, LandscapeOptions(search=SaddleOptions(tol_grad=1e-6)))
     assert [rec.morse_index for rec in graph.nodes] == [2, 1, 1, 0, 0]
     assert len(graph.edges) == 8 and graph.searches == 8
-    assert len(eigs) == 4
+    assert graph.branches_run == 3
+    assert len(eigs) == 2
+
+
+def test_mapped_landscape_records_match_fresh_certificates():
+    sy, parent = planar_cross_parent(16)
+    graph = build_landscape(sy, parent, LandscapeOptions(search=SaddleOptions(tol_grad=1e-6)))
+    # nodes 2 and 4 are the images of nodes 1 and 3
+    for image, source in ((2, 1), (4, 3)):
+        assert any(_records_match(graph.node(source), graph.node(image), g) for g in sy.symmetries[1:])
+    for rec in graph.nodes[1:]:
+        assert rec.grad_inf < 1e-6
+        index, spectrum, _ = classify_stationary(sy, rec.field, tol_grad=1e-6, k_hint=rec.morse_index)
+        assert index == rec.morse_index
+        assert np.abs(spectrum - rec.lambda_spectrum).max() < 1e-8
+
+
+def test_asymmetric_wall_runs_every_branch():
+    # a callable wall 1e-9 off the planar data, tilted along x, breaks the
+    # symmetry without moving the cross: every branch is searched
+    sym, sym_parent = planar_cross_parent(16)
+    d = sym.domain
+    tilt = 1e-9 * np.array([1.0, 0.0, 0.0, -1.0, 0.0])
+    skew = Domain(16, 16, d.lambda2, d.bulk, boundary=lambda x, y: d.ring + x[..., None] * tilt)
+    assert not skew.d4_invariant
+    sy = LdGSystem(skew)
+    parent = make_record(sy, sym_parent.field, tol_grad=1e-6, k_hint=2)
+    graph = build_landscape(sy, parent, LandscapeOptions(search=SaddleOptions(tol_grad=1e-6)))
+    assert [rec.morse_index for rec in graph.nodes] == [2, 1, 1, 0, 0]
+    assert graph.searches == graph.branches_run == 8

@@ -156,7 +156,8 @@ class TestDirectSolve:
         split.l_apply = counted
         n = split.domain.n_dof
         b, rhs = 0.3 * gen.normal(size=n), gen.normal(size=n)
-        x = split.solve_cn(dt, b, rhs)
+        precond = split.sherman_morrison(dt, b)
+        x = split.solve_cn(dt, b, rhs, precond, precond(rhs))
         del split.l_apply
         return np.linalg.norm(x / dt + 0.5 * split.l_apply(x) + b * (b @ x) - rhs), len(calls)
 
@@ -543,6 +544,27 @@ class TestFlow:
         plain = np.array([r[0] % 20 != 0 for r in rows[1:]])
         assert np.all(np.diff(modified)[plain] <= 1e-9 * (1.0 + np.abs(modified[:-1][plain])))
         assert rows[-1][4] < 1e-6
+
+    @pytest.mark.parametrize("kw", [{}, {"boundary": "planar", "l2": 0.6, "l3": 0.4}])
+    def test_trace_energies_match_fresh_passes(self, kw, monkeypatch):
+        # the rows are built from carried values; they must still be the
+        # field's energy and modified energy
+        d = tangent_domain(6, lambda2=5.0, **kw)
+        states, rows = [], []
+        step = sav.sav_step
+
+        def kept(state, dt, split=None):
+            states.append(state)
+            return step(state, dt, split)
+
+        monkeypatch.setattr(sav, "sav_step", kept)
+        out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=9), dt=0.5, tol_grad=1e-6, trace=rows)
+        assert steps > 20 and len(states) == steps
+        split = sav_split(d)
+        for state, row in zip(states, rows):
+            assert row[2] == pytest.approx(state.field.energy(), rel=1e-12)
+            assert row[3] == pytest.approx(split.modified_energy(state.field.flat, state.r), rel=1e-12)
+        assert rows[-1][2] == pytest.approx(out.energy(), rel=1e-12)
 
     def test_reset_rescues_large_dt_stall(self):
         # without re-initialization the scalar drifts and the stepper
