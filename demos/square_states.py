@@ -16,8 +16,8 @@ from nematicq import (
     MinimizeOptions,
     QField,
     SaddleOptions,
+    branch_search,
     classify_stationary,
-    downward_search,
     make_record,
     minimize,
     seed_field,
@@ -89,11 +89,11 @@ print(f"  leading curvatures: {np.round(spectrum[: index + 2], 5)}")
 
 parent = make_record(sy50, cross.x, tol_grad=1e-6, k_hint=index)
 search = SaddleOptions(tol_grad=1e-6)
-children = downward_search(sy50, parent, 1, opts=search)
+children = branch_search(sy50, parent, 1, opts=search)
 print(f"  downward search from the parent found {len(children)} index-1 saddle(s):")
 for child in children:
     print(f"    E = {child.energy:.8f}, barrier over minima = {child.energy - r1.energy:.6f}")
-grandchildren = downward_search(sy50, children[0], 0, opts=search)
+grandchildren = branch_search(sy50, children[0], 0, opts=search)
 for g in grandchildren:
     closer = min(np.linalg.norm(g.field - r1.x), np.linalg.norm(g.field - r2.x))
     print(f"  descent from that saddle lands on a minimum (distance {closer:.3f})")

@@ -37,13 +37,12 @@ from .hisd import (
     LandscapeOptions,
     SaddleOptions,
     SaddleRecord,
+    branch_search,
     build_landscape,
     classify_stationary,
-    downward_search,
     find_saddle,
     hisd_step,
     make_record,
-    upward_search,
 )
 from .maier_saupe import (
     LeslieSet,
@@ -109,13 +108,13 @@ __all__ = [
     "ValidationError",
     "WrongIndex",
     "biaxiality",
+    "branch_search",
     "build_landscape",
     "bulk_energy",
     "bulk_gradient",
     "classify_stationary",
     "critical_alpha",
     "critical_points",
-    "downward_search",
     "find_mep",
     "find_saddle",
     "flow_to_equilibrium",
@@ -146,6 +145,5 @@ __all__ = [
     "symmetrize",
     "trq3",
     "uniaxial_components",
-    "upward_search",
     "write_field",
 ]

@@ -170,16 +170,11 @@ class Domain:
             raise ShapeMismatch("field contains non-finite values")
         return values
 
-    # Convenience delegates; heavy lifting lives in nematicq.energy.
+    # Convenience delegate; the heavy lifting lives in nematicq.energy.
     def free_energy(self, values: np.ndarray) -> float:
         from . import energy
 
         return energy.free_energy(self, values)
-
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        from . import energy
-
-        return energy.gradient(self, values)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,11 @@ Verified stationary points become SaddleRecords, which keep the
 eigenvectors of their certificate; repeated downward (and optionally
 upward) searches start from those and, from a seed record, grow the
 directed graph of stationary points connected by search pathways, in
-which only a new node pays for a certificate, and with a symmetry group
-only a new orbit (Han et al., Nonlinearity 34, 2021; Yin, Wang and Zhang,
-Sci. China Math. 64, 2021).
+which only a new node pays for a certificate.  With a symmetry group
+only a new orbit does, and a branch whose start is the image g.y0 of a
+branch already run to the same index takes the image of its landing
+instead of running (Han et al., Nonlinearity 34, 2021; Yin, Wang and
+Zhang, Sci. China Math. 64, 2021).
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ __all__ = [
     "classify_stationary",
     "make_record",
     "find_saddle",
-    "downward_search",
-    "upward_search",
+    "branch_search",
     "build_landscape",
 ]
 
@@ -77,11 +78,9 @@ _NEWTON_RTOL = 1e-10
 _NEWTON_STEPS = 10
 _NEWTON_COS = 0.5
 # Two landscape records are one node when their field distance is below
-# _TOL_X times the field scale (and their energies agree).
+# _TOL_X times the field scale (and their energies agree); a branch start is
+# the image of another within a tenth of that.
 _TOL_X = 1e-4
-# A symmetry g negates a unit branch direction v when |g.v + v| < _TOL_V: the
-# - start is then within a tenth of the matching distance of g.(the + start).
-_TOL_V = 1e-3
 
 
 def gram_schmidt(v: np.ndarray, precond=EUCLIDEAN) -> np.ndarray:
@@ -169,8 +168,8 @@ def hisd_step(
     applies M^-1, ``apply`` M; for a tensor field both are the
     SineSolver's transforms, for a system without one the identity).
     """
-    if dt <= 0.0:
-        raise ValidationError("step size must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValidationError("step size must be positive and finite")
     precond = preconditioner_of(system)
     x, v, k = state.x, state.v, state.k
     g = system.gradient(x) if grad is None else grad
@@ -397,15 +396,17 @@ def _branch_searches(
     k: int,
     opts: SaddleOptions,
     errors_out: list | None,
-    given=None,
+    group: tuple,
+    runs: list,
 ) -> list[tuple[float, _Landing]]:
     """Run the index-k search from origin +/- eps * v_j, with
     V = (v_1 .. v_k) from the origin's eigenvectors: j = k + 1 below the
     origin's index, j = k above it.  Only a target beyond the record's
     columns solves for more.  Returns the (sign, landing) of each branch,
     uncertified, and reports failed branches as (sign, error) to
-    errors_out when given.  `given(sign, v_j, found)` may return a
-    branch's landing in place of its search."""
+    errors_out when given.  `runs` collects (k, start, landing) of every
+    branch that landed; a branch whose start is g.y0 for a run (k, y0, hit)
+    and a g in `group` takes g.hit in place of its search."""
     want = k + 1 if k < origin.morse_index else k
     vecs = origin.eigenvectors
     if vecs.shape[1] < want:
@@ -413,58 +414,48 @@ def _branch_searches(
     eps = 1e-2 * max(1.0, float(np.linalg.norm(origin.field)))
     found = []
     for sign in (1.0, -1.0):
-        hit = None if given is None else given(sign, vecs[:, want - 1], found)
-        if hit is not None:
-            found.append((sign, hit))
-            continue
         x0 = origin.field + (sign * eps) * vecs[:, want - 1]
+        near = 0.1 * _TOL_X * (1.0 + float(np.linalg.norm(x0)))
+        image = next(
+            (hit._replace(field=g(hit.field)) for k_run, y0, hit in runs if k_run == k
+             for g in group if np.linalg.norm(g(y0) - x0) < near),
+            None,
+        )
+        if image is not None:
+            found.append((sign, image))
+            continue
         try:
-            found.append((sign, _search(system, k, x0, vecs[:, :k], opts)))
+            hit = _search(system, k, x0, vecs[:, :k], opts)
         except NoConvergence as err:
             if errors_out is not None:
                 errors_out.append((sign, err))
+            continue
+        runs.append((k, x0, hit))
+        found.append((sign, hit))
     return found
 
 
-def downward_search(
+def branch_search(
     system: System,
-    parent: SaddleRecord,
+    origin: SaddleRecord,
     k: int,
     opts: SaddleOptions | None = None,
     errors_out: list | None = None,
 ) -> list[SaddleRecord]:
-    """Search for index-k saddles below a higher-index parent.
+    """Search for index-k saddles below or above a verified origin.
 
-    Starts at parent +/- eps * v_{k+1} with V = (v_1 .. v_k), the
-    eigenvectors the parent's record carries from its certificate.
-    Failed branches never abort the sibling; every landing is certified,
-    and wrong-index landings are kept with their true index.
+    Below it (k < origin.morse_index) x starts at origin +/- eps * v_{k+1};
+    above it, at origin +/- eps * v_k.  V starts at (v_1 .. v_k), the
+    eigenvectors the origin's record carries from its certificate (a fresh
+    eigensolve only when k exceeds its morse_index + 2 columns).  Failed
+    branches never abort the sibling and are reported to errors_out as
+    (sign, error); every landing is certified, and wrong-index landings are
+    kept with their true index.
     """
-    if k >= parent.morse_index:
-        raise ValidationError("downward target index must be below the parent index")
+    if k == origin.morse_index:
+        raise ValidationError("target index must differ from the origin index")
     opts = opts or SaddleOptions()
-    hits = _branch_searches(system, parent, k, opts, errors_out)
-    return [_record(system, hit, opts.tol_grad, opts.seed, k) for _, hit in hits]
-
-
-def upward_search(
-    system: System,
-    child: SaddleRecord,
-    k: int,
-    opts: SaddleOptions | None = None,
-    errors_out: list | None = None,
-) -> list[SaddleRecord]:
-    """Search for an index-k saddle above a lower-index child.
-
-    V starts as the child's unstable eigenvectors extended by the
-    smallest-positive ones up to k, all from the child's record (a fresh
-    eigensolve only when k exceeds its morse_index + 2 columns); x starts
-    at child +/- eps * v_k.  Every landing is certified.
-    """
-    if k <= child.morse_index:
-        raise ValidationError("upward target index must be above the child index")
-    opts = opts or SaddleOptions()
-    hits = _branch_searches(system, child, k, opts, errors_out)
+    hits = _branch_searches(system, origin, k, opts, errors_out, (), [])
     return [_record(system, hit, opts.tol_grad, opts.seed, k) for _, hit in hits]
 
 
@@ -499,6 +490,11 @@ class Edge:
 class LandscapeGraph:
     """Stationary points and the search pathways between them.
 
+    `searches` counts the branches accounted for, two per scheduled
+    search; `branches_run` those whose search actually ran (the ones that
+    landed plus the failed ones).  They differ only under a symmetry
+    group, where a branch whose start is g.y0 for the start y0 of a
+    branch run to the same index takes g.(that landing) instead.
     `failed` lists every branch search that ended in NoConvergence as
     (node, kind, k, sign, message): the node it started from, the
     search kind and target index, the perturbation sign and the error.
@@ -558,21 +554,22 @@ def build_landscape(
     truncated = True; branches that fail to converge are recorded in the
     graph's `failed` list.
 
-    With a symmetry group (``symmetries_of``) a landing that matches only
-    the image g.n of a node takes n's record mapped by g, for one
-    energy_gradient.  A - branch whose direction an element g of the
-    origin's stabilizer negates lands at g.(the + landing), and a node
-    mapped from n by g takes n's landings mapped by g; a branch runs only
-    when there is none to map.  `branches_run` counts the branches run.
+    With a symmetry group (``symmetries_of``) the graph grows orbit by
+    orbit, by two rules.  A landing that matches only the image g.n of a
+    node takes n's record mapped by g, for one energy_gradient.  A branch
+    whose start is g.y0, to a tenth of the matching distance, for the
+    start y0 of a branch already run and landed at the same target index
+    takes g.(that landing) and is not run; this covers the - branch a
+    symmetry of its origin maps onto the + branch, and every branch of a
+    node mapped from another.  `branches_run` counts the branches run.
     """
     opts = opts or LandscapeOptions()
     group = symmetries_of(system)[1:]  # the identity is the plain match
     nodes: list[SaddleRecord] = [replace(seed, id=0)]
     edges: list[Edge] = []
     failed: list[tuple] = []
-    source: dict = {}  # node id -> (id of the node it was mapped from, g)
-    landed: dict = {}  # (node id, kind, k) -> {sign: landing}
-    searches = skipped = 0
+    runs: list = []  # (k, start, landing) of every branch run that landed
+    searches = 0
     truncated = False
 
     def schedule(node_id: int) -> deque:
@@ -585,21 +582,6 @@ def build_landscape(
                 jobs.append((node_id, "upward", k))
         return jobs
 
-    def mapped(sign: float, v: np.ndarray, found: list):
-        # the current job's `sign` landing as the image g.hit of a known one, if any
-        nonlocal skipped
-        src, g = source.get(node_id, (None, None))
-        hit = landed.get((src, kind, k), {}).get(sign)
-        if hit is None and sign < 0 and found:
-            origin = nodes[node_id]
-            stabilizer = (g for g in group if _records_match(origin, origin, g))
-            g = next((g for g in stabilizer if np.linalg.norm(g(v) + v) < _TOL_V), None)
-            hit = None if g is None else found[0][1]
-        if hit is None:
-            return None
-        skipped += 1
-        return hit._replace(field=g(hit.field))
-
     queue = schedule(0)
     while queue:
         if searches >= opts.max_searches or len(nodes) >= opts.max_nodes:
@@ -609,8 +591,7 @@ def build_landscape(
         parent = nodes[node_id]
         searches += 2
         errors: list = []
-        hits = _branch_searches(system, parent, k, opts.search, errors, mapped)
-        landed[(node_id, kind, k)] = dict(hits)
+        hits = _branch_searches(system, parent, k, opts.search, errors, group, runs)
         failed.extend((node_id, kind, k, sign, str(err)) for sign, err in errors)
         for sign, hit in hits:
             match_id = next((rec.id for rec in nodes if _records_match(rec, hit)), None)
@@ -623,8 +604,6 @@ def build_landscape(
                 rec = None if image is None else _image_record(system, *image, hit, opts.search.tol_grad)
                 if rec is None:
                     rec = _record(system, hit, opts.search.tol_grad, opts.search.seed, k)
-                else:
-                    source[match_id] = (image[0].id, image[1])
                 nodes.append(replace(rec, id=match_id))
                 queue.extend(schedule(match_id))
             found_index = nodes[match_id].morse_index
@@ -634,4 +613,4 @@ def build_landscape(
                 edges.append(Edge(node_id, match_id, "downward", sign))
             elif kind == "upward" and found_index > parent.morse_index:
                 edges.append(Edge(node_id, match_id, "upward", sign))
-    return LandscapeGraph(nodes, edges, truncated, searches, searches - skipped, failed)
+    return LandscapeGraph(nodes, edges, truncated, searches, len(runs) + len(failed), failed)

@@ -104,8 +104,8 @@ def evolve_step(p: Path, base_step: float) -> Path:
     the nodes still backtracking are evaluated in one ``energies`` call.
     """
     system = p.system
-    if base_step <= 0.0:
-        raise ValidationError("base step must be positive")
+    if not 0.0 < base_step < np.inf:
+        raise ValidationError("base step must be positive and finite")
     tangent = _tangents(p.nodes)
     pg = _normal(p.gradients, tangent)
     d = p.gradients + _normal(preconditioner_of(system).solve(pg.T).T - pg, tangent)

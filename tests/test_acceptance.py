@@ -16,9 +16,9 @@ from nematicq.energy import LdGSystem
 from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.hisd import (
     SaddleOptions,
+    branch_search,
     build_landscape,
     classify_stationary,
-    downward_search,
     make_record,
 )
 from nematicq.maier_saupe import (
@@ -281,11 +281,11 @@ def test_square_domain_states_across_domain_sizes():
 
     parent = make_record(sy50, r_cross.x, tol_grad=1e-6, k_hint=index50)
     search = SaddleOptions(tol_grad=1e-6)
-    children = downward_search(sy50, parent, 1, opts=search)
+    children = branch_search(sy50, parent, 1, opts=search)
     saddles1 = [c for c in children if c.morse_index == 1]
     assert saddles1
     assert all(r_d1.energy < c.energy < parent.energy for c in saddles1)
-    grandchildren = downward_search(sy50, saddles1[0], 0, opts=search)
+    grandchildren = branch_search(sy50, saddles1[0], 0, opts=search)
     stable_hits = [c for c in grandchildren if c.morse_index == 0]
     assert stable_hits
     assert min(

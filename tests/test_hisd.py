@@ -2,6 +2,7 @@
 stationary sets."""
 
 import importlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,14 +15,13 @@ from nematicq.hisd import (
     SaddleOptions,
     SaddleSearchState,
     _records_match,
+    branch_search,
     build_landscape,
     classify_stationary,
-    downward_search,
     find_saddle,
     gram_schmidt,
     hisd_step,
     make_record,
-    upward_search,
 )
 from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams
@@ -115,6 +115,12 @@ class TestStep:
             hisd_step(sy, state, 0.0)
         with pytest.raises(ValidationError):
             hisd_step(sy, state, -1.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_step_size_is_rejected(self, dt):
+        state = SaddleSearchState(np.array([0.3, 0.7]), np.eye(2)[:, :1], 1)
+        with pytest.raises(ValidationError):
+            hisd_step(DoubleWell2D(), state, dt)
 
     def test_directions_stay_orthonormal(self):
         gen = make_rng(7, "test:hisd:orth")
@@ -355,13 +361,13 @@ class TestDirectionalSearches:
     def test_downward_from_top(self):
         top = quartic_record((0.0, 0.0), k_hint=2)
         errs = []
-        level1 = downward_search(Quartic2D(), top, 1, errors_out=errs)
+        level1 = branch_search(Quartic2D(), top, 1, errors_out=errs)
         assert len(level1) == 2 and not errs
         ys = sorted(rec.field[1] for rec in level1)
         assert np.abs(np.array(ys) - [-1.0, 1.0]).max() < 1e-6
         assert all(abs(rec.field[0]) < 1e-6 and rec.morse_index == 1 for rec in level1)
 
-        kept = downward_search(Quartic2D(), top, 0, errors_out=errs)
+        kept = branch_search(Quartic2D(), top, 0, errors_out=errs)
         assert len(kept) == 2 and not errs
         xs = sorted(rec.field[0] for rec in kept)
         assert np.abs(np.array(xs) - [-1.0, 1.0]).max() < 1e-6
@@ -371,12 +377,12 @@ class TestDirectionalSearches:
     def test_downward_index_validation(self):
         top = quartic_record((0.0, 0.0), k_hint=2)
         with pytest.raises(ValidationError):
-            downward_search(Quartic2D(), top, 2)
+            branch_search(Quartic2D(), top, 2)
 
     def test_upward_from_minimum(self):
         child = quartic_record((1.0, 1.0))
         errs = []
-        hits = upward_search(Quartic2D(), child, 1, errors_out=errs)
+        hits = branch_search(Quartic2D(), child, 1, errors_out=errs)
         # one branch ascends to an adjacent index-1 point; the other
         # diverges outward and is dropped
         assert len(hits) == 1 and len(errs) == 1
@@ -387,7 +393,7 @@ class TestDirectionalSearches:
 
     def test_upward_from_index1_to_top(self):
         child = quartic_record((0.0, 1.0), k_hint=1)
-        hits = upward_search(Quartic2D(), child, 2)
+        hits = branch_search(Quartic2D(), child, 2)
         assert len(hits) == 1
         assert np.abs(hits[0].field - [0.0, 0.0]).max() < 1e-6
         assert hits[0].morse_index == 2
@@ -399,7 +405,7 @@ class TestDirectionalSearches:
         assert minimum.eigenvectors.shape == (5, 2)
         eigs = count_calls(monkeypatch, hisd, "smallest_eigs")
         errs = []
-        hits = upward_search(sy, minimum, 3, errors_out=errs)
+        hits = branch_search(sy, minimum, 3, errors_out=errs)
         assert [args[2] for args in eigs] == [3]
         # a convex quadratic has no index-3 point: both branches run off
         assert hits == [] and len(errs) == 2
@@ -408,7 +414,7 @@ class TestDirectionalSearches:
         sy = WeightedQuartic()
         minimum = make_record(sy, np.ones(5))
         eigs.clear()
-        hits = upward_search(sy, minimum, 3)
+        hits = branch_search(sy, minimum, 3)
         assert eigs[0][2] == 3
         assert hits and len(eigs) == 1 + len(hits)  # the fallback, then one certificate each
         for rec in hits:
@@ -419,7 +425,7 @@ class TestDirectionalSearches:
     def test_upward_index_validation(self):
         child = quartic_record((1.0, 1.0))
         with pytest.raises(ValidationError):
-            upward_search(Quartic2D(), child, 0)
+            branch_search(Quartic2D(), child, 0)
 
 
 class TestLandscape:
@@ -541,6 +547,38 @@ class TestLandscape:
             assert dst > src if edge.kind == "upward" else dst < src
 
 
+class SquareQuartic(Quartic2D):
+    """Quartic2D with the square's 8 signed permutations of (x, y), identity first."""
+
+    symmetries = tuple(
+        lambda v, perm=perm, sign=np.array(sign): (np.asarray(v)[perm].T * sign).T
+        for perm in ([0, 1], [1, 0])
+        for sign in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
+    )
+
+
+@pytest.mark.parametrize("max_index, run", [(None, 3), (2, 18)])
+def test_symmetric_toy_landscape_matches_the_plain_one(max_index, run):
+    # the group maps starts, landings and nodes exactly: the same nine points
+    # in the same order and the same pathways (an upward edge's sign may
+    # flip, as the mapped eigenvectors need not share the fresh ones' signs)
+    seed = quartic_record((0.0, 0.0), k_hint=2)
+    plain = build_landscape(Quartic2D(), seed, LandscapeOptions(max_index=max_index))
+    graph = build_landscape(SquareQuartic(), seed, LandscapeOptions(max_index=max_index))
+    assert [rec.morse_index for rec in graph.nodes] == [rec.morse_index for rec in plain.nodes]
+    assert len(graph.nodes) == 9 and np.bincount([rec.morse_index for rec in graph.nodes]).tolist() == [4, 4, 1]
+    for rec, ref in zip(graph.nodes, plain.nodes):
+        assert np.abs(rec.field - ref.field).max() < 1e-8 and abs(rec.energy - ref.energy) < 1e-12
+    assert [e[:3] for e in map(astuple, graph.edges)] == [e[:3] for e in map(astuple, plain.edges)]
+    assert len(graph.edges) == (12 if max_index is None else 24)
+    assert graph.searches == plain.searches == plain.branches_run == (12 if max_index is None else 36)
+    assert graph.branches_run == run
+    # the upward searches that run off outward fail at the same nodes; a
+    # failed branch leaves no landing to map, so its images run and fail too
+    assert [f[:3] for f in graph.failed] == [f[:3] for f in plain.failed]
+    assert len(graph.failed) == (0 if max_index is None else 12)
+
+
 class TestTensorField:
     def make_system(self, n=5):
         d = Domain(nx=n, ny=n, lambda2=5.0, bulk=BULK)
@@ -610,7 +648,7 @@ def test_downward_search_steps_do_not_grow_with_the_grid():
     for n in (16, 32):
         sy, parent = planar_cross_parent(n)
         assert parent.morse_index == 2
-        hits = downward_search(sy, parent, 1, opts=SaddleOptions(tol_grad=1e-6))
+        hits = branch_search(sy, parent, 1, opts=SaddleOptions(tol_grad=1e-6))
         found[n] = ([rec.morse_index for rec in hits], sum(rec.iterations for rec in hits))
     assert found[16][0] == found[32][0] == [1, 1]
     assert found[32][1] <= 1.5 * found[16][1]

@@ -93,6 +93,12 @@ class TestEvolve:
         out = evolve_step(p, base_step=2.0)  # deliberately too large
         assert np.all(out.energies <= p.energies + 1e-12)
 
+    @pytest.mark.parametrize("base_step", [np.nan, np.inf, -np.inf, 0.0])
+    def test_nonfinite_or_zero_step_is_rejected(self, base_step):
+        p = Path.from_nodes(DoubleWell2D(), [[-1.0, 0.0], [0.3, 0.4], [1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            evolve_step(p, base_step)
+
 
 class CountingWell(DoubleWell2D):
     def __init__(self):

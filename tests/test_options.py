@@ -15,11 +15,10 @@ from nematicq.hedgehog import solve_profile
 from nematicq.hisd import (
     LandscapeOptions,
     SaddleOptions,
+    branch_search,
     classify_stationary,
-    downward_search,
     hisd_step,
     make_record,
-    upward_search,
 )
 from nematicq.mep import find_mep, refine_multiscale, reparametrize
 from nematicq.minimize import MinimizeOptions
@@ -51,8 +50,7 @@ def test_spectrum_and_certificate_parameters():
     assert params(operator_scale) == ["apply_h", "n", "seed"]
     assert params(classify_stationary) == ["system", "x", "tol_grad", "seed", "k_hint"]
     assert params(make_record) == ["system", "x", "tol_grad", "seed", "k_hint"]
-    assert params(downward_search) == ["system", "parent", "k", "opts", "errors_out"]
-    assert params(upward_search) == ["system", "child", "k", "opts", "errors_out"]
+    assert params(branch_search) == ["system", "origin", "k", "opts", "errors_out"]
     assert params(solve_profile) == ["p", "R", "N"]
 
 
