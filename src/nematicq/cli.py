@@ -48,7 +48,7 @@ from .maier_saupe import leslie_coefficients, solve_branches
 from .mep import find_mep
 from .minimize import MinimizeOptions, minimize
 from .qtensor import BulkParams
-from .sav import flow_to_equilibrium
+from .sav import flow_to_equilibrium, step_ladder
 from .toys import DoubleWell2D, Quartic2D
 
 __all__ = ["main"]
@@ -122,11 +122,10 @@ def cmd_flow(args) -> int:
         # the flow has just met cfg.tol, so the certificate can demand it
         index, spectrum, _ = classify_stationary(LdGSystem(f.domain), f.flat, tol_grad=cfg.tol)
         lambda1, stable = float(spectrum[0]), index == 0
+        rungs = step_ladder(f.domain, cfg.dt)
         write_field(run.path("field.csv"), f)
-        write_json(
-            run.path("flow.json"),
-            {"steps": steps, "energy": f.energy(), "lambda1": lambda1, "stable": stable},
-        )
+        summary = {"steps": steps, "time": trace[-1][1], "step_range": [cfg.dt * 2.0**j for j in (rungs[0], rungs[-1])]}
+        write_json(run.path("flow.json"), summary | {"energy": f.energy(), "lambda1": lambda1, "stable": stable})
     print(f"flow: steps={steps} energy={f.energy():.12g} lambda1={lambda1:.6g} stable={stable}")
     return 0
 

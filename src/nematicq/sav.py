@@ -10,24 +10,30 @@ constant C0 so that F1 >= 1 on every field.  F1 - C0 is itself a bulk
 energy, with the coefficients hx hy (lambda2 a - a1, lambda2 b, lambda2 c)
 of lambda2 f_b - a1/2 |Q|^2, so F1 or its gradient is one bulk pass.
 Writing r = sqrt(F1), the flow dq/dt = -grad F is integrated by a
-Crank-Nicolson scheme in (q, r) that keeps the modified energy
+Crank-Nicolson scheme in (q, r) whose step delta of size h lowers the
+modified energy
 
     1/2 q.Lq + c.q + r^2
 
-non-increasing for every step size.  `flow_to_equilibrium(init, dt)`
-runs that scheme to a stationary field.
+by exactly |delta|^2 / h.  `flow_to_equilibrium` runs it to a stationary
+field.  It relaxes r toward sqrt(F1) within 0.99 of each step's dissipation
+(relaxed SAV, Jiang, Zhang and Zhao, J. Comput. Phys. 456, 2022), and
+cycles h over a power-of-2 ladder whose rungs 2/lambda span L's spectrum:
+a step of size h annihilates the eigenmode lambda = 2/h.
 
 A step costs one bulk pass at the extrapolated field, two sine solves
 and one elastic apply, L q+ + c on the new field: it checks the step
 against its Crank-Nicolson equation, is carried to the next step's
-right-hand side and, with a bulk gradient, gives the flow's stationarity
-measure.  Conjugate gradients run only when the check fails (l2/l3).
+right-hand side and, with a bulk pass at q+, gives the flow's measure
+and F1(q+).  Conjugate gradients run only when the check fails (l2/l3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _field, replace
 from functools import cached_property
+from itertools import chain, cycle
+from math import ceil, floor, log2
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -35,8 +41,9 @@ from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/
 
 from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
 from .field import Domain, QField
-from .energy import SineSolver, elastic_apply, elastic_shift_vector, free_energy, gradient
-from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_energy_uniaxial, bulk_gradient, metric_apply
+from .energy import _G_EIGVALS, SineSolver, _sine_basis, elastic_apply, elastic_shift_vector, free_energy, gradient
+from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_energy_uniaxial, metric_apply
+from .qtensor import bulk_gradient  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.bulk_gradient
 
 __all__ = [
     "SavSplit",
@@ -44,11 +51,13 @@ __all__ = [
     "sav_split",
     "sav_init",
     "sav_step",
+    "step_ladder",
     "flow_to_equilibrium",
 ]
 
 _CG_ATOL = 1e-10
 _CG_MAXITER = 500
+_ETA = 0.99  # share of a flow step's dissipation that relaxing r may spend
 
 
 def _uniaxial_floor(p: BulkParams) -> float:
@@ -90,11 +99,8 @@ class SavSplit:
         """Nonlinear remainder; >= 1 on every field by choice of C0."""
         return float(np.sum(bulk_energy(flat.reshape(self.domain.shape), self._bulk))) + self.c0
 
-    def grad_f1(self, flat: np.ndarray) -> np.ndarray:
-        return bulk_gradient(flat.reshape(self.domain.shape), self._bulk).reshape(-1)
-
     def f1_grad_f1(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(f1(flat), grad_f1(flat))`` bit for bit, from one bulk pass."""
+        """F1 and its gradient from one bulk pass; the F1 is ``f1(flat)`` bit for bit."""
         density, g = bulk_energy_gradient(flat.reshape(self.domain.shape), self._bulk)
         return float(np.sum(density)) + self.c0, g.reshape(-1)
 
@@ -236,55 +242,56 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
     )
 
 
+def step_ladder(domain: Domain, dt: float) -> range:
+    """Exponents j of the flow's step sizes dt 2^j: from min(0, floor(log2(2/(lambda_max dt))))
+    to max(0, ceil(log2(2/(lambda_min dt)))), lambda_min/max the extreme eigenvalues of L1."""
+    split, (_, mux), (_, muy) = sav_split(domain), _sine_basis(domain.nx), _sine_basis(domain.ny)
+    wx, wy, sigma = domain.hy / domain.hx, domain.hx / domain.hy, split.a1 * split._hw
+    lam_min = _G_EIGVALS[0] * (wx * mux[0] + wy * muy[0] + sigma)
+    lam_max = _G_EIGVALS[-1] * (wx * mux[-1] + wy * muy[-1] + sigma)
+    return range(min(0, floor(log2(2.0 / (lam_max * dt)))), max(0, ceil(log2(2.0 / (lam_min * dt)))) + 1)
+
+
 def flow_to_equilibrium(
     init: QField,
     dt: float,
     tol_grad: float = 1e-7,
     max_steps: int = 100_000,
     trace: list | None = None,
-    reset_every: int = 20,
 ) -> tuple[QField, int]:
     """Step sav_step until the true gradient inf-norm drops below tol_grad.
 
     Returns (field, steps).  A stationary input returns after 0 steps.
-    `trace`, if given, collects (step, time, energy, modified_energy,
-    grad_inf_norm) rows suitable for the trajectory CSV, built from the
-    carried L q + c and F1 from the measure's bulk pass.  Stability of
-    the returned field is the caller's to certify.
+    The first step has size dt; the next ones go up `step_ladder`'s rungs
+    dt 2^j and wrap to its smallest.  `trace`, if given, collects (step,
+    time, energy, modified_energy, grad_inf_norm) rows suitable for the
+    trajectory CSV, built from the carried L q + c and the measure's F1.
+    Stability of the returned field is the caller's to certify.
 
-    Each step's measure is |L q + c + grad F1(q)|inf from the carried
-    L q + c and one bulk gradient, `gradient` up to rounding; a fresh
-    `gradient` confirms it below tol_grad before the field is returned.
+    Each state gets one bulk pass: its measure |L q + c + grad F1(q)|inf,
+    `gradient` up to rounding and confirmed below tol_grad by a fresh
+    `gradient` before the field is returned, and F1(q), which relaxes r:
+    after a step delta of size h from sav_step's r~, r^2 = min(F1,
+    r~^2 + _ETA |delta|^2 / h), so the modified energy never rises.
     A non-finite field or measure raises NoConvergence at its step, and
     a bad dt, tol_grad or max_steps raises ValidationError before any.
-
-    Every `reset_every` SAV steps the auxiliary scalar is re-initialized
-    to sqrt(F1).  Without this the stepper can settle on a fixed point of
-    a rescaled force balance once r drifts away from sqrt(F1), stalling
-    at a field that is not stationary for the true energy.  Resets only
-    touch the scalar, so the fields visited stay on the same discrete
-    trajectory up to O(dt^2); pass reset_every = 0 to disable.
     """
     if not (dt > 0.0 and 0.0 < tol_grad < np.inf and max_steps >= 0):
         raise ValidationError(f"need dt > 0, finite tol_grad > 0 and max_steps >= 0, got {dt}, {tol_grad}, {max_steps}")
     split = sav_split(init.domain)
-
-    def grad_inf(state: SavState) -> float:
-        """The state's stopping measure; with a trace, its row is appended too."""
-        q, lin = state.field.flat, state.linear_gradient
-        f1, g = (None, split.grad_f1(q)) if trace is None else split.f1_grad_f1(q)
-        g += lin
-        g_inf = float(np.abs(g, out=g).max())
-        if trace is not None:
-            # 1/2 q.Lq + c.q from the carried L q + c, F1 from the measure's bulk pass
-            quad = 0.5 * float(q @ (lin - split.shift)) + float(split.shift @ q)
-            row = (quad + f1 + split._constant, quad + state.r * state.r + split._constant, g_inf)
-            trace.append((state.step, state.time) + row)
-        return g_inf
-
-    state = sav_init(init, split)
+    rungs = step_ladder(init.domain, dt)
+    sizes = (dt * 2.0**j for j in chain(range(rungs.stop), cycle(rungs)))
+    state, bound = sav_init(init, split), np.inf
     while True:
-        g = grad_inf(state)
+        q, lin = state.field.flat, state.linear_gradient
+        f1, g = split.f1_grad_f1(q)
+        state = replace(state, r=float(np.sqrt(min(f1, bound))))
+        g += lin
+        g = float(np.abs(g, out=g).max())
+        if trace is not None:
+            # 1/2 q.Lq + c.q + const from the carried L q + c
+            quad = 0.5 * float(q @ (lin - split.shift)) + float(split.shift @ q) + split._constant
+            trace.append((state.step, state.time, quad + f1, quad + state.r * state.r, g))
         if not np.isfinite(g):
             raise NoConvergence(f"the flow left finite values at step {state.step}", iterations=state.step, residual=g)
         if g < tol_grad and float(np.abs(gradient(split.domain, state.field.values)).max()) < tol_grad:
@@ -292,6 +299,7 @@ def flow_to_equilibrium(
         if state.step == max_steps:
             msg = f"gradient inf-norm {g:.3e} above {tol_grad:.3e} after {max_steps} steps"
             raise NoConvergence(msg, iterations=max_steps, residual=g)
-        state = sav_step(state, dt, split)
-        if reset_every and state.step % reset_every == 0:
-            state = replace(state, r=float(np.sqrt(split.f1(state.field.flat))))
+        h = next(sizes)
+        state = sav_step(state, h, split)
+        delta = state.field.flat - q
+        bound = state.r * state.r + _ETA * float(delta @ delta) / h

@@ -177,6 +177,21 @@ class TestConfigCommands:
         assert lines[0] == "step,time,energy,modified_energy,grad_inf_norm"
         assert len(lines) == payload["steps"] + 2
 
+    def test_flow_reports_its_time_and_step_range(self, tmp_path):
+        cfg = write_config(tmp_path, init="random(0.2)", tol=1e-6, dt=0.5, max_steps=3000)
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "flow.json").read_text())
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert payload["time"] == rows[-1, 1] > 0.0
+        low, high = payload["step_range"]
+        assert low <= 0.5 <= high and low < high
+        # every step is a rung, up to the rounding of the running sum
+        steps = np.diff(rows[:, 1])
+        assert np.all(steps >= low * (1.0 - 1e-9)) and np.all(steps <= high * (1.0 + 1e-9))
+        modified = rows[:, 3]
+        assert np.all(np.diff(modified) <= 1e-12 * np.abs(modified[:-1]))
+
     def test_flow_budget_exhaustion_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, init="isotropic", tol=1e-9, dt=0.1, max_steps=3)
         out = tmp_path / "out"

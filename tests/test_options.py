@@ -59,7 +59,7 @@ def test_string_and_step_parameters():
     assert params(find_mep) == ["a", "b", "n_nodes", "tol", "system", "ts_tol", "seed"]
     assert params(refine_multiscale) == ["coarse", "fine_n", "tol", "ts_tol", "seed"]
     assert params(hisd_step) == ["system", "state", "dt", "grad"]
-    assert params(flow_to_equilibrium) == ["init", "dt", "tol_grad", "max_steps", "trace", "reset_every"]
+    assert params(flow_to_equilibrium) == ["init", "dt", "tol_grad", "max_steps", "trace"]
 
 
 def cli_flags():
