@@ -36,6 +36,7 @@ __all__ = [
     "LdGSystem",
     "SineSolver",
     "elastic_shift_vector",
+    "linear_shift",
 ]
 
 _G_EIGVALS, _G_EIGVECS = np.linalg.eigh(G)  # 1, 2, 2, 2, 3
@@ -162,6 +163,12 @@ def elastic_apply(domain: Domain, flat: np.ndarray) -> np.ndarray:
     return _elastic_grad_from_ext(domain, ext).reshape(flat.shape)
 
 
+def linear_shift(domain: Domain) -> float:
+    """a1 = lambda2 max(0, -a) + 1 of L1 = K + a1 hx hy kron(I, G): the SAV
+    flow's linear part and the solvers' metric M (``LdGSystem.preconditioner``)."""
+    return domain.lambda2 * max(0.0, -domain.bulk.a) + 1.0
+
+
 def elastic_shift_vector(domain: Domain) -> np.ndarray:
     """Affine part c of the elastic gradient, from the boundary ring."""
     ext = domain.ring.copy()
@@ -240,21 +247,19 @@ class LdGSystem(System):
         return d4_actions(self.domain.nx) if self.domain.d4_invariant else ()
 
     def preconditioner(self) -> "SineSolver":
-        """SPD approximate Hessian M = K + shift * kron(I, G), as the
-        SineSolver that applies and solves it.
+        """M = L1 = K + a1 hx hy kron(I, G), the SAV flow's own linear operator
+        (``linear_shift``), as the SineSolver that applies and solves it.
 
-        K is the one-constant elastic operator; the shift scales with the
-        bulk coefficients so M stays positive definite.  No matrix is
+        K, the one-constant elastic operator, is SPD on its own under the
+        Dirichlet ring; a1 fits M to the Hessian's low end.  No matrix is
         assembled.  The object is cached on the system: LOBPCG takes it as
-        its ``M=``, the saddle dynamics run in its metric and L-BFGS seeds
-        its H0 with it.
+        its ``M=``, the saddle dynamics and the string run in its metric
+        and L-BFGS seeds its H0 with it.
         """
         pre = self.__dict__.get("_preconditioner")
         if pre is None:
             d = self.domain
-            p = d.bulk
-            shift = d.hx * d.hy * d.lambda2 * (abs(p.a) + p.b + p.c)
-            pre = self._preconditioner = SineSolver(d, 0.0, 1.0, shift)
+            pre = self._preconditioner = SineSolver(d, 0.0, 1.0, linear_shift(d) * (d.hx * d.hy))
         return pre
 
 

@@ -8,8 +8,8 @@ A saddle of index k is found by flowing
 while the k directions in V relax toward the k smallest eigenvectors of
 M^-1 H; explicit Euler steps plus a hard re-orthonormalization keep V
 orthonormal in <a, b>_M = a^T M b.  M is the system's SPD metric from
-``preconditioner_of`` (for a tensor field, the SineSolver of its
-elastic operator, which applies M and M^-1 by sine transforms; it keeps
+``preconditioner_of`` (for a tensor field, the SineSolver of the SAV
+flow's linear operator L1, which applies M and M^-1 by sine transforms; it keeps
 the step count flat as the grid is refined), and the identity for a
 system that brings none.
 

@@ -1,16 +1,24 @@
 """Limited-memory quasi-Newton descent with backtracking line search.
 
 Accepted iterates have non-increasing energies (Armijo condition with
-c1 = 1e-4, step shrink 0.5); convergence is declared on the inf-norm of
-the gradient.  When the two-loop direction fails to point downhill (for
-example after a corrupted curvature history) the step falls back to
-steepest descent and the history is discarded.
+c1 = 1e-4, step shrink 0.5) up to the rounding of E; convergence is
+declared on the inf-norm of the gradient.  Once a trial's energy change
+is within 16 ulps of |E|, rounding would decide the Armijo test, so
+from then on each trial takes one ``energy_gradient`` and a trial whose
+change lies in that band is judged by its gradient instead: by the
+sufficient-decrease half of the approximate Wolfe conditions of Hager and
+Zhang (SIAM J. Optim. 16, 2005), g(x + a d).d <= (2 delta - 1) g(x).d
+with delta = 0.1 (backtracking only shortens a step, so their curvature
+half is not tested), and by a lower gradient inf-norm.  When the two-loop
+direction fails to point downhill (for example after a corrupted
+curvature history) the step falls back to steepest descent and the
+history is discarded.
 
 The inverse Hessian is seeded with gamma M^-1 and the fallback descends
 along -M^-1 g, where M is the system's SPD metric (``preconditioner_of``:
-the identity for a system that brings none).  With M the elastic
-operator of a tensor-field system the iteration count no longer grows
-with the grid.
+the identity for a system that brings none).  With M the SAV flow's
+linear operator L1 of a tensor-field system the iteration count no
+longer grows with the grid.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ _MEMORY = 10
 _C1 = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
+# rounding band of E in ulps, and Hager and Zhang's delta
+_BAND_ULPS = 16
+_DELTA = 0.1
 
 
 @dataclass
@@ -93,7 +104,9 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
 
     Returns the best iterate tagged ``converged=False`` when the
     iteration budget runs out or the line search stagnates at machine
-    resolution; energies along accepted iterates never increase.
+    resolution: no trial lowers the energy by Armijo's test or, within
+    16 ulps of |E|, lowers the gradient inf-norm.  Energies along
+    accepted iterates never rise by more than that band.
     """
     opts = opts or MinimizeOptions()
     precond = preconditioner_of(system)
@@ -104,6 +117,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
     pairs: deque = deque(maxlen=_MEMORY)
     gamma = 1.0
     energies = [e]
+    floor = False  # a trial's energy change has fallen within the band
 
     it = 0
     converged = float(np.abs(g).max()) < opts.tol_grad
@@ -112,6 +126,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
         d_qn = lbfgs_direction(g, pairs, gamma, precond)
         d = ensure_descent(g, d_qn, precond)
         used_fallback = d is not d_qn
+        band = _BAND_ULPS * np.spacing(abs(e))
         while True:
             gd = float(g @ d)
             # M^-1 g already carries the scale of a Newton step; plain g does not
@@ -119,10 +134,20 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
             accepted = False
             for _ in range(_MAX_BACKTRACKS):
                 x_try = x + alpha * d
-                e_try = system.energy(x_try)
+                if floor:
+                    e_try, g_try = system.energy_gradient(x_try)
+                    n_grad += 1
+                else:
+                    e_try, g_try = system.energy(x_try), None
                 n_energy += 1
-                if e_try <= e + _C1 * alpha * gd:
-                    accepted = True
+                if not abs(e_try - e) <= band:  # a non-finite trial fails Armijo's test
+                    accepted = e_try <= e + _C1 * alpha * gd
+                else:
+                    if g_try is None:
+                        floor, g_try = True, system.gradient(x_try)
+                        n_grad += 1
+                    accepted = float(g_try @ d) <= (2.0 * _DELTA - 1.0) * gd and np.abs(g_try).max() < np.abs(g).max()
+                if accepted:
                     break
                 alpha *= _SHRINK
             if accepted or used_fallback:
@@ -141,9 +166,10 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
             n_energy += 1
             # keep the projected point only while it preserves monotonicity
             if e_proj <= e:
-                x_try, e_try = x_proj, e_proj
-        g_try = system.gradient(x_try)
-        n_grad += 1
+                x_try, e_try, g_try = x_proj, e_proj, None
+        if g_try is None:
+            g_try = system.gradient(x_try)
+            n_grad += 1
         s = x_try - x
         y = g_try - g
         sy = float(s @ y)

@@ -5,7 +5,8 @@ The discrete free energy is split as
     F(q) = 1/2 q.Lq + c.q + F1(q) + const,
 
 where L collects the elastic operator plus an `a1` multiple of the
-Frobenius metric, and the nonlinear remainder F1 is shifted by a
+Frobenius metric (``energy.linear_shift``; its one-constant part L1 is
+the solvers' metric M too), and the nonlinear remainder F1 is shifted by a
 constant C0 so that F1 >= 1 on every field.  F1 - C0 is itself a bulk
 energy, with the coefficients hx hy (lambda2 a - a1, lambda2 b, lambda2 c)
 of lambda2 f_b - a1/2 |Q|^2, so F1 or its gradient is one bulk pass.
@@ -42,6 +43,7 @@ from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/
 from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
 from .field import Domain, QField
 from .energy import _G_EIGVALS, SineSolver, _sine_basis, elastic_apply, elastic_shift_vector, free_energy, gradient
+from .energy import linear_shift
 from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_energy_uniaxial, metric_apply
 from .qtensor import bulk_gradient  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.bulk_gradient
 
@@ -80,7 +82,7 @@ class SavSplit:
             raise ValidationError("the stabilized flow needs a positive quartic bulk coefficient")
         self.domain = domain
         lam2, p = domain.lambda2, domain.bulk
-        self.a1 = lam2 * max(0.0, -p.a) + 1.0
+        self.a1 = linear_shift(domain)
         # lambda2 f_b - a1/2 |Q|^2 as one bulk density (lambda2 > 0 keeps b, c >= 0)
         shifted = BulkParams(lam2 * p.a - self.a1, lam2 * p.b, lam2 * p.c)
         self.c0 = 1.0 - _uniaxial_floor(shifted)

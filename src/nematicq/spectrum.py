@@ -10,7 +10,7 @@ reports the smallest k (Knyazev's guard vectors, SIAM J. Sci. Comput.
 23, 517, 2001): on the square, symmetric states have degenerate
 eigenvalue pairs, and a block whose last eigenvalue lies close below the
 next pair converges slowly (the index-2 cross state at 16^2 and k = 4,
-with that pair 2 % above lambda_4: 382 iterations without the guard, 84
+with that pair 2 % above lambda_4: 388 iterations without the guard, 30
 with it).  Two columns hold the whole next pair.  A restart continues from all k + 2 Ritz vectors;
 the residual check and the Morse index see only the k reported pairs.
 Every solve starts from a block drawn
@@ -180,7 +180,7 @@ def smallest_eigs(system: System, x: np.ndarray, k: int, seed: int = 0) -> Spect
     """k smallest Hessian eigenpairs of ``system`` at the point ``x``.
 
     LOBPCG is preconditioned by ``preconditioner_of(system)`` (tensor-field
-    systems solve their elastic operator exactly; the identity changes
+    systems solve the SAV flow's L1 exactly; the identity changes
     nothing); ``solve_smallest`` takes any other.
     """
     x = np.asarray(x, dtype=float).reshape(-1)

@@ -13,6 +13,7 @@ from nematicq.energy import (
     elastic_shift_vector,
     free_energy,
     gradient,
+    linear_shift,
 )
 from nematicq.errors import ShapeMismatch
 from nematicq.field import Domain
@@ -418,16 +419,13 @@ class TestSineSolver:
     def test_inverts_preconditioner_and_sav_operators(self, boundary, l23):
         d = Domain(nx=12, ny=9, lambda2=5.0, bulk=BULK, boundary=boundary, l2=l23[0], l3=l23[1])
         gen = make_rng(7, "test:energy:sine")
-        # the preconditioner M = K + shift * kron(I, G), assembled as the oracle
-        p = d.bulk
-        shift = d.hx * d.hy * d.lambda2 * (abs(p.a) + p.b + p.c)
-        m = elastic_matrix(d) + shift * metric_matrix(d)
-        self.assert_solves_and_applies(m, LdGSystem(d).preconditioner(), gen)
-        # the CG preconditioners of the flow: I/dt + L1/2 and I/dt + L1,
-        # L1 the one-constant part of the split's linear operator
-        split = SavSplit(d)
-        sigma = split.a1 * d.hx * d.hy
+        # the preconditioner M = L1 = K + a1 hx hy kron(I, G), the one-constant
+        # part of the flow's linear operator, assembled as the oracle
+        sigma = linear_shift(d) * d.hx * d.hy
+        assert SavSplit(d).a1 == linear_shift(d)
         l1 = elastic_matrix(d) + sigma * metric_matrix(d)
+        self.assert_solves_and_applies(l1, LdGSystem(d).preconditioner(), gen)
+        # the CG preconditioners of the flow: I/dt + L1/2 and I/dt + L1
         eye = sp.identity(d.n_dof)
         for dt in (1e-3, 2.0):
             self.assert_solves_and_applies(eye / dt + 0.5 * l1, SineSolver(d, 1.0 / dt, 0.5, sigma), gen)

@@ -587,6 +587,7 @@ class TestTensorField:
     def test_minimizer_record_index_matches_dense_oracle(self):
         d, sy = self.make_system(5)
         res = minimize(sy, seed_field(d, "random(0.4)", seed=11).flat, MinimizeOptions(tol_grad=1e-10))
+        assert res.converged
         rec = make_record(sy, res.x, tol_grad=1e-8)
 
         h = sy.hessian_vec(res.x, np.eye(sy.n))
@@ -652,6 +653,22 @@ def test_downward_search_steps_do_not_grow_with_the_grid():
         found[n] = ([rec.morse_index for rec in hits], sum(rec.iterations for rec in hits))
     assert found[16][0] == found[32][0] == [1, 1]
     assert found[32][1] <= 1.5 * found[16][1]
+
+
+def test_cross_landscape_steps_in_the_flow_metric():
+    # in the metric M = L1 of the flow; with the old bulk-scaled shift the
+    # 16^2 branches took 131 (index 1) and 76 (index 0) steps, 139 and 82
+    # at 32^2, and the parent's certificate 84 LOBPCG iterations
+    for n in (16, 32):
+        sy, parent = planar_cross_parent(n)
+        graph = build_landscape(sy, parent, LandscapeOptions(search=SaddleOptions(tol_grad=1e-6)))
+        assert [rec.morse_index for rec in graph.nodes] == [2, 1, 1, 0, 0]
+        assert len(graph.edges) == 8 and graph.searches == 8
+        for rec in graph.nodes[1:]:
+            assert rec.iterations <= (60 if rec.morse_index == 1 else 35)
+        if n == 16:
+            _, _, rep = classify_stationary(sy, parent.field, tol_grad=1e-6, k_hint=2)
+            assert rep.iterations <= 50
 
 
 def test_landscape_certifies_each_new_node_once(monkeypatch):

@@ -26,6 +26,7 @@ from nematicq.mep import (
 )
 from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams
+from nematicq.spectrum import operator_scale
 from nematicq.systems import System, make_rng
 from nematicq.toys import DoubleWell2D, Quartic2D
 
@@ -163,7 +164,9 @@ def test_batched_sweep_equals_row_by_row(fold):
     looped = Path.from_nodes(RowByRow(batched.system), batched.nodes)
     assert np.array_equal(looped.energies, batched.energies)
     assert perpendicular_residual(looped) == perpendicular_residual(batched)
-    base = 10.0  # about 8 times the stable step 1/ρ(M⁻¹H): nodes halve it 2 or 3 times
+    # 8 times the stable step 1/ρ(M⁻¹H) at the middle node: nodes halve it 2 or 3 times
+    sy, mid = batched.system, batched.nodes[batched.n_nodes // 2]
+    base = 8.0 / operator_scale(lambda w: sy.preconditioner().solve(sy.hessian_vec(mid, w)), mid.size)
     out, ref = evolve_step(batched, base), evolve_step(looped, base)
     for name in ("nodes", "energies", "alpha"):
         assert np.array_equal(getattr(out, name), getattr(ref, name))
@@ -330,7 +333,8 @@ def ldg_string_ends(n: int):
 
 def test_preconditioned_sweeps_do_not_grow_with_the_grid():
     # the diagonal-to-diagonal string at 16^2 and 32^2: the sweeps stay
-    # flat, the barriers match their grids and both tops are certified
+    # flat and few (25 at 16^2 in the old bulk-scaled metric), the
+    # barriers match their grids and both tops are certified
     sweeps = []
     for n, barrier in ((16, 0.01209), (32, 0.012212)):
         sy, (a, b) = ldg_string_ends(n)
@@ -339,13 +343,14 @@ def test_preconditioned_sweeps_do_not_grow_with_the_grid():
         assert abs(res.barrier_backward - barrier) < 1e-4
         assert res.ts_lambda1 < 0.0
         sweeps.append(res.sweeps)
-    assert sweeps[1] <= sweeps[0] <= 40
+    assert sweeps[1] <= sweeps[0] <= 10
 
 
 def test_tight_climb_ends_in_a_few_newton_steps(monkeypatch):
     # the 16^2 diagonal-to-diagonal string climbed to 1e-8: the saddle
     # dynamics alone took 572 steps to this barrier; the Newton endgame
-    # finishes the climb in a few steps and lands on the same barrier
+    # finishes the climb in a few steps and lands on the same barrier,
+    # to 1e-12 in the flow metric M = L1 and in the old bulk-scaled one
     mep = importlib.import_module("nematicq.mep")
     records = []
     original = mep.find_saddle
@@ -359,7 +364,7 @@ def test_tight_climb_ends_in_a_few_newton_steps(monkeypatch):
     res = find_mep(a, b, n_nodes=32, tol=1e-4, ts_tol=1e-8, system=sy)
     (ts,) = records
     assert 1 <= ts.newton_steps <= 10 and ts.grad_inf < 1e-8
-    assert abs(res.barrier_forward - 0.012107685384624034) <= 1e-10
+    assert abs(res.barrier_forward - 0.0121076853848) <= 1e-12
     assert res.ts_lambda1 < 0.0
 
 

@@ -109,6 +109,31 @@ def test_quartic_minima_reached():
     assert res.energy == pytest.approx(0.0, abs=1e-12)
 
 
+def stall_case():
+    """A 5 x 5 field whose Armijo test is decided by rounding below |g| ~ 1e-8."""
+    d = Domain(nx=5, ny=5, lambda2=5.0, bulk=BulkParams(-1.0, 1.0, 1.0))
+    return LdGSystem(d), seed_field(d, "random(0.4)", seed=11).flat
+
+
+def test_gradient_decides_within_the_rounding_band_of_the_energy():
+    # Armijo alone traded rounding noise here for 2000 iterations and
+    # stopped short above |g| = 1e-9; judged by the gradient it converges
+    sy, x0 = stall_case()
+    res = minimize(sy, x0, MinimizeOptions(tol_grad=1e-10))
+    assert res.converged and res.grad_inf < 1e-10
+    assert res.iterations <= 50
+    diffs = np.diff(res.energies)
+    assert np.all(diffs <= 16 * np.spacing(np.abs(res.energies[:-1])))
+
+
+def test_unreachable_tolerance_stops_at_the_rounding_floor():
+    sy, x0 = stall_case()
+    res = minimize(sy, x0, MinimizeOptions(tol_grad=1e-30))
+    assert not res.converged
+    assert res.iterations <= 200
+    assert res.grad_inf < 1e-10
+
+
 class _Plain(System):
     """The energy of another system without its preconditioner."""
 
