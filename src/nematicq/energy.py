@@ -23,7 +23,6 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .field import Domain, QField, d4_actions
 from .qtensor import G, bulk_energy, bulk_energy_gradient, bulk_gradient, bulk_hessian
@@ -36,6 +35,7 @@ __all__ = [
     "LdGSystem",
     "SineSolver",
     "elastic_shift_vector",
+    "l1_operator",
     "linear_shift",
 ]
 
@@ -165,7 +165,7 @@ def elastic_apply(domain: Domain, flat: np.ndarray) -> np.ndarray:
 
 def linear_shift(domain: Domain) -> float:
     """a1 = lambda2 max(0, -a) + 1 of L1 = K + a1 hx hy kron(I, G): the SAV
-    flow's linear part and the solvers' metric M (``LdGSystem.preconditioner``)."""
+    flow's linear part and the solvers' metric M (``l1_operator``)."""
     return domain.lambda2 * max(0.0, -domain.bulk.a) + 1.0
 
 
@@ -247,20 +247,15 @@ class LdGSystem(System):
         return d4_actions(self.domain.nx) if self.domain.d4_invariant else ()
 
     def preconditioner(self) -> "SineSolver":
-        """M = L1 = K + a1 hx hy kron(I, G), the SAV flow's own linear operator
-        (``linear_shift``), as the SineSolver that applies and solves it.
+        """M = L1 = K + a1 hx hy kron(I, G), the SAV flow's own linear operator,
+        as the domain's one SineSolver (``l1_operator``); no matrix is assembled.
 
         K, the one-constant elastic operator, is SPD on its own under the
-        Dirichlet ring; a1 fits M to the Hessian's low end.  No matrix is
-        assembled.  The object is cached on the system: LOBPCG takes it as
-        its ``M=``, the saddle dynamics and the string run in its metric
-        and L-BFGS seeds its H0 with it.
+        Dirichlet ring; a1 (``linear_shift``) fits M to the Hessian's low end.
+        LOBPCG takes it as its ``M=``, the saddle dynamics and the string run
+        in its metric and L-BFGS seeds its H0 with it.
         """
-        pre = self.__dict__.get("_preconditioner")
-        if pre is None:
-            d = self.domain
-            pre = self._preconditioner = SineSolver(d, 0.0, 1.0, linear_shift(d) * (d.hx * d.hy))
-        return pre
+        return l1_operator(self.domain)
 
 
 @lru_cache(maxsize=8)
@@ -274,45 +269,43 @@ def _sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, mu
 
 
-class SineSolver(LinearOperator):
-    """The operator c0 I + c1 kron(A + sigma I, G), applied and solved
-    exactly by sine transforms.
+class SineSolver:
+    """L1 = K + a1 hx hy kron(I, G) of one domain (``linear_shift``), applied
+    and solved exactly by sine transforms; ``l1_operator`` builds it.
 
-    A = wx T (x) I + wy I (x) T is the Dirichlet 5-point operator on the
-    interior nodes, with T = tridiag(-1, 2, -1), wx = hy/hx and wy = hx/hy;
-    kron(A, G) is the one-constant elastic operator, G the Frobenius
-    metric of a node.
-    Both actions rotate r straight into component-major planes in the
-    eigenbasis of G, apply DST-I as S_x X S_y to each plane, scale by the
-    eigenvalues c0 + c1 g_c (wx mu_i + wy mu_j + sigma) and transform
-    back: ``solve`` divides by them (the fast Poisson solver of Buzbee,
-    Golub and Nielson, SIAM J. Numer. Anal. 1970), ``apply`` multiplies.
-    Both take vectors or (n, m) blocks.  As a LinearOperator it applies
-    the inverse, the form LOBPCG expects for its ``M=``.
+    K = kron(A, G): A = wx T (x) I + wy I (x) T is the Dirichlet 5-point
+    operator on the interior nodes, T = tridiag(-1, 2, -1), wx = hy/hx,
+    wy = hx/hy, and G the Frobenius metric of a node.  Both actions rotate r
+    straight into component-major planes in the eigenbasis of G, apply DST-I
+    as S_x X S_y to each plane, scale by ``eigenvalues`` (5, nx, ny),
+    g_c (wx mu_i + wy mu_j + a1 hx hy), ascending along every axis, and
+    transform back: ``solve(r, shift)``, also a call (LOBPCG's ``M=``),
+    divides by them plus the shift, (L1 + shift I)^-1 r (the fast Poisson
+    solver of Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 1970), and
+    ``apply`` multiplies.  Both take vectors or (n, m) blocks.
     """
 
-    def __init__(self, domain: Domain, c0: float, c1: float, sigma: float):
-        n = domain.n_dof
-        super().__init__(dtype=float, shape=(n, n))
+    def __init__(self, domain: Domain):
         self._sx, mux = _sine_basis(domain.nx)
         self._sy, muy = _sine_basis(domain.ny)
         wx = domain.hy / domain.hx
         wy = domain.hx / domain.hy
-        a = wx * mux[:, None] + wy * muy[None, :] + sigma
-        self._eig = c0 + c1 * _G_EIGVALS[:, None, None] * a  # (5, nx, ny)
-        self._chunk = max(1, _CHUNK_BYTES // (8 * n))  # columns per chunk
+        a = wx * mux[:, None] + wy * muy[None, :] + linear_shift(domain) * (domain.hx * domain.hy)
+        self.eigenvalues = _G_EIGVALS[:, None, None] * a
+        self.eigenvalues.flags.writeable = False
+        self._chunk = max(1, _CHUNK_BYTES // (8 * domain.n_dof))  # columns per chunk
 
-    def _scaled(self, r: np.ndarray, scale) -> np.ndarray:
+    def _scaled(self, r: np.ndarray, scale, eig: np.ndarray) -> np.ndarray:
         """Transform r to the eigenbasis, ``scale(x, eig, out=x)`` there, transform
         back; a block goes through in column chunks of at most ``_CHUNK_BYTES``."""
         r = np.asarray(r, dtype=float)
-        _, nx, ny = self._eig.shape
+        _, nx, ny = eig.shape
         m = r.size // (nx * ny * 5)
         step = self._chunk
         if m > step:
             out = np.empty(r.shape)
             for lo in range(0, m, step):
-                out[:, lo : lo + step] = self._scaled(r[:, lo : lo + step], scale)
+                out[:, lo : lo + step] = self._scaled(r[:, lo : lo + step], scale, eig)
             return out
         # node-major rows (node, component, column) become component-major
         # planes (component, column, node) by one transpose (a view for one
@@ -321,16 +314,25 @@ class SineSolver(LinearOperator):
         x = r.reshape(nx * ny, 5 * m).T.reshape(5, m * nx * ny)
         x = (_G_EIGVECS.T @ x).reshape(5, m, nx, ny)
         x = self._sx @ x @ self._sy
-        scale(x, self._eig[:, None], out=x)
+        scale(x, eig[:, None], out=x)
         x = (self._sx @ x @ self._sy).reshape(5, m * nx * ny)
         return np.ascontiguousarray((x.T @ _G_EIGVECS.T).reshape(m, nx * ny * 5).T).reshape(r.shape)
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """The inverse action on a vector or (n, m) block."""
-        return self._scaled(r, np.divide)
+    def solve(self, r: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """(L1 + shift I)^-1 r for a vector or (n, m) block r."""
+        return self._scaled(r, np.divide, self.eigenvalues + shift)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """The operator's own action, for inner products <a, b>_M."""
-        return self._scaled(v, np.multiply)
+        """L1 v, for inner products <a, b>_M."""
+        return self._scaled(v, np.multiply, self.eigenvalues)
 
-    _matvec = _matmat = solve
+    __call__ = solve
+
+
+def l1_operator(domain: Domain) -> SineSolver:
+    """`domain`'s L1 as one SineSolver, kept on the domain so it lives as long as the
+    domain: the solvers' metric M, the SAV step's solve and its step ladder's spectrum."""
+    op = domain.__dict__.get("_l1_operator")
+    if op is None:
+        op = domain.__dict__["_l1_operator"] = SineSolver(domain)
+    return op

@@ -404,9 +404,10 @@ def _branch_searches(
     origin's index, j = k above it.  Only a target beyond the record's
     columns solves for more.  Returns the (sign, landing) of each branch,
     uncertified, and reports failed branches as (sign, error) to
-    errors_out when given.  `runs` collects (k, start, landing) of every
-    branch that landed; a branch whose start is g.y0 for a run (k, y0, hit)
-    and a g in `group` takes g.hit in place of its search."""
+    errors_out when given.  `runs` collects (k, start, outcome) of every
+    branch run, the outcome its landing or its NoConvergence; a branch whose
+    start is g.y0 for a run (k, y0, outcome) and a g in `group` takes
+    g.(that landing), or that error, in place of its search."""
     want = k + 1 if k < origin.morse_index else k
     vecs = origin.eigenvectors
     if vecs.shape[1] < want:
@@ -416,22 +417,21 @@ def _branch_searches(
     for sign in (1.0, -1.0):
         x0 = origin.field + (sign * eps) * vecs[:, want - 1]
         near = 0.1 * _TOL_X * (1.0 + float(np.linalg.norm(x0)))
-        image = next(
-            (hit._replace(field=g(hit.field)) for k_run, y0, hit in runs if k_run == k
-             for g in group if np.linalg.norm(g(y0) - x0) < near),
+        out = next(
+            (hit if isinstance(hit, NoConvergence) else hit._replace(field=g(hit.field))
+             for k_run, y0, hit in runs if k_run == k for g in group if np.linalg.norm(g(y0) - x0) < near),
             None,
         )
-        if image is not None:
-            found.append((sign, image))
-            continue
-        try:
-            hit = _search(system, k, x0, vecs[:, :k], opts)
-        except NoConvergence as err:
-            if errors_out is not None:
-                errors_out.append((sign, err))
-            continue
-        runs.append((k, x0, hit))
-        found.append((sign, hit))
+        if out is None:
+            try:
+                out = _search(system, k, x0, vecs[:, :k], opts)
+            except NoConvergence as err:
+                out = err
+            runs.append((k, x0, out))
+        if not isinstance(out, NoConvergence):
+            found.append((sign, out))
+        elif errors_out is not None:
+            errors_out.append((sign, out))
     return found
 
 
@@ -491,13 +491,13 @@ class LandscapeGraph:
     """Stationary points and the search pathways between them.
 
     `searches` counts the branches accounted for, two per scheduled
-    search; `branches_run` those whose search actually ran (the ones that
-    landed plus the failed ones).  They differ only under a symmetry
-    group, where a branch whose start is g.y0 for the start y0 of a
-    branch run to the same index takes g.(that landing) instead.
-    `failed` lists every branch search that ended in NoConvergence as
-    (node, kind, k, sign, message): the node it started from, the
-    search kind and target index, the perturbation sign and the error.
+    search; `branches_run` those whose search actually ran.  They differ
+    only under a symmetry group, where a branch whose start is g.y0 for
+    the start y0 of a branch run to the same index takes g.(that landing),
+    or that run's error, instead.
+    `failed` lists every branch that ended in NoConvergence, run or
+    mapped, as (node, kind, k, sign, message): the node it started from,
+    the search kind and target index, the perturbation sign and the error.
     """
 
     nodes: list  # SaddleRecords with ids assigned in discovery order
@@ -558,17 +558,18 @@ def build_landscape(
     orbit, by two rules.  A landing that matches only the image g.n of a
     node takes n's record mapped by g, for one energy_gradient.  A branch
     whose start is g.y0, to a tenth of the matching distance, for the
-    start y0 of a branch already run and landed at the same target index
-    takes g.(that landing) and is not run; this covers the - branch a
-    symmetry of its origin maps onto the + branch, and every branch of a
-    node mapped from another.  `branches_run` counts the branches run.
+    start y0 of a branch already run to the same target index takes
+    g.(that landing), or goes to `failed` with that run's error, and is
+    not run; this covers the - branch a symmetry of its origin maps onto
+    the + branch, and every branch of a node mapped from another.
+    `branches_run` counts the branches run.
     """
     opts = opts or LandscapeOptions()
     group = symmetries_of(system)[1:]  # the identity is the plain match
     nodes: list[SaddleRecord] = [replace(seed, id=0)]
     edges: list[Edge] = []
     failed: list[tuple] = []
-    runs: list = []  # (k, start, landing) of every branch run that landed
+    runs: list = []  # (k, start, landing or error) of every branch run
     searches = 0
     truncated = False
 
@@ -613,4 +614,4 @@ def build_landscape(
                 edges.append(Edge(node_id, match_id, "downward", sign))
             elif kind == "upward" and found_index > parent.morse_index:
                 edges.append(Edge(node_id, match_id, "upward", sign))
-    return LandscapeGraph(nodes, edges, truncated, searches, len(runs) + len(failed), failed)
+    return LandscapeGraph(nodes, edges, truncated, searches, len(runs), failed)

@@ -5,11 +5,12 @@ The discrete free energy is split as
     F(q) = 1/2 q.Lq + c.q + F1(q) + const,
 
 where L collects the elastic operator plus an `a1` multiple of the
-Frobenius metric (``energy.linear_shift``; its one-constant part L1 is
-the solvers' metric M too), and the nonlinear remainder F1 is shifted by a
-constant C0 so that F1 >= 1 on every field.  F1 - C0 is itself a bulk
-energy, with the coefficients hx hy (lambda2 a - a1, lambda2 b, lambda2 c)
-of lambda2 f_b - a1/2 |Q|^2, so F1 or its gradient is one bulk pass.
+Frobenius metric (``energy.linear_shift``; its one-constant part L1,
+``energy.l1_operator``, is the solvers' metric M and each step's direct
+solve), and the nonlinear remainder F1 is shifted by a constant C0 so
+that F1 >= 1 on every field.  F1 - C0 is itself a bulk energy, with the
+coefficients hx hy (lambda2 a - a1, lambda2 b, lambda2 c) of
+lambda2 f_b - a1/2 |Q|^2, so F1 or its gradient is one bulk pass.
 Writing r = sqrt(F1), the flow dq/dt = -grad F is integrated by a
 Crank-Nicolson scheme in (q, r) whose step delta of size h lowers the
 modified energy
@@ -42,8 +43,7 @@ from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/
 
 from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
 from .field import Domain, QField
-from .energy import _G_EIGVALS, SineSolver, _sine_basis, elastic_apply, elastic_shift_vector, free_energy, gradient
-from .energy import linear_shift
+from .energy import elastic_apply, elastic_shift_vector, free_energy, gradient, l1_operator, linear_shift
 from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_energy_uniaxial, metric_apply
 from .qtensor import bulk_gradient  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.bulk_gradient
 
@@ -89,7 +89,6 @@ class SavSplit:
         self.shift = elastic_shift_vector(domain)
         self._hw = hw = domain.hx * domain.hy
         self._bulk = BulkParams(hw * shifted.a, hw * shifted.b, hw * shifted.c)  # F1 - C0 per node
-        self._solver: tuple | None = None  # (dt, SineSolver of I/dt + L1/2)
 
     def l_apply(self, flat: np.ndarray) -> np.ndarray:
         values = flat.reshape(self.domain.shape)
@@ -117,29 +116,27 @@ class SavSplit:
         return quad + r * r + self._constant
 
     def sherman_morrison(self, dt: float, bvec: np.ndarray):
-        """x -> (P + b b^T)^-1 x by Sherman-Morrison, P = I/dt + L1/2 a SineSolver kept
-        for the last dt and L1 the one-constant part of L: the exact inverse of the step
-        operator when l2 = l3 = 0.  Building it takes one sine solve, each use one more."""
-        if self._solver is None or self._solver[0] != dt:
-            self._solver = (dt, SineSolver(self.domain, 1.0 / dt, 0.5, self.a1 * self._hw))
-        p = self._solver[1]
-        u = p.solve(bvec)
+        """x -> (P + b b^T)^-1 x by Sherman-Morrison, P^-1 = 2 (L1 + (2/dt) I)^-1 the
+        shifted solve of the domain's ``l1_operator``, L1 the one-constant part of L:
+        the exact inverse of the step operator I/dt + L/2 + b b^T when l2 = l3 = 0.
+        Building it takes one sine solve, each use one more."""
+        l1, shift = l1_operator(self.domain), 2.0 / dt
+        u = l1.solve(bvec, shift)
+        u *= 2.0
         denom = 1.0 + float(bvec @ u)
 
         def solve(v):
-            z = p.solve(v)
+            z = l1.solve(v, shift)
+            z *= 2.0
             z -= u * (float(bvec @ z) / denom)
             return z
 
         return solve
 
-    def solve_cn(
-        self, dt: float, bvec: np.ndarray, rhs: np.ndarray, precond, x0: np.ndarray, atol: float = _CG_ATOL
-    ) -> np.ndarray:
-        """Solve (I/dt + L/2 + b b^T) x = rhs by CG to a residual below max(atol, 1e-13 |rhs|),
-        preconditioned by `precond`, the `sherman_morrison(dt, bvec)` inverse, and started
-        from x0.  From the preconditioned rhs with l2 = l3 = 0 the start is exact and CG
-        stops at its first check; a zero x0 costs no operator action."""
+    def solve_cn(self, dt: float, bvec: np.ndarray, rhs: np.ndarray, precond, atol: float = _CG_ATOL) -> np.ndarray:
+        """Solve (I/dt + L/2 + b b^T) x = rhs by CG from zero, which costs no operator
+        action, to a residual below max(atol, 1e-13 |rhs|), preconditioned by `precond`,
+        the `sherman_morrison(dt, bvec)` inverse."""
         n = rhs.size
 
         def matvec(v):
@@ -147,7 +144,7 @@ class SavSplit:
 
         a_op = LinearOperator((n, n), matvec=matvec, dtype=float)
         m_op = LinearOperator((n, n), matvec=precond, dtype=float)
-        x, info = cg(a_op, rhs, x0, rtol=1e-13, atol=atol, maxiter=_CG_MAXITER, M=m_op)
+        x, info = cg(a_op, rhs, rtol=1e-13, atol=atol, maxiter=_CG_MAXITER, M=m_op)
         if info != 0:
             residual = float(np.linalg.norm(a_op @ x - rhs))
             if residual > atol * (1.0 + float(np.linalg.norm(rhs))):
@@ -229,7 +226,7 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
     # scipy cg's stopping test; a non-finite delta skips CG and is caught below
     tol = max(_CG_ATOL, 1e-13 * float(np.linalg.norm(rhs)))
     if np.linalg.norm(residual) >= tol:
-        delta = delta + split.solve_cn(dt, bvec, -residual, precond, np.zeros_like(delta), atol=tol)
+        delta = delta + split.solve_cn(dt, bvec, -residual, precond, atol=tol)
         q_next = q + delta
         lin_next = split.l_apply(q_next) + split.shift
     if not np.isfinite(q_next).all():
@@ -247,10 +244,8 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
 def step_ladder(domain: Domain, dt: float) -> range:
     """Exponents j of the flow's step sizes dt 2^j: from min(0, floor(log2(2/(lambda_max dt))))
     to max(0, ceil(log2(2/(lambda_min dt)))), lambda_min/max the extreme eigenvalues of L1."""
-    split, (_, mux), (_, muy) = sav_split(domain), _sine_basis(domain.nx), _sine_basis(domain.ny)
-    wx, wy, sigma = domain.hy / domain.hx, domain.hx / domain.hy, split.a1 * split._hw
-    lam_min = _G_EIGVALS[0] * (wx * mux[0] + wy * muy[0] + sigma)
-    lam_max = _G_EIGVALS[-1] * (wx * mux[-1] + wy * muy[-1] + sigma)
+    eig = l1_operator(domain).eigenvalues
+    lam_min, lam_max = eig[0, 0, 0], eig[-1, -1, -1]
     return range(min(0, floor(log2(2.0 / (lam_max * dt)))), max(0, ceil(log2(2.0 / (lam_min * dt)))) + 1)
 
 

@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.sparse.linalg import lobpcg
 
 from .errors import NoConvergence, ShapeMismatch
 from .systems import System, make_rng, preconditioner_of
@@ -102,16 +102,11 @@ def _rayleigh_ritz(apply_h, v: np.ndarray):
     return w, v, res
 
 
-def solve_smallest(
-    apply_h,
-    n: int,
-    k: int,
-    seed: int = 0,
-    precond: LinearOperator | None = None,
-) -> SpectrumReport:
+def solve_smallest(apply_h, n: int, k: int, seed: int = 0, precond=None) -> SpectrumReport:
     """k smallest eigenpairs of the symmetric operator ``apply_h`` on R^n.
 
-    ``apply_h`` takes a vector or an (n, m) block and returns its shape.
+    ``apply_h`` takes a vector or an (n, m) block and returns its shape,
+    and so does ``precond``, a callable M^-1; LOBPCG takes both as they are.
     Residuals must verify below 1e-6 * scale or NoConvergence is raised.
     Deterministic for a fixed seed.
     """
@@ -135,12 +130,11 @@ def solve_smallest(
     else:
         gen = make_rng(seed, "spectrum:init")
         x, _ = np.linalg.qr(gen.normal(size=(n, width)))
-        op = LinearOperator((n, n), matvec=apply_h, matmat=apply_h, dtype=float)
         for attempt in range(_RESTARTS + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 w_try, x, history = lobpcg(
-                    op,
+                    apply_h,
                     x,
                     M=precond,
                     largest=False,

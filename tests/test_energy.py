@@ -1,18 +1,22 @@
 """Free energy and gradient against independent summation and FD oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 import nematicq.energy as energy_module
 from nematicq.energy import (
     LdGSystem,
-    SineSolver,
     elastic_apply,
     elastic_shift_vector,
     free_energy,
     gradient,
+    l1_operator,
     linear_shift,
 )
 from nematicq.errors import ShapeMismatch
@@ -398,21 +402,22 @@ class TestBatchedKernels:
 
 
 class TestSineSolver:
-    """The sine-transform solve and apply against the assembled sparse operators."""
+    """The domain's L1 solve, shifted solve and apply against the assembled sparse operators."""
 
     @staticmethod
-    def assert_solves_and_applies(op, solver, gen):
+    def assert_solves_and_applies(op, solver, gen, shift=0.0):
         # vectors and blocks of 2 and 5 columns: the transforms run on
-        # (5m, nx, ny) planes, which must keep the columns and axes apart
+        # (5m, nx, ny) planes, which must keep the columns and axes apart;
+        # op is L1 + shift I
         n = op.shape[0]
         for r in (gen.normal(size=n), gen.normal(size=(n, 2)), gen.normal(size=(n, 5))):
-            x = solver.solve(r)
+            x = solver.solve(r, shift)
             assert x.shape == r.shape
             assert np.linalg.norm(op @ x - r) <= 1e-12 * np.linalg.norm(r)
-            y = solver.apply(r)
+            y = solver.apply(r) + shift * r
             assert y.shape == r.shape
             assert np.linalg.norm(y - op @ r) <= 1e-12 * np.linalg.norm(op @ r)
-            assert np.linalg.norm(solver.solve(y) - r) <= 1e-12 * np.linalg.norm(r)
+            assert np.linalg.norm(solver.solve(y, shift) - r) <= 1e-12 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("boundary", ["tangent", "planar", "zero"])
     @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
@@ -425,11 +430,10 @@ class TestSineSolver:
         assert SavSplit(d).a1 == linear_shift(d)
         l1 = elastic_matrix(d) + sigma * metric_matrix(d)
         self.assert_solves_and_applies(l1, LdGSystem(d).preconditioner(), gen)
-        # the CG preconditioners of the flow: I/dt + L1/2 and I/dt + L1
+        # the flow's step solves (L1 + (2/dt) I)^-1
         eye = sp.identity(d.n_dof)
         for dt in (1e-3, 2.0):
-            self.assert_solves_and_applies(eye / dt + 0.5 * l1, SineSolver(d, 1.0 / dt, 0.5, sigma), gen)
-            self.assert_solves_and_applies(eye / dt + l1, SineSolver(d, 1.0 / dt, 1.0, sigma), gen)
+            self.assert_solves_and_applies(eye * (2.0 / dt) + l1, l1_operator(d), gen, 2.0 / dt)
 
     @pytest.mark.parametrize("grid, m", [(64, 4), (16, 30), (9, 3)])
     def test_block_columns_match_vector_calls(self, grid, m):
@@ -437,19 +441,31 @@ class TestSineSolver:
         d = Domain(nx=grid, ny=grid, lambda2=5.0, bulk=BULK, boundary="planar")
         solver = LdGSystem(d).preconditioner()
         r = make_rng(9, "test:energy:sine").normal(size=(d.n_dof, m))
-        for act in (solver.solve, solver.apply):
+        for act in (solver.solve, solver.apply, lambda v: solver.solve(v, 0.7)):
             block = act(r)
             cols = np.column_stack([act(col) for col in r.T])
             assert block.shape == r.shape and block.flags.c_contiguous
             assert np.all(np.abs(block - cols).max(axis=0) <= 1e-14 * np.abs(cols).max(axis=0))
             assert act(r[:, :0]).shape == (d.n_dof, 0)  # k = 0 saddle dynamics carry an empty V
 
-    def test_is_the_linear_operator_it_solves_with(self):
+    def test_a_call_is_the_solve(self):
+        # LOBPCG takes the solver itself as its M=, a plain callable
         d = make_domain(8)
-        solver = SineSolver(d, 0.5, 2.0, 0.1)
+        solver = l1_operator(d)
+        assert not isinstance(solver, LinearOperator)
         r = make_rng(8, "test:energy:sine").normal(size=(d.n_dof, 2))
-        assert np.array_equal(solver @ r, solver.solve(r))
-        assert np.array_equal(solver @ r[:, 0], solver.solve(r[:, 0]))
+        assert np.array_equal(solver(r), solver.solve(r))
+        assert np.array_equal(solver(r[:, 0]), solver.solve(r[:, 0]))
+
+    def test_one_operator_per_domain(self):
+        d = make_domain(6)
+        op = l1_operator(d)
+        assert LdGSystem(d).preconditioner() is op and LdGSystem(d).preconditioner() is op
+        assert l1_operator(make_domain(6)) is not op
+        dropped = weakref.ref(d)
+        del d, op
+        gc.collect()
+        assert dropped() is None
 
 
 class TestEnergyGradient:

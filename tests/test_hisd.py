@@ -199,7 +199,7 @@ class TestStep:
                 applied.append(np.shape(v))
                 return pre.apply(v)
 
-        v = gram_schmidt(make_rng(12, "test:hisd:gsm").normal(size=(pre.shape[0], 4)), Counting())
+        v = gram_schmidt(make_rng(12, "test:hisd:gsm").normal(size=(d.n_dof, 4)), Counting())
         assert applied == [v.shape]
         assert np.abs(v.T @ pre.apply(v) - np.eye(4)).max() < 1e-12
 
@@ -557,7 +557,7 @@ class SquareQuartic(Quartic2D):
     )
 
 
-@pytest.mark.parametrize("max_index, run", [(None, 3), (2, 18)])
+@pytest.mark.parametrize("max_index, run", [(None, 3), (2, 9)])
 def test_symmetric_toy_landscape_matches_the_plain_one(max_index, run):
     # the group maps starts, landings and nodes exactly: the same nine points
     # in the same order and the same pathways (an upward edge's sign may
@@ -573,8 +573,8 @@ def test_symmetric_toy_landscape_matches_the_plain_one(max_index, run):
     assert len(graph.edges) == (12 if max_index is None else 24)
     assert graph.searches == plain.searches == plain.branches_run == (12 if max_index is None else 36)
     assert graph.branches_run == run
-    # the upward searches that run off outward fail at the same nodes; a
-    # failed branch leaves no landing to map, so its images run and fail too
+    # the upward searches that run off outward fail at the same nodes; the
+    # images of a failed branch take its error unrun, so 9 of the 36 branches run
     assert [f[:3] for f in graph.failed] == [f[:3] for f in plain.failed]
     assert len(graph.failed) == (0 if max_index is None else 12)
 

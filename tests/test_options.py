@@ -10,6 +10,7 @@ import inspect
 from dataclasses import fields
 
 from nematicq.cli import build_parser
+from nematicq.energy import SineSolver
 from nematicq.fieldio import RunConfig
 from nematicq.hedgehog import solve_profile
 from nematicq.hisd import (
@@ -60,6 +61,12 @@ def test_string_and_step_parameters():
     assert params(refine_multiscale) == ["coarse", "fine_n", "tol", "ts_tol", "seed"]
     assert params(hisd_step) == ["system", "state", "dt", "grad"]
     assert params(flow_to_equilibrium) == ["init", "dt", "tol_grad", "max_steps", "trace"]
+
+
+def test_l1_operator_parameters():
+    # L1 is fixed by its domain; the only freedom of a solve is the shift
+    assert params(SineSolver.__init__) == ["self", "domain"]
+    assert params(SineSolver.solve) == ["self", "r", "shift"]
 
 
 def cli_flags():

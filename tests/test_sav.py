@@ -3,6 +3,7 @@
 import gc
 import weakref
 from itertools import chain, cycle, islice
+from math import ceil, floor, log2
 
 import numpy as np
 import pytest
@@ -141,45 +142,8 @@ class TestSplit:
 
 
 class TestDirectSolve:
-    """Each step's linear solve: Sherman-Morrison on the exact sine solve,
+    """Flows whose steps solve by Sherman-Morrison on the exact sine solve,
     checked (and, with l2/l3, finished) by CG."""
-
-    @staticmethod
-    def residual(split, dt, gen):
-        """Residual norm of solve_cn on random data, and the number of
-        operator actions it made."""
-        calls = []
-        l_apply = split.l_apply
-
-        def counted(v):
-            calls.append(1)
-            return l_apply(v)
-
-        split.l_apply = counted
-        n = split.domain.n_dof
-        b, rhs = 0.3 * gen.normal(size=n), gen.normal(size=n)
-        precond = split.sherman_morrison(dt, b)
-        x = split.solve_cn(dt, b, rhs, precond, precond(rhs))
-        del split.l_apply
-        return np.linalg.norm(x / dt + 0.5 * split.l_apply(x) + b * (b @ x) - rhs), len(calls)
-
-    @pytest.mark.parametrize("boundary", ["tangent", "planar"])
-    def test_one_operator_action_without_l2_l3(self, boundary):
-        split = SavSplit(tangent_domain(8, boundary=boundary))
-        gen = make_rng(3, "test:sav:direct")
-        # dt changes back and forth, so a stale cached solver would show
-        for dt in (1e-3, 2.0, 1e-3):
-            res, n_actions = self.residual(split, dt, gen)
-            assert n_actions == 1
-            assert res <= 1e-10
-
-    def test_residual_within_tolerance_with_l2_l3(self):
-        split = SavSplit(tangent_domain(8, l2=0.6, l3=0.4))
-        gen = make_rng(4, "test:sav:direct")
-        for dt in (1e-3, 2.0):
-            res, n_actions = self.residual(split, dt, gen)
-            assert n_actions > 1
-            assert res <= 1e-10
 
     def test_planar_flow_keeps_its_trajectory(self):
         # step count of this flow, and the energy of the stationary state it
@@ -310,6 +274,25 @@ class TestStepWork:
         assert steps == 39
         assert len(iterations) == steps
         assert len(applies) == 1 + 2 * steps + sum(iterations)
+
+    @pytest.mark.parametrize("boundary", ["tangent", "planar"])
+    def test_one_operator_action_without_l2_l3(self, monkeypatch, boundary):
+        # dt changes back and forth, so a solve shifted for a stale dt would show
+        split, state = chained_state(tangent_domain(8, boundary=boundary))
+        for dt in (1e-3, 2.0, 1e-3):
+            out, calls = self.counted_step(monkeypatch, split, state, dt)
+            assert calls.count("l_apply") == 1 and calls.count("cg") == 0
+            assert cn_residual(split, state, out, dt) <= 1e-10
+            state = out
+
+    def test_residual_within_tolerance_with_l2_l3(self, monkeypatch):
+        # the check's apply, at least one CG iteration's and the corrected q+'s
+        split, state = chained_state(tangent_domain(8, l2=0.6, l3=0.4))
+        for dt in (1e-3, 2.0):
+            out, calls = self.counted_step(monkeypatch, split, state, dt)
+            assert calls.count("cg") == 1 and calls.count("l_apply") > 2
+            assert cn_residual(split, state, out, dt) <= 1e-10
+            state = out
 
     def test_cg_finishes_with_l2_l3(self, monkeypatch):
         split, state = chained_state(tangent_domain(8, l2=0.6, l3=0.4))
@@ -599,6 +582,19 @@ class TestFlow:
         d = tangent_domain(n, lambda2=lambda2, boundary="planar")
         for seed in (1, 2):
             self.monotone_flow(d, seed, dt)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.5, 7.0])
+    def test_ladder_spans_the_assembled_spectrum(self, dt):
+        # the domain's L1 spectrum against eigvalsh of the assembled oracle on
+        # a non-square grid, its corners lambda_min/max, and the rungs they give
+        d = Domain(nx=7, ny=5, lambda2=5.0, bulk=BULK, boundary="planar")
+        sigma = energy.linear_shift(d) * d.hx * d.hy
+        w = scipy.linalg.eigvalsh((elastic_matrix(d) + sigma * metric_matrix(d)).toarray())
+        eig = energy.l1_operator(d).eigenvalues
+        assert eig.shape == (5, 7, 5) and np.allclose(np.sort(eig, axis=None), w, rtol=1e-12, atol=0.0)
+        assert abs(eig[0, 0, 0] - w[0]) <= 1e-12 * w[0] and abs(eig[-1, -1, -1] - w[-1]) <= 1e-12 * w[-1]
+        lo, hi = floor(log2(2.0 / (w[-1] * dt))), ceil(log2(2.0 / (w[0] * dt)))
+        assert step_ladder(d, dt) == range(min(0, lo), max(0, hi) + 1)
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_step_count_does_not_grow_with_the_grid(self, n):
