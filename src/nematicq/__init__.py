@@ -53,7 +53,7 @@ from .maier_saupe import (
     ratio,
     solve_branches,
 )
-from .mep import MepResult, Path, find_mep, perpendicular_residual, refine_multiscale, reparametrize
+from .mep import MepResult, Path, find_mep, perpendicular_residual, reparametrize
 from .minimize import MinimizeOptions, MinimizeResult, minimize
 from .qtensor import (
     BulkCriticalSet,
@@ -132,7 +132,6 @@ __all__ = [
     "perpendicular_residual",
     "ratio",
     "read_field",
-    "refine_multiscale",
     "reparametrize",
     "sav_init",
     "sav_split",

@@ -271,6 +271,7 @@ def find_saddle(
     dynamics steps in `iterations`.  Raises WrongIndex (carrying the
     verified record) when the landing point is stationary but of a
     different index than requested; the caller may keep that record.
+    A tol_grad outside (0, inf) raises ValidationError before any step.
     """
     opts = opts or SaddleOptions()
     record = _record(system, _search(system, k, x0, v0, opts), opts.tol_grad, opts.seed, k)
@@ -281,6 +282,8 @@ def find_saddle(
 
 def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts: SaddleOptions) -> _Landing:
     """find_saddle's dynamics, up to the landing and short of its certificate."""
+    if not 0.0 < opts.tol_grad < np.inf:
+        raise ValidationError(f"need finite tol_grad > 0, got {opts.tol_grad}")
     precond = preconditioner_of(system)
     x = np.array(x0, dtype=float).reshape(-1)
     n = x.size

@@ -7,7 +7,8 @@ simplified string method.  The normal part of each move is preconditioned
 by the system's metric M, as in the preconditioned string of Makri,
 Ortner and Kermode, so the sweep count does not grow with the grid.  The
 converged string's energy maximum seeds an index-1 climbing refinement,
-certified through its leading Hessian eigenvalues.
+certified through its leading Hessian eigenvalues; the barriers are
+measured from the string's own endpoints.
 """
 
 from __future__ import annotations
@@ -24,16 +25,14 @@ from .spectrum import operator_scale
 from .spectrum import smallest_eigs  # noqa: F401  no caller here; perfbench/tracing.py rebinds mep.smallest_eigs
 from .systems import System, preconditioner_of
 
-__all__ = [
-    "Path", "MepResult", "evolve_step", "reparametrize", "perpendicular_residual", "find_mep", "refine_multiscale"
-]
+__all__ = ["Path", "MepResult", "evolve_step", "reparametrize", "perpendicular_residual", "find_mep"]
 
 _CHORD_SPREAD_TOL = 1e-8
 # halvings of a node's step before it stays put (evolve_step)
 _MAX_BACKTRACKS = 30
 # resampling passes allowed to reach uniform spacing (reparametrize)
 _MAX_PASSES = 200
-# evolve/reparametrize sweeps allowed to bring a string below tol (find_mep, refine_multiscale)
+# evolve/reparametrize sweeps allowed to bring a string below tol (find_mep)
 _MAX_SWEEPS = 5_000
 
 
@@ -240,23 +239,6 @@ def _string_loop(path: Path, tol: float) -> tuple[Path, int]:
     return path, sweeps
 
 
-def _solve(path: Path, e0: float, e1: float, tol: float, ts_tol: float | None, seed: int) -> MepResult:
-    """Converge the string, then refine and certify its top; barriers are measured from e0 and e1."""
-    path, sweeps = _string_loop(path, tol)
-    ts_index = int(np.argmax(path.energies))
-    ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
-    ts = _refine_ts(path.system, path.nodes[ts_index].copy(), ts_tol, seed)
-    return MepResult(
-        path=path,
-        ts_index=ts_index,
-        ts_field=ts.field,
-        barrier_forward=ts.energy - e0,
-        barrier_backward=ts.energy - e1,
-        ts_lambda1=float(ts.lambda_spectrum[0]),
-        sweeps=sweeps,
-    )
-
-
 def find_mep(
     a,
     b,
@@ -277,8 +259,12 @@ def find_mep(
     node spacing and path curvature, so tol should be chosen against the
     resolution; the transition state itself is refined to ts_tol
     (default min(tol, 1e-8)) by the climbing correction, independent of
-    that floor.
+    that floor.  A tol or ts_tol outside (0, inf) raises ValidationError
+    before any work.
     """
+    ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
+    if not (0.0 < tol < np.inf and 0.0 < ts_tol < np.inf):
+        raise ValidationError(f"need finite tol > 0 and ts_tol > 0, got {tol}, {ts_tol}")
     xa, system = _as_flat(a, system)
     xb, system = _as_flat(b, system)
     if n_nodes < 8:
@@ -288,29 +274,16 @@ def find_mep(
         if g_inf >= 10.0 * tol:
             raise NotStationary(g_inf, 10.0 * tol)
     frac = np.linspace(0.0, 1.0, n_nodes)[:, None]
-    path = Path.from_nodes(system, (1.0 - frac) * xa + frac * xb)
-    return _solve(path, path.energies[0], path.energies[-1], tol, ts_tol, seed)
+    path, sweeps = _string_loop(Path.from_nodes(system, (1.0 - frac) * xa + frac * xb), tol)
+    ts_index = int(np.argmax(path.energies))
+    ts = _refine_ts(system, path.nodes[ts_index].copy(), ts_tol, seed)
+    return MepResult(
+        path=path,
+        ts_index=ts_index,
+        ts_field=ts.field,
+        barrier_forward=ts.energy - path.energies[0],
+        barrier_backward=ts.energy - path.energies[-1],
+        ts_lambda1=float(ts.lambda_spectrum[0]),
+        sweeps=sweeps,
+    )
 
-
-def refine_multiscale(
-    coarse: Path,
-    fine_n: int = 16,
-    tol: float = 1e-8,
-    ts_tol: float | None = None,
-    seed: int = 0,
-) -> MepResult:
-    """Local fine string between the two highest-energy coarse nodes.
-
-    The selected coarse nodes become the (frozen, generally
-    non-stationary) ends of a fine string resolving the barrier region;
-    barriers in the result are still measured from the coarse string's
-    global endpoints.
-    """
-    if fine_n < 3:
-        raise ValidationError("a fine string needs at least 3 nodes")
-    order = np.argsort(coarse.energies)
-    lo, hi = sorted((int(order[-1]), int(order[-2])))
-    frac = np.linspace(0.0, 1.0, fine_n)[:, None]
-    nodes = (1.0 - frac) * coarse.nodes[lo] + frac * coarse.nodes[hi]
-    fine = Path.from_nodes(coarse.system, nodes)
-    return _solve(fine, coarse.energies[0], coarse.energies[-1], tol, ts_tol, seed)

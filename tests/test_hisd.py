@@ -326,6 +326,36 @@ class TestFindSaddle:
         assert np.allclose(rec.lambda_spectrum, [-2.0, -1.0, 1.0, 3.0], atol=1e-6)
 
 
+class Sealed(Quartic2D):
+    """Quartic2D that fails the test if it is evaluated once sealed."""
+
+    sealed = False
+
+    def energy(self, x):
+        assert not self.sealed, "energy evaluated"
+        return super().energy(x)
+
+    def gradient(self, x):
+        assert not self.sealed, "gradient evaluated"
+        return super().gradient(x)
+
+
+@pytest.mark.parametrize("tol_grad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["find_saddle", "branch_search", "build_landscape"])
+def test_unusable_tolerance_raises_before_any_step(entry, tol_grad):
+    sy = Sealed()
+    top = make_record(sy, np.zeros(2), k_hint=2)
+    sy.sealed = True
+    opts = SaddleOptions(tol_grad=tol_grad)
+    with pytest.raises(ValidationError):
+        if entry == "find_saddle":
+            find_saddle(sy, 1, np.array([0.2, 0.8]), opts=opts)
+        elif entry == "branch_search":
+            branch_search(sy, top, 1, opts)
+        else:
+            build_landscape(sy, top, LandscapeOptions(search=opts))
+
+
 class TestNewtonEndgame:
     def test_polish_back_toward_the_parent_is_rejected(self):
         # at (0, 0.05) Newton heads for the index-2 top (0, 0), against the

@@ -21,7 +21,7 @@ from nematicq.hisd import (
     hisd_step,
     make_record,
 )
-from nematicq.mep import find_mep, refine_multiscale, reparametrize
+from nematicq.mep import find_mep, reparametrize
 from nematicq.minimize import MinimizeOptions
 from nematicq.sav import flow_to_equilibrium
 from nematicq.spectrum import operator_scale, smallest_eigs, solve_smallest
@@ -58,7 +58,6 @@ def test_spectrum_and_certificate_parameters():
 def test_string_and_step_parameters():
     assert params(reparametrize) == ["p"]
     assert params(find_mep) == ["a", "b", "n_nodes", "tol", "system", "ts_tol", "seed"]
-    assert params(refine_multiscale) == ["coarse", "fine_n", "tol", "ts_tol", "seed"]
     assert params(hisd_step) == ["system", "state", "dt", "grad"]
     assert params(flow_to_equilibrium) == ["init", "dt", "tol_grad", "max_steps", "trace"]
 
