@@ -3,8 +3,11 @@
 Solves the two-point boundary value problem for the scalar amplitude
 h(r) of a radially symmetric defect: h(0) = 0 at the core, h(R) = s+
 in the far field.  Prints the profile shape and verifies second-order
-self-convergence under grid refinement.
+self-convergence under grid refinement; exits 1 if the observed order
+is not within 0.05 of 2.
 """
+
+import sys
 
 import numpy as np
 
@@ -30,4 +33,6 @@ mid = solve_profile(p, R=10.0, N=256)
 e1 = np.abs(coarse.h - mid.h[::2]).max()
 e2 = np.abs(mid.h - prof.h[::2]).max()
 print(f"\nself-convergence: |h_128 - h_256| = {e1:.2e}, |h_256 - h_512| = {e2:.2e}")
-print(f"observed order = {np.log2(e1 / e2):.2f} (second-order discretization)")
+order = np.log2(e1 / e2)
+print(f"observed order = {order:.2f} (second-order discretization)")
+sys.exit(0 if abs(order - 2.0) <= 0.05 else 1)

@@ -2,8 +2,11 @@
 
 Sweeps the interaction strength alpha across the ordering transition,
 prints which distributions exist (isotropic / prolate / oblate), their
-order parameters, and the Leslie viscosities of a nematic state.
+order parameters, and the Leslie viscosities of a nematic state; exits 1
+if the Parodi relation fails by more than 1e-12.
 """
+
+import sys
 
 from nematicq import critical_alpha, leslie_coefficients, solve_branches
 
@@ -30,3 +33,4 @@ for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "gamma2
     print(f"  {name} = {getattr(ls, name):+.6f}")
 check = ls.alpha6 - ls.alpha5 - (ls.alpha2 + ls.alpha3)
 print(f"  Parodi relation alpha2 + alpha3 = alpha6 - alpha5 holds to {abs(check):.1e}")
+sys.exit(0 if abs(check) <= 1e-12 else 1)

@@ -78,9 +78,12 @@ def write_field(path, f: QField) -> None:
 
 def _parse_float(token: str, line_no: int, column: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"bad float {token!r}", line=line_no, column=column) from None
+    if not np.isfinite(value):
+        raise ParseError(f"non-finite value {token!r}", line=line_no, column=column)
+    return value
 
 
 def _parse_int(token: str, line_no: int, column: int) -> int:
@@ -132,7 +135,8 @@ def read_field(path, domain: Domain | None = None) -> QField:
     except ValueError:
         # some row is malformed: find it, and say where, row by row
         values, n_rows = _node_rows_checked(lines, domain)
-    if n_rows != domain.nx * domain.ny or np.isnan(values).any():
+    # rows are in the grid and no node repeats, so a full count fills it
+    if n_rows != domain.nx * domain.ny:
         raise ParseError(
             f"expected {domain.nx * domain.ny} node rows, got {n_rows}",
             line=len(lines) + 1,
@@ -142,7 +146,8 @@ def read_field(path, domain: Domain | None = None) -> QField:
 
 def _node_rows(lines: list[str], domain: Domain) -> tuple[np.ndarray, int]:
     """The node values and row count of a snapshot's body, all tokens parsed
-    in one pass; ValueError on any malformed row."""
+    in one pass; ValueError on any malformed row, a non-finite number or a
+    repeated node."""
     body = [line for line in lines[1:] if line.strip()]
     if any(line.count(",") != 8 for line in body):
         raise ValueError("a row without 9 fields")
@@ -152,6 +157,8 @@ def _node_rows(lines: list[str], domain: Domain) -> tuple[np.ndarray, int]:
     j = np.array(list(map(int, tokens[1::9])), dtype=int)
     if not ((0 <= i) & (i < domain.nx) & (0 <= j) & (j < domain.ny)).all():
         raise ValueError("a node outside the grid")
+    if not np.isfinite(table).all() or np.bincount(i * domain.ny + j, minlength=1).max() > 1:
+        raise ValueError("a non-finite number or a repeated node")
     values = np.full(domain.shape, np.nan)
     values[i, j] = table[:, 4:]
     return values, len(body)
@@ -159,8 +166,9 @@ def _node_rows(lines: list[str], domain: Domain) -> tuple[np.ndarray, int]:
 
 def _node_rows_checked(lines: list[str], domain: Domain) -> tuple[np.ndarray, int]:
     """``_node_rows`` one row at a time, raising ParseError at the first bad
-    row with its line and, for a bad number, its column."""
+    row with its line and, for a bad or non-finite number, its column."""
     values = np.full(domain.shape, np.nan)
+    seen = np.zeros((domain.nx, domain.ny), dtype=bool)
     n_rows = 0
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -172,6 +180,9 @@ def _node_rows_checked(lines: list[str], domain: Domain) -> tuple[np.ndarray, in
         j = _parse_int(tokens[1], line_no, 2)
         if not (0 <= i < domain.nx and 0 <= j < domain.ny):
             raise ParseError(f"node ({i},{j}) outside {domain.nx}x{domain.ny} grid", line=line_no)
+        if seen[i, j]:
+            raise ParseError(f"node ({i},{j}) repeated", line=line_no)
+        seen[i, j] = True
         _parse_float(tokens[2], line_no, 3)
         _parse_float(tokens[3], line_no, 4)
         values[i, j] = [_parse_float(tok, line_no, k + 5) for k, tok in enumerate(tokens[4:])]

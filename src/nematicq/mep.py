@@ -6,9 +6,11 @@ nodes to equal arc length by linear interpolation (step 2), as in the
 simplified string method.  The normal part of each move is preconditioned
 by the system's metric M, as in the preconditioned string of Makri,
 Ortner and Kermode, so the sweep count does not grow with the grid.  The
-converged string's energy maximum seeds an index-1 climbing refinement,
-certified through its leading Hessian eigenvalues; the barriers are
-measured from the string's own endpoints.
+converged string's energy maximum seeds an index-1 climbing refinement
+whose unstable direction starts along the string's tangent there, as in
+climbing-image and climbing-string methods, so the climb's only
+eigensolve is its certificate through the leading Hessian eigenvalues;
+the barriers are measured from the string's own endpoints.
 """
 
 from __future__ import annotations
@@ -205,14 +207,15 @@ def _as_flat(field, system: System | None):
     return np.asarray(field, dtype=float).reshape(-1).copy(), system
 
 
-def _refine_ts(system: System, x0: np.ndarray, tol: float, seed: int = 0) -> SaddleRecord:
-    """Climbing correction: index-1 saddle dynamics from x0, whose unstable
-    direction is solved once at the start and then relaxed with the
-    position, finished by the guarded Newton endgame, as in every other
-    search.  The returned record's index is verified by find_saddle; any
-    other index raises NotIndexOne."""
+def _refine_ts(system: System, x0: np.ndarray, direction: np.ndarray, tol: float, seed: int = 0) -> SaddleRecord:
+    """Climbing correction: index-1 saddle dynamics from x0 whose unstable
+    direction starts at `direction` (the string's tangent at its top node,
+    M-normalized by the search) and is relaxed with the position, finished
+    by the guarded Newton endgame, as in every other search.  The only
+    eigensolve is the certificate: the returned record's index is verified
+    by find_saddle, and any other index raises NotIndexOne."""
     try:
-        return find_saddle(system, 1, x0, opts=SaddleOptions(tol_grad=tol, seed=seed))
+        return find_saddle(system, 1, x0, direction[:, None], SaddleOptions(tol_grad=tol, seed=seed))
     except WrongIndex as err:
         raise NotIndexOne(
             f"climbing correction converged to Morse index {err.found}"
@@ -276,7 +279,9 @@ def find_mep(
     frac = np.linspace(0.0, 1.0, n_nodes)[:, None]
     path, sweeps = _string_loop(Path.from_nodes(system, (1.0 - frac) * xa + frac * xb), tol)
     ts_index = int(np.argmax(path.energies))
-    ts = _refine_ts(system, path.nodes[ts_index].copy(), ts_tol, seed)
+    # the climb's unstable direction starts along the string's chord at its top
+    chord = path.nodes[min(ts_index + 1, n_nodes - 1)] - path.nodes[max(ts_index - 1, 0)]
+    ts = _refine_ts(system, path.nodes[ts_index].copy(), chord, ts_tol, seed)
     return MepResult(
         path=path,
         ts_index=ts_index,

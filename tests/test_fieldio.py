@@ -178,6 +178,31 @@ class TestFieldRoundTrip:
             read_field(path)
         assert (info.value.line, info.value.column) == where
 
+    def test_repeated_node_names_its_line(self, tmp_path):
+        # a copied row keeps the count at nx*ny but leaves one node unset
+        d = small_domain(4, 4)
+        path = tmp_path / "f.csv"
+        write_field(path, random_field(d))
+        lines = path.read_text().splitlines()
+        lines[6] = lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"node \(0,1\) repeated") as info:
+            read_field(path)
+        assert (info.value.line, info.value.column) == (7, 0)
+
+    @pytest.mark.parametrize("column, token", [(6, "nan"), (9, "inf"), (3, "-inf")])
+    def test_non_finite_value_names_line_and_column(self, tmp_path, column, token):
+        path = tmp_path / "f.csv"
+        write_field(path, random_field(small_domain(4, 4)))
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[column - 1] = token
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="non-finite") as info:
+            read_field(path)
+        assert (info.value.line, info.value.column) == (5, column)
+
     @pytest.mark.parametrize("grid", [(5, 4), (64, 64)])
     def test_writer_matches_per_value_formatter(self, tmp_path, grid):
         d = small_domain(*grid)

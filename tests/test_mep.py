@@ -313,38 +313,45 @@ def test_unusable_tolerance_raises_before_any_work(name, bad):
 class TestTransitionStateHelpers:
     def test_refine_rejects_index_two(self):
         with pytest.raises(NotIndexOne):
-            _refine_ts(Quartic2D(), np.zeros(2), 1e-8)
+            _refine_ts(Quartic2D(), np.zeros(2), np.array([1.0, 0.0]), 1e-8)
 
     def test_refine_returns_index_one_record(self):
-        record = _refine_ts(Quartic2D(), np.array([0.0, 1.0]), 1e-8)
+        # a start direction off the unstable x mode is relaxed onto it
+        record = _refine_ts(Quartic2D(), np.array([0.0, 1.0]), np.array([1.0, 0.2]), 1e-8)
         assert record.morse_index == 1
         assert record.lambda_spectrum[0] < 0
 
-    def test_climb_solves_for_its_direction_only_at_the_start_and_certificate(self, monkeypatch):
-        hisd = importlib.import_module("nematicq.hisd")
-        calls = []
-        original = hisd.smallest_eigs
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(hisd, "smallest_eigs", counted)
-        record = _refine_ts(DoubleWell2D(), np.array([0.1, 0.05]), 1e-8)
+    def test_climb_solves_only_for_its_certificate(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        record = _refine_ts(DoubleWell2D(), np.array([0.1, 0.05]), np.array([1.0, 0.0]), 1e-8)
         assert record.morse_index == 1 and record.iterations > 1
-        # one solve for the start V, one for the certificate; the
-        # dynamics track V in between
-        assert len(calls) == 2
+        # V starts at the given direction and the dynamics track it; the
+        # one eigensolve is the certificate
+        assert len(calls) == 1
 
     def test_refine_raises_when_climb_lands_on_minimum(self):
-        # nearest unstable direction at (0.9, 0) is the soft y mode, so the
-        # climb slides to the minimum (1, 0) and must report the failure
+        # started along the soft y mode at (0.9, 0), the climb slides to
+        # the minimum (1, 0) and must report the failure
         with pytest.raises(NotIndexOne):
-            _refine_ts(DoubleWell2D(), np.array([0.9, 0.0]), 1e-8)
+            _refine_ts(DoubleWell2D(), np.array([0.9, 0.0]), np.array([0.0, 1.0]), 1e-8)
 
 
-def ldg_string_ends(n: int):
-    d = Domain(nx=n, ny=n, lambda2=27.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+def count_eigensolves(monkeypatch) -> list:
+    """Record the arguments of every hisd.smallest_eigs call from now on."""
+    hisd = importlib.import_module("nematicq.hisd")
+    calls = []
+    original = hisd.smallest_eigs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hisd, "smallest_eigs", counted)
+    return calls
+
+
+def ldg_string_ends(n: int, lambda2: float = 27.0):
+    d = Domain(nx=n, ny=n, lambda2=lambda2, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
     sy = LdGSystem(d)
     opts = MinimizeOptions(tol_grad=1e-9, max_iters=20000)
     return sy, [minimize(sy, seed_field(d, spec).flat, opts).x for spec in ("diagonal(d1)", "diagonal(d2)")]
@@ -385,3 +392,28 @@ def test_tight_climb_ends_in_a_few_newton_steps(monkeypatch):
     assert 1 <= ts.newton_steps <= 10 and ts.grad_inf < 1e-8
     assert abs(res.barrier_forward - 0.0121076853848) <= 1e-12
     assert res.ts_lambda1 < 0.0
+
+
+@pytest.mark.parametrize("case", ["double_well", "ldg16"])
+def test_whole_string_makes_one_eigensolve(case, monkeypatch):
+    # the climb starts along the string's chord at its top node, so the
+    # transition state's certificate is the only eigensolve of find_mep
+    if case == "double_well":
+        system, (a, b), kw = DoubleWell2D(), ([-1.0, 0.0], [1.0, 0.0]), dict(n_nodes=16, tol=1e-8)
+    else:
+        system, (a, b) = ldg_string_ends(16)
+        kw = dict(n_nodes=32, tol=1e-4, ts_tol=1e-4)
+    calls = count_eigensolves(monkeypatch)
+    res = find_mep(a, b, system=system, **kw)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][1], res.ts_field)
+    assert res.ts_lambda1 < 0.0
+
+
+def test_symmetric_ridge_trap_is_reported():
+    # at lambda2 = 50 the straight string between the diagonal states keeps
+    # their mirror symmetry and rides the index-2 ridge through the
+    # symmetric midpoint state; the climb's certificate must say so
+    system, (a, b) = ldg_string_ends(16, 50.0)
+    with pytest.raises(NotIndexOne, match="Morse index 2"):
+        find_mep(a, b, n_nodes=16, tol=2e-3, ts_tol=1e-6, system=system)
