@@ -183,23 +183,23 @@ class LdGSystem(System):
         self.n = domain.n_dof
 
     def energy(self, x: np.ndarray) -> float:
-        return float(free_energy(self.domain, x.reshape(self.domain.shape)))
+        return float(free_energy(self.domain, x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return gradient(self.domain, x.reshape(self.domain.shape)).reshape(-1)
+        return gradient(self.domain, x).reshape(self.n)
 
     def energy_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """``(energy(x), gradient(x))`` bit for bit, from one extension of the
         field, one set of cell terms and one bulk pass."""
         d = self.domain
-        ext = d.extend(x.reshape(d.shape))
+        ext = d.extend(x)
         cells = _cell_terms(d, ext)
         density, g = bulk_energy_gradient(ext[..., 1:-1, 1:-1, :], d.bulk)
         e = float(_energy_from_ext(d, ext, cells, density))
         # gradient's elastic + lambda2 hx hy bulk, in place to hold fewer large temporaries
         g *= d.lambda2 * d.hx * d.hy
         g += _elastic_grad_from_ext(d, ext, cells)
-        return e, g.reshape(-1)
+        return e, g.reshape(self.n)
 
     def energies(self, xs: np.ndarray) -> np.ndarray:
         return free_energy(self.domain, xs)

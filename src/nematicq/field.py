@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -268,47 +268,39 @@ def seed_field(domain: Domain, spec: str, seed: int = 0) -> QField:
     return QField(domain, sigma * gen.normal(size=domain.shape))
 
 
-def _d4_elements() -> list[np.ndarray]:
-    """The eight signed permutation matrices of the square's symmetry group."""
-    rots = []
-    for k in range(4):
-        c, s = int(round(np.cos(k * np.pi / 2))), int(round(np.sin(k * np.pi / 2)))
-        rots.append(np.array([[c, -s], [s, c]], dtype=float))
-    flips = [np.diag([-1.0, 1.0]) @ r for r in rots]
-    return rots + flips
-
-
-def _apply_d4(values: np.ndarray, o2: np.ndarray) -> np.ndarray:
-    """Transform a square field by one group element (grid map + conjugation)."""
-    n = values.shape[0]
-    t = n - 1
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    u = ii - t / 2.0
-    v = jj - t / 2.0
-    ip = np.rint(o2[0, 0] * u + o2[0, 1] * v + t / 2.0).astype(int)
-    jp = np.rint(o2[1, 0] * u + o2[1, 1] * v + t / 2.0).astype(int)
-    o3 = np.eye(3)
-    o3[:2, :2] = o2
-    mats = to_matrix(values)
-    rotated = sym_components(np.einsum("ab,ijbc,dc->ijad", o3, mats, o3))
-    out = np.empty_like(values)
-    out[ip, jp] = rotated[ii, jj]
-    return out
-
-
 def square_symmetry_orbit(values: np.ndarray) -> list[np.ndarray]:
-    """All eight symmetry images of a square field (identity first)."""
-    if values.shape[0] != values.shape[1]:
-        raise ShapeMismatch("square symmetry ops need nx == ny")
-    return [_apply_d4(values, o2) for o2 in _d4_elements()]
+    """All eight symmetry images of a square (n, n, 5) field, in ``d4_actions`` order."""
+    if values.ndim != 3 or values.shape[0] != values.shape[1] or values.shape[2] != 5:
+        raise ShapeMismatch(f"square symmetry ops need an (n, n, 5) field, got shape {values.shape}")
+    return [g(values.reshape(-1)).reshape(values.shape) for g in d4_actions(values.shape[0])]
 
 
+@lru_cache(maxsize=8)
 def d4_actions(n: int) -> tuple:
-    """``square_symmetry_orbit``'s eight maps (identity first) on flat n x n fields and
-    (5 n^2, m) blocks, as the exact signed permutations read off the images of 1, 2, 3, ..."""
-    code = np.arange(1.0, 5 * n * n + 1.0).reshape(n, n, 5)
-    images = [img.reshape(-1) for img in square_symmetry_orbit(code)]
-    return tuple(partial(_signed_permute, np.abs(img).astype(np.intp) - 1, np.sign(img)) for img in images)
+    """The square's eight symmetries on flat n x n fields and (5 n^2, m) blocks, as
+    exact signed permutations shared by every field of that size (read-only).
+
+    Element k is k quarter turns o2, followed for k >= 4 by x -> -x (identity first).
+    It moves node (i, j) to o2 (i - t/2, j - t/2) + t/2, t = n - 1, in integers, and
+    permutes the components as o2 conjugates the five basis tensors by diag(o2, 1).
+    """
+    t = n - 1
+    uv = np.array(np.meshgrid(2 * np.arange(n) - t, 2 * np.arange(n) - t, indexing="ij"))  # 2 (i, j) - t
+    actions = []
+    for k in range(8):
+        o2 = np.diag([1 - 2 * (k // 4), 1]) @ np.linalg.matrix_power(np.array([[0, -1], [1, 0]]), k % 4)
+        o3 = np.eye(3)
+        o3[:2, :2] = o2
+        basis = sym_components(o3 @ to_matrix(np.eye(5)) @ o3.T)  # row a: the image of e_a, +-e_b
+        comp = np.abs(basis).argmax(axis=1)
+        ip, jp = (np.tensordot(o2, uv, 1) + t) // 2
+        dest = (5 * (ip * n + jp)[..., None] + comp).reshape(-1)
+        perm, sign = np.empty(5 * n * n, dtype=np.intp), np.empty(5 * n * n)
+        perm[dest] = np.arange(5 * n * n)
+        sign[dest] = np.tile(basis[np.arange(5), comp], n * n)
+        perm.flags.writeable = sign.flags.writeable = False
+        actions.append(partial(_signed_permute, perm, sign))
+    return tuple(actions)
 
 
 def _signed_permute(perm: np.ndarray, sign: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Accepted iterates have non-increasing energies (Armijo condition with
 c1 = 1e-4, step shrink 0.5) up to the rounding of E; convergence is
-declared on the inf-norm of the gradient.  Once a trial's energy change
-is within 16 ulps of |E|, rounding would decide the Armijo test, so
-from then on each trial takes one ``energy_gradient`` and a trial whose
-change lies in that band is judged by its gradient instead: by the
+declared on the inf-norm of the gradient.  Every trial, and a projected
+point, takes one ``energy_gradient``.  When a trial's energy change is
+within 16 ulps of |E|, rounding would decide the Armijo test, so that
+trial is judged by its gradient instead: by the
 sufficient-decrease half of the approximate Wolfe conditions of Hager and
 Zhang (SIAM J. Optim. 16, 2005), g(x + a d).d <= (2 delta - 1) g(x).d
 with delta = 0.1 (backtracking only shortens a step, so their curvature
@@ -111,13 +111,11 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
     opts = opts or MinimizeOptions()
     precond = preconditioner_of(system)
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    e = system.energy(x)
-    g = system.gradient(x)
-    n_energy, n_grad = 1, 1
+    e, g = system.energy_gradient(x)
+    n_eval = 1  # energy_gradient calls
     pairs: deque = deque(maxlen=_MEMORY)
     gamma = 1.0
     energies = [e]
-    floor = False  # a trial's energy change has fallen within the band
 
     it = 0
     converged = float(np.abs(g).max()) < opts.tol_grad
@@ -134,18 +132,11 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
             accepted = False
             for _ in range(_MAX_BACKTRACKS):
                 x_try = x + alpha * d
-                if floor:
-                    e_try, g_try = system.energy_gradient(x_try)
-                    n_grad += 1
-                else:
-                    e_try, g_try = system.energy(x_try), None
-                n_energy += 1
+                e_try, g_try = system.energy_gradient(x_try)
+                n_eval += 1
                 if not abs(e_try - e) <= band:  # a non-finite trial fails Armijo's test
                     accepted = e_try <= e + _C1 * alpha * gd
                 else:
-                    if g_try is None:
-                        floor, g_try = True, system.gradient(x_try)
-                        n_grad += 1
                     accepted = float(g_try @ d) <= (2.0 * _DELTA - 1.0) * gd and np.abs(g_try).max() < np.abs(g).max()
                 if accepted:
                     break
@@ -162,14 +153,11 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
 
         if opts.project is not None:
             x_proj = np.asarray(opts.project(x_try), dtype=float).reshape(-1)
-            e_proj = system.energy(x_proj)
-            n_energy += 1
+            e_proj, g_proj = system.energy_gradient(x_proj)
+            n_eval += 1
             # keep the projected point only while it preserves monotonicity
             if e_proj <= e:
-                x_try, e_try, g_try = x_proj, e_proj, None
-        if g_try is None:
-            g_try = system.gradient(x_try)
-            n_grad += 1
+                x_try, e_try, g_try = x_proj, e_proj, g_proj
         s = x_try - x
         y = g_try - g
         sy = float(s @ y)
@@ -187,7 +175,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
         iterations=it,
         converged=converged,
         energies=energies,
-        n_energy=n_energy,
-        n_grad=n_grad,
+        n_energy=n_eval,
+        n_grad=n_eval,
     )
 

@@ -5,7 +5,9 @@ and an eigendecomposition-based reading of a single tensor; the package
 itself applies these operators matrix-free.  The SAV flow's nonlinear
 remainder term by term, which the package folds into one bulk density.
 A field snapshot written one value at a time, which the package writes
-one row at a time.
+one row at a time.  The square's symmetry images by float rotation of the
+node coordinates and conjugation of each 3 x 3 tensor, which the package
+applies as a table of signed permutations.
 """
 
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from nematicq.field import Domain, QField
-from nematicq.qtensor import G, bulk_energy, bulk_gradient, frob2, metric_apply, to_matrix
+from nematicq.qtensor import G, bulk_energy, bulk_gradient, frob2, metric_apply, sym_components, to_matrix
 
 
 def metric_matrix(domain: Domain) -> sp.csr_matrix:
@@ -87,3 +89,27 @@ def write_field_per_value(path, f: QField) -> None:
             cells = [str(i), str(j), g17(d.xs[i]), g17(d.ys[j])]
             lines.append(",".join(cells + [g17(v) for v in f.values[i, j]]))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def square_images(values: np.ndarray) -> list[np.ndarray]:
+    """The eight images of a square (n, n, 5) field: for k quarter turns o2, then
+    the same followed by x -> -x, node (i, j) goes to rint(o2 (i - t/2, j - t/2)
+    + t/2), t = n - 1, carrying its tensor Q to O Q O^T with O = diag(o2, 1)."""
+    n = values.shape[0]
+    t = n - 1
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    u, v = ii - t / 2.0, jj - t / 2.0
+    rots = []
+    for k in range(4):
+        c, s = int(round(np.cos(k * np.pi / 2))), int(round(np.sin(k * np.pi / 2)))
+        rots.append(np.array([[c, -s], [s, c]], dtype=float))
+    images = []
+    for o2 in rots + [np.diag([-1.0, 1.0]) @ r for r in rots]:
+        ip = np.rint(o2[0, 0] * u + o2[0, 1] * v + t / 2.0).astype(int)
+        jp = np.rint(o2[1, 0] * u + o2[1, 1] * v + t / 2.0).astype(int)
+        o3 = np.eye(3)
+        o3[:2, :2] = o2
+        out = np.empty_like(values)
+        out[ip, jp] = sym_components(np.einsum("ab,ijbc,dc->ijad", o3, to_matrix(values), o3))
+        images.append(out)
+    return images

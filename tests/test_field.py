@@ -5,10 +5,10 @@ import pytest
 
 from nematicq.energy import LdGSystem, free_energy
 from nematicq.errors import ShapeMismatch
-from nematicq.field import Domain, QField, seed_field, square_symmetry_orbit, symmetrize
+from nematicq.field import Domain, QField, d4_actions, seed_field, square_symmetry_orbit, symmetrize
 from nematicq.qtensor import BulkParams, to_matrix
 from nematicq.systems import make_rng
-from oracles import uniaxial_reading
+from oracles import square_images, uniaxial_reading
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
 
@@ -196,6 +196,11 @@ class TestSquareSymmetry:
         with pytest.raises(ShapeMismatch):
             square_symmetry_orbit(np.zeros((4, 6, 5)))
 
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (4, 4), (4, 4, 5, 1)])
+    def test_requires_five_components_per_node(self, shape):
+        with pytest.raises(ShapeMismatch):
+            square_symmetry_orbit(np.zeros(shape))
+
 
 def _tilted_ring(d: Domain, tilt: float):
     """A callable wall: the domain's planar data plus `tilt` times x on the
@@ -222,15 +227,25 @@ class TestD4Invariance:
             assert sy.energy(g(vals.reshape(-1))) == pytest.approx(e0, rel=1e-13)
 
     def test_flat_action_is_the_orbit(self):
+        # the table against float coordinates and 3 x 3 conjugation, bit for bit
+        # (the random fields have no zeros, whose sign the two may differ in)
+        for n in (4, 5, 6, 16, 18):
+            vals = make_rng(15, "test:symmetry").normal(size=(n, n, 5))
+            flat = vals.reshape(-1)
+            block = np.column_stack([flat, 2.0 * flat])
+            images = square_images(vals)
+            for g, img, ref in zip(d4_actions(n), square_symmetry_orbit(vals), images, strict=True):
+                assert img.tobytes() == ref.tobytes()
+                assert g(flat).tobytes() == ref.tobytes()
+                assert np.array_equal(g(block), np.column_stack([ref.reshape(-1), 2.0 * ref.reshape(-1)]))
+            assert np.array_equal(images[0], vals)
+
+    def test_one_read_only_table_per_grid_size(self):
         d = make_domain(n=6)
-        sy = LdGSystem(d)
-        vals = make_rng(15, "test:symmetry").normal(size=d.shape)
-        flat = vals.reshape(-1)
-        block = np.column_stack([flat, 2.0 * flat])
-        for g, img in zip(sy.symmetries, square_symmetry_orbit(vals)):
-            assert np.array_equal(g(flat), img.reshape(-1))
-            assert np.array_equal(g(block), np.column_stack([img.reshape(-1), 2.0 * img.reshape(-1)]))
-        assert np.array_equal(sy.symmetries[0](flat), flat)
+        assert LdGSystem(d).symmetries is d4_actions(6) is LdGSystem(make_domain(n=6, lambda2=9.0)).symmetries
+        for g in d4_actions(6):
+            perm, sign = g.args
+            assert not perm.flags.writeable and not sign.flags.writeable
 
     def test_non_square_grid_is_not_invariant(self):
         d = Domain(nx=8, ny=7, lambda2=5.0, bulk=BULK, boundary="planar")

@@ -10,9 +10,10 @@ from nematicq.errors import (
     DegeneratePath,
     NotIndexOne,
     NotStationary,
+    ShapeMismatch,
     ValidationError,
 )
-from nematicq.field import Domain, seed_field
+from nematicq.field import Domain, QField, seed_field
 from nematicq.mep import (
     Path,
     _normal,
@@ -283,6 +284,12 @@ class TestFindMep:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValidationError):
             find_mep([-1.0, 0.0], [1.0, 0.0], n_nodes=5, tol=1e-6, system=DoubleWell2D())
+
+    def test_endpoints_on_different_grids_raise_shape_mismatch(self):
+        bulk = BulkParams(-1.0 / 3.0, 1.0, 1.0)
+        a, b = (QField.zeros(Domain(nx=n, ny=n, lambda2=5.0, bulk=bulk, boundary="zero")) for n in (8, 9))
+        with pytest.raises(ShapeMismatch, match=r"\(405,\)"):
+            find_mep(a, b)
 
     def test_qfield_endpoints_share_a_minimum(self):
         d = Domain(nx=5, ny=5, lambda2=5.0, bulk=BulkParams(-1.0, 1.0, 1.0))

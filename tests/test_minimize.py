@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nematicq.energy import LdGSystem
-from nematicq.errors import NotStationary
-from nematicq.field import Domain, seed_field
+from nematicq.errors import NotStationary, ShapeMismatch
+from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.hisd import classify_stationary
 from nematicq.minimize import (
     MinimizeOptions,
@@ -15,7 +15,7 @@ from nematicq.minimize import (
     minimize,
 )
 from nematicq.qtensor import BulkParams
-from nematicq.systems import System, make_rng
+from nematicq.systems import System, make_rng, preconditioner_of
 from nematicq.toys import DiagQuadratic, Quartic2D
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
@@ -132,6 +132,47 @@ def test_unreachable_tolerance_stops_at_the_rounding_floor():
     assert not res.converged
     assert res.iterations <= 200
     assert res.grad_inf < 1e-10
+
+
+class _PairOnly(System):
+    """Another system evaluated through ``energy_gradient`` alone."""
+
+    def __init__(self, inner: System):
+        self.inner, self.n = inner, inner.n
+
+    def energy(self, x):
+        raise AssertionError("energy called on its own")
+
+    gradient = energy
+
+    def energy_gradient(self, x):
+        return self.inner.energy_gradient(x)
+
+    def preconditioner(self):
+        return preconditioner_of(self.inner)
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_each_trial_is_one_energy_gradient(project):
+    # the rounding-band case, which judges trials by their gradient, and the
+    # projected points of a symmetry average
+    sy, x0 = stall_case()
+    if project:
+        d = sy.domain
+        x0 = seed_field(d, "random(0.2)", seed=3).flat
+        opts = MinimizeOptions(tol_grad=1e-10, project=lambda x: symmetrize(QField.from_flat(d, x)).flat)
+    else:
+        opts = MinimizeOptions(tol_grad=1e-10)
+    res = minimize(_PairOnly(sy), x0, opts)
+    ref = minimize(sy, x0, opts)
+    assert res.converged and res.n_grad == res.n_energy == ref.n_energy
+    assert np.array_equal(res.x, ref.x) and res.energies == ref.energies
+
+
+def test_wrong_sized_start_raises_shape_mismatch():
+    sy = LdGSystem(Domain(nx=8, ny=8, lambda2=5.0, bulk=BULK))
+    with pytest.raises(ShapeMismatch, match=r"\(7,\)"):
+        minimize(sy, np.zeros(7))
 
 
 class _Plain(System):
