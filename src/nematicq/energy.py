@@ -24,6 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import ShapeMismatch
 from .field import Domain, QField, d4_actions
 from .qtensor import G, bulk_energy, bulk_energy_gradient, bulk_gradient, bulk_hessian
 from .qtensor import metric_apply, to_matrix
@@ -182,17 +183,23 @@ class LdGSystem(System):
         self.domain = domain
         self.n = domain.n_dof
 
+    def _one_field(self, x: np.ndarray) -> np.ndarray:
+        """x if it holds one field (flat or (nx, ny, 5)), else ShapeMismatch."""
+        if np.shape(x) not in ((self.n,), self.domain.shape):
+            raise ShapeMismatch(f"a single-point method takes one field, got shape {np.shape(x)}")
+        return x
+
     def energy(self, x: np.ndarray) -> float:
-        return float(free_energy(self.domain, x))
+        return float(free_energy(self.domain, self._one_field(x)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return gradient(self.domain, x).reshape(self.n)
+        return gradient(self.domain, self._one_field(x)).reshape(self.n)
 
     def energy_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """``(energy(x), gradient(x))`` bit for bit, from one extension of the
         field, one set of cell terms and one bulk pass."""
         d = self.domain
-        ext = d.extend(x)
+        ext = d.extend(self._one_field(x))
         cells = _cell_terms(d, ext)
         density, g = bulk_energy_gradient(ext[..., 1:-1, 1:-1, :], d.bulk)
         e = float(_energy_from_ext(d, ext, cells, density))

@@ -3,15 +3,15 @@
 The Hessian is only available as matrix-vector products, taken a whole
 block at a time (exact for ``LdGSystem``, central differences of the
 gradient by default for other systems), so the small end of the
-spectrum comes from LOBPCG with Rayleigh-Ritz cleanup and residual
-verification: up to 800 iterations per attempt and three
-restarts from the last Ritz block.  LOBPCG iterates k + 2 columns and
-reports the smallest k (Knyazev's guard vectors, SIAM J. Sci. Comput.
-23, 517, 2001): on the square, symmetric states have degenerate
-eigenvalue pairs, and a block whose last eigenvalue lies close below the
-next pair converges slowly (the index-2 cross state at 16^2 and k = 4,
-with that pair 2 % above lambda_4: 388 iterations without the guard, 30
-with it).  Two columns hold the whole next pair.  A restart continues from all k + 2 Ritz vectors;
+spectrum comes from the module's own block LOBPCG with Rayleigh-Ritz
+cleanup and residual verification: up to 800 iterations per attempt and
+three restarts from the last Ritz block.  LOBPCG iterates k + 2 columns
+and reports the smallest k (Knyazev's guard vectors, SIAM J. Sci.
+Comput. 23, 517, 2001): on the square, symmetric states have degenerate
+eigenvalue pairs, and two guards hold the pair after the reported ones.
+They speed up the reported pairs but do not decide when to stop (the
+index-2 cross state at 16^2, k = 2: 17 iterations; 388 when the guards
+had to converge too).  A restart continues from all k + 2 Ritz vectors;
 the residual check and the Morse index see only the k reported pairs.
 Every solve starts from a block drawn
 from its seed alone, so equal seeds give equal spectra; a caller that
@@ -25,11 +25,11 @@ estimate the spectral scale behind the tolerances.
 
 from __future__ import annotations
 
-import warnings
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import lobpcg
+import scipy.linalg
 
 from .errors import NoConvergence, ShapeMismatch
 from .systems import System, make_rng, preconditioner_of
@@ -102,11 +102,76 @@ def _rayleigh_ritz(apply_h, v: np.ndarray):
     return w, v, res
 
 
+def _orthonormalize(rows: np.ndarray) -> None:
+    """Orthonormalize the rows in place by Cholesky of their Gram matrix, else by QR."""
+    try:
+        rows[:] = np.linalg.inv(np.linalg.cholesky(rows @ rows.T)) @ rows
+    except np.linalg.LinAlgError:
+        rows[:] = np.linalg.qr(rows.T)[0].T
+
+
+def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=None):
+    """Block LOBPCG from the (n, m) start block ``x``: Rayleigh-Ritz on
+    [X; W; P], kept as rows of (3m, n) buffers S and H S that ``apply_h`` and
+    ``precond`` see transposed.  Only columns with a residual above ``tol`` get
+    a W = M^-1 R (orthonormal, orthogonal to X) or a P; P is dropped when it or
+    the Gram pencil is not positive definite.  Stops once the first k columns,
+    the reported pairs, are below ``tol``, or after ``maxiter`` iterations.
+    Returns the m Ritz values, the (n, m) Ritz block and the iterations run.
+    """
+    n, m = x.shape
+    # unmapped when freed, where a malloc block this size would raise glibc's mmap threshold
+    work = np.frombuffer(mmap.mmap(-1, 64 * m * n), dtype=float)
+    sh, ph = work[: 6 * m * n].reshape(2, 3 * m, n), work[6 * m * n :].reshape(2, m, n)
+    s, hs = sh
+    s[:m] = x.T
+    _orthonormalize(s[:m])
+    hs[:m] = apply_h(s[:m].T).T
+    q, q_xw, iterations = m, m, 0
+    while True:
+        for q in (q, q_xw):  # with P, then without it
+            gram_a, gram_b = s[:q] @ hs[:q].T, s[:q] @ s[:q].T
+            try:
+                lam, c = scipy.linalg.eigh(0.5 * (gram_a + gram_a.T), gram_b, check_finite=False)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            break
+        lam, c = lam[:m], c[:, :m]
+        np.matmul(c[m:q].T, sh[:, m:q], out=ph)
+        np.matmul(c[:m].T, sh[:, :m], out=sh[:, m : 2 * m])
+        np.add(sh[:, m : 2 * m], ph, out=sh[:, :m])
+        r = s[m : 2 * m]
+        np.subtract(hs[:m], np.multiply(s[:m], lam[:, None], out=r), out=r)
+        res = np.sqrt(np.einsum("ij,ij->i", r, r))
+        if res[:k].max() <= tol or iterations == maxiter:
+            break
+        iterations += 1
+        active = res > tol
+        a = int(active.sum())
+        s[m : m + a] = r[active] if precond is None else precond(r[active].T).T
+        w = s[m : m + a]
+        w -= (w @ s[:m].T) @ s[:m]
+        _orthonormalize(w)
+        hs[m : m + a] = apply_h(w.T).T
+        q = q_xw = m + a
+        if iterations > 1:  # the last Rayleigh-Ritz had a W, so there is a P
+            pp = sh[:, q : q + a]
+            np.compress(active, ph, axis=1, out=pp)
+            try:
+                pp[:] = np.linalg.inv(np.linalg.cholesky(pp[0] @ pp[0].T)) @ pp
+                q += a
+            except np.linalg.LinAlgError:
+                pass
+    return lam, s[:m].T.copy(), iterations
+
+
 def solve_smallest(apply_h, n: int, k: int, seed: int = 0, precond=None) -> SpectrumReport:
     """k smallest eigenpairs of the symmetric operator ``apply_h`` on R^n.
 
     ``apply_h`` takes a vector or an (n, m) block and returns its shape,
-    and so does ``precond``, a callable M^-1; LOBPCG takes both as they are.
+    and so does ``precond``, a callable M^-1; ``lobpcg`` calls both on blocks.
     Residuals must verify below 1e-6 * scale or NoConvergence is raised.
     Deterministic for a fixed seed.
     """
@@ -131,20 +196,8 @@ def solve_smallest(apply_h, n: int, k: int, seed: int = 0, precond=None) -> Spec
         gen = make_rng(seed, "spectrum:init")
         x, _ = np.linalg.qr(gen.normal(size=(n, width)))
         for attempt in range(_RESTARTS + 1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                w_try, x, history = lobpcg(
-                    apply_h,
-                    x,
-                    M=precond,
-                    largest=False,
-                    tol=res_target,
-                    maxiter=_MAXITER,
-                    retResidualNormsHistory=True,
-                )
-            # residuals of the start block, of each iteration up to the
-            # returned iterate, and of its final Rayleigh-Ritz cleanup
-            iterations += len(history) - 2
+            _, x, ran = lobpcg(apply_h, x, k=k, tol=res_target, maxiter=_MAXITER, precond=precond)
+            iterations += ran
             w_all, x, res_all = _rayleigh_ritz(apply_h, x)
             w, v, res = w_all[:k], x[:, :k], res_all[:k]
             if res.max() <= res_required:

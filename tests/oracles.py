@@ -7,13 +7,17 @@ remainder term by term, which the package folds into one bulk density.
 A field snapshot written one value at a time, which the package writes
 one row at a time.  The square's symmetry images by float rotation of the
 node coordinates and conjugation of each 3 x 3 tensor, which the package
-applies as a table of signed permutations.
+applies as a table of signed permutations.  scipy's LOBPCG, which runs
+until every column has converged, where the package's own loop stops
+once the reported pairs have.
 """
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import lobpcg
 
 from nematicq.field import Domain, QField
 from nematicq.qtensor import G, bulk_energy, bulk_gradient, frob2, metric_apply, sym_components, to_matrix
@@ -113,3 +117,23 @@ def square_images(values: np.ndarray) -> list[np.ndarray]:
         out[ip, jp] = sym_components(np.einsum("ab,ijbc,dc->ijad", o3, to_matrix(values), o3))
         images.append(out)
     return images
+
+
+def scipy_lobpcg(apply_h, x, *, k, tol, maxiter, precond=None):
+    """``scipy.sparse.linalg.lobpcg`` under the signature of ``spectrum.lobpcg``:
+    (Ritz values, Ritz block, iterations run).  It ignores ``k``: every
+    column, guards included, must reach ``tol`` before it stops."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        w, v, history = lobpcg(
+            apply_h,
+            x,
+            M=precond,
+            largest=False,
+            tol=tol,
+            maxiter=maxiter,
+            retResidualNormsHistory=True,
+        )
+    # residuals of the start block, of each iteration up to the returned
+    # iterate, and of its final Rayleigh-Ritz cleanup
+    return w, v, len(history) - 2

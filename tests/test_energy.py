@@ -204,6 +204,15 @@ class TestLdGSystem:
         assert sy.energy(x) == pytest.approx(free_energy(d, x.reshape(d.shape)))
         assert np.array_equal(sy.gradient(x), gradient(d, x.reshape(d.shape)).reshape(-1))
 
+    @pytest.mark.parametrize("method", ["energy", "gradient", "energy_gradient"])
+    def test_single_point_methods_reject_a_block(self, method):
+        sy = LdGSystem(make_domain(n=8))
+        call = getattr(sy, method)
+        call(np.zeros(sy.n))
+        call(np.zeros(sy.domain.shape))
+        with pytest.raises(ShapeMismatch, match="one field"):
+            call(np.zeros((2, sy.n)))
+
     def test_hessian_vec_quadratic_l_independent(self):
         # quadratic-only energy: cubic and quartic bulk terms disabled
         d = make_domain(n=5, lambda2=2.0, bulk=BulkParams(0.5, 0.0, 0.0), boundary="zero")

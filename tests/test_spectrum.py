@@ -1,7 +1,12 @@
 """Eigensolver contracts: dense oracles, known spectra, determinism."""
 
+import sys
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nematicq.energy as energy
 import nematicq.hisd as hisd
@@ -14,7 +19,7 @@ from nematicq.qtensor import BulkParams
 from nematicq.spectrum import _GUARD, _MAXITER, operator_scale, smallest_eigs, solve_smallest
 from nematicq.systems import make_rng
 from nematicq.toys import DiagQuadratic, Quartic2D
-from oracles import elastic_matrix, metric_matrix
+from oracles import elastic_matrix, metric_matrix, scipy_lobpcg
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
 
@@ -71,12 +76,18 @@ def test_k_validation():
 
 
 def test_determinism_same_seed():
-    n = 300
-    sy = DiagQuadratic(np.arange(1.0, n + 1.0))
-    r1 = smallest_eigs(sy, np.zeros(n), k=3, seed=9)
-    r2 = smallest_eigs(sy, np.zeros(n), k=3, seed=9)
-    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-    assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
+    d = Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK, boundary="planar")
+    ldg = 0.3 * make_rng(5, "test:spectrum:repeat").normal(size=d.n_dof)
+    cases = [
+        (lambda: DiagQuadratic(np.arange(1.0, 301.0)), np.zeros(300)),
+        (lambda: LdGSystem(d), ldg),
+    ]
+    for make, x in cases:
+        r1 = smallest_eigs(make(), x, k=3, seed=9)
+        r2 = smallest_eigs(make(), x, k=3, seed=9)
+        assert r1.iterations == r2.iterations > 0
+        for field in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.array_equal(getattr(r1, field), getattr(r2, field))
 
 
 def test_quartic_hessians():
@@ -149,9 +160,9 @@ def _cross_guess(domain: Domain) -> np.ndarray:
     return q.reshape(-1)
 
 
-def test_cross_parent_certificate_with_degenerate_pairs(monkeypatch):
-    """The index-2 cross state at 16^2, lambda2 = 50: the k = 4 window ends
-    on a degenerate pair, with the next pair 2 % above it."""
+@pytest.fixture(scope="module")
+def cross_state():
+    """The index-2 cross state at 16^2, lambda2 = 50, and its system."""
     d = Domain(nx=16, ny=16, lambda2=50.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
     sy = LdGSystem(d)
 
@@ -161,6 +172,14 @@ def test_cross_parent_certificate_with_degenerate_pairs(monkeypatch):
     opts = MinimizeOptions(tol_grad=1e-8, max_iters=20000, project=project)
     cross = minimize(sy, project(_cross_guess(d)), opts)
     assert cross.converged
+    h = sy.hessian_vec(cross.x, np.eye(sy.n))
+    return sy, cross.x, np.linalg.eigvalsh(0.5 * (h + h.T))
+
+
+def test_cross_parent_certificate_with_degenerate_pairs(cross_state, monkeypatch):
+    """The k = 4 window at the cross state ends on a degenerate pair, with
+    the next pair 2 % above it."""
+    sy, x, w_ref = cross_state
     reports = []
 
     def recorded(*args, **kwargs):
@@ -168,17 +187,26 @@ def test_cross_parent_certificate_with_degenerate_pairs(monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(hisd, "smallest_eigs", recorded)
-    rec = hisd.make_record(sy, cross.x, tol_grad=1e-6, k_hint=2)
+    rec = hisd.make_record(sy, x, tol_grad=1e-6, k_hint=2)
     assert rec.morse_index == 2
     (rep,) = reports
     assert rep.eigenvalues.shape == (4,)
     assert 0 < rep.iterations <= 120
-    h = sy.hessian_vec(cross.x, np.eye(sy.n))
-    w_ref = np.linalg.eigvalsh(0.5 * (h + h.T))
     assert np.abs(rep.eigenvalues - w_ref[:4]).max() <= 1e-8 * rep.scale
     # the window cuts between lambda4 and lambda5, 2 % apart
     assert w_ref[3] == pytest.approx(w_ref[2], rel=1e-9)
     assert w_ref[4] == pytest.approx(1.018 * w_ref[3], rel=1e-3)
+
+
+def test_guard_columns_do_not_decide_when_to_stop(cross_state):
+    """k = 2 at the cross state: the guards sit on the degenerate pair just
+    below the next one and converge slowly, but the loop stops once the two
+    reported pairs have."""
+    sy, x, w_ref = cross_state
+    rep = smallest_eigs(sy, x, k=2, seed=0)
+    assert 0 < rep.iterations <= 40
+    assert np.abs(rep.eigenvalues - w_ref[:2]).max() <= 1e-8 * rep.scale
+    assert rep.residuals.max() <= 1e-6 * rep.scale
 
 
 class TestLdGSpectrum:
@@ -277,3 +305,102 @@ class TestLdGSpectrum:
         assert np.array_equal(pre(v[:, 0]), pre.solve(v[:, 0]))
         m = pre.apply(np.eye(sy.n))
         assert np.allclose(m, m.T) and np.linalg.eigvalsh(m).min() > 0.0
+
+
+class TestLobpcgLoop:
+    """``spectrum.lobpcg`` against scipy's LOBPCG and dense spectra."""
+
+    def test_ldg_spectrum_matches_scipy_8x8(self, monkeypatch):
+        d = Domain(nx=8, ny=8, lambda2=5.0, bulk=BULK, boundary="planar")
+        sy = LdGSystem(d)
+        x = 0.3 * make_rng(8, "test:spectrum:scipy").normal(size=sy.n)
+        ours = smallest_eigs(sy, x, k=4, seed=1)
+        monkeypatch.setattr(spectrum, "lobpcg", scipy_lobpcg)
+        ref = smallest_eigs(sy, x, k=4, seed=1)
+        gap = np.abs(ours.eigenvalues - ref.eigenvalues).max()
+        assert gap <= 1e-12 * np.abs(ref.eigenvalues).max()
+        assert ours.morse_index == ref.morse_index
+
+    def test_multiplicity_above_the_block_width(self, monkeypatch):
+        """Eigenvalue 1 ten times over, seven columns: a start block with a zero
+        column is orthonormalized by QR, and the loop still finds the pairs."""
+        failed = []
+        cholesky = np.linalg.cholesky
+
+        def spied(a):
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                failed.append(sys._getframe(1).f_code.co_name)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", spied)
+        diag = np.repeat(np.arange(1.0, 31.0), 10)
+        n, k = diag.size, 5
+        x0 = make_rng(2, "test:spectrum:multiple").normal(size=(n, k + _GUARD))
+        x0[:, -1] = 0.0
+        tol = 1e-8 * diag.max()
+        apply_h = partial(DiagQuadratic(diag).hessian_vec, np.zeros(n))
+        w, v, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol, maxiter=_MAXITER)
+        assert failed[0] == "_orthonormalize"
+        assert 0 < iterations < _MAXITER
+        assert w[:k] == pytest.approx(np.ones(k), abs=1e-12)
+        assert np.abs(v.T @ v - np.eye(k + _GUARD)).max() < 1e-12
+        assert np.linalg.norm(diag[:, None] * v[:, :k] - v[:, :k] * w[:k], axis=0).max() <= 2 * tol
+
+    @pytest.mark.parametrize("where", ["cholesky", "pencil"])
+    def test_dropped_directions_still_converge(self, where, monkeypatch):
+        """With P dropped at every iteration (its Cholesky factor or the
+        generalized eigensolve of [X; W; P] failing), the loop runs on [X; W]."""
+        diag = np.arange(1.0, 301.0)
+        apply_h = partial(DiagQuadratic(diag).hessian_vec, np.zeros(diag.size))
+        x0 = np.linalg.qr(make_rng(3, "test:spectrum:drop").normal(size=(diag.size, 4)))[0]
+        tol = 1e-8 * diag.max()
+        _, _, plain = spectrum.lobpcg(apply_h, x0, k=2, tol=tol, maxiter=_MAXITER)
+        dropped = []
+        if where == "cholesky":
+            cholesky = np.linalg.cholesky
+
+            def failing(a):
+                if sys._getframe(1).f_code.co_name == "lobpcg":
+                    dropped.append(1)
+                    raise np.linalg.LinAlgError("P not positive definite")
+                return cholesky(a)
+
+            monkeypatch.setattr(np.linalg, "cholesky", failing)
+        else:
+            eigh = scipy.linalg.eigh
+
+            def failing(a, b, **kwargs):
+                # the first solve of each iteration fails, the retry without P runs
+                dropped.append(len(dropped) % 2 == 0)
+                if dropped[-1]:
+                    raise np.linalg.LinAlgError("pencil not positive definite")
+                return eigh(a, b, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        w, v, iterations = spectrum.lobpcg(apply_h, x0, k=2, tol=tol, maxiter=_MAXITER)
+        assert sum(dropped) >= iterations - 1 > 0
+        assert plain < iterations < _MAXITER
+        assert w[:2] == pytest.approx([1.0, 2.0], abs=1e-10)
+        assert np.linalg.norm(diag[:, None] * v[:, :2] - v[:, :2] * w[:2], axis=0).max() <= 2 * tol
+
+    def test_peak_memory_at_most_scipys_32x32(self, monkeypatch):
+        d = Domain(nx=32, ny=32, lambda2=5.0, bulk=BULK, boundary="planar")
+        sy = LdGSystem(d)
+        x = 0.1 * make_rng(1, "test:spectrum:memory").normal(size=sy.n)
+        smallest_eigs(sy, x, k=2, seed=0)  # the preconditioner and the bulk Hessian map
+
+        def peak():
+            tracemalloc.start()
+            try:
+                smallest_eigs(sy, x, k=2, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # tracemalloc does not see the loop's workspace, an anonymous mapping of
+        # eight (k + 2, n) blocks: S = [X; W; P], H S, P and H P
+        ours = peak() + 8 * (2 + _GUARD) * sy.n * 8
+        monkeypatch.setattr(spectrum, "lobpcg", scipy_lobpcg)
+        assert ours <= peak()
