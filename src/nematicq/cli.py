@@ -78,7 +78,7 @@ def _config(args) -> RunConfig:
 
 def _toy(args, name: str, **defaults) -> dict:
     """Settings of a built-in toy run: `defaults` under the flags given."""
-    return {"toy": name, "out_dir": "out", "seed": 0, **defaults, **_given(args)}
+    return {"toy": name, "out_dir": "out", **defaults, **_given(args)}
 
 
 def cmd_minimize(args) -> int:
@@ -145,9 +145,7 @@ def cmd_string(args) -> int:
                 raise ConfigError("string needs --field-a and --field-b snapshots (or --toy)")
             domain, system = cfg.domain(), None
             a, b = read_field(args.field_a, domain), read_field(args.field_b, domain)
-        result = find_mep(
-            a, b, n_nodes=settings["n_nodes"], tol=settings["tol"], system=system, seed=settings["seed"]
-        )
+        result = find_mep(a, b, n_nodes=settings["n_nodes"], tol=settings["tol"], system=system)
         run.add(write_path_nodes(run.out, result.path, domain))
         write_mep_summary(run.path("summary.json"), result)
     print(
@@ -175,7 +173,7 @@ def cmd_saddle(args) -> int:
                 x0 = read_field(args.init, domain).flat
             else:
                 x0 = seed_field(domain, cfg.init, cfg.seed).flat
-        rec = find_saddle(system, k, x0, opts=SaddleOptions(tol_grad=tol, seed=settings["seed"]))
+        rec = find_saddle(system, k, x0, opts=SaddleOptions(tol_grad=tol))
         _snapshot(run.path("field.csv"), rec.field, domain)
         write_json(
             run.path("saddle.json"),
@@ -207,7 +205,7 @@ def cmd_landscape(args) -> int:
             # which rotates the degenerate (-4 I) eigenbasis arbitrarily and
             # hides the axis-aligned saddles from the downward sweep
             seed_rec = make_record(system, np.array(Quartic2D.TOP), k_hint=2)
-            opts = LandscapeOptions(search=SaddleOptions(seed=settings["seed"]))
+            opts = LandscapeOptions()
         else:
             domain = cfg.domain()
             system = LdGSystem(domain)
@@ -219,9 +217,9 @@ def cmd_landscape(args) -> int:
                     iterations=res.iterations,
                     residual=res.grad_inf,
                 )
-            seed_rec = make_record(system, res.x, tol_grad=cfg.tol, seed=cfg.seed)
+            seed_rec = make_record(system, res.x, tol_grad=cfg.tol)
             opts = LandscapeOptions(
-                search=SaddleOptions(tol_grad=cfg.tol, seed=cfg.seed),
+                search=SaddleOptions(tol_grad=cfg.tol),
                 max_nodes=cfg.max_nodes,
                 max_searches=cfg.max_searches,
                 max_index=cfg.max_index,
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", help="output directory (overrides config out_dir)")
         if config:
             p.add_argument("--config", help="JSON run configuration")
-            p.add_argument("--seed", type=int, help="RNG seed (overrides config seed)")
+            p.add_argument("--seed", type=int, help="random(sigma) init seed (overrides config seed)")
         if toy:
             p.add_argument("--toy", action="store_true", help="run the built-in toy problem")
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .errors import NoConvergence, NotStationary, ValidationError, WrongIndex
+from .errors import NoConvergence, NotStationary, ShapeMismatch, ValidationError, WrongIndex
 from .spectrum import SpectrumReport, operator_scale, smallest_eigs
 from .systems import EUCLIDEAN, System, preconditioner_of, symmetries_of
 
@@ -142,17 +142,15 @@ class SaddleRecord:
 
 @dataclass
 class SaddleOptions:
-    """Stopping rule, budget and seed of one saddle search.
+    """Stopping rule and budget of one saddle search.
 
     The search stops when the gradient inf-norm falls below `tol_grad`
-    and gives up after `max_iters` steps; `seed` fixes the eigensolver
-    starts (the start V, when none is given, and the certificate).  Step
-    control is fixed, and V is relaxed, not re-solved: see find_saddle.
+    and gives up after `max_iters` steps.  Step control is fixed, and V
+    is relaxed, not re-solved: see find_saddle.
     """
 
     tol_grad: float = 1e-8
     max_iters: int = 50_000
-    seed: int = 0
 
 
 def hisd_step(
@@ -191,7 +189,7 @@ def hisd_step(
 
 
 def classify_stationary(
-    system: System, x: np.ndarray, tol_grad: float = 1e-8, seed: int = 0, k_hint: int = 0
+    system: System, x: np.ndarray, tol_grad: float = 1e-8, k_hint: int = 0
 ) -> tuple[int, np.ndarray, SpectrumReport]:
     """Verified Morse index and leading spectrum at a stationary point.
 
@@ -199,17 +197,17 @@ def classify_stationary(
     (or the problem size is reached), so the count is the true index,
     not a lower bound.
     """
-    return _certify(system, x, float(np.abs(system.gradient(x)).max()), tol_grad, seed, k_hint)
+    return _certify(system, x, float(np.abs(system.gradient(x)).max()), tol_grad, k_hint)
 
 
-def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, seed: int, k_hint: int):
+def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, k_hint: int):
     """classify_stationary at a point whose gradient inf-norm g_inf is known."""
     if g_inf >= tol_grad:
         raise NotStationary(g_inf, tol_grad)
     n = x.size
     k_query = min(n, max(2, k_hint + 2))
     while True:
-        rep = smallest_eigs(system, x, k_query, seed=seed)
+        rep = smallest_eigs(system, x, k_query)
         m = rep.morse_index
         if m + 2 <= k_query or k_query >= n:
             break
@@ -217,12 +215,10 @@ def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, seed:
     return m, rep.eigenvalues[: min(m + 2, n)].copy(), rep
 
 
-def make_record(
-    system: System, x: np.ndarray, tol_grad: float = 1e-8, seed: int = 0, k_hint: int = 0
-) -> SaddleRecord:
+def make_record(system: System, x: np.ndarray, tol_grad: float = 1e-8, k_hint: int = 0) -> SaddleRecord:
     """Certify x by classify_stationary and keep its eigenpairs."""
     e, g = system.energy_gradient(x)
-    return _record(system, _Landing(x, e, float(np.abs(g).max()), 0, 0), tol_grad, seed, k_hint)
+    return _record(system, _Landing(x, e, float(np.abs(g).max()), 0, 0), tol_grad, k_hint)
 
 
 # where a search stopped, not yet certified: the point, its energy and
@@ -230,10 +226,10 @@ def make_record(
 _Landing = namedtuple("_Landing", "field energy grad_inf iterations newton_steps")
 
 
-def _record(system: System, hit: _Landing, tol_grad: float, seed: int, k_hint: int) -> SaddleRecord:
+def _record(system: System, hit: _Landing, tol_grad: float, k_hint: int) -> SaddleRecord:
     """Certify a point whose energy and gradient are known (make_record's
     x, or the landing of an index-k_hint search) under the index it has."""
-    m, spectrum, rep = _certify(system, hit.field, hit.grad_inf, tol_grad, seed, k_hint)
+    m, spectrum, rep = _certify(system, hit.field, hit.grad_inf, tol_grad, k_hint)
     return SaddleRecord(
         field=np.array(hit.field, dtype=float),
         energy=hit.energy,
@@ -271,10 +267,11 @@ def find_saddle(
     dynamics steps in `iterations`.  Raises WrongIndex (carrying the
     verified record) when the landing point is stationary but of a
     different index than requested; the caller may keep that record.
-    A tol_grad outside (0, inf) raises ValidationError before any step.
+    A tol_grad outside (0, inf) raises ValidationError, and a v0 without
+    n * k entries ShapeMismatch, before any step.
     """
     opts = opts or SaddleOptions()
-    record = _record(system, _search(system, k, x0, v0, opts), opts.tol_grad, opts.seed, k)
+    record = _record(system, _search(system, k, x0, v0, opts), opts.tol_grad, k)
     if record.morse_index != k:
         raise WrongIndex(record.morse_index, k, record=record)
     return record
@@ -291,15 +288,18 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
         raise ValidationError(f"index {k} out of range for {n} unknowns")
     if v0 is None:
         if k:
-            v = gram_schmidt(smallest_eigs(system, x, k, seed=opts.seed).eigenvectors, precond)
+            v = gram_schmidt(smallest_eigs(system, x, k).eigenvectors, precond)
         else:
             v = np.zeros((n, 0))
     else:
-        v = gram_schmidt(np.asarray(v0, dtype=float).reshape(n, k), precond)
+        v0 = np.asarray(v0, dtype=float)
+        if v0.size != n * k:
+            raise ShapeMismatch(f"v0 has {v0.size} entries, need {n} x {k}")
+        v = gram_schmidt(v0.reshape(n, k), precond)
 
     def scale_at(y: np.ndarray) -> float:
         # spectral radius of M^-1 H, the rate of the fastest mode
-        return operator_scale(lambda w: precond.solve(system.hessian_vec(y, w)), n, seed=opts.seed)
+        return operator_scale(lambda w: precond.solve(system.hessian_vec(y, w)), n)
 
     step = step0 = 1.0 / scale_at(x)
     e_state, g = system.energy_gradient(x)
@@ -414,7 +414,7 @@ def _branch_searches(
     want = k + 1 if k < origin.morse_index else k
     vecs = origin.eigenvectors
     if vecs.shape[1] < want:
-        vecs = smallest_eigs(system, origin.field, want, seed=opts.seed).eigenvectors
+        vecs = smallest_eigs(system, origin.field, want).eigenvectors
     eps = 1e-2 * max(1.0, float(np.linalg.norm(origin.field)))
     found = []
     for sign in (1.0, -1.0):
@@ -459,7 +459,7 @@ def branch_search(
         raise ValidationError("target index must differ from the origin index")
     opts = opts or SaddleOptions()
     hits = _branch_searches(system, origin, k, opts, errors_out, (), [])
-    return [_record(system, hit, opts.tol_grad, opts.seed, k) for _, hit in hits]
+    return [_record(system, hit, opts.tol_grad, k) for _, hit in hits]
 
 
 @dataclass
@@ -607,7 +607,7 @@ def build_landscape(
                 image = next(((rec, g) for rec in nodes for g in group if _records_match(rec, hit, g)), None)
                 rec = None if image is None else _image_record(system, *image, hit, opts.search.tol_grad)
                 if rec is None:
-                    rec = _record(system, hit, opts.search.tol_grad, opts.search.seed, k)
+                    rec = _record(system, hit, opts.search.tol_grad, k)
                 nodes.append(replace(rec, id=match_id))
                 queue.extend(schedule(match_id))
             found_index = nodes[match_id].morse_index

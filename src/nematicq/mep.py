@@ -207,7 +207,7 @@ def _as_flat(field, system: System | None):
     return np.asarray(field, dtype=float).reshape(-1).copy(), system
 
 
-def _refine_ts(system: System, x0: np.ndarray, direction: np.ndarray, tol: float, seed: int = 0) -> SaddleRecord:
+def _refine_ts(system: System, x0: np.ndarray, direction: np.ndarray, tol: float) -> SaddleRecord:
     """Climbing correction: index-1 saddle dynamics from x0 whose unstable
     direction starts at `direction` (the string's tangent at its top node,
     M-normalized by the search) and is relaxed with the position, finished
@@ -215,7 +215,7 @@ def _refine_ts(system: System, x0: np.ndarray, direction: np.ndarray, tol: float
     eigensolve is the certificate: the returned record's index is verified
     by find_saddle, and any other index raises NotIndexOne."""
     try:
-        return find_saddle(system, 1, x0, direction[:, None], SaddleOptions(tol_grad=tol, seed=seed))
+        return find_saddle(system, 1, x0, direction[:, None], SaddleOptions(tol_grad=tol))
     except WrongIndex as err:
         raise NotIndexOne(
             f"climbing correction converged to Morse index {err.found}"
@@ -249,7 +249,6 @@ def find_mep(
     tol: float = 1e-6,
     system: System | None = None,
     ts_tol: float | None = None,
-    seed: int = 0,
 ) -> MepResult:
     """Minimal energy path between two stationary states.
 
@@ -281,7 +280,7 @@ def find_mep(
     ts_index = int(np.argmax(path.energies))
     # the climb's unstable direction starts along the string's chord at its top
     chord = path.nodes[min(ts_index + 1, n_nodes - 1)] - path.nodes[max(ts_index - 1, 0)]
-    ts = _refine_ts(system, path.nodes[ts_index].copy(), chord, ts_tol, seed)
+    ts = _refine_ts(system, path.nodes[ts_index].copy(), chord, ts_tol)
     return MepResult(
         path=path,
         ts_index=ts_index,

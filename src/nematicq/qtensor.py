@@ -180,13 +180,6 @@ class BulkParams:
         if self.b < 0 or self.c < 0:
             raise ShapeMismatch(f"bulk coefficients need b, c >= 0, got b={self.b}, c={self.c}")
 
-    @classmethod
-    def at_temperature(
-        cls, thermal_slope: float, temperature: float, t_star: float, b: float, c: float
-    ) -> "BulkParams":
-        """Build params with a = thermal_slope * (temperature - t_star)."""
-        return cls(thermal_slope * (temperature - t_star), b, c, thermal_slope, t_star)
-
 
 def _density(p: BulkParams, f2, t3):
     """a/2 |Q|^2 - b/3 tr Q^3 + c/4 |Q|^4 from f2 = |Q|^2 and t3 = tr Q^3."""

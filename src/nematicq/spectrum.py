@@ -13,10 +13,9 @@ They speed up the reported pairs but do not decide when to stop (the
 index-2 cross state at 16^2, k = 2: 17 iterations; 388 when the guards
 had to converge too).  A restart continues from all k + 2 Ritz vectors;
 the residual check and the Morse index see only the k reported pairs.
-Every solve starts from a block drawn
-from its seed alone, so equal seeds give equal spectra; a caller that
-already holds eigenvectors (a ``SaddleRecord``) uses them instead of
-solving again.
+Every solve starts from the same fixed random stream, so the spectrum
+depends only on the operator; a caller that already holds eigenvectors
+(a ``SaddleRecord``) uses them instead of solving again.
 ``smallest_eigs`` preconditions with the system's SPD metric
 (``preconditioner_of``, the identity for a system that brings none).
 Tiny problems are assembled densely instead.  Ten power iterations
@@ -72,9 +71,9 @@ class SpectrumReport:
         return self.morse_index == 0
 
 
-def operator_scale(apply_h, n: int, seed: int = 0) -> float:
+def operator_scale(apply_h, n: int) -> float:
     """Dominant |eigenvalue| estimate from _POWER_ITERS power iterations."""
-    gen = make_rng(seed, "spectrum:power")
+    gen = make_rng(0, "spectrum:power")
     v = gen.normal(size=n)
     v /= np.linalg.norm(v)
     nrm = 0.0
@@ -167,19 +166,19 @@ def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=
     return lam, s[:m].T.copy(), iterations
 
 
-def solve_smallest(apply_h, n: int, k: int, seed: int = 0, precond=None) -> SpectrumReport:
+def solve_smallest(apply_h, n: int, k: int, precond=None) -> SpectrumReport:
     """k smallest eigenpairs of the symmetric operator ``apply_h`` on R^n.
 
     ``apply_h`` takes a vector or an (n, m) block and returns its shape,
     and so does ``precond``, a callable M^-1; ``lobpcg`` calls both on blocks.
     Residuals must verify below 1e-6 * scale or NoConvergence is raised.
-    Deterministic for a fixed seed.
+    Deterministic: the start block is drawn from one fixed stream.
     """
     if not 1 <= k <= 30:
         raise ShapeMismatch(f"eigenpair count k must be in [1, 30], got {k}")
     if k > n:
         raise ShapeMismatch(f"requested {k} eigenpairs of an operator on R^{n}")
-    scale = operator_scale(apply_h, n, seed=seed)
+    scale = operator_scale(apply_h, n)
     tol_eig = 1e-8 * scale
     res_required = 1e-6 * scale
     res_target = 1e-8 * scale
@@ -193,7 +192,7 @@ def solve_smallest(apply_h, n: int, k: int, seed: int = 0, precond=None) -> Spec
         w, v = w_all[:k], v_all[:, :k]
         res = np.linalg.norm(h @ v - v * w, axis=0)
     else:
-        gen = make_rng(seed, "spectrum:init")
+        gen = make_rng(0, "spectrum:init")
         x, _ = np.linalg.qr(gen.normal(size=(n, width)))
         for attempt in range(_RESTARTS + 1):
             _, x, ran = lobpcg(apply_h, x, k=k, tol=res_target, maxiter=_MAXITER, precond=precond)
@@ -223,7 +222,7 @@ def solve_smallest(apply_h, n: int, k: int, seed: int = 0, precond=None) -> Spec
     )
 
 
-def smallest_eigs(system: System, x: np.ndarray, k: int, seed: int = 0) -> SpectrumReport:
+def smallest_eigs(system: System, x: np.ndarray, k: int) -> SpectrumReport:
     """k smallest Hessian eigenpairs of ``system`` at the point ``x``.
 
     LOBPCG is preconditioned by ``preconditioner_of(system)`` (tensor-field
@@ -231,6 +230,4 @@ def smallest_eigs(system: System, x: np.ndarray, k: int, seed: int = 0) -> Spect
     nothing); ``solve_smallest`` takes any other.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    return solve_smallest(
-        lambda v: system.hessian_vec(x, v), x.size, k, seed=seed, precond=preconditioner_of(system)
-    )
+    return solve_smallest(lambda v: system.hessian_vec(x, v), x.size, k, precond=preconditioner_of(system))

@@ -272,6 +272,19 @@ class TestConfigCommands:
             fields.append((out / "field.csv").read_bytes())
         assert fields[0] != fields[1]
 
+    def test_seed_flag_leaves_a_search_alone(self, tmp_path):
+        # the seed draws random(sigma) init fields only; an isotropic start
+        # has none, so the saddle search and its certificate must not move
+        cfg = write_config(
+            tmp_path, lambda2=27.0, a=-2.0 / 3.0, b=2.0, c=2.0, boundary="planar", init="isotropic", tol=1e-7
+        )
+        runs = []
+        for seed in (1, 2):
+            out = tmp_path / f"seed{seed}"
+            assert main(["saddle", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+            runs.append([(out / name).read_bytes() for name in ("field.csv", "saddle.json")])
+        assert runs[0] == runs[1]
+
 
 class TestRunRecordOnFailure:
     """Exit 2 still leaves run.json, with the message and every file written."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nematicq.energy import LdGSystem
-from nematicq.errors import NoConvergence, ValidationError, WrongIndex
+from nematicq.errors import NoConvergence, ShapeMismatch, ValidationError, WrongIndex
 from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.hisd import (
     LandscapeOptions,
@@ -354,6 +354,14 @@ def test_unusable_tolerance_raises_before_any_step(entry, tol_grad):
             branch_search(sy, top, 1, opts)
         else:
             build_landscape(sy, top, LandscapeOptions(search=opts))
+
+
+@pytest.mark.parametrize("v0", [np.ones(3), np.ones((2, 2)), np.ones(0)])
+def test_start_directions_of_the_wrong_size_raise_before_any_step(v0):
+    sy = Sealed()
+    sy.sealed = True
+    with pytest.raises(ShapeMismatch):
+        find_saddle(sy, 1, np.array([0.2, 0.8]), v0=v0)
 
 
 class TestNewtonEndgame:

@@ -36,7 +36,7 @@ def params(fn):
 
 
 def test_option_fields():
-    assert names(SaddleOptions) == ["tol_grad", "max_iters", "seed"]
+    assert names(SaddleOptions) == ["tol_grad", "max_iters"]
     assert names(MinimizeOptions) == ["tol_grad", "max_iters", "project"]
     assert names(LandscapeOptions) == ["search", "max_nodes", "max_searches", "max_index"]
     assert names(RunConfig) == [
@@ -46,18 +46,18 @@ def test_option_fields():
 
 
 def test_spectrum_and_certificate_parameters():
-    assert params(smallest_eigs) == ["system", "x", "k", "seed"]
-    assert params(solve_smallest) == ["apply_h", "n", "k", "seed", "precond"]
-    assert params(operator_scale) == ["apply_h", "n", "seed"]
-    assert params(classify_stationary) == ["system", "x", "tol_grad", "seed", "k_hint"]
-    assert params(make_record) == ["system", "x", "tol_grad", "seed", "k_hint"]
+    assert params(smallest_eigs) == ["system", "x", "k"]
+    assert params(solve_smallest) == ["apply_h", "n", "k", "precond"]
+    assert params(operator_scale) == ["apply_h", "n"]
+    assert params(classify_stationary) == ["system", "x", "tol_grad", "k_hint"]
+    assert params(make_record) == ["system", "x", "tol_grad", "k_hint"]
     assert params(branch_search) == ["system", "origin", "k", "opts", "errors_out"]
     assert params(solve_profile) == ["p", "R", "N"]
 
 
 def test_string_and_step_parameters():
     assert params(reparametrize) == ["p"]
-    assert params(find_mep) == ["a", "b", "n_nodes", "tol", "system", "ts_tol", "seed"]
+    assert params(find_mep) == ["a", "b", "n_nodes", "tol", "system", "ts_tol"]
     assert params(hisd_step) == ["system", "state", "dt", "grad"]
     assert params(flow_to_equilibrium) == ["init", "dt", "tol_grad", "max_steps", "trace"]
 

@@ -164,7 +164,7 @@ class TestCriticalPoints:
 
     def test_critical_temperatures(self):
         b, c, slope, t_star = 2.0, 3.0, 0.5, 100.0
-        p = BulkParams.at_temperature(slope, 99.0, t_star, b, c)
+        p = BulkParams(slope * (99.0 - t_star), b, c, slope, t_star)
         assert p.a == pytest.approx(-0.5)
         cs = critical_points(p)
         assert cs.t_c == pytest.approx(b * b / (27.0 * slope * c) + t_star, rel=1e-14)

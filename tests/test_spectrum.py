@@ -24,13 +24,13 @@ from oracles import elastic_matrix, metric_matrix, scipy_lobpcg
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
 
 
-def unpreconditioned(sy, x, k, seed):
+def unpreconditioned(sy, x, k):
     """The smallest_eigs solve with LOBPCG run without a preconditioner."""
 
     def apply_h(v):
         return sy.hessian_vec(x, v)
 
-    return solve_smallest(apply_h, x.size, k, seed=seed, precond=None)
+    return solve_smallest(apply_h, x.size, k, precond=None)
 
 
 def test_known_spectrum_diag_small_dense_path():
@@ -43,7 +43,7 @@ def test_known_spectrum_diag_small_dense_path():
 def test_known_spectrum_diag_lobpcg_path():
     n = 400
     sy = DiagQuadratic(np.arange(1.0, n + 1.0))
-    rep = smallest_eigs(sy, np.zeros(n), k=4, seed=3)
+    rep = smallest_eigs(sy, np.zeros(n), k=4)
     assert rep.eigenvalues == pytest.approx(np.arange(1.0, 5.0), abs=1e-7)
     assert np.abs(rep.eigenvectors.T @ rep.eigenvectors - np.eye(4)).max() < 1e-8
     assert rep.residuals.max() < 1e-6 * rep.scale
@@ -52,7 +52,7 @@ def test_known_spectrum_diag_lobpcg_path():
 def test_negative_spectrum_counted():
     diag = np.concatenate([[-3.0, -1.0], np.arange(1.0, 199.0)])
     sy = DiagQuadratic(diag)
-    rep = smallest_eigs(sy, np.zeros(sy.n), k=4, seed=1)
+    rep = smallest_eigs(sy, np.zeros(sy.n), k=4)
     assert rep.eigenvalues[:2] == pytest.approx([-3.0, -1.0], abs=1e-7)
     assert rep.morse_index == 2
     assert not rep.stable
@@ -61,7 +61,7 @@ def test_negative_spectrum_counted():
 def test_operator_scale_power_iterations():
     diag = np.linspace(-7.0, 5.0, 300)
     sy = DiagQuadratic(diag)
-    scale = operator_scale(lambda v: sy.gradient(v), 300, seed=0)
+    scale = operator_scale(lambda v: sy.gradient(v), 300)
     assert scale == pytest.approx(7.0, rel=0.05)
 
 
@@ -83,8 +83,8 @@ def test_determinism_same_seed():
         (lambda: LdGSystem(d), ldg),
     ]
     for make, x in cases:
-        r1 = smallest_eigs(make(), x, k=3, seed=9)
-        r2 = smallest_eigs(make(), x, k=3, seed=9)
+        r1 = smallest_eigs(make(), x, k=3)
+        r2 = smallest_eigs(make(), x, k=3)
         assert r1.iterations == r2.iterations > 0
         for field in ("eigenvalues", "eigenvectors", "residuals"):
             assert np.array_equal(getattr(r1, field), getattr(r2, field))
@@ -121,7 +121,7 @@ class TestGuardColumns:
     def test_guarded_report_has_k_columns(self, monkeypatch):
         blocks = record_lobpcg_blocks(monkeypatch)
         n, k = 400, 3
-        rep = smallest_eigs(DiagQuadratic(np.arange(1.0, n + 1.0)), np.zeros(n), k=k, seed=3)
+        rep = smallest_eigs(DiagQuadratic(np.arange(1.0, n + 1.0)), np.zeros(n), k=k)
         assert [b.shape for b in blocks] == [(n, k + _GUARD)]
         assert rep.eigenvalues.shape == (k,) and rep.residuals.shape == (k,)
         assert rep.eigenvectors.shape == (n, k)
@@ -133,7 +133,7 @@ class TestGuardColumns:
         n, k = 400, 2
         sy = DiagQuadratic(np.arange(1.0, n + 1.0))
         try:
-            smallest_eigs(sy, np.zeros(n), k=k, seed=3)
+            smallest_eigs(sy, np.zeros(n), k=k)
         except NoConvergence:
             pass
         assert len(blocks) > 1
@@ -203,7 +203,7 @@ def test_guard_columns_do_not_decide_when_to_stop(cross_state):
     below the next one and converge slowly, but the loop stops once the two
     reported pairs have."""
     sy, x, w_ref = cross_state
-    rep = smallest_eigs(sy, x, k=2, seed=0)
+    rep = smallest_eigs(sy, x, k=2)
     assert 0 < rep.iterations <= 40
     assert np.abs(rep.eigenvalues - w_ref[:2]).max() <= 1e-8 * rep.scale
     assert rep.residuals.max() <= 1e-6 * rep.scale
@@ -219,7 +219,7 @@ class TestLdGSpectrum:
         ).toarray()
         w_ref = np.linalg.eigvalsh(h_exact)
         x = np.zeros(sy.n)
-        rep = smallest_eigs(sy, x, k=6, seed=2)
+        rep = smallest_eigs(sy, x, k=6)
         assert rep.eigenvalues == pytest.approx(w_ref[:6], abs=1e-8)
         assert rep.residuals.max() < 1e-6 * rep.scale
         assert np.abs(rep.eigenvectors.T @ rep.eigenvectors - np.eye(6)).max() < 1e-8
@@ -238,7 +238,7 @@ class TestLdGSpectrum:
         ]
         hd = 0.5 * (np.column_stack(cols) + np.column_stack(cols).T)
         w_ref = np.linalg.eigvalsh(hd)
-        rep = smallest_eigs(sy, x, k=4, seed=5)
+        rep = smallest_eigs(sy, x, k=4)
         scale = max(1.0, np.abs(w_ref).max())
         assert np.abs(rep.eigenvalues - w_ref[:4]).max() < 1e-5 * scale
 
@@ -246,17 +246,17 @@ class TestLdGSpectrum:
         d = Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK)
         sy = LdGSystem(d)
         x = np.zeros(sy.n)
-        rep = smallest_eigs(sy, x, k=3, seed=4)
+        rep = smallest_eigs(sy, x, k=3)
         assert rep.residuals.max() < 1e-6 * rep.scale
-        rep2 = unpreconditioned(sy, x, k=3, seed=4)
+        rep2 = unpreconditioned(sy, x, k=3)
         assert rep.eigenvalues == pytest.approx(rep2.eigenvalues, abs=1e-6 * rep.scale)
 
     def test_iterations_count_what_lobpcg_ran(self):
         d = Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK)
         sy = LdGSystem(d)
         x = np.zeros(sy.n)
-        rep = smallest_eigs(sy, x, k=3, seed=4)
-        plain = unpreconditioned(sy, x, k=3, seed=4)
+        rep = smallest_eigs(sy, x, k=3)
+        plain = unpreconditioned(sy, x, k=3)
         assert 0 < rep.iterations < _MAXITER
         assert 0 < plain.iterations < _MAXITER
         # the factored elastic operator is what makes the solve cheap
@@ -271,7 +271,7 @@ class TestLdGSpectrum:
                 return super().hessian_vec(x, v, l)
 
         sy = Recording(Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK))
-        rep = smallest_eigs(sy, np.zeros(sy.n), k=3, seed=4)
+        rep = smallest_eigs(sy, np.zeros(sy.n), k=3)
         assert rep.residuals.max() < 1e-6 * rep.scale
         # LOBPCG's iterations and the Rayleigh-Ritz cleanup act on blocks
         assert any(len(s) == 2 and s[1] > 1 for s in shapes)
@@ -289,7 +289,7 @@ class TestLdGSpectrum:
                 products.append(1)
                 return super().hessian_vec(x, v, l)
 
-        rep = smallest_eigs(Counting(d), x, k=2, seed=1)
+        rep = smallest_eigs(Counting(d), x, k=2)
         assert rep.iterations > 0
         assert len(products) > 10
         assert len(assemblies) == 1
@@ -314,9 +314,9 @@ class TestLobpcgLoop:
         d = Domain(nx=8, ny=8, lambda2=5.0, bulk=BULK, boundary="planar")
         sy = LdGSystem(d)
         x = 0.3 * make_rng(8, "test:spectrum:scipy").normal(size=sy.n)
-        ours = smallest_eigs(sy, x, k=4, seed=1)
+        ours = smallest_eigs(sy, x, k=4)
         monkeypatch.setattr(spectrum, "lobpcg", scipy_lobpcg)
-        ref = smallest_eigs(sy, x, k=4, seed=1)
+        ref = smallest_eigs(sy, x, k=4)
         gap = np.abs(ours.eigenvalues - ref.eigenvalues).max()
         assert gap <= 1e-12 * np.abs(ref.eigenvalues).max()
         assert ours.morse_index == ref.morse_index
@@ -389,12 +389,12 @@ class TestLobpcgLoop:
         d = Domain(nx=32, ny=32, lambda2=5.0, bulk=BULK, boundary="planar")
         sy = LdGSystem(d)
         x = 0.1 * make_rng(1, "test:spectrum:memory").normal(size=sy.n)
-        smallest_eigs(sy, x, k=2, seed=0)  # the preconditioner and the bulk Hessian map
+        smallest_eigs(sy, x, k=2)  # the preconditioner and the bulk Hessian map
 
         def peak():
             tracemalloc.start()
             try:
-                smallest_eigs(sy, x, k=2, seed=0)
+                smallest_eigs(sy, x, k=2)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
