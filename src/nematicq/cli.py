@@ -78,6 +78,8 @@ def _config(args) -> RunConfig:
 
 def _toy(args, name: str, **defaults) -> dict:
     """Settings of a built-in toy run: `defaults` under the flags given."""
+    if args.seed is not None:
+        raise ConfigError("--seed applies to config runs only; a toy run draws nothing")
     return {"toy": name, "out_dir": "out", **defaults, **_given(args)}
 
 
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", help="output directory (overrides config out_dir)")
         if config:
             p.add_argument("--config", help="JSON run configuration")
-            p.add_argument("--seed", type=int, help="random(sigma) init seed (overrides config seed)")
+            p.add_argument("--seed", type=int, help="random(sigma) init seed of a config run (overrides config seed)")
         if toy:
             p.add_argument("--toy", action="store_true", help="run the built-in toy problem")
 

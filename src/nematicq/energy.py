@@ -310,7 +310,7 @@ class SineSolver:
         m = r.size // (nx * ny * 5)
         step = self._chunk
         if m > step:
-            out = np.empty(r.shape)
+            out = np.empty_like(r)
             for lo in range(0, m, step):
                 out[:, lo : lo + step] = self._scaled(r[:, lo : lo + step], scale, eig)
             return out

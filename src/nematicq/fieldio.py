@@ -3,7 +3,10 @@
 Everything on disk is plain CSV or JSON meant for external plotting
 tools.  Floats are written with 17 significant digits so that write
 followed by read reproduces every value bit for bit, and identical
-inputs produce byte-identical files.
+inputs produce byte-identical files.  A snapshot row is its node's
+"i,j,x,y" prefix, built once per domain and kept on it, followed by the
+five q values formatted with "%.17g"; only those q values are parsed
+back as floats, and the rows may come in any order.
 """
 
 from __future__ import annotations
@@ -58,8 +61,15 @@ def _header(d: Domain) -> tuple:
     return (d.nx, d.ny, d.lambda2, d.bulk.a, d.bulk.b, d.bulk.c, d.l2, d.l3, boundary)
 
 
-# one snapshot row: i,j then x, y, q1..q5 at 17 significant digits
-_ROW = "%d,%d" + ",%.17g" * 7
+def _row_prefixes(d: Domain) -> list[str]:
+    """The "i,j,x,y" cells of every node in write order, built once per domain
+    and kept on it, as `energy.l1_operator` keeps its solver."""
+    prefixes = d.__dict__.get("_row_prefixes")
+    if prefixes is None:
+        xs, ys = [_g17(x) for x in d.xs], [_g17(y) for y in d.ys]
+        prefixes = [f"{i},{j},{x},{y}" for i, x in enumerate(xs) for j, y in enumerate(ys)]
+        d.__dict__["_row_prefixes"] = prefixes
+    return prefixes
 
 
 def write_field(path, f: QField) -> None:
@@ -68,12 +78,14 @@ def write_field(path, f: QField) -> None:
     d = f.domain
     nx, ny, *reals, boundary = _header(d)
     head = "# " + ",".join([str(nx), str(ny)] + [_g17(v) for v in reals] + [boundary])
-    i, j = np.meshgrid(np.arange(d.nx), np.arange(d.ny), indexing="ij")
-    table = np.column_stack(
-        [i.ravel(), j.ravel(), d.xs[i.ravel()], d.ys[j.ravel()], f.values.reshape(-1, 5)]
-    )
-    rows = [_ROW % tuple(row) for row in table.tolist()]
-    Path(path).write_text("\n".join([head] + rows) + "\n")
+    prefixes = _row_prefixes(d)
+    cells = [None] * (6 * len(prefixes))
+    cells[0::6] = prefixes
+    for k, column in enumerate(f.values.reshape(-1, 5).T.tolist(), start=1):
+        cells[k::6] = column
+    row = "%s" + ",%.17g" * 5 + "\n"
+    body = (row * len(prefixes)) % tuple(cells)
+    Path(path).write_text(head + "\n" + body)
 
 
 def _parse_float(token: str, line_no: int, column: int) -> float:
@@ -145,22 +157,24 @@ def read_field(path, domain: Domain | None = None) -> QField:
 
 
 def _node_rows(lines: list[str], domain: Domain) -> tuple[np.ndarray, int]:
-    """The node values and row count of a snapshot's body, all tokens parsed
-    in one pass; ValueError on any malformed row, a non-finite number or a
-    repeated node."""
+    """The node values and row count of a snapshot's body, its rows in any
+    order: i and j parsed as integers, x and y checked once per distinct
+    token, the q tokens parsed as floats; ValueError on any malformed row,
+    a non-finite number or a repeated node."""
     body = [line for line in lines[1:] if line.strip()]
     if any(line.count(",") != 8 for line in body):
         raise ValueError("a row without 9 fields")
-    tokens = ",".join(body).split(",")
-    table = np.array(list(map(float, tokens))).reshape(-1, 9)
-    i = np.array(list(map(int, tokens[0::9])), dtype=int)
-    j = np.array(list(map(int, tokens[1::9])), dtype=int)
+    i, j, x, y, q = zip(*(line.split(",", 4) for line in body))
+    i, j = np.array(list(map(int, i))), np.array(list(map(int, j)))
+    grid = np.array(list(map(float, {*x, *y})))
+    q = np.array(list(map(float, ",".join(q).split(",")))).reshape(-1, 5)
     if not ((0 <= i) & (i < domain.nx) & (0 <= j) & (j < domain.ny)).all():
         raise ValueError("a node outside the grid")
-    if not np.isfinite(table).all() or np.bincount(i * domain.ny + j, minlength=1).max() > 1:
+    finite = np.isfinite(grid).all() and np.isfinite(q).all()
+    if not finite or np.bincount(i * domain.ny + j).max() > 1:
         raise ValueError("a non-finite number or a repeated node")
     values = np.full(domain.shape, np.nan)
-    values[i, j] = table[:, 4:]
+    values[i, j] = q
     return values, len(body)
 
 

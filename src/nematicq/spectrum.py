@@ -149,7 +149,9 @@ def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=
         iterations += 1
         active = res > tol
         a = int(active.sum())
-        s[m : m + a] = r[active] if precond is None else precond(r[active].T).T
+        # with every column active, R and P go through whole, uncopied
+        ra = r if a == m else r[active]
+        s[m : m + a] = ra if precond is None else precond(ra.T).T
         w = s[m : m + a]
         w -= (w @ s[:m].T) @ s[:m]
         _orthonormalize(w)
@@ -157,9 +159,9 @@ def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=
         q = q_xw = m + a
         if iterations > 1:  # the last Rayleigh-Ritz had a W, so there is a P
             pp = sh[:, q : q + a]
-            np.compress(active, ph, axis=1, out=pp)
+            p = ph if a == m else np.compress(active, ph, axis=1, out=pp)
             try:
-                pp[:] = np.linalg.inv(np.linalg.cholesky(pp[0] @ pp[0].T)) @ pp
+                np.matmul(np.linalg.inv(np.linalg.cholesky(p[0] @ p[0].T)), p, out=pp)
                 q += a
             except np.linalg.LinAlgError:
                 pass

@@ -145,6 +145,14 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["saddle", "string", "landscape"])
+    def test_seed_with_toy_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        # a toy run draws nothing, so a seed would only be recorded, never used
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--toy", "--seed", "5"]) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "--seed" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage: nematicq" in capsys.readouterr().out

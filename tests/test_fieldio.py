@@ -216,6 +216,33 @@ class TestFieldRoundTrip:
         assert np.array_equal(back.values, f.values)
         assert np.array_equal(np.signbit(back.values), np.signbit(f.values))
 
+    def test_rows_in_any_order_and_any_grid_spelling(self, tmp_path):
+        # the reader places each row by its i,j and only checks that x and y
+        # are finite, so neither the row order nor their spelling matters
+        d = small_domain(6, 5)
+        f = random_field(d)
+        path = tmp_path / "f.csv"
+        write_field(path, f)
+        head, *body = path.read_text().splitlines()
+        rows = [line.split(",") for line in reversed(body)]
+        x = rows[0][2]
+        rows[0][2] = format(float(x), ".16e")
+        half = next(row for row in rows if row[3] == "0.5")
+        half[3] = "5e-1"
+        assert rows[0][2] != x and float(rows[0][2]) == float(x)
+
+        def write(rows):
+            path.write_text("\n".join([head] + [",".join(row) for row in rows]) + "\n")
+
+        write(rows)
+        for domain in (d, None):
+            assert read_field(path, domain).values.tobytes() == f.values.tobytes()
+        rows[1][2] = "nan"
+        write(rows)
+        with pytest.raises(ParseError, match="non-finite") as info:
+            read_field(path, d)
+        assert (info.value.line, info.value.column) == (3, 3)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("0,0,0.1,0.1,1,2,3,4,5\n")

@@ -385,6 +385,28 @@ class TestLobpcgLoop:
         assert w[:2] == pytest.approx([1.0, 2.0], abs=1e-10)
         assert np.linalg.norm(diag[:, None] * v[:, :2] - v[:, :2] * w[:2], axis=0).max() <= 2 * tol
 
+    def test_converged_columns_leave_the_active_set(self):
+        """Columns that converge early get no W or P: M^-1 sees only the
+        residuals above tol, fewer than k + 2 of them once some column has
+        converged, and the pairs still match a dense solve."""
+        diag = np.arange(1.0, 301.0)
+        n, k, tol = diag.size, 2, 1e-10
+        apply_h = partial(DiagQuadratic(diag).hessian_vec, np.zeros(n))
+        widths = []
+
+        def precond(r):
+            assert np.linalg.norm(r, axis=0).min() > tol
+            widths.append(r.shape[1])
+            return r / (diag + 1.0)[:, None]
+
+        x0 = np.linalg.qr(make_rng(5, "test:spectrum:shrink").normal(size=(n, k + _GUARD)))[0]
+        w, v, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol, maxiter=_MAXITER, precond=precond)
+        assert len(widths) == iterations and widths[0] == k + _GUARD
+        assert min(widths) < k + _GUARD
+        ref_w, ref_v = np.linalg.eigh(np.diag(diag))
+        assert np.abs(w[:k] - ref_w[:k]).max() <= 1e-10
+        assert np.abs(np.abs(np.einsum("ij,ij->j", v[:, :k], ref_v[:, :k])) - 1.0).max() <= 1e-10
+
     def test_peak_memory_at_most_scipys_32x32(self, monkeypatch):
         d = Domain(nx=32, ny=32, lambda2=5.0, bulk=BULK, boundary="planar")
         sy = LdGSystem(d)
