@@ -289,7 +289,8 @@ class SineSolver:
     transform back: ``solve(r, shift)``, also a call (LOBPCG's ``M=``),
     divides by them plus the shift, (L1 + shift I)^-1 r (the fast Poisson
     solver of Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 1970), and
-    ``apply`` multiplies.  Both take vectors or (n, m) blocks.
+    ``apply`` multiplies.  Both take vectors or (n, m) blocks, and
+    ``add_lowest_modes`` adds L1's lowest eigenvectors to LOBPCG's start.
     """
 
     def __init__(self, domain: Domain):
@@ -332,6 +333,22 @@ class SineSolver:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """L1 v, for inner products <a, b>_M."""
         return self._scaled(v, np.multiply, self.eigenvalues)
+
+    def add_lowest_modes(self, x: np.ndarray) -> None:
+        """Add sqrt(n) times L1's m lowest eigenvectors to the m columns of the
+        (n, m) block x, in place.  Mode (c, i, j) is sx[:, i] (x) sy[:, j] (x)
+        the G eigenvector c, taken by ascending ``eigenvalues``, ties in index
+        order; as those ascend along every axis, argmin finds them where every
+        index is below m (a stable sort would page in 128 KiB of sort code)."""
+        n, m = x.shape
+        corner = self.eigenvalues[:m, :m, :m].copy()
+        for col in range(m):
+            c, i, j = np.unravel_index(np.argmin(corner), corner.shape)
+            corner[c, i, j] = np.inf
+            plane = np.outer(np.sqrt(n) * self._sx[:, i], self._sy[:, j])
+            column = x[:, col].reshape(plane.shape + (5,))
+            for a in range(5):
+                column[..., a] += _G_EIGVECS[a, c] * plane
 
     __call__ = solve
 

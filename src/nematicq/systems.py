@@ -98,6 +98,9 @@ class _Identity:
 
     apply = __call__ = solve
 
+    def add_lowest_modes(self, x: np.ndarray) -> None:
+        """Nothing: LOBPCG's start block stays the random one (``solve_smallest``)."""
+
 
 EUCLIDEAN = _Identity()
 

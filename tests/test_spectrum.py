@@ -13,11 +13,11 @@ import nematicq.hisd as hisd
 import nematicq.spectrum as spectrum
 from nematicq.energy import LdGSystem
 from nematicq.errors import NoConvergence, ShapeMismatch
-from nematicq.field import Domain, QField, symmetrize
+from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams
 from nematicq.spectrum import _GUARD, _MAXITER, operator_scale, smallest_eigs, solve_smallest
-from nematicq.systems import make_rng
+from nematicq.systems import EUCLIDEAN, make_rng
 from nematicq.toys import DiagQuadratic, Quartic2D
 from oracles import elastic_matrix, metric_matrix, scipy_lobpcg
 
@@ -149,6 +149,54 @@ class TestGuardColumns:
         assert rep.eigenvalues == pytest.approx(np.arange(1.0, k + 1.0), abs=1e-12)
 
 
+class TestStartBlock:
+    """LOBPCG starts from the fixed random block plus the metric's k + 2
+    lowest eigenvectors; the identity adds none."""
+
+    @pytest.mark.parametrize("precond", [None, EUCLIDEAN], ids=["none", "euclidean"])
+    def test_identity_start_is_the_random_block(self, precond, monkeypatch):
+        blocks = record_lobpcg_blocks(monkeypatch)
+        n, k = 300, 2
+        sy = DiagQuadratic(np.linspace(-1.0, 4.0, n))
+        solve_smallest(partial(sy.hessian_vec, np.ones(n)), n, k, precond=precond)
+        random_start, _ = np.linalg.qr(make_rng(0, "spectrum:init").normal(size=(n, k + _GUARD)))
+        assert np.array_equal(blocks[0], random_start)
+
+    def test_sine_modes_are_the_lowest_eigenvectors_of_l1(self):
+        d = Domain(nx=7, ny=5, lambda2=5.0, bulk=BULK, boundary="planar")
+        pre = energy.l1_operator(d)
+        x = np.zeros((d.n_dof, 6))
+        pre.add_lowest_modes(x)
+        x /= np.sqrt(d.n_dof)
+        lowest = np.sort(pre.eigenvalues, axis=None)[:6]
+        assert np.allclose(x.T @ x, np.eye(6), rtol=0, atol=1e-12)
+        assert np.allclose(pre.apply(x), x * lowest, rtol=0, atol=1e-12)
+        dense = np.linalg.eigvalsh(pre.apply(np.eye(d.n_dof)))
+        assert np.allclose(lowest, dense[:6], rtol=1e-12)
+
+    def test_iterations_at_the_lambda5_minimum(self):
+        """The 32^2 and 64^2 certificates take at most 9 and 8 iterations
+        (13 and 12 from the random block alone), no more at the finer grid,
+        and agree with a solve from the random block alone."""
+        iterations = {}
+        for nx in (32, 64):
+            d = Domain(nx=nx, ny=nx, lambda2=5.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+            sy = LdGSystem(d)
+            opts = MinimizeOptions(tol_grad=1e-8, max_iters=20000)
+            x = minimize(sy, seed_field(d, "isotropic").flat, opts).x
+            rep = smallest_eigs(sy, x, k=2)
+            iterations[nx] = rep.iterations
+            random_start, _ = np.linalg.qr(make_rng(0, "spectrum:init").normal(size=(sy.n, 2 + _GUARD)))
+            tol = 1e-8 * rep.scale
+            w, _, _ = spectrum.lobpcg(
+                partial(sy.hessian_vec, x), random_start, k=2, tol=tol, maxiter=_MAXITER, precond=sy.preconditioner()
+            )
+            assert rep.morse_index == 0
+            assert np.abs(rep.eigenvalues - w[:2]).max() <= tol
+        assert iterations[32] <= 9 and iterations[64] <= 8
+        assert iterations[64] <= iterations[32]
+
+
 def _cross_guess(domain: Domain) -> np.ndarray:
     """Cross-shaped in-plane start whose order melts on the two diagonals."""
     x, y = np.meshgrid(domain.xs, domain.ys, indexing="ij")
@@ -207,6 +255,17 @@ def test_guard_columns_do_not_decide_when_to_stop(cross_state):
     assert 0 < rep.iterations <= 40
     assert np.abs(rep.eigenvalues - w_ref[:2]).max() <= 1e-8 * rep.scale
     assert rep.residuals.max() <= 1e-6 * rep.scale
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_random_start_finds_what_the_sine_modes_miss(cross_state, k):
+    """The cross state's lowest eigenvectors lie in symmetry classes that
+    L1's low modes do not reach: from the modes alone LOBPCG reports
+    lambda1 = -0.053 (the true one is -0.163) and index 1 for k = 2."""
+    sy, x, w_ref = cross_state
+    rep = smallest_eigs(sy, x, k=k)
+    assert np.abs(rep.eigenvalues - w_ref[:k]).max() <= 1e-8 * rep.scale
+    assert rep.morse_index == k
 
 
 class TestLdGSpectrum:
