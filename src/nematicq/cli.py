@@ -58,10 +58,10 @@ _KEY_FLAGS = ("out_dir", "seed", "tol", "n_nodes", "k")
 
 
 def _positive(text: str) -> float:
-    """argparse type of a tolerance: a number above zero."""
+    """argparse type of a tolerance: a finite number above zero."""
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

@@ -263,7 +263,10 @@ def seed_field(domain: Domain, spec: str, seed: int = 0) -> QField:
         else:
             theta = np.pi / 2.0 - np.pi * x + 0.0 * y
         return QField(domain, _uniaxial_angle_components(s, theta))
-    sigma = float(m.group(4))
+    try:
+        sigma = float(m.group(4))
+    except ValueError:
+        raise ShapeMismatch(f"unknown seed spec {spec!r}") from None
     gen = make_rng(seed, f"seed:random:{sigma:g}")
     return QField(domain, sigma * gen.normal(size=domain.shape))
 

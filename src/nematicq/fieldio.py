@@ -352,6 +352,10 @@ class RunConfig:
     max_index: int | None = None
 
     def __post_init__(self):
+        for key in ("lambda2", "a", "b", "c", "L2", "L3", "tol", "dt"):
+            # json reads Infinity and NaN as numbers
+            if not np.isfinite(getattr(self, key)):
+                raise ConfigError(f"config key {key!r} must be finite, got {getattr(self, key)!r}")
         for key in ("tol", "dt", "max_steps", "max_nodes", "max_searches"):
             # a tol at or below zero is never met and would spend the whole budget;
             # a budget below one step, node or search leaves nothing to run

@@ -195,9 +195,17 @@ def classify_stationary(
 
     The eigensolve window grows until a non-negative eigenvalue is seen
     (or the problem size is reached), so the count is the true index,
-    not a lower bound.
+    not a lower bound.  A tol_grad outside (0, inf) raises ValidationError
+    before any evaluation.
     """
+    _check_tol(tol_grad)
     return _certify(system, x, float(np.abs(system.gradient(x)).max()), tol_grad, k_hint)
+
+
+def _check_tol(tol_grad: float) -> None:
+    """ValidationError unless 0 < tol_grad < inf."""
+    if not 0.0 < tol_grad < np.inf:
+        raise ValidationError(f"need finite tol_grad > 0, got {tol_grad}")
 
 
 def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, k_hint: int):
@@ -217,6 +225,7 @@ def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, k_hin
 
 def make_record(system: System, x: np.ndarray, tol_grad: float = 1e-8, k_hint: int = 0) -> SaddleRecord:
     """Certify x by classify_stationary and keep its eigenpairs."""
+    _check_tol(tol_grad)
     e, g = system.energy_gradient(x)
     return _record(system, _Landing(x, e, float(np.abs(g).max()), 0, 0), tol_grad, k_hint)
 
@@ -279,8 +288,7 @@ def find_saddle(
 
 def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts: SaddleOptions) -> _Landing:
     """find_saddle's dynamics, up to the landing and short of its certificate."""
-    if not 0.0 < opts.tol_grad < np.inf:
-        raise ValidationError(f"need finite tol_grad > 0, got {opts.tol_grad}")
+    _check_tol(opts.tol_grad)
     precond = preconditioner_of(system)
     x = np.array(x0, dtype=float).reshape(-1)
     n = x.size

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
 from .spectrum import smallest_eigs  # noqa: F401  no caller here; perfbench/tracing.py rebinds minimize.smallest_eigs
 from .systems import EUCLIDEAN, System, preconditioner_of
 
@@ -106,9 +107,12 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
     iteration budget runs out or the line search stagnates at machine
     resolution: no trial lowers the energy by Armijo's test or, within
     16 ulps of |E|, lowers the gradient inf-norm.  Energies along
-    accepted iterates never rise by more than that band.
+    accepted iterates never rise by more than that band.  A tol_grad
+    outside (0, inf) raises ValidationError before any evaluation.
     """
     opts = opts or MinimizeOptions()
+    if not 0.0 < opts.tol_grad < np.inf:
+        raise ValidationError(f"need finite tol_grad > 0, got {opts.tol_grad}")
     precond = preconditioner_of(system)
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     e, g = system.energy_gradient(x)

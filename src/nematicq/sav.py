@@ -243,10 +243,13 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
 
 def step_ladder(domain: Domain, dt: float) -> range:
     """Exponents j of the flow's step sizes dt 2^j: from min(0, floor(log2(2/(lambda_max dt))))
-    to max(0, ceil(log2(2/(lambda_min dt)))), lambda_min/max the extreme eigenvalues of L1."""
+    to max(0, ceil(log2(2/(lambda_min dt)))), lambda_min/max the extreme eigenvalues of L1.
+    A dt whose bounds or rungs 2^j leave the positive floats raises ValidationError."""
     eig = l1_operator(domain).eigenvalues
-    lam_min, lam_max = eig[0, 0, 0], eig[-1, -1, -1]
-    return range(min(0, floor(log2(2.0 / (lam_max * dt)))), max(0, ceil(log2(2.0 / (lam_min * dt)))) + 1)
+    lo, hi = 2.0 / (float(eig[-1, -1, -1]) * dt), 2.0 / (float(eig[0, 0, 0]) * dt)
+    if not 0.0 < lo <= hi <= 2.0**1023:
+        raise ValidationError(f"step size {dt} has no finite ladder of steps dt 2^j")
+    return range(min(0, floor(log2(lo))), max(0, ceil(log2(hi))) + 1)
 
 
 def flow_to_equilibrium(
@@ -271,10 +274,11 @@ def flow_to_equilibrium(
     after a step delta of size h from sav_step's r~, r^2 = min(F1,
     r~^2 + _ETA |delta|^2 / h), so the modified energy never rises.
     A non-finite field or measure raises NoConvergence at its step, and
-    a bad dt, tol_grad or max_steps raises ValidationError before any.
+    a bad dt (not finite, or without a finite `step_ladder`), tol_grad or
+    max_steps raises ValidationError before any.
     """
-    if not (dt > 0.0 and 0.0 < tol_grad < np.inf and max_steps >= 0):
-        raise ValidationError(f"need dt > 0, finite tol_grad > 0 and max_steps >= 0, got {dt}, {tol_grad}, {max_steps}")
+    if not (0.0 < dt < np.inf and 0.0 < tol_grad < np.inf and max_steps >= 0):
+        raise ValidationError(f"need finite dt > 0 and tol_grad > 0 and max_steps >= 0, got {dt}, {tol_grad}, {max_steps}")
     split = sav_split(init.domain)
     rungs = step_ladder(init.domain, dt)
     sizes = (dt * 2.0**j for j in chain(range(rungs.stop), cycle(rungs)))

@@ -223,14 +223,32 @@ class TestConfigCommands:
         assert rc == 1
         assert "mystery" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("tol", 0), ("tol", -1), ("dt", 0), ("dt", -0.5)])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("tol", 0), ("tol", -1), ("dt", 0), ("dt", -0.5)]
+        # json writes and reads these as Infinity and NaN
+        + [("tol", np.inf), ("tol", np.nan), ("dt", np.inf), ("lambda2", np.nan), ("a", -np.inf), ("L2", np.inf)],
+    )
     def test_non_positive_tolerance_or_step_exits_1(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, **{key: value})
         out = tmp_path / "o"
-        for command in ("minimize", "flow"):
+        problem = "positive" if np.isfinite(value) else "finite"
+        for command in ("minimize", "flow", "landscape"):
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-            assert f"config key '{key}' must be positive" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"config key '{key}' must be {problem}" in err
         assert not out.exists()
+        with pytest.raises(ConfigError, match=f"'{key}' must be {problem}"):
+            replace(load_config(write_config(tmp_path)), **{key: value})
+
+    def test_malformed_seed_spec_exits_1(self, tmp_path, capsys):
+        # random(1e) matches the spec pattern; its sigma is no number
+        cfg = write_config(tmp_path, init="random(1e)")
+        out = tmp_path / "o"
+        assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest, _ = manifest_outputs(out)
+        assert "unknown seed spec 'random(1e)'" in manifest["error"]
+        assert f"error: {manifest['error']}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,key,value", [("flow", "max_steps", -5), ("landscape", "max_nodes", 0)])
     def test_budget_below_one_exits_1(self, tmp_path, capsys, command, key, value):
@@ -249,7 +267,7 @@ class TestConfigCommands:
                 replace(cfg, **{key: value})
 
     @pytest.mark.parametrize("command", ["saddle", "string"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
     def test_non_positive_tol_flag_exits_1(self, tmp_path, capsys, command, value):
         out = tmp_path / "o"
         assert main([command, "--toy", f"--tol={value}", "--out", str(out)]) == 1

@@ -160,6 +160,12 @@ class TestSeeds:
         with pytest.raises(ShapeMismatch):
             seed_field(make_domain(), "vortex(3)")
 
+    @pytest.mark.parametrize("spec", ["random(1e)", "random(.)", "random(+-)"])
+    def test_malformed_sigma_rejected(self, spec):
+        # each matches the spec pattern but is no number
+        with pytest.raises(ShapeMismatch, match="unknown seed spec"):
+            seed_field(make_domain(), spec)
+
 
 class TestSquareSymmetry:
     def test_orbit_preserves_energy(self):

@@ -341,7 +341,9 @@ class Sealed(Quartic2D):
 
 
 @pytest.mark.parametrize("tol_grad", [0.0, -1.0, np.nan, np.inf])
-@pytest.mark.parametrize("entry", ["find_saddle", "branch_search", "build_landscape"])
+@pytest.mark.parametrize(
+    "entry", ["find_saddle", "branch_search", "build_landscape", "minimize", "classify_stationary", "make_record"]
+)
 def test_unusable_tolerance_raises_before_any_step(entry, tol_grad):
     sy = Sealed()
     top = make_record(sy, np.zeros(2), k_hint=2)
@@ -352,8 +354,14 @@ def test_unusable_tolerance_raises_before_any_step(entry, tol_grad):
             find_saddle(sy, 1, np.array([0.2, 0.8]), opts=opts)
         elif entry == "branch_search":
             branch_search(sy, top, 1, opts)
-        else:
+        elif entry == "build_landscape":
             build_landscape(sy, top, LandscapeOptions(search=opts))
+        elif entry == "minimize":
+            minimize(sy, np.array([0.2, 0.8]), MinimizeOptions(tol_grad=tol_grad))
+        elif entry == "classify_stationary":
+            classify_stationary(sy, np.zeros(2), tol_grad=tol_grad)
+        else:
+            make_record(sy, np.zeros(2), tol_grad=tol_grad)
 
 
 @pytest.mark.parametrize("v0", [np.ones(3), np.ones((2, 2)), np.ones(0)])

@@ -495,6 +495,9 @@ class TestFlow:
             {"tol_grad": np.inf},
             {"tol_grad": np.nan},
             {"max_steps": -1},
+            {"dt": np.inf},
+            {"dt": 1e308},  # 2 / (lambda_max dt) underflows to 0
+            {"dt": 5e-324},  # 2 / (lambda_min dt) overflows
         ],
     )
     def test_bad_inputs_raise_before_any_step(self, monkeypatch, kwargs):
@@ -583,7 +586,7 @@ class TestFlow:
         for seed in (1, 2):
             self.monotone_flow(d, seed, dt)
 
-    @pytest.mark.parametrize("dt", [1e-3, 0.5, 7.0])
+    @pytest.mark.parametrize("dt", [1e-3, 0.5, 7.0, 1e-300, 1e300])
     def test_ladder_spans_the_assembled_spectrum(self, dt):
         # the domain's L1 spectrum against eigvalsh of the assembled oracle on
         # a non-square grid, its corners lambda_min/max, and the rungs they give

@@ -127,26 +127,51 @@ class TestGuardColumns:
         assert rep.eigenvectors.shape == (n, k)
         assert rep.eigenvalues == pytest.approx([1.0, 2.0, 3.0], abs=1e-7)
 
-    def test_restart_keeps_the_guard_columns(self, monkeypatch):
+    def test_one_lobpcg_call_with_the_whole_budget(self, monkeypatch):
         blocks = record_lobpcg_blocks(monkeypatch)
-        monkeypatch.setattr(spectrum, "_MAXITER", 2)  # too few to converge in one attempt
+        monkeypatch.setattr(spectrum, "_MAXITER", 2)  # too few to converge
         n, k = 400, 2
-        sy = DiagQuadratic(np.arange(1.0, n + 1.0))
-        try:
-            smallest_eigs(sy, np.zeros(n), k=k)
-        except NoConvergence:
-            pass
-        assert len(blocks) > 1
-        assert all(b.shape == (n, k + _GUARD) for b in blocks)
-        # each restart starts from the whole orthonormal Ritz block of the last attempt
-        for b in blocks[1:]:
-            assert np.allclose(b.T @ b, np.eye(k + _GUARD), atol=1e-10)
+        with pytest.raises(NoConvergence) as err:
+            smallest_eigs(DiagQuadratic(np.arange(1.0, n + 1.0)), np.zeros(n), k=k)
+        assert len(blocks) == 1
+        assert err.value.iterations == 2
 
     def test_dense_cutoff_counts_the_guard(self):
         k, n = 30, 165  # n = 5 (k + 2) + 5 > 5 k + 5: dense only when the guard is counted
         rep = smallest_eigs(DiagQuadratic(np.arange(1.0, n + 1.0)), np.zeros(n), k=k)
         assert rep.iterations == 0
         assert rep.eigenvalues == pytest.approx(np.arange(1.0, k + 1.0), abs=1e-12)
+
+
+class TestFreshCheck:
+    """Dense or LOBPCG, the reported pairs pass one fresh product of their k columns."""
+
+    @pytest.mark.parametrize("n", [100, 400], ids=["dense", "lobpcg"])
+    def test_last_product_is_the_k_reported_columns(self, n):
+        shapes = []
+        apply_h = partial(DiagQuadratic(np.arange(1.0, n + 1.0)).hessian_vec, np.zeros(n))
+
+        def recorded(v):
+            shapes.append(np.shape(v))
+            return apply_h(v)
+
+        rep = solve_smallest(recorded, n, 3)
+        assert shapes[-1] == (n, 3)
+        assert rep.residuals.max() <= 1e-6 * rep.scale
+
+    def test_rotated_ritz_block_is_refused(self, monkeypatch):
+        lobpcg = spectrum.lobpcg
+
+        def rotated(op, x, **kwargs):
+            w, v, iterations = lobpcg(op, x, **kwargs)
+            c, s = np.cos(1e-3), np.sin(1e-3)
+            v[:, [0, -1]] = v[:, [0, -1]] @ np.array([[c, -s], [s, c]])
+            return w, v, iterations
+
+        monkeypatch.setattr(spectrum, "lobpcg", rotated)
+        n = 400
+        with pytest.raises(NoConvergence):
+            smallest_eigs(DiagQuadratic(np.arange(1.0, n + 1.0)), np.zeros(n), k=2)
 
 
 class TestStartBlock:
@@ -159,8 +184,7 @@ class TestStartBlock:
         n, k = 300, 2
         sy = DiagQuadratic(np.linspace(-1.0, 4.0, n))
         solve_smallest(partial(sy.hessian_vec, np.ones(n)), n, k, precond=precond)
-        random_start, _ = np.linalg.qr(make_rng(0, "spectrum:init").normal(size=(n, k + _GUARD)))
-        assert np.array_equal(blocks[0], random_start)
+        assert np.array_equal(blocks[0], make_rng(0, "spectrum:init").normal(size=(n, k + _GUARD)))
 
     def test_sine_modes_are_the_lowest_eigenvectors_of_l1(self):
         d = Domain(nx=7, ny=5, lambda2=5.0, bulk=BULK, boundary="planar")
@@ -332,7 +356,7 @@ class TestLdGSpectrum:
         sy = Recording(Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK))
         rep = smallest_eigs(sy, np.zeros(sy.n), k=3)
         assert rep.residuals.max() < 1e-6 * rep.scale
-        # LOBPCG's iterations and the Rayleigh-Ritz cleanup act on blocks
+        # LOBPCG's iterations and the residual check act on blocks
         assert any(len(s) == 2 and s[1] > 1 for s in shapes)
 
     def test_one_bulk_hessian_assembly_per_certificate(self, monkeypatch):
