@@ -32,16 +32,16 @@ domain = Domain(nx=16, ny=16, lambda2=5.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0)
 split = sav_split(domain)
 start = seed_field(domain, "random(0.3)", seed=4)
 
-m0 = split.modified_energy(start.flat, sav_init(start, split).r)
+m0 = split.modified_energy(start.flat, sav_init(start).r)
 print(f"modified energy at the start: {m0:.4f}")
 print("step size | modified energy after 200 steps | violations")
 failures = 0
 for dt in (1e-3, 1e-1, 1.0, 10.0):
-    state = sav_init(start, split)
+    state = sav_init(start)
     m_prev = m0
     violations = 0
     for _ in range(200):
-        state = sav_step(state, dt, split)
+        state = sav_step(state, dt)
         m = split.modified_energy(state.field.flat, state.r)
         if m > m_prev + 1e-9:
             violations += 1

@@ -58,7 +58,7 @@ _KEY_FLAGS = ("out_dir", "seed", "tol", "n_nodes", "k")
 
 
 def _positive(text: str) -> float:
-    """argparse type of a tolerance: a finite number above zero."""
+    """argparse type of a tolerance, radius or viscosity: a finite number above zero."""
     value = float(text)
     if not 0.0 < value < np.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maier-saupe", help="homogeneous branch structure and viscosities")
     common(p, config=False)
     p.add_argument("--alpha", type=float, help="interaction strength")
-    p.add_argument("--gamma1", type=float, help="rotational viscosity for Leslie output")
+    p.add_argument("--gamma1", type=_positive, help="rotational viscosity for Leslie output")
     p.set_defaults(func=cmd_maier_saupe)
 
     p = sub.add_parser("hedgehog", help="radial defect profile boundary value problem")
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=-1.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--radius", "-R", type=float, default=10.0)
+    p.add_argument("--radius", "-R", type=_positive, default=10.0)
     p.add_argument("--n-intervals", "-N", type=int, default=128)
     p.set_defaults(func=cmd_hedgehog)
 

@@ -259,8 +259,8 @@ class LdGSystem(System):
 
         K, the one-constant elastic operator, is SPD on its own under the
         Dirichlet ring; a1 (``linear_shift``) fits M to the Hessian's low end.
-        LOBPCG takes it as its ``M=``, the saddle dynamics and the string run
-        in its metric and L-BFGS seeds its H0 with it.
+        LOBPCG preconditions with its ``solve``, the saddle dynamics and the
+        string run in its metric and L-BFGS seeds its H0 with it.
         """
         return l1_operator(self.domain)
 
@@ -286,11 +286,11 @@ class SineSolver:
     straight into component-major planes in the eigenbasis of G, apply DST-I
     as S_x X S_y to each plane, scale by ``eigenvalues`` (5, nx, ny),
     g_c (wx mu_i + wy mu_j + a1 hx hy), ascending along every axis, and
-    transform back: ``solve(r, shift)``, also a call (LOBPCG's ``M=``),
-    divides by them plus the shift, (L1 + shift I)^-1 r (the fast Poisson
-    solver of Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 1970), and
-    ``apply`` multiplies.  Both take vectors or (n, m) blocks, and
-    ``add_lowest_modes`` adds L1's lowest eigenvectors to LOBPCG's start.
+    transform back: ``solve(r, shift)`` divides by them plus the shift,
+    (L1 + shift I)^-1 r (the fast Poisson solver of Buzbee, Golub and
+    Nielson, SIAM J. Numer. Anal. 1970), and ``apply`` multiplies.  Both
+    take vectors or (n, m) blocks, and ``add_lowest_modes`` adds L1's
+    lowest eigenvectors to LOBPCG's start.
     """
 
     def __init__(self, domain: Domain):
@@ -349,8 +349,6 @@ class SineSolver:
             column = x[:, col].reshape(plane.shape + (5,))
             for a in range(5):
                 column[..., a] += _G_EIGVECS[a, c] * plane
-
-    __call__ = solve
 
 
 def l1_operator(domain: Domain) -> SineSolver:

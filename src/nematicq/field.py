@@ -62,6 +62,8 @@ class Domain:
             raise ShapeMismatch(f"grid needs nx, ny >= 4, got {self.nx} x {self.ny}")
         if not (self.lambda2 > 0) or not np.isfinite(self.lambda2):
             raise ShapeMismatch(f"lambda2 must be positive, got {self.lambda2}")
+        if not (np.isfinite(self.l2) and np.isfinite(self.l3)):
+            raise ShapeMismatch(f"l2 and l3 must be finite, got {self.l2} and {self.l3}")
         if isinstance(self.boundary, str) and self.boundary not in BOUNDARY_KINDS:
             raise ShapeMismatch(f"unknown boundary kind {self.boundary!r}")
 

@@ -66,8 +66,8 @@ def solve_profile(p: BulkParams, R: float, N: int) -> HedgehogProfile:
     parameters) and damps each Newton step by halving until the interior
     max-norm residual decreases.
     """
-    if not R > 0.0:
-        raise ValidationError(f"R must be positive, got {R!r}")
+    if not 0.0 < R < np.inf:
+        raise ValidationError(f"R must be positive and finite, got {R!r}")
     if N < 64:
         raise ValidationError(f"N must be at least 64, got {N!r}")
     s_plus = critical_points(p).s_plus

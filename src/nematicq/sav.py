@@ -181,14 +181,15 @@ class SavState:
     linear_gradient: np.ndarray | None = _field(default=None, repr=False, compare=False)
 
 
-def sav_init(field: QField, split: SavSplit | None = None) -> SavState:
-    split = split or sav_split(field.domain)
+def sav_init(field: QField) -> SavState:
+    """The flow's state at `field`, r = sqrt(F1) exactly, split by the domain's `sav_split`."""
+    split = sav_split(field.domain)
     r = float(np.sqrt(split.f1(field.flat)))
     return SavState(field=field, r=r, linear_gradient=split.l_apply(field.flat) + split.shift)
 
 
-def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavState:
-    """Advance one Crank-Nicolson step of the (q, r) flow.
+def sav_step(state: SavState, dt: float) -> SavState:
+    """Advance one Crank-Nicolson step of the (q, r) flow, split by the domain's `sav_split`.
 
     The r update is eliminated, leaving a single SPD solve with the
     constant operator I/dt + L/2 plus a rank-one correction.  A
@@ -205,7 +206,7 @@ def sav_step(state: SavState, dt: float, split: SavSplit | None = None) -> SavSt
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
-    split = split or sav_split(state.field.domain)
+    split = sav_split(state.field.domain)
     q = state.field.flat
     lin = split.l_apply(q) + split.shift if state.linear_gradient is None else state.linear_gradient
     q_bar = q if state.q_prev is None else 1.5 * q - 0.5 * state.q_prev.flat
@@ -282,7 +283,7 @@ def flow_to_equilibrium(
     split = sav_split(init.domain)
     rungs = step_ladder(init.domain, dt)
     sizes = (dt * 2.0**j for j in chain(range(rungs.stop), cycle(rungs)))
-    state, bound = sav_init(init, split), np.inf
+    state, bound = sav_init(init), np.inf
     while True:
         q, lin = state.field.flat, state.linear_gradient
         f1, g = split.f1_grad_f1(q)
@@ -301,6 +302,6 @@ def flow_to_equilibrium(
             msg = f"gradient inf-norm {g:.3e} above {tol_grad:.3e} after {max_steps} steps"
             raise NoConvergence(msg, iterations=max_steps, residual=g)
         h = next(sizes)
-        state = sav_step(state, h, split)
+        state = sav_step(state, h)
         delta = state.field.flat - q
         bound = state.r * state.r + _ETA * float(delta @ delta) / h

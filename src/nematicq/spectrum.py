@@ -39,7 +39,7 @@ from .systems import EUCLIDEAN, System, make_rng, preconditioner_of
 
 __all__ = ["SpectrumReport", "smallest_eigs", "solve_smallest", "operator_scale"]
 
-# Problems at or below this size (or with k + _GUARD too close to n) are solved densely.
+# Problems at or below this size are solved densely; above it n > 3 (k + _GUARD) for every k <= 30.
 _DENSE_CUTOFF = 160
 # LOBPCG iterates k + _GUARD columns and reports the smallest k
 _GUARD = 2
@@ -99,14 +99,15 @@ def _orthonormalize(rows: np.ndarray) -> None:
         rows[:] = np.linalg.qr(rows.T)[0].T
 
 
-def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=None):
+def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=EUCLIDEAN):
     """Block LOBPCG from the (n, m) start block ``x``: Rayleigh-Ritz on
     [X; W; P], kept as rows of (3m, n) buffers S and H S that ``apply_h`` and
-    ``precond`` see transposed.  Only columns with a residual above ``tol`` get
-    a W = M^-1 R (orthonormal, orthogonal to X) or a P; P is dropped when it or
-    the Gram pencil is not positive definite.  Stops once the first k columns,
-    the reported pairs, are below ``tol``, or after ``maxiter`` iterations.
-    Returns the m Ritz values, the (n, m) Ritz block and the iterations run.
+    ``precond.solve`` see transposed.  Only columns with a residual above
+    ``tol`` get a W = M^-1 R (orthonormal, orthogonal to X) or a P; P is
+    dropped when it or the Gram pencil is not positive definite.  Stops once
+    the first k columns, the reported pairs, are below ``tol``, or after
+    ``maxiter`` iterations.  Returns the m Ritz values, the (n, m) Ritz block
+    and the iterations run.
     """
     n, m = x.shape
     # unmapped when freed, where a malloc block this size would raise glibc's mmap threshold
@@ -141,7 +142,7 @@ def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=
         a = int(active.sum())
         # with every column active, R and P go through whole, uncopied
         ra = r if a == m else r[active]
-        s[m : m + a] = ra if precond is None else precond(ra.T).T
+        s[m : m + a] = precond.solve(ra.T).T
         w = s[m : m + a]
         w -= (w @ s[:m].T) @ s[:m]
         _orthonormalize(w)
@@ -158,11 +159,11 @@ def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=
     return lam, s[:m].T.copy(), iterations
 
 
-def solve_smallest(apply_h, n: int, k: int, precond=None) -> SpectrumReport:
+def solve_smallest(apply_h, n: int, k: int, precond=EUCLIDEAN) -> SpectrumReport:
     """k smallest eigenpairs of the symmetric operator ``apply_h`` on R^n.
 
     ``apply_h`` takes a vector or an (n, m) block and returns its shape,
-    and so does ``precond``, a metric whose call is M^-1 (None: ``EUCLIDEAN``);
+    and so does ``precond.solve``, M^-1 of the SPD metric ``precond``;
     ``lobpcg`` calls both on blocks.  One ``lobpcg`` call of at most _MAXITER
     iterations, or a dense solve, gives the pairs; one fresh product of the k
     reported columns must verify their residuals below 1e-6 * scale or
@@ -176,14 +177,12 @@ def solve_smallest(apply_h, n: int, k: int, precond=None) -> SpectrumReport:
     scale = operator_scale(apply_h, n)
     tol_eig = 1e-8 * scale
 
-    precond = EUCLIDEAN if precond is None else precond
-    width = k + _GUARD
-    if n <= max(_DENSE_CUTOFF, 5 * width + 5):
+    if n <= _DENSE_CUTOFF:
         h = apply_h(np.eye(n))
         w, v = np.linalg.eigh(0.5 * (h + h.T))
         iterations = 0
     else:
-        x = make_rng(0, "spectrum:init").normal(size=(n, width))
+        x = make_rng(0, "spectrum:init").normal(size=(n, k + _GUARD))
         precond.add_lowest_modes(x)
         w, v, iterations = lobpcg(apply_h, x, k=k, tol=1e-8 * scale, maxiter=_MAXITER, precond=precond)
     w, v = w[:k], v[:, :k]

@@ -72,31 +72,24 @@ class System:
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        # one contiguous row per column, and the large arrays written in
-        # place: at 64^2 fresh temporaries cost more than the arithmetic
-        cols = np.ascontiguousarray(v.reshape(v.shape[0], -1).T)
+        cols = v.reshape(v.shape[0], -1).T
         hv = np.zeros_like(cols)
         live = np.flatnonzero(cols.any(axis=1))
         if live.size:
-            m = live.size
             step = np.array([[default_probe_length(x, cols[j]) if l is None else float(l)] for j in live])
-            probes = np.empty((2 * m, x.size))  # x + step v above x - step v
-            np.multiply(step, cols[live], out=probes[m:])
-            np.add(x, probes[m:], out=probes[:m])
-            np.subtract(x, probes[m:], out=probes[m:])
-            g = self.gradients(probes)
-            diff = np.subtract(g[:m], g[m:], out=g[:m])
-            hv[live] = np.divide(diff, 2.0 * step, out=diff)
-        return np.ascontiguousarray(hv.T).reshape(v.shape)
+            d = step * cols[live]
+            g = self.gradients(np.concatenate([x + d, x - d]))
+            hv[live] = (g[: live.size] - g[live.size :]) / (2.0 * step)
+        return hv.T.reshape(v.shape)
 
 
 class _Identity:
-    """M = I: ``solve``, ``apply`` and a call (LOBPCG's ``M=``) return their argument."""
+    """M = I: ``solve`` and ``apply`` return their argument."""
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return v
 
-    apply = __call__ = solve
+    apply = solve
 
     def add_lowest_modes(self, x: np.ndarray) -> None:
         """Nothing: LOBPCG's start block stays the random one (``solve_smallest``)."""

@@ -21,6 +21,7 @@ from scipy.sparse.linalg import lobpcg
 
 from nematicq.field import Domain, QField
 from nematicq.qtensor import G, bulk_energy, bulk_gradient, frob2, metric_apply, sym_components, to_matrix
+from nematicq.systems import EUCLIDEAN
 
 
 def metric_matrix(domain: Domain) -> sp.csr_matrix:
@@ -119,7 +120,7 @@ def square_images(values: np.ndarray) -> list[np.ndarray]:
     return images
 
 
-def scipy_lobpcg(apply_h, x, *, k, tol, maxiter, precond=None):
+def scipy_lobpcg(apply_h, x, *, k, tol, maxiter, precond=EUCLIDEAN):
     """``scipy.sparse.linalg.lobpcg`` under the signature of ``spectrum.lobpcg``:
     (Ritz values, Ritz block, iterations run).  It ignores ``k``: every
     column, guards included, must reach ``tol`` before it stops."""
@@ -128,7 +129,7 @@ def scipy_lobpcg(apply_h, x, *, k, tol, maxiter, precond=None):
         w, v, history = lobpcg(
             apply_h,
             x,
-            M=precond,
+            M=precond.solve,
             largest=False,
             tol=tol,
             maxiter=maxiter,

@@ -139,10 +139,10 @@ def test_flow_modified_energy_never_increases():
     for seed in range(5):
         f0 = seed_field(d, "random(0.3)", seed=seed)
         for dt in (1e-3, 1e-1, 1.0, 10.0):
-            state = sav_init(f0, split)
+            state = sav_init(f0)
             m_prev = split.modified_energy(state.field.flat, state.r)
             for _ in range(200):
-                state = sav_step(state, dt, split)
+                state = sav_step(state, dt)
                 m = split.modified_energy(state.field.flat, state.r)
                 if m > m_prev + 1e-9:
                     violations += 1

@@ -274,6 +274,24 @@ class TestConfigCommands:
         assert "argument --tol: must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hedgehog", "--radius", "inf"],
+            ["hedgehog", "-R", "nan"],
+            ["hedgehog", "--radius", "0"],
+            ["maier-saupe", "--alpha", "7", "--gamma1", "nan"],
+            ["maier-saupe", "--alpha", "7", "--gamma1", "inf"],
+            ["maier-saupe", "--alpha", "7", "--gamma1", "-1"],
+        ],
+    )
+    def test_non_finite_radius_or_viscosity_exits_1(self, tmp_path, capsys, argv):
+        # an infinite radius reached the banded solver, a NaN viscosity leslie.json
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "error: argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_required(self, tmp_path, capsys):
         rc = main(["minimize", "--out", str(tmp_path)])
         assert rc == 1

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 import nematicq.energy as energy_module
 from nematicq.energy import (
@@ -456,15 +455,6 @@ class TestSineSolver:
             assert block.shape == r.shape and block.flags.c_contiguous
             assert np.all(np.abs(block - cols).max(axis=0) <= 1e-14 * np.abs(cols).max(axis=0))
             assert act(r[:, :0]).shape == (d.n_dof, 0)  # k = 0 saddle dynamics carry an empty V
-
-    def test_a_call_is_the_solve(self):
-        # LOBPCG takes the solver itself as its M=, a plain callable
-        d = make_domain(8)
-        solver = l1_operator(d)
-        assert not isinstance(solver, LinearOperator)
-        r = make_rng(8, "test:energy:sine").normal(size=(d.n_dof, 2))
-        assert np.array_equal(solver(r), solver.solve(r))
-        assert np.array_equal(solver(r[:, 0]), solver.solve(r[:, 0]))
 
     def test_one_operator_per_domain(self):
         d = make_domain(6)

@@ -24,6 +24,11 @@ def test_domain_validation():
         Domain(nx=8, ny=8, lambda2=-1.0, bulk=BULK)
     with pytest.raises(ShapeMismatch):
         Domain(nx=8, ny=8, lambda2=1.0, bulk=BULK, boundary="weird")
+    # a NaN or infinite l2/l3 would make every energy NaN, and minimize
+    # would blame the field instead
+    for l2, l3 in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.5)):
+        with pytest.raises(ShapeMismatch, match="l2 and l3 must be finite"):
+            Domain(nx=8, ny=8, lambda2=1.0, bulk=BULK, l2=l2, l3=l3)
 
 
 def test_grid_geometry():

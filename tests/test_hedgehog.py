@@ -56,6 +56,9 @@ class TestSolveProfile:
     def test_validation(self):
         with pytest.raises(ValidationError):
             solve_profile(BULK, R=0.0, N=128)
+        for radius in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                solve_profile(BULK, R=radius, N=128)
         with pytest.raises(ValidationError):
             solve_profile(BULK, R=10.0, N=32)
 

@@ -178,9 +178,9 @@ def count(monkeypatch, owner, name, calls):
 def chained_state(d, nsteps=2, dt=0.5):
     """A state reached by sav_step, so it carries q_prev and L q + c."""
     split = sav_split(d)
-    state = sav_init(seed_field(d, "random(0.2)", seed=1), split)
+    state = sav_init(seed_field(d, "random(0.2)", seed=1))
     for _ in range(nsteps):
-        state = sav_step(state, dt, split)
+        state = sav_step(state, dt)
     return split, state
 
 
@@ -205,7 +205,7 @@ class TestStepWork:
             count(monkeypatch, sav, name, calls)
         count(monkeypatch, SineSolver, "solve", calls)
         count(monkeypatch, split, "l_apply", calls)
-        out = sav_step(state, dt, split)
+        out = sav_step(state, dt)
         monkeypatch.undo()
         return out, calls
 
@@ -246,7 +246,7 @@ class TestStepWork:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         monkeypatch.setattr(split, "l_apply", tracked)
-        sav_step(state, 0.5, split)
+        sav_step(state, 0.5)
         monkeypatch.undo()
         assert ("metric_apply", True) in calls
         assert all(within for _, within in calls)
@@ -314,7 +314,7 @@ class TestCarriedLinearGradient:
         # a hand-built state has it computed afresh, to the same next field
         bare = SavState(state.field, state.r, state.q_prev, state.step, state.time)
         assert bare.linear_gradient is None
-        assert np.array_equal(sav_step(bare, 0.5, split).field.flat, sav_step(state, 0.5, split).field.flat)
+        assert np.array_equal(sav_step(bare, 0.5).field.flat, sav_step(state, 0.5).field.flat)
 
     @pytest.mark.parametrize("boundary, l23", LINEAR_CASES)
     def test_flow_measure_is_the_gradient(self, monkeypatch, boundary, l23):
@@ -355,11 +355,11 @@ class TestStep:
         # step with an error that survives python -O
         d = tangent_domain(4)
         f = seed_field(d, "random(0.3)", seed=5)
-        split = SavSplit(d)
-        state = sav_init(f, split)
+        split = sav_split(d)
+        state = sav_init(f)
         split.c0 -= split.f1(f.flat)
         with pytest.raises(SolveError, match="floor"):
-            sav_step(state, 0.1, split)
+            sav_step(state, 0.1)
 
     def test_dt_validation(self):
         d = tangent_domain(4)
@@ -393,10 +393,10 @@ class TestStep:
     def test_modified_energy_monotone(self, dt):
         d = tangent_domain(8, lambda2=5.0)
         split = sav_split(d)
-        state = sav_init(seed_field(d, "random(0.8)", seed=int(dt * 1000) % 97), split)
+        state = sav_init(seed_field(d, "random(0.8)", seed=int(dt * 1000) % 97))
         em = [split.modified_energy(state.field.flat, state.r)]
         for _ in range(50):
-            state = sav_step(state, dt, split)
+            state = sav_step(state, dt)
             em.append(split.modified_energy(state.field.flat, state.r))
         em = np.array(em)
         assert np.all(np.diff(em) <= 1e-9 * (1.0 + np.abs(em[:-1])))
@@ -404,10 +404,10 @@ class TestStep:
     def test_modified_energy_monotone_with_l2_l3(self):
         d = tangent_domain(6, lambda2=5.0, l2=0.5, l3=0.3)
         split = sav_split(d)
-        state = sav_init(seed_field(d, "random(0.6)", seed=9), split)
+        state = sav_init(seed_field(d, "random(0.6)", seed=9))
         em = [split.modified_energy(state.field.flat, state.r)]
         for _ in range(20):
-            state = sav_step(state, 1.0, split)
+            state = sav_step(state, 1.0)
             em.append(split.modified_energy(state.field.flat, state.r))
         assert np.all(np.diff(np.array(em)) <= 1e-9)
 
@@ -439,10 +439,10 @@ class TestStep:
         t_final = 1.0
 
         def worst_drift(dt):
-            state = sav_init(QField.from_flat(d, q0), split)
+            state = sav_init(QField.from_flat(d, q0))
             drift = 0.0
             for _ in range(round(t_final / dt)):
-                state = sav_step(state, dt, split)
+                state = sav_step(state, dt)
                 drift = max(drift, abs(state.r ** 2 - split.f1(state.field.flat)))
             return drift
 
@@ -455,10 +455,10 @@ class TestStep:
         split = sav_split(d)
         sy = LdGSystem(d)
         f0 = smoothed_start(d, "random(0.5)", 13)
-        state = sav_init(f0, split)
+        state = sav_init(f0)
         x = f0.flat
         for _ in range(100):
-            state = sav_step(state, 1e-4, split)
+            state = sav_step(state, 1e-4)
             x = x - 1e-4 * sy.gradient(x)
         assert np.abs(state.field.flat - x).max() < 1e-5
 
@@ -545,9 +545,9 @@ class TestFlow:
         states, rows = [], []
         step = sav.sav_step
 
-        def kept(state, dt, split=None):
+        def kept(state, dt):
             states.append(state)
-            return step(state, dt, split)
+            return step(state, dt)
 
         monkeypatch.setattr(sav, "sav_step", kept)
         out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=9), dt=0.5, tol_grad=1e-6, trace=rows)

@@ -3,6 +3,7 @@
 import sys
 import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from nematicq.errors import NoConvergence, ShapeMismatch
 from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams
-from nematicq.spectrum import _GUARD, _MAXITER, operator_scale, smallest_eigs, solve_smallest
+from nematicq.spectrum import _DENSE_CUTOFF, _GUARD, _MAXITER, operator_scale, smallest_eigs, solve_smallest
 from nematicq.systems import EUCLIDEAN, make_rng
 from nematicq.toys import DiagQuadratic, Quartic2D
 from oracles import elastic_matrix, metric_matrix, scipy_lobpcg
@@ -25,12 +26,12 @@ BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
 
 
 def unpreconditioned(sy, x, k):
-    """The smallest_eigs solve with LOBPCG run without a preconditioner."""
+    """The smallest_eigs solve with LOBPCG run in the identity metric."""
 
     def apply_h(v):
         return sy.hessian_vec(x, v)
 
-    return solve_smallest(apply_h, x.size, k, precond=None)
+    return solve_smallest(apply_h, x.size, k)
 
 
 def test_known_spectrum_diag_small_dense_path():
@@ -102,6 +103,28 @@ def test_quartic_hessians():
     assert rep.morse_index == 0 and rep.stable
 
 
+class DiagonalMetric:
+    """M = diag(m), m ascending, recording the shapes ``solve`` and
+    ``add_lowest_modes`` see."""
+
+    def __init__(self, m):
+        self.m = m
+        self.solves, self.starts = [], []
+
+    def solve(self, r):
+        self.solves.append(r.shape)
+        return (r.T / self.m).T
+
+    def apply(self, v):
+        return (v.T * self.m).T
+
+    def add_lowest_modes(self, x):
+        """sqrt(n) e_j, M's j-th lowest eigenvector, added to column j."""
+        self.starts.append(x.shape)
+        n, width = x.shape
+        x[np.arange(width), np.arange(width)] += np.sqrt(n)
+
+
 def record_lobpcg_blocks(monkeypatch) -> list:
     """Record the start block of every LOBPCG call that ``solve_smallest`` makes."""
     blocks = []
@@ -136,11 +159,14 @@ class TestGuardColumns:
         assert len(blocks) == 1
         assert err.value.iterations == 2
 
-    def test_dense_cutoff_counts_the_guard(self):
-        k, n = 30, 165  # n = 5 (k + 2) + 5 > 5 k + 5: dense only when the guard is counted
-        rep = smallest_eigs(DiagQuadratic(np.arange(1.0, n + 1.0)), np.zeros(n), k=k)
-        assert rep.iterations == 0
-        assert rep.eigenvalues == pytest.approx(np.arange(1.0, k + 1.0), abs=1e-12)
+    def test_dense_cutoff_is_the_size_alone(self):
+        """Dense up to _DENSE_CUTOFF and LOBPCG above it, whatever k: at
+        k = 30, n = 161 still holds the 3 (k + 2) rows of [X; W; P]."""
+        k = 30
+        for n in (_DENSE_CUTOFF, _DENSE_CUTOFF + 1):
+            rep = smallest_eigs(DiagQuadratic(np.arange(1.0, n + 1.0)), np.zeros(n), k=k)
+            assert (rep.iterations > 0) == (n > _DENSE_CUTOFF)
+            assert rep.eigenvalues == pytest.approx(np.arange(1.0, k + 1.0), abs=1e-7)
 
 
 class TestFreshCheck:
@@ -178,12 +204,12 @@ class TestStartBlock:
     """LOBPCG starts from the fixed random block plus the metric's k + 2
     lowest eigenvectors; the identity adds none."""
 
-    @pytest.mark.parametrize("precond", [None, EUCLIDEAN], ids=["none", "euclidean"])
-    def test_identity_start_is_the_random_block(self, precond, monkeypatch):
+    @pytest.mark.parametrize("metric", [{}, {"precond": EUCLIDEAN}], ids=["default", "euclidean"])
+    def test_identity_start_is_the_random_block(self, metric, monkeypatch):
         blocks = record_lobpcg_blocks(monkeypatch)
         n, k = 300, 2
         sy = DiagQuadratic(np.linspace(-1.0, 4.0, n))
-        solve_smallest(partial(sy.hessian_vec, np.ones(n)), n, k, precond=precond)
+        solve_smallest(partial(sy.hessian_vec, np.ones(n)), n, k, **metric)
         assert np.array_equal(blocks[0], make_rng(0, "spectrum:init").normal(size=(n, k + _GUARD)))
 
     def test_sine_modes_are_the_lowest_eigenvectors_of_l1(self):
@@ -385,7 +411,6 @@ class TestLdGSpectrum:
         gen = make_rng(4, "test:spectrum:precond")
         v = gen.normal(size=(sy.n, 2))
         assert np.allclose(pre.solve(pre.apply(v)), v, rtol=0, atol=1e-10)
-        assert np.array_equal(pre(v[:, 0]), pre.solve(v[:, 0]))
         m = pre.apply(np.eye(sy.n))
         assert np.allclose(m, m.T) and np.linalg.eigvalsh(m).min() > 0.0
 
@@ -477,18 +502,40 @@ class TestLobpcgLoop:
         apply_h = partial(DiagQuadratic(diag).hessian_vec, np.zeros(n))
         widths = []
 
-        def precond(r):
+        def solve(r):
             assert np.linalg.norm(r, axis=0).min() > tol
             widths.append(r.shape[1])
             return r / (diag + 1.0)[:, None]
 
         x0 = np.linalg.qr(make_rng(5, "test:spectrum:shrink").normal(size=(n, k + _GUARD)))[0]
+        precond = SimpleNamespace(solve=solve)
         w, v, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol, maxiter=_MAXITER, precond=precond)
         assert len(widths) == iterations and widths[0] == k + _GUARD
         assert min(widths) < k + _GUARD
         ref_w, ref_v = np.linalg.eigh(np.diag(diag))
         assert np.abs(w[:k] - ref_w[:k]).max() <= 1e-10
         assert np.abs(np.abs(np.einsum("ij,ij->j", v[:, :k], ref_v[:, :k])) - 1.0).max() <= 1e-10
+
+    def test_a_metric_is_an_object_without_a_call(self):
+        """``solve_smallest`` and ``lobpcg`` take a metric as the object every
+        solver takes: ``solve`` (M^-1, on blocks), ``apply`` and
+        ``add_lowest_modes``; nothing calls it."""
+        n, k = 300, 3
+        diag = np.linspace(-1.0, 4.0, n)
+        apply_h = partial(DiagQuadratic(diag).hessian_vec, np.zeros(n))
+        metric = DiagonalMetric(np.linspace(1.0, 2.0, n))
+        assert not callable(metric)
+        rep = solve_smallest(apply_h, n, k, precond=metric)
+        assert metric.starts == [(n, k + _GUARD)]
+        assert 0 < len(metric.solves) == rep.iterations
+        assert all(len(shape) == 2 for shape in metric.solves)
+        assert rep.eigenvalues == pytest.approx(diag[:k], abs=1e-7)
+        metric.solves.clear()
+        x0 = make_rng(7, "test:spectrum:metric").normal(size=(n, k + _GUARD))
+        tol = 1e-8 * np.abs(diag).max()
+        w, _, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol, maxiter=_MAXITER, precond=metric)
+        assert 0 < len(metric.solves) == iterations
+        assert w[:k] == pytest.approx(diag[:k], abs=1e-7)
 
     def test_peak_memory_at_most_scipys_32x32(self, monkeypatch):
         d = Domain(nx=32, ny=32, lambda2=5.0, bulk=BULK, boundary="planar")

@@ -93,7 +93,7 @@ def test_a_system_without_a_preconditioner_gets_the_identity_metric():
     assert np.array_equal(lbfgs_direction(g, pairs, 0.7), lbfgs_direction(g, pairs, 0.7, EUCLIDEAN))
     for d in (-g, g):
         assert np.array_equal(ensure_descent(g, d), ensure_descent(g, d, EUCLIDEAN))
-    assert np.array_equal(EUCLIDEAN.apply(g), g) and np.array_equal(EUCLIDEAN(g), g)
+    assert np.array_equal(EUCLIDEAN.apply(g), g) and np.array_equal(EUCLIDEAN.solve(g), g)
 
 
 def test_identity_metric_leaves_lobpcg_unchanged():
@@ -101,10 +101,10 @@ def test_identity_metric_leaves_lobpcg_unchanged():
     sy = DiagQuadratic(d)
     x = np.ones(300)
 
-    def solve(precond):
-        return solve_smallest(lambda v: sy.hessian_vec(x, v), 300, 4, precond=precond)
+    def solve(**metric):
+        return solve_smallest(lambda v: sy.hessian_vec(x, v), 300, 4, **metric)
 
-    plain, identity = solve(None), solve(EUCLIDEAN)
+    plain, identity = solve(), solve(precond=EUCLIDEAN)
     assert plain.iterations > 0
     assert np.array_equal(plain.eigenvalues, identity.eigenvalues)
     assert np.array_equal(plain.eigenvectors, identity.eigenvectors)
