@@ -4,10 +4,13 @@ The auxiliary-variable scheme keeps its modified energy non-increasing
 at any step size.  This demo runs the same relaxation with step sizes
 spanning four orders of magnitude, counts violations (none), then runs
 `flow_to_equilibrium`, whose relaxed scalar and step ladder keep that
-guarantee, from each of those step sizes to equilibrium.  It exits with
-status 1 if the modified energy rises anywhere or a flow does not
-converge.  Last it shows the flow landing on the same state as direct
-minimization.
+guarantee, from each of those step sizes to equilibrium; its Newton
+endgame keeps it on the Newton rows too.  It then flows a 32x32 start at
+lambda2 = 50, where Newton steps that take an indefinite Hessian land on
+a saddle, and certifies the end state.  It exits with status 1 if the
+modified energy rises anywhere, on a SAV or a Newton row, a flow does
+not converge, or the lambda2 = 50 flow does not end on a minimum (index 0).
+Last it shows the flow landing on the same state as direct minimization.
 """
 
 import sys
@@ -20,6 +23,7 @@ from nematicq import (
     LdGSystem,
     MinimizeOptions,
     NoConvergence,
+    classify_stationary,
     flow_to_equilibrium,
     minimize,
     sav_init,
@@ -49,7 +53,15 @@ for dt in (1e-3, 1e-1, 1.0, 10.0):
     print(f"{dt:9.0e} | {m_prev:31.10f} | {violations}")
     failures += violations
 
-print("\nfirst step | flow steps | largest relative rise of the modified energy")
+
+
+def largest_rise(rows) -> float:
+    """Largest relative rise of the modified energy between trace rows."""
+    modified = np.array([row[3] for row in rows])
+    return float(np.max(np.diff(modified) / np.abs(modified[:-1])))
+
+
+print("\nfirst step | flow steps | Newton steps | largest relative rise of the modified energy")
 for dt in (1e-3, 1e-1, 1.0, 10.0):
     rows = []
     try:
@@ -58,10 +70,19 @@ for dt in (1e-3, 1e-1, 1.0, 10.0):
         print(f"{dt:10.0e} | did not converge: {err}")
         failures += 1
         continue
-    modified = np.array([row[3] for row in rows])
-    rise = float(np.max(np.diff(modified) / np.abs(modified[:-1])))
+    rise = largest_rise(rows)
     failures += rise > 1e-12
-    print(f"{dt:10.0e} | {steps:10d} | {rise:.1e}")
+    print(f"{dt:10.0e} | {steps:10d} | {len(rows) - 1 - steps:12d} | {rise:.1e}")
+
+print("\nlambda2 = 50, 32x32, bulk (-1, 1, 1), seed 1, first step 2:")
+deep = Domain(nx=32, ny=32, lambda2=50.0, bulk=BulkParams(-1.0, 1.0, 1.0), boundary="planar")
+rows = []
+flowed, steps = flow_to_equilibrium(seed_field(deep, "random(0.2)", seed=1), dt=2.0, tol_grad=1e-8, trace=rows)
+index = classify_stationary(LdGSystem(deep), flowed.flat, tol_grad=1e-8)[0]
+rise = largest_rise(rows)
+failures += index != 0 or rise > 1e-12
+print(f"  {steps} flow steps and {len(rows) - 1 - steps} Newton steps to E = {flowed.energy():.10f}, index {index}")
+print(f"  largest relative rise of the modified energy {rise:.1e}")
 
 print("\nflow vs direct minimization from the same start:")
 flowed, steps = flow_to_equilibrium(start, dt=0.5, tol_grad=1e-8)

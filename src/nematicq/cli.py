@@ -126,9 +126,15 @@ def cmd_flow(args) -> int:
         lambda1, stable = float(spectrum[0]), index == 0
         rungs = step_ladder(f.domain, cfg.dt)
         write_field(run.path("field.csv"), f)
-        summary = {"steps": steps, "time": trace[-1][1], "step_range": [cfg.dt * 2.0**j for j in (rungs[0], rungs[-1])]}
+        # one trace row per state: the start, each SAV step, each Newton step
+        newton_steps = len(trace) - 1 - steps
+        summary = {"steps": steps, "newton_steps": newton_steps, "time": trace[-1][1]}
+        summary["step_range"] = [cfg.dt * 2.0**j for j in (rungs[0], rungs[-1])]
         write_json(run.path("flow.json"), summary | {"energy": f.energy(), "lambda1": lambda1, "stable": stable})
-    print(f"flow: steps={steps} energy={f.energy():.12g} lambda1={lambda1:.6g} stable={stable}")
+    print(
+        f"flow: steps={steps} newton_steps={newton_steps} energy={f.energy():.12g} "
+        f"lambda1={lambda1:.6g} stable={stable}"
+    )
     return 0
 
 

@@ -41,7 +41,10 @@ class Domain:
     vanishing exactly at the corners), "zero", or a callable
     (x, y) -> 5 components evaluated on boundary nodes.
     The one-constant elastic coefficient is normalized to 1; ``l2`` and
-    ``l3`` add the optional divergence and mixed-gradient terms.
+    ``l3`` add the optional divergence and mixed-gradient terms.  For a
+    plane wave with k in the plane both give |Qk|^2 <= (2/3)|Q|^2|k|^2, so
+    the elastic form is coercive exactly when l2 + l3 > -3/2 (the in-plane
+    Legendre-Hadamard condition), and anything else raises ShapeMismatch.
 
     The planar data keeps the out-of-plane component zero on the walls,
     so states whose in-plane order melts on a line (the cross state on
@@ -64,6 +67,10 @@ class Domain:
             raise ShapeMismatch(f"lambda2 must be positive, got {self.lambda2}")
         if not (np.isfinite(self.l2) and np.isfinite(self.l3)):
             raise ShapeMismatch(f"l2 and l3 must be finite, got {self.l2} and {self.l3}")
+        if not self.l2 + self.l3 > -1.5:
+            raise ShapeMismatch(
+                f"l2 + l3 must be above -3/2 for an elastic energy bounded below, got {self.l2 + self.l3}"
+            )
         if isinstance(self.boundary, str) and self.boundary not in BOUNDARY_KINDS:
             raise ShapeMismatch(f"unknown boundary kind {self.boundary!r}")
 

@@ -328,7 +328,8 @@ def write_landscape(out_dir, graph, domain: Domain | None = None) -> list[str]:
 @dataclass
 class RunConfig:
     """One JSON document driving a CLI run; unknown keys are rejected, and an
-    out-of-range value raises ConfigError, also when replace() sets it from a flag."""
+    out-of-range value raises ConfigError, also when replace() sets it from a flag;
+    a domain that ``Domain`` or ``BulkParams`` refuses raises their ShapeMismatch."""
 
     nx: int
     ny: int
@@ -365,6 +366,8 @@ class RunConfig:
             *head, last = BOUNDARY_KINDS
             kinds = ", ".join(map(repr, head)) + f" or {last!r}"
             raise ConfigError(f"config key 'boundary' must be {kinds}, got {self.boundary!r}")
+        # the domain's own checks (grid, lambda2, l2 + l3, bulk), before a run writes anything
+        self.domain()
 
     def domain(self) -> Domain:
         return Domain(

@@ -15,16 +15,19 @@ system that brings none.
 
 Once the gradient inf-norm of a search has fallen a decade below its
 start, the search tries a guarded Newton endgame (Newton-Krylov, Knoll
-and Keyes, J. Comput. Phys. 193, 2004): each step solves H d = -g by
-MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975), which
-takes the indefinite H, preconditioned by M^-1.  Newton heads for the
-nearest stationary point of any index, so the endgame is kept only when
-its first step points along the last dynamics step (cos_M >= 1/2),
-every step lowers the gradient inf-norm, the energy never rises when
-k = 0, and it reaches the search's tolerance within 10 steps; otherwise
-it is discarded and the dynamics go on from where they were, with the
-next attempt a decade further down.  The certificate alone decides the
-index of a landing, polished or not.
+and Keyes, J. Comput. Phys. 193, 2004; ``minimize._polish``, which the
+gradient flow shares): each step solves H d = -g preconditioned by
+M^-1, for k > 0 by MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12,
+1975), which takes the indefinite H, and for k = 0 by conjugate
+gradients that give up at the first direction of non-positive
+curvature.  Newton heads for the nearest stationary point of any
+index, so the endgame is kept only when its first step points along
+the last dynamics step (cos_M >= 1/2), every step lowers the gradient
+inf-norm, the energy never rises when k = 0, and it reaches the
+search's tolerance within 10 steps; otherwise it is discarded and the
+dynamics go on from where they were, with the next attempt a decade
+further down.  The certificate alone decides the index of a landing,
+polished or not.
 
 Verified stationary points become SaddleRecords, which keep the
 eigenvectors of their certificate; repeated downward (and optionally
@@ -43,9 +46,9 @@ from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import NoConvergence, NotStationary, ShapeMismatch, ValidationError, WrongIndex
+from .minimize import _polish
 from .spectrum import SpectrumReport, operator_scale, smallest_eigs
 from .systems import EUCLIDEAN, System, preconditioner_of, symmetries_of
 
@@ -72,11 +75,6 @@ __all__ = [
 _BLOW_FACTOR = 1e6
 _RADIUS_FACTOR = 1e3
 _SCALE_CHECK_EVERY = 25
-# The Newton endgame: MINRES relative tolerance, steps per attempt, and the
-# least M-cosine between the first Newton step and the last dynamics step
-_NEWTON_RTOL = 1e-10
-_NEWTON_STEPS = 10
-_NEWTON_COS = 0.5
 # Two landscape records are one node when their field distance is below
 # _TOL_X times the field scale (and their energies agree); a branch start is
 # the image of another within a tenth of that.
@@ -331,9 +329,9 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
         if g_inf < opts.tol_grad:
             return _Landing(state.x, e_state, g_inf, it, 0)
         if x_prev is not None and g_inf < polish_below:
-            polished = _polish(system, state.x, e_state, g, k, state.x - x_prev, opts.tol_grad)
-            if polished is not None:
-                return _Landing(*polished[:3], it, polished[3])
+            path = _polish(system, state.x, e_state, g, k, state.x - x_prev, opts.tol_grad)
+            if path is not None:
+                return _Landing(*path[-1], it, len(path))
             polish_below = 0.1 * g_inf
         if k and it and it % _SCALE_CHECK_EVERY == 0:
             # curvature can grow along the way; keep the step below 1/|M^-1 H|
@@ -359,46 +357,6 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
         iterations=opts.max_iters,
         residual=g_inf,
     )
-
-
-def _polish(
-    system: System, x: np.ndarray, e: float, g: np.ndarray, k: int, move: np.ndarray, tol_grad: float
-):
-    """Guarded Newton steps from x (energy e, gradient g) to a gradient
-    inf-norm below tol_grad; `move` is the last dynamics step into x.
-
-    Each step solves H d = -g by MINRES at relative tolerance
-    _NEWTON_RTOL, preconditioned by M^-1.  Returns (x, energy, |g|inf,
-    steps) at the first point below tol_grad, or None when a guard fails:
-    the first step makes an M-cosine below _NEWTON_COS with `move`, a
-    step does not lower |g|inf, or (k = 0) raises the energy, or
-    _NEWTON_STEPS steps do not reach tol_grad.
-    """
-    precond = preconditioner_of(system)
-    n = x.size
-    m_inv = LinearOperator((n, n), matvec=precond.solve, dtype=float)
-    g_inf = float(np.abs(g).max())
-    for steps in range(1, _NEWTON_STEPS + 1):
-        h = LinearOperator((n, n), matvec=lambda w, y=x: system.hessian_vec(y, w), dtype=float)
-        d = minres(h, -g, rtol=_NEWTON_RTOL, M=m_inv)[0]
-        if steps == 1:
-            pair = np.column_stack([d, move])
-            gram = pair.T @ precond.apply(pair)
-            if gram[0, 1] < _NEWTON_COS * np.sqrt(gram[0, 0] * gram[1, 1]):
-                return None
-        x = x + d
-        if not np.all(np.isfinite(x)):
-            return None
-        e_new, g = system.energy_gradient(x)
-        g_new = float(np.abs(g).max())
-        if not (np.isfinite(e_new) and g_new < g_inf):
-            return None
-        if k == 0 and e_new > e + 1e-12 * (1.0 + abs(e)):
-            return None
-        e, g_inf = e_new, g_new
-        if g_inf < tol_grad:
-            return x, e, g_inf, steps
-    return None
 
 
 def _branch_searches(

@@ -19,14 +19,25 @@ along -M^-1 g, where M is the system's SPD metric (``preconditioner_of``:
 the identity for a system that brings none).  With M the SAV flow's
 linear operator L1 of a tensor-field system the iteration count no
 longer grows with the grid.
+
+``_polish`` is the guarded Newton endgame that finishes both the saddle
+searches (``hisd``) and the gradient flow (``sav``).  Its step solves
+H d = -g preconditioned by M^-1: for a descent (k = 0) by conjugate
+gradients that give up at the first direction of non-positive curvature
+(Steihaug, SIAM J. Numer. Anal. 20, 1983; Nocedal and Wright, Numerical
+Optimization, ch. 7), so it never heads for a saddle, and for an index-k
+search by MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975),
+which takes the indefinite H.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import ValidationError
 from .spectrum import smallest_eigs  # noqa: F401  no caller here; perfbench/tracing.py rebinds minimize.smallest_eigs
@@ -48,6 +59,11 @@ _MAX_BACKTRACKS = 60
 # rounding band of E in ulps, and Hager and Zhang's delta
 _BAND_ULPS = 16
 _DELTA = 0.1
+# The Newton endgame: linear-solve relative tolerance, steps per attempt, and
+# the least M-cosine between the first Newton step and the caller's last move
+_NEWTON_RTOL = 1e-10
+_NEWTON_STEPS = 10
+_NEWTON_COS = 0.5
 
 
 @dataclass
@@ -183,3 +199,76 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
         n_grad=n_eval,
     )
 
+
+def _descent_step(hess, g: np.ndarray, precond) -> np.ndarray | None:
+    """d with H d = -g by conjugate gradients from 0, preconditioned by M^-1
+    (``precond.solve``), to a residual whose M^-1-norm is below _NEWTON_RTOL
+    times g's; None at the first direction p with p.Hp <= 0 or when g.size
+    iterations do not get there."""
+    d = np.zeros_like(g)
+    r = -g
+    z = precond.solve(r)
+    p, rz = z, float(r @ z)
+    stop = _NEWTON_RTOL**2 * rz
+    for _ in range(g.size):
+        hp = hess(p)
+        curvature = float(p @ hp)
+        if not curvature > 0.0:
+            return None
+        alpha = rz / curvature
+        d += alpha * p
+        r -= alpha * hp
+        z = precond.solve(r)
+        rz, rz_prev = float(r @ z), rz
+        if rz <= stop:
+            return d
+        p = z + (rz / rz_prev) * p
+    return None
+
+
+def _polish(system: System, x: np.ndarray, e: float, g: np.ndarray, k: int, move: np.ndarray, tol_grad: float):
+    """Guarded Newton steps from x (energy e, gradient g) toward an index-k
+    stationary point, to a gradient inf-norm below tol_grad; `move` is the
+    caller's last step into x (or, for a flow, -M^-1 g).
+
+    Each step solves H d = -g preconditioned by M^-1: by ``_descent_step``'s
+    CG when k = 0, by MINRES at relative tolerance _NEWTON_RTOL otherwise.
+    Returns the (x, energy, |g|inf) of every step, the last below tol_grad,
+    or None when a guard fails: the CG solve meets non-positive curvature or
+    does not converge, the first step makes an M-cosine below _NEWTON_COS
+    with `move`, a step does not lower |g|inf, or (k = 0) raises the energy,
+    or _NEWTON_STEPS steps do not reach tol_grad.
+    """
+    precond = preconditioner_of(system)
+    n = x.size
+    g_inf = float(np.abs(g).max())
+    path = []
+    for _ in range(_NEWTON_STEPS):
+        hess = partial(system.hessian_vec, x)
+        if k == 0:
+            d = _descent_step(hess, g, precond)
+            if d is None:
+                return None
+        else:
+            h_op = LinearOperator((n, n), matvec=hess, dtype=float)
+            m_inv = LinearOperator((n, n), matvec=precond.solve, dtype=float)
+            d = minres(h_op, -g, rtol=_NEWTON_RTOL, M=m_inv)[0]
+        if not path:
+            # the M-cosine of d and move
+            md = precond.apply(d)
+            if float(move @ md) < _NEWTON_COS * np.sqrt(float(d @ md) * float(move @ precond.apply(move))):
+                return None
+        x = x + d
+        if not np.all(np.isfinite(x)):
+            return None
+        e_new, g = system.energy_gradient(x)
+        g_new = float(np.abs(g).max())
+        if not (np.isfinite(e_new) and g_new < g_inf):
+            return None
+        if k == 0 and e_new > e + 1e-12 * (1.0 + abs(e)):
+            return None
+        e, g_inf = e_new, g_new
+        path.append((x, e, g_inf))
+        if g_inf < tol_grad:
+            return path
+    return None

@@ -161,7 +161,9 @@ class BulkParams:
 
     ``a`` carries the temperature; optionally record the linear law
     a = thermal_slope * (T - t_star) so that critical temperatures can be
-    reported.  b and c must be positive.
+    reported.  b and c must not be negative, and c = 0 needs b = 0 and
+    a >= 0 (quadratic-only diagnostics): otherwise the density is not
+    bounded below.
     """
 
     a: float
@@ -179,6 +181,10 @@ class BulkParams:
         # coefficients never are.
         if self.b < 0 or self.c < 0:
             raise ShapeMismatch(f"bulk coefficients need b, c >= 0, got b={self.b}, c={self.c}")
+        if self.c == 0 and not (self.b == 0 and self.a >= 0):
+            raise ShapeMismatch(
+                f"c = 0 needs b = 0 and a >= 0 for a bulk energy bounded below, got a={self.a}, b={self.b}"
+            )
 
 
 def _density(p: BulkParams, f2, t3):

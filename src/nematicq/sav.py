@@ -21,7 +21,16 @@ by exactly |delta|^2 / h.  `flow_to_equilibrium` runs it to a stationary
 field.  It relaxes r toward sqrt(F1) within 0.99 of each step's dissipation
 (relaxed SAV, Jiang, Zhang and Zhao, J. Comput. Phys. 456, 2022), and
 cycles h over a power-of-2 ladder whose rungs 2/lambda span L's spectrum:
-a step of size h annihilates the eigenmode lambda = 2/h.
+a step of size h annihilates the eigenmode lambda = 2/h.  Its tail still
+converges only linearly, on modes below L's spectrum, so once the measure
+is a decade below its start value (and a decade further down after each
+rejected attempt) the flow tries the saddle searches' guarded Newton
+endgame at k = 0 (``minimize._polish``): CG steps on H d = -g that stop at
+the first direction of non-positive curvature, so they never head for a
+saddle, with no energy rise and a falling gradient.  Each Newton step adds
+a trace row whose r^2 = min(F1, M - 1/2 q.Lq - c.q), M the modified energy
+before it, so the modified energy still never rises.  `max_steps` and the
+returned step count cover the SAV steps only.
 
 A step costs one bulk pass at the extrapolated field, two sine solves
 and one elastic apply, L q+ + c on the new field: it checks the step
@@ -43,7 +52,8 @@ from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/
 
 from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
 from .field import Domain, QField
-from .energy import elastic_apply, elastic_shift_vector, free_energy, gradient, l1_operator, linear_shift
+from .energy import LdGSystem, elastic_apply, elastic_shift_vector, free_energy, gradient, l1_operator, linear_shift
+from .minimize import _polish
 from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_energy_uniaxial, metric_apply
 from .qtensor import bulk_gradient  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.bulk_gradient
 
@@ -253,6 +263,29 @@ def step_ladder(domain: Domain, dt: float) -> range:
     return range(min(0, floor(log2(lo))), max(0, ceil(log2(hi))) + 1)
 
 
+def _newton_rows(split: SavSplit, system: LdGSystem, q: np.ndarray, energy: float, grad: np.ndarray,
+                 modified: float, tol_grad: float):
+    """The flow's Newton endgame from q (energy, gradient grad, modified energy
+    `modified`): ``_polish`` at k = 0 with move -M^-1 grad.  Returns the
+    (field, energy, modified energy, |g|inf) of each accepted Newton step, or
+    None.  A step's r^2 = min(F1(q+), M - 1/2 q+.Lq+ - c.q+), M the modified
+    energy before it, so the modified energy never rises; an r^2 that is not
+    positive rejects the attempt."""
+    path = _polish(system, q, energy, grad, 0, -l1_operator(split.domain).solve(grad), tol_grad)
+    if path is None:
+        return None
+    rows = []
+    for x, e, g in path:
+        f1 = split.f1(x)
+        # 1/2 x.Lx + c.x + const = e - F1(x)
+        r2 = min(f1, modified - (e - f1))
+        if not r2 > 0.0:
+            return None
+        modified = (e - f1) + r2
+        rows.append((x, e, modified, g))
+    return rows
+
+
 def flow_to_equilibrium(
     init: QField,
     dt: float,
@@ -260,20 +293,36 @@ def flow_to_equilibrium(
     max_steps: int = 100_000,
     trace: list | None = None,
 ) -> tuple[QField, int]:
-    """Step sav_step until the true gradient inf-norm drops below tol_grad.
+    """Step sav_step until the true gradient inf-norm drops below tol_grad,
+    finishing by a guarded Newton endgame once the flow is near a minimum.
 
-    Returns (field, steps).  A stationary input returns after 0 steps.
-    The first step has size dt; the next ones go up `step_ladder`'s rungs
-    dt 2^j and wrap to its smallest.  `trace`, if given, collects (step,
-    time, energy, modified_energy, grad_inf_norm) rows suitable for the
-    trajectory CSV, built from the carried L q + c and the measure's F1.
-    Stability of the returned field is the caller's to certify.
+    Returns (field, steps), steps the SAV steps taken; `max_steps` bounds
+    them and no Newton step counts toward either.  A stationary input
+    returns after 0 steps.  The first step has size dt; the next ones go up
+    `step_ladder`'s rungs dt 2^j and wrap to its smallest.  `trace`, if
+    given, collects (step, time, energy, modified_energy, grad_inf_norm)
+    rows suitable for the trajectory CSV, built from the carried L q + c
+    and the measure's F1, one per state.  Stability of the returned field
+    is the caller's to certify.
 
     Each state gets one bulk pass: its measure |L q + c + grad F1(q)|inf,
     `gradient` up to rounding and confirmed below tol_grad by a fresh
     `gradient` before the field is returned, and F1(q), which relaxes r:
     after a step delta of size h from sav_step's r~, r^2 = min(F1,
     r~^2 + _ETA |delta|^2 / h), so the modified energy never rises.
+
+    Once the measure is a decade below its start value, and again a decade
+    further down after each rejected attempt, the flow tries the saddle
+    searches' Newton endgame (``minimize._polish``) at k = 0 on
+    ``LdGSystem(init.domain)``, its first step checked against -M^-1 g:
+    CG steps on H d = -g that stop at the first direction of non-positive
+    curvature, so a landing is never a saddle, with no energy rise and a
+    falling |g|inf.  An accepted attempt returns its last Newton iterate
+    and adds a trace row per Newton step, numbered on from the last SAV
+    row at that row's time, whose modified energy takes r^2 = min(F1(q+),
+    M - 1/2 q+.Lq+ - c.q+), M the row before; an r^2 that is not positive
+    rejects the attempt.
+
     A non-finite field or measure raises NoConvergence at its step, and
     a bad dt (not finite, or without a finite `step_ladder`), tol_grad or
     max_steps raises ValidationError before any.
@@ -281,23 +330,36 @@ def flow_to_equilibrium(
     if not (0.0 < dt < np.inf and 0.0 < tol_grad < np.inf and max_steps >= 0):
         raise ValidationError(f"need finite dt > 0 and tol_grad > 0 and max_steps >= 0, got {dt}, {tol_grad}, {max_steps}")
     split = sav_split(init.domain)
+    system = LdGSystem(init.domain)
     rungs = step_ladder(init.domain, dt)
     sizes = (dt * 2.0**j for j in chain(range(rungs.stop), cycle(rungs)))
     state, bound = sav_init(init), np.inf
     while True:
         q, lin = state.field.flat, state.linear_gradient
-        f1, g = split.f1_grad_f1(q)
+        f1, grad = split.f1_grad_f1(q)
         state = replace(state, r=float(np.sqrt(min(f1, bound))))
-        g += lin
-        g = float(np.abs(g, out=g).max())
+        grad += lin
+        g = float(np.abs(grad).max())
+        # 1/2 q.Lq + c.q + const from the carried L q + c
+        quad = 0.5 * float(q @ (lin - split.shift)) + float(split.shift @ q) + split._constant
+        modified = quad + state.r * state.r
         if trace is not None:
-            # 1/2 q.Lq + c.q + const from the carried L q + c
-            quad = 0.5 * float(q @ (lin - split.shift)) + float(split.shift @ q) + split._constant
-            trace.append((state.step, state.time, quad + f1, quad + state.r * state.r, g))
+            trace.append((state.step, state.time, quad + f1, modified, g))
         if not np.isfinite(g):
             raise NoConvergence(f"the flow left finite values at step {state.step}", iterations=state.step, residual=g)
         if g < tol_grad and float(np.abs(gradient(split.domain, state.field.values)).max()) < tol_grad:
             return state.field, state.step
+        if state.step == 0:
+            polish_below = 0.1 * g
+        elif g < polish_below:
+            rows = _newton_rows(split, system, q, quad + f1, grad, modified, tol_grad)
+            if rows is not None:
+                if trace is not None:
+                    trace.extend((state.step + i, state.time, *row[1:]) for i, row in enumerate(rows, 1))
+                # a copy: returning the Newton iterate itself, allocated amid the solves'
+                # temporaries, left relax64's peak RSS 1.1 MB higher (a heap-layout effect)
+                return QField.from_flat(split.domain, rows[-1][0]).copy(), state.step
+            polish_below = 0.1 * g
         if state.step == max_steps:
             msg = f"gradient inf-norm {g:.3e} above {tol_grad:.3e} after {max_steps} steps"
             raise NoConvergence(msg, iterations=max_steps, residual=g)

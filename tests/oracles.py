@@ -48,6 +48,39 @@ def elastic_matrix(domain: Domain) -> sp.csr_matrix:
     return sp.kron(a, G, format="csr")
 
 
+def elastic_form(domain: Domain, l2: float, l3: float) -> np.ndarray:
+    """Dense homogeneous elastic form on the grid of `domain` with the l2/l3
+    terms at (l2, l3), which may be values a Domain refuses: the one-constant
+    ``elastic_matrix`` plus, per cell, hx hy times the literal density
+    l2/2 sum_i (d_j Q_ij)^2 + l3/2 sum_ijk d_k Q_ij d_j Q_ik (j, k in x, y) of
+    the cell-centred first differences, boundary values dropped.
+    Node-major flat ordering matches ``QField.flat``.
+    """
+    nx, ny, hx, hy = domain.nx, domain.ny, domain.hx, domain.hy
+    basis = np.array([to_matrix(e) for e in np.eye(5)])  # (5, 3, 3)
+    form = elastic_matrix(domain).toarray()
+    for i in range(nx + 1):
+        for j in range(ny + 1):
+            # d/dx and d/dy of Q at the cell centre, as (3, 3, 20) maps of the
+            # corners' components; extended-grid node (a, b) is interior node (a-1, b-1)
+            corners = [(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)]
+            d = np.zeros((2, 3, 3, 20))
+            for m, (a, b) in enumerate(corners):
+                cx = (0.5 if a == i + 1 else -0.5) / hx
+                cy = (0.5 if b == j + 1 else -0.5) / hy
+                d[0, :, :, 5 * m : 5 * m + 5] = cx * basis.transpose(1, 2, 0)
+                d[1, :, :, 5 * m : 5 * m + 5] = cy * basis.transpose(1, 2, 0)
+            div = d[0, :, 0] + d[1, :, 1]  # (3, 20)
+            local = l2 * div.T @ div
+            mixed = sum(np.outer(d[k, r, c], d[c, r, k]) for r in range(3) for c in range(2) for k in range(2))
+            local += 0.5 * l3 * (mixed + mixed.T)
+            keep = [(m, 5 * ((a - 1) * ny + (b - 1))) for m, (a, b) in enumerate(corners) if 1 <= a <= nx and 1 <= b <= ny]
+            for m1, g1 in keep:
+                for m2, g2 in keep:
+                    form[g1 : g1 + 5, g2 : g2 + 5] += hx * hy * local[5 * m1 : 5 * m1 + 5, 5 * m2 : 5 * m2 + 5]
+    return form
+
+
 def sav_remainder(split, flat: np.ndarray) -> tuple[float, np.ndarray]:
     """F1 = hx hy sum(lambda2 f_b - a1/2 |Q|^2) + C0 and its gradient
     hx hy (lambda2 grad f_b - a1 G q), for the split of ``split.domain``."""

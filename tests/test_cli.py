@@ -183,7 +183,7 @@ class TestConfigCommands:
         assert payload["steps"] > 0
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "step,time,energy,modified_energy,grad_inf_norm"
-        assert len(lines) == payload["steps"] + 2
+        assert len(lines) == payload["steps"] + payload["newton_steps"] + 2
 
     def test_flow_reports_its_time_and_step_range(self, tmp_path):
         cfg = write_config(tmp_path, init="random(0.2)", tol=1e-6, dt=0.5, max_steps=3000)
@@ -194,9 +194,30 @@ class TestConfigCommands:
         assert payload["time"] == rows[-1, 1] > 0.0
         low, high = payload["step_range"]
         assert low <= 0.5 <= high and low < high
-        # every step is a rung, up to the rounding of the running sum
-        steps = np.diff(rows[:, 1])
+        # every SAV step is a rung, up to the rounding of the running sum;
+        # the Newton rows after them keep the last SAV row's time
+        sav_rows = rows[: payload["steps"] + 1]
+        steps = np.diff(sav_rows[:, 1])
         assert np.all(steps >= low * (1.0 - 1e-9)) and np.all(steps <= high * (1.0 + 1e-9))
+        assert np.all(rows[payload["steps"] + 1 :, 1] == sav_rows[-1, 1])
+        modified = rows[:, 3]
+        assert np.all(np.diff(modified) <= 1e-12 * np.abs(modified[:-1]))
+
+    def test_flow_records_its_newton_steps(self, tmp_path, capsys):
+        # the endgame's steps are counted apart from the SAV steps, each with
+        # its own trajectory row, numbered on at the last SAV row's time,
+        # under which the modified energy still never rises
+        cfg = write_config(tmp_path, nx=16, ny=16, init="random(0.2)", boundary="planar", tol=1e-8, dt=0.5)
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "flow.json").read_text())
+        steps, newton = payload["steps"], payload["newton_steps"]
+        assert newton >= 1 and f"steps={steps} newton_steps={newton} " in capsys.readouterr().out
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert rows.shape[0] == steps + newton + 1
+        assert np.array_equal(rows[:, 0], np.arange(steps + newton + 1))
+        assert np.all(rows[steps:, 1] == rows[steps, 1]) and rows[steps - 1, 1] < rows[steps, 1]
+        assert rows[-1, 4] < 1e-8 and rows[-1, 2] == pytest.approx(payload["energy"], rel=1e-15)
         modified = rows[:, 3]
         assert np.all(np.diff(modified) <= 1e-12 * np.abs(modified[:-1]))
 
@@ -240,6 +261,15 @@ class TestConfigCommands:
         assert not out.exists()
         with pytest.raises(ConfigError, match=f"'{key}' must be {problem}"):
             replace(load_config(write_config(tmp_path)), **{key: value})
+
+    @pytest.mark.parametrize("key, value, bound", [("L2", -2.0, "-3/2"), ("c", 0.0, "bounded below")])
+    def test_energy_not_bounded_below_exits_1_and_writes_nothing(self, tmp_path, capsys, key, value, bound):
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "o"
+        for command in ("minimize", "flow", "landscape", "saddle"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            assert bound in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_seed_spec_exits_1(self, tmp_path, capsys):
         # random(1e) matches the spec pattern; its sigma is no number

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from nematicq.energy import LdGSystem, free_energy
+from nematicq.energy import LdGSystem, elastic_apply, free_energy
 from nematicq.errors import ShapeMismatch
 from nematicq.field import Domain, QField, d4_actions, seed_field, square_symmetry_orbit, symmetrize
 from nematicq.qtensor import BulkParams, to_matrix
 from nematicq.systems import make_rng
-from oracles import square_images, uniaxial_reading
+from oracles import elastic_form, square_images, uniaxial_reading
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
 
@@ -29,6 +29,41 @@ def test_domain_validation():
     for l2, l3 in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.5)):
         with pytest.raises(ShapeMismatch, match="l2 and l3 must be finite"):
             Domain(nx=8, ny=8, lambda2=1.0, bulk=BULK, l2=l2, l3=l3)
+
+
+@pytest.mark.parametrize(
+    "l2, l3",
+    [(1.0, 0.0), (-1.0, 0.0), (-2.0, 0.6), (1.0, -2.4), (-0.7, -0.7), (-1.45, 0.0), (-1.49, 0.0)]
+    + [(-1.55, 0.0), (-1.6, 0.0), (0.0, -2.0), (-3.0, 0.0), (-1.0, -2.0)],
+)
+def test_domain_refuses_exactly_the_elastic_forms_that_are_not_positive(l2, l3):
+    # the discrete form (planar walls, 16^2) depends on l2 + l3 alone and
+    # loses positivity just below the in-plane Legendre-Hadamard bound
+    # l2 + l3 > -3/2; between -3/2 and -1.51 the 16^2 grid does not yet
+    # resolve the plane wave that does (see the next test)
+    grid = make_domain(16, boundary="planar")
+    lowest = np.linalg.eigvalsh(elastic_form(grid, l2, l3))[0]
+    if lowest > 0.0:
+        Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK, l2=l2, l3=l3, boundary="planar")
+    else:
+        with pytest.raises(ShapeMismatch, match="-3/2"):
+            Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK, l2=l2, l3=l3, boundary="planar")
+
+
+def test_domain_refuses_the_bound_itself():
+    # at l2 + l3 = -3/2 the continuum form has a null plane wave; the 16^2
+    # form is still positive (1.2e-2), the 24^2 form's lowest is 2.8e-3
+    grid = make_domain(16, boundary="planar")
+    assert 0.0 < np.linalg.eigvalsh(elastic_form(grid, -1.5, 0.0))[0] < 0.02
+    for l2, l3 in ((-1.5, 0.0), (0.0, -1.5), (-0.75, -0.75)):
+        with pytest.raises(ShapeMismatch, match="l2 \\+ l3 must be above -3/2"):
+            Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK, l2=l2, l3=l3)
+
+
+def test_elastic_form_oracle_is_the_elastic_apply():
+    d = Domain(nx=6, ny=7, lambda2=5.0, bulk=BULK, l2=-0.7, l3=0.3, boundary="planar")
+    dense = elastic_apply(d, np.eye(d.n_dof))
+    assert np.abs(elastic_form(d, -0.7, 0.3) - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 def test_grid_geometry():

@@ -23,7 +23,7 @@ from nematicq.hisd import (
     hisd_step,
     make_record,
 )
-from nematicq.minimize import MinimizeOptions, minimize
+from nematicq.minimize import MinimizeOptions, _polish, minimize
 from nematicq.qtensor import BulkParams
 from nematicq.systems import System, make_rng
 from nematicq.toys import DiagQuadratic, DoubleWell2D, Quartic2D
@@ -379,7 +379,7 @@ class TestNewtonEndgame:
         sy = Quartic2D()
         x = np.array([0.0, 0.05])
         e, g = sy.energy_gradient(x)
-        assert hisd._polish(sy, x, e, g, 1, np.array([0.0, 1.0]), 1e-8) is None
+        assert _polish(sy, x, e, g, 1, np.array([0.0, 1.0]), 1e-8) is None
 
     def test_search_from_near_the_top_lands_by_newton(self):
         rec = find_saddle(Quartic2D(), 1, np.array([0.0, 0.05]))
@@ -395,9 +395,10 @@ class TestNewtonEndgame:
         x = np.array([0.05, 0.0])
         e, g = sy.energy_gradient(x)
         move = np.array([-1.0, 0.0])
-        assert hisd._polish(sy, x, e, g, 0, move, 1e-8) is None
-        x1, e1, g1, steps = hisd._polish(sy, x, e, g, 1, move, 1e-8)
-        assert np.abs(x1).max() < 1e-8 and e1 > e and g1 < 1e-8 and 1 <= steps <= 10
+        assert _polish(sy, x, e, g, 0, move, 1e-8) is None
+        path = _polish(sy, x, e, g, 1, move, 1e-8)
+        x1, e1, g1 = path[-1]
+        assert np.abs(x1).max() < 1e-8 and e1 > e and g1 < 1e-8 and 1 <= len(path) <= 10
 
     def test_record_on_the_spot_takes_no_newton_step(self):
         assert quartic_record((0.0, 1.0), k_hint=1).newton_steps == 0

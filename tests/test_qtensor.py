@@ -192,6 +192,18 @@ class TestCriticalPoints:
         with pytest.raises(ShapeMismatch):
             BulkParams(np.nan, 1.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (1.0, 1.0), (-1.0, 0.0), (-1e-300, 0.0)])
+    def test_a_bulk_not_bounded_below_is_refused(self, a, b):
+        # with c = 0 the density is cubic (b > 0) or a downward quadratic
+        # (b = 0, a < 0) along the uniaxial family
+        with pytest.raises(ShapeMismatch, match="bounded below"):
+            BulkParams(a, b, 0.0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.7])
+    def test_quadratic_only_bulk_is_accepted(self, a):
+        p = BulkParams(a, 0.0, 0.0)
+        assert (p.a, p.b, p.c) == (a, 0.0, 0.0)
+
 
 class TestBiaxiality:
     def test_uniaxial_is_zero(self):

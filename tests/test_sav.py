@@ -12,6 +12,7 @@ import scipy.linalg
 from nematicq import energy, qtensor, sav
 from nematicq.energy import LdGSystem, SineSolver, free_energy
 from nematicq.errors import NoConvergence, SolveError, ValidationError
+from nematicq.hisd import classify_stationary
 from nematicq.field import Domain, QField, seed_field
 from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams, bulk_energy_uniaxial
@@ -148,19 +149,21 @@ class TestDirectSolve:
     def test_planar_flow_keeps_its_trajectory(self):
         # step count of this flow, and the energy of the stationary state it
         # ends on, which neither the step sequence nor the solve moves
-        # beyond rounding
+        # beyond rounding; the Newton endgame finishes it after 8 SAV steps
+        # (45 without it)
         d = tangent_domain(16, boundary="planar")
         out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
-        assert steps == 45
+        assert steps == 8
         assert abs(out.energy() - 14.230663497098234) <= 1e-12
 
     def test_l2_l3_flow_keeps_its_trajectory_to_the_cg_tolerance(self):
         # CG now starts from the Sherman-Morrison solution and stops at a
         # different iterate inside the same atol, so the end state moves
-        # at that level rather than at the rounding level
+        # at that level rather than at the rounding level; the Newton
+        # endgame finishes it after 9 SAV steps (39 without it)
         d = tangent_domain(16, boundary="planar", l2=0.6, l3=0.4)
         out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
-        assert steps == 39
+        assert steps == 9
         assert abs(out.energy() - 21.547831753032415) <= 1e-10
 
 
@@ -255,7 +258,8 @@ class TestStepWork:
         # each step applies L to q+ for the check, once per CG iteration
         # (CG solves for the correction from zero, so it does not apply L
         # to recompute the check's residual) and once more to the
-        # corrected q+; sav_init applies it once
+        # corrected q+; sav_init applies it once, and the Newton endgame
+        # that finishes the flow after 9 steps applies the Hessian instead
         d = tangent_domain(16, boundary="planar", l2=0.6, l3=0.4)
         applies, iterations = [], []
         count(monkeypatch, sav_split(d), "l_apply", applies)
@@ -271,7 +275,7 @@ class TestStepWork:
 
         monkeypatch.setattr(sav, "cg", counted_cg)
         _, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
-        assert steps == 39
+        assert steps == 9
         assert len(iterations) == steps
         assert len(applies) == 1 + 2 * steps + sum(iterations)
 
@@ -328,6 +332,9 @@ class TestCarriedLinearGradient:
             return states[-1]
 
         monkeypatch.setattr(sav, "sav_step", recorded)
+        # the Newton endgame would reach 1e-13 after a few steps; without it
+        # the flow runs out its 50 steps
+        monkeypatch.setattr(sav, "_polish", lambda *args: None)
         with pytest.raises(NoConvergence):
             flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-13, max_steps=50, trace=rows)
         assert len(states) == 50
@@ -524,18 +531,23 @@ class TestFlow:
         out, steps = flow_to_equilibrium(
             seed_field(d, "random(0.2)", seed=8), dt=0.5, tol_grad=1e-6, trace=rows
         )
-        assert len(rows) == steps + 1
-        assert [r[0] for r in rows] == list(range(steps + 1))
+        # 5 SAV steps, then 2 Newton steps of the endgame, numbered on
+        newton = len(rows) - 1 - steps
+        assert (steps, newton) == (5, 2)
+        assert [r[0] for r in rows] == list(range(steps + newton + 1))
         # the time is the running sum of the step sizes: 0.5, then up the
-        # ladder and round again from its smallest rung
+        # ladder and round again from its smallest rung; the Newton rows
+        # keep the last SAV row's time
         rungs = step_ladder(d, 0.5)
         assert len(rungs) > 2 and rungs[0] < 0 < rungs[-1]
         sizes = [0.5 * 2.0**j for j in islice(chain(range(rungs.stop), cycle(rungs)), steps)]
-        assert np.array_equal([r[1] for r in rows], np.cumsum([0.0] + sizes))
-        # the relaxed r keeps the modified energy from rising on every step
+        times = np.cumsum([0.0] + sizes)
+        assert np.array_equal([r[1] for r in rows], np.append(times, [times[-1]] * newton))
+        # the relaxed r keeps the modified energy from rising on every step,
+        # the Newton steps' r^2 = min(F1, M - 1/2 q.Lq - c.q) too
         modified = np.array([r[3] for r in rows])
         assert np.all(np.diff(modified) <= 1e-12 * np.abs(modified[:-1]))
-        assert rows[-1][4] < 1e-6
+        assert rows[-1][4] < 1e-6 and rows[-1][2] == out.energy()
 
     @pytest.mark.parametrize("kw", [{}, {"boundary": "planar", "l2": 0.6, "l3": 0.4}])
     def test_trace_energies_match_fresh_passes(self, kw, monkeypatch):
@@ -551,12 +563,15 @@ class TestFlow:
 
         monkeypatch.setattr(sav, "sav_step", kept)
         out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=9), dt=0.5, tol_grad=1e-6, trace=rows)
-        assert steps > 20 and len(states) == steps
+        # the Newton endgame finishes the flow after 5 or 6 SAV steps
+        assert steps >= 5 and len(states) == steps and len(rows) > steps + 1
         split = sav_split(d)
         for state, row in zip(states, rows):
             assert row[2] == pytest.approx(state.field.energy(), rel=1e-12)
             assert row[3] == pytest.approx(split.modified_energy(state.field.flat, state.r), rel=1e-12)
-        assert rows[-1][2] == pytest.approx(out.energy(), rel=1e-12)
+        # a Newton row carries its iterate's fresh energy, the last the returned field's
+        assert rows[-1][2] == out.energy()
+        assert all(b[2] <= a[2] for a, b in zip(rows[steps:], rows[steps + 1 :]))
 
     @staticmethod
     def monotone_flow(d, seed, dt, max_steps=3000):
@@ -574,14 +589,16 @@ class TestFlow:
     def test_relaxed_scalar_converges_with_a_monotone_trace(self):
         # with a fixed r the scalar drifts and the stepper settles where the
         # rescaled force balance vanishes instead of the true gradient; the
-        # relaxed r converges here in 35 steps
+        # relaxed r converges here in 6 steps and 3 Newton steps (35 steps
+        # without the endgame)
         assert self.monotone_flow(tangent_domain(6, lambda2=5.0), 7, 0.5) <= 50
 
     @pytest.mark.parametrize("n, lambda2", [(16, 5.0), (32, 5.0), (32, 50.0)])
     @pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0, 10.0])
     def test_entry_point_keeps_the_energy_guarantee(self, n, lambda2, dt):
-        # the guarantee holds on the flow users run, at any first step
-        # (43-79 steps at lambda2 = 5, 285-638 at lambda2 = 50)
+        # the guarantee holds on the flow users run, at any first step, and
+        # on its Newton rows (3-10 steps plus 2-3 Newton steps at lambda2 = 5,
+        # 29-276 plus 2-4 at lambda2 = 50)
         d = tangent_domain(n, lambda2=lambda2, boundary="planar")
         for seed in (1, 2):
             self.monotone_flow(d, seed, dt)
@@ -601,8 +618,9 @@ class TestFlow:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_step_count_does_not_grow_with_the_grid(self, n):
-        # the ladder spans L's spectrum, whose width grows as n^2 (45, 48
-        # and 56 steps); a fixed dt = 2 took 705 steps at 64^2
+        # the ladder spans L's spectrum, whose width grows as n^2 (8, 10
+        # and 13 steps plus 2 Newton steps; 45, 48 and 56 without the
+        # endgame); a fixed dt = 2 took 705 steps at 64^2
         d = tangent_domain(n, lambda2=5.0, boundary="planar")
         _, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
         assert steps <= 80
@@ -650,3 +668,38 @@ class TestFlow:
         with pytest.raises(NoConvergence, match="finite") as err:
             flow_to_equilibrium(seed_field(d, "random(0.2)", seed=1), dt=0.5, tol_grad=1e-8)
         assert err.value.iterations == 3
+
+
+class TestNewtonEndgame:
+    """The flow's Newton endgame at lambda2 = 50, 32^2, dt = 2, where the
+    Hessian's lowest eigenvalue lies far below L1's: MINRES steps there land
+    on saddles (index 7 at E = 13.526 for bulk (-1, 1, 1) seed 1, index 2 at
+    E = 6.457 for bulk (-2/3, 2, 2) seed 2), CG steps that stop at
+    non-positive curvature on the minimum the pure flow reaches."""
+
+    @staticmethod
+    def flow(bulk, seed):
+        d = Domain(nx=32, ny=32, lambda2=50.0, bulk=BulkParams(*bulk), boundary="planar")
+        rows = []
+        out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=seed), dt=2.0, tol_grad=1e-8, trace=rows)
+        modified = np.array([r[3] for r in rows])
+        assert np.all(np.diff(modified) <= 1e-12 * np.abs(modified[:-1]))
+        return d, out, steps, len(rows) - 1 - steps
+
+    @pytest.mark.parametrize(
+        "bulk, seed, energy",
+        [((-1.0, 1.0, 1.0), 1, 9.191770390624), ((-1.0, 1.0, 1.0), 2, 9.191770390624)]
+        + [((-2.0 / 3.0, 2.0, 2.0), 2, 5.80109941276), ((-2.0 / 3.0, 2.0, 2.0), 3, 5.80109941276)],
+    )
+    def test_lands_where_the_pure_flow_lands(self, bulk, seed, energy):
+        d, out, _, newton = self.flow(bulk, seed)
+        assert newton >= 1
+        assert abs(out.energy() - energy) <= 1e-8
+        assert classify_stationary(LdGSystem(d), out.flat, tol_grad=1e-8)[0] == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_finishes_the_linear_tail(self, seed):
+        # 38, 47 and 48 SAV steps plus 2-4 Newton steps; 182, 214 and 204
+        # steps without the endgame
+        _, _, steps, newton = self.flow((-2.0 / 3.0, 2.0, 2.0), seed)
+        assert steps <= 60 and newton >= 1
