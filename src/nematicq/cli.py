@@ -34,7 +34,7 @@ from .fieldio import (
     write_path_nodes,
     write_trajectory,
 )
-from .hedgehog import solve_profile
+from .hedgehog import _TOL as _PROFILE_TOL, solve_profile
 from .hisd import (
     _TOL_X,
     LandscapeOptions,
@@ -44,7 +44,7 @@ from .hisd import (
     find_saddle,
     make_record,
 )
-from .maier_saupe import leslie_coefficients, solve_branches
+from .maier_saupe import _ETA_RTOL, _ETA_XTOL, leslie_coefficients, solve_branches
 from .mep import find_mep
 from .minimize import MinimizeOptions, minimize
 from .qtensor import BulkParams
@@ -244,7 +244,8 @@ def cmd_landscape(args) -> int:
 
 def cmd_maier_saupe(args) -> int:
     inputs = {"alpha": args.alpha, "gamma1": args.gamma1}
-    with RunContext(args.out_dir or "out", "maier-saupe", inputs, {"residual": 1e-10}) as run:
+    tolerances = {"eta_xtol": _ETA_XTOL, "eta_rtol": _ETA_RTOL}
+    with RunContext(args.out_dir or "out", "maier-saupe", inputs, tolerances) as run:
         if args.alpha is None:
             raise ConfigError("maier-saupe needs --alpha")
         points = solve_branches(args.alpha)
@@ -260,7 +261,7 @@ def cmd_maier_saupe(args) -> int:
 
 def cmd_hedgehog(args) -> int:
     inputs = {"a": args.a, "b": args.b, "c": args.c, "R": args.radius, "N": args.n_intervals}
-    with RunContext(args.out_dir or "out", "hedgehog", inputs, {"residual": 1e-8}) as run:
+    with RunContext(args.out_dir or "out", "hedgehog", inputs, {"residual": _PROFILE_TOL}) as run:
         prof = solve_profile(BulkParams(args.a, args.b, args.c), R=args.radius, N=args.n_intervals)
         write_hedgehog(run.path("hedgehog.csv"), prof)
     print(f"hedgehog: residual={prof.residual:.3e} s_plus={prof.s_plus:.12g}")

@@ -22,7 +22,8 @@ M^-1, for k > 0 by MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12,
 gradients that give up at the first direction of non-positive
 curvature.  Newton heads for the nearest stationary point of any
 index, so the endgame is kept only when its first step points along
-the last dynamics step (cos_M >= 1/2), every step lowers the gradient
+the dynamics' own direction at its start, -(M^-1 g - 2 V V^T g) for the
+search's directions V (cos_M >= 1/2), every step lowers the gradient
 inf-norm, the energy never rises when k = 0, and it reaches the
 search's tolerance within 10 steps; otherwise it is discarded and the
 dynamics go on from where they were, with the next attempt a decade
@@ -105,11 +106,15 @@ def gram_schmidt(v: np.ndarray, precond=EUCLIDEAN) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SaddleSearchState:
-    """Position plus k M-orthonormal unstable-direction candidates."""
+    """Position plus k M-orthonormal unstable-direction candidates, k the
+    search's index; a v that is not an (n, k) block raises ShapeMismatch."""
 
     x: np.ndarray
     v: np.ndarray  # (n, k), columns orthonormal in <a, b>_M
-    k: int
+
+    def __post_init__(self):
+        if np.ndim(self.v) != 2 or np.shape(self.v)[0] != np.size(self.x):
+            raise ShapeMismatch(f"v has shape {np.shape(self.v)}, need ({np.size(self.x)}, k)")
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ def hisd_step(
     """One explicit Euler step of size dt of the saddle dynamics in the metric M.
 
     x moves by dt along the M-reflected preconditioned gradient
-    M^-1 g - 2 V (V^T g) (plain preconditioned descent when k = 0);
+    M^-1 g - 2 V (V^T g) (plain preconditioned descent when V is empty);
     the v_i then relax by the same dt along M^-1 H v_i at the new x (one
     block product), each shielded from the earlier directions, and the set
     is M-orthonormalized.  M is ``preconditioner_of(system)`` (``solve``
@@ -167,7 +172,7 @@ def hisd_step(
     if not 0.0 < dt < np.inf:
         raise ValidationError("step size must be positive and finite")
     precond = preconditioner_of(system)
-    x, v, k = state.x, state.v, state.k
+    x, v, k = state.x, state.v, state.v.shape[1]
     g = system.gradient(x) if grad is None else grad
     d = precond.solve(g)
     if k:
@@ -183,7 +188,7 @@ def hisd_step(
         v_new = gram_schmidt(v - dt * (precond.solve(hv) - v @ (shield * coef)), precond)
     else:
         v_new = v
-    return SaddleSearchState(x_new, v_new, k)
+    return SaddleSearchState(x_new, v_new)
 
 
 def classify_stationary(
@@ -311,12 +316,10 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
     e_state, g = system.energy_gradient(x)
     e_scale = 1.0 + abs(e_state)
     x_scale = 1.0 + float(np.abs(x).max())
-    state = SaddleSearchState(x, v, k)
+    state = SaddleSearchState(x, v)
     g_inf = np.inf
-    # the Newton endgame is tried below this gradient inf-norm, once there
-    # is a last step (x_prev to state.x) to check its direction against
+    # the Newton endgame is tried below this gradient inf-norm
     polish_below = 0.1 * float(np.abs(g).max())
-    x_prev = None
 
     def halve():
         nonlocal step
@@ -328,8 +331,8 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
         g_inf = float(np.abs(g).max())
         if g_inf < opts.tol_grad:
             return _Landing(state.x, e_state, g_inf, it, 0)
-        if x_prev is not None and g_inf < polish_below:
-            path = _polish(system, state.x, e_state, g, k, state.x - x_prev, opts.tol_grad)
+        if g_inf < polish_below:
+            path = _polish(system, state.x, e_state, g, state.v, opts.tol_grad)
             if path is not None:
                 return _Landing(*path[-1], it, len(path))
             polish_below = 0.1 * g_inf
@@ -351,7 +354,7 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
             # step has outrun the local curvature
             halve()
             continue
-        state, e_state, g, x_prev = trial, e_new, g_new, state.x
+        state, e_state, g = trial, e_new, g_new
     raise NoConvergence(
         f"gradient inf-norm {g_inf:.3e} above {opts.tol_grad:.3e} after {opts.max_iters} steps",
         iterations=opts.max_iters,

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _ETA_MAX = 500.0
+# brentq's absolute and relative tolerances on each branch's eta
+_ETA_XTOL = 1e-13
+_ETA_RTOL = 8.9e-16
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
 
 
@@ -162,7 +165,7 @@ def solve_branches(alpha: float) -> list[MsCriticalPoint]:
     def solve_side(direction: float) -> float:
         edge = _bracket_root(alpha, eta_star, direction)
         lo, hi = sorted((eta_star, edge))
-        return float(brentq(lambda e: ratio(e) - alpha, lo, hi, xtol=1e-13, rtol=8.9e-16))
+        return float(brentq(lambda e: ratio(e) - alpha, lo, hi, xtol=_ETA_XTOL, rtol=_ETA_RTOL))
 
     eta1 = solve_side(+1.0)
     eta2 = solve_side(-1.0)

@@ -27,7 +27,8 @@ gradients that give up at the first direction of non-positive curvature
 (Steihaug, SIAM J. Numer. Anal. 20, 1983; Nocedal and Wright, Numerical
 Optimization, ch. 7), so it never heads for a saddle, and for an index-k
 search by MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975),
-which takes the indefinite H.
+which takes the indefinite H; k is the width of the search's directions V,
+and the first step must follow the dynamics' -(M^-1 g - 2 V V^T g).
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ _MAX_BACKTRACKS = 60
 # rounding band of E in ulps, and Hager and Zhang's delta
 _BAND_ULPS = 16
 _DELTA = 0.1
-# The Newton endgame: linear-solve relative tolerance, steps per attempt, and
-# the least M-cosine between the first Newton step and the caller's last move
+# The Newton endgame: linear-solve relative tolerance, steps per attempt, and the
+# least M-cosine of its first step with the dynamics' direction -(M^-1 g - 2 V V^T g)
 _NEWTON_RTOL = 1e-10
 _NEWTON_STEPS = 10
 _NEWTON_COS = 0.5
@@ -147,8 +148,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
         band = _BAND_ULPS * np.spacing(abs(e))
         while True:
             gd = float(g @ d)
-            # M^-1 g already carries the scale of a Newton step; plain g does not
-            alpha = 1.0 if pairs or precond is not EUCLIDEAN else 1.0 / max(1.0, float(np.abs(g).max()))
+            alpha = 1.0
             accepted = False
             for _ in range(_MAX_BACKTRACKS):
                 x_try = x + alpha * d
@@ -226,21 +226,25 @@ def _descent_step(hess, g: np.ndarray, precond) -> np.ndarray | None:
     return None
 
 
-def _polish(system: System, x: np.ndarray, e: float, g: np.ndarray, k: int, move: np.ndarray, tol_grad: float):
-    """Guarded Newton steps from x (energy e, gradient g) toward an index-k
-    stationary point, to a gradient inf-norm below tol_grad; `move` is the
-    caller's last step into x (or, for a flow, -M^-1 g).
+def _polish(system: System, x: np.ndarray, e: float, g: np.ndarray, v: np.ndarray, tol_grad: float):
+    """Guarded Newton steps from x (energy e, gradient g) toward a stationary
+    point of index k, to a gradient inf-norm below tol_grad; the (n, k) block v
+    holds the search's M-orthonormal directions (k = 0 for a descent or a flow).
 
     Each step solves H d = -g preconditioned by M^-1: by ``_descent_step``'s
     CG when k = 0, by MINRES at relative tolerance _NEWTON_RTOL otherwise.
     Returns the (x, energy, |g|inf) of every step, the last below tol_grad,
     or None when a guard fails: the CG solve meets non-positive curvature or
     does not converge, the first step makes an M-cosine below _NEWTON_COS
-    with `move`, a step does not lower |g|inf, or (k = 0) raises the energy,
-    or _NEWTON_STEPS steps do not reach tol_grad.
+    with the dynamics' direction at x, -(M^-1 g - 2 V V^T g) (-M^-1 g when
+    k = 0), a step does not lower |g|inf, or (k = 0) raises the energy, or
+    _NEWTON_STEPS steps do not reach tol_grad.
     """
     precond = preconditioner_of(system)
-    n = x.size
+    n, k = v.shape
+    move = -precond.solve(g)
+    if k:
+        move += 2.0 * v @ (v.T @ g)
     g_inf = float(np.abs(g).max())
     path = []
     for _ in range(_NEWTON_STEPS):

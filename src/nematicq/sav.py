@@ -25,12 +25,12 @@ a step of size h annihilates the eigenmode lambda = 2/h.  Its tail still
 converges only linearly, on modes below L's spectrum, so once the measure
 is a decade below its start value (and a decade further down after each
 rejected attempt) the flow tries the saddle searches' guarded Newton
-endgame at k = 0 (``minimize._polish``): CG steps on H d = -g that stop at
-the first direction of non-positive curvature, so they never head for a
-saddle, with no energy rise and a falling gradient.  Each Newton step adds
-a trace row whose r^2 = min(F1, M - 1/2 q.Lq - c.q), M the modified energy
-before it, so the modified energy still never rises.  `max_steps` and the
-returned step count cover the SAV steps only.
+endgame with no directions, k = 0 (``minimize._polish``): CG steps on
+H d = -g that stop at the first direction of non-positive curvature, so
+they never head for a saddle, with no energy rise and a falling gradient.
+Each Newton step adds a trace row whose r^2 = min(F1, M - 1/2 q.Lq - c.q),
+M the modified energy before it, so its modified energy min(E, M) never
+rises.  `max_steps` and the returned step count cover the SAV steps only.
 
 A step costs one bulk pass at the extrapolated field, two sine solves
 and one elastic apply, L q+ + c on the new field: it checks the step
@@ -212,10 +212,11 @@ def sav_step(state: SavState, dt: float) -> SavState:
     tolerance; otherwise CG solves for the correction e with A e = -residual
     from e = 0, to the same absolute tolerance, so the residual the check
     computed is not computed again, and L q+ + c is redone.
-    A non-finite q+ raises NoConvergence with `iterations` at this step.
+    A non-finite q+ raises NoConvergence with `iterations` at this step,
+    and a dt outside (0, inf) ValidationError before any work.
     """
-    if not dt > 0.0:
-        raise ValidationError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
     split = sav_split(state.field.domain)
     q = state.field.flat
     lin = split.l_apply(q) + split.shift if state.linear_gradient is None else state.linear_gradient
@@ -263,29 +264,6 @@ def step_ladder(domain: Domain, dt: float) -> range:
     return range(min(0, floor(log2(lo))), max(0, ceil(log2(hi))) + 1)
 
 
-def _newton_rows(split: SavSplit, system: LdGSystem, q: np.ndarray, energy: float, grad: np.ndarray,
-                 modified: float, tol_grad: float):
-    """The flow's Newton endgame from q (energy, gradient grad, modified energy
-    `modified`): ``_polish`` at k = 0 with move -M^-1 grad.  Returns the
-    (field, energy, modified energy, |g|inf) of each accepted Newton step, or
-    None.  A step's r^2 = min(F1(q+), M - 1/2 q+.Lq+ - c.q+), M the modified
-    energy before it, so the modified energy never rises; an r^2 that is not
-    positive rejects the attempt."""
-    path = _polish(system, q, energy, grad, 0, -l1_operator(split.domain).solve(grad), tol_grad)
-    if path is None:
-        return None
-    rows = []
-    for x, e, g in path:
-        f1 = split.f1(x)
-        # 1/2 x.Lx + c.x + const = e - F1(x)
-        r2 = min(f1, modified - (e - f1))
-        if not r2 > 0.0:
-            return None
-        modified = (e - f1) + r2
-        rows.append((x, e, modified, g))
-    return rows
-
-
 def flow_to_equilibrium(
     init: QField,
     dt: float,
@@ -313,15 +291,15 @@ def flow_to_equilibrium(
 
     Once the measure is a decade below its start value, and again a decade
     further down after each rejected attempt, the flow tries the saddle
-    searches' Newton endgame (``minimize._polish``) at k = 0 on
-    ``LdGSystem(init.domain)``, its first step checked against -M^-1 g:
+    searches' Newton endgame (``minimize._polish``) on ``LdGSystem(init.domain)``
+    with no directions (k = 0), its first step checked against -M^-1 g:
     CG steps on H d = -g that stop at the first direction of non-positive
     curvature, so a landing is never a saddle, with no energy rise and a
     falling |g|inf.  An accepted attempt returns its last Newton iterate
     and adds a trace row per Newton step, numbered on from the last SAV
-    row at that row's time, whose modified energy takes r^2 = min(F1(q+),
-    M - 1/2 q+.Lq+ - c.q+), M the row before; an r^2 that is not positive
-    rejects the attempt.
+    row at that row's time, whose modified energy is min(E, M), M the row
+    before, i.e. r^2 = min(F1(q+), M - 1/2 q+.Lq+ - c.q+); a row with
+    M <= E - F1(q+), whose r^2 is not positive, rejects the attempt.
 
     A non-finite field or measure raises NoConvergence at its step, and
     a bad dt (not finite, or without a finite `step_ladder`), tol_grad or
@@ -352,13 +330,21 @@ def flow_to_equilibrium(
         if state.step == 0:
             polish_below = 0.1 * g
         elif g < polish_below:
-            rows = _newton_rows(split, system, q, quad + f1, grad, modified, tol_grad)
-            if rows is not None:
+            path = _polish(system, q, quad + f1, grad, np.empty((q.size, 0)), tol_grad) or []
+            rows, m = [], modified
+            for x, e, g_x in path:
+                # the row's r^2 = min(F1, M - (E - F1)), M the row before, must be
+                # positive; its modified energy is then min(E, M)
+                if not m > e - split.f1(x):
+                    break
+                m = min(e, m)
+                rows.append((state.step + len(rows) + 1, state.time, e, m, g_x))
+            if path and len(rows) == len(path):
                 if trace is not None:
-                    trace.extend((state.step + i, state.time, *row[1:]) for i, row in enumerate(rows, 1))
+                    trace.extend(rows)
                 # a copy: returning the Newton iterate itself, allocated amid the solves'
                 # temporaries, left relax64's peak RSS 1.1 MB higher (a heap-layout effect)
-                return QField.from_flat(split.domain, rows[-1][0]).copy(), state.step
+                return QField.from_flat(split.domain, path[-1][0]).copy(), state.step
             polish_below = 0.1 * g
         if state.step == max_steps:
             msg = f"gradient inf-norm {g:.3e} above {tol_grad:.3e} after {max_steps} steps"

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nematicq import hedgehog, maier_saupe
 from nematicq.cli import main
 from nematicq.errors import ConfigError
 from nematicq.field import seed_field
@@ -91,6 +92,17 @@ class TestToyCommands:
         manifest, outputs = manifest_outputs(tmp_path)
         assert outputs == sorted(p.name for p in tmp_path.iterdir())
         assert manifest["error"] is None
+
+
+@pytest.mark.parametrize("argv", [["hedgehog", "-N", "64"], ["maier-saupe", "--alpha", "8.0"]])
+def test_run_record_holds_the_tolerances_the_solver_applies(tmp_path, argv):
+    applied = {
+        "hedgehog": {"residual": hedgehog._TOL},
+        "maier-saupe": {"eta_xtol": maier_saupe._ETA_XTOL, "eta_rtol": maier_saupe._ETA_RTOL},
+    }
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    manifest, _ = manifest_outputs(tmp_path)
+    assert manifest["tolerances"] == applied[argv[0]]
 
 
 class TestMaierSaupe:

@@ -94,7 +94,7 @@ class TestStep:
     def test_k0_matches_plain_gradient_descent(self):
         sy = DoubleWell2D()
         beta = 0.05
-        state = SaddleSearchState(np.array([0.3, 0.7]), np.zeros((2, 0)), 0)
+        state = SaddleSearchState(np.array([0.3, 0.7]), np.zeros((2, 0)))
         manual = np.array([0.3, 0.7])
         for _ in range(50):
             state = hisd_step(sy, state, beta)
@@ -103,22 +103,28 @@ class TestStep:
 
     def test_fixed_point_at_exact_saddle(self):
         sy = Quartic2D()
-        state = SaddleSearchState(np.array([0.0, 1.0]), np.eye(2)[:, :1], 1)
+        state = SaddleSearchState(np.array([0.0, 1.0]), np.eye(2)[:, :1])
         out = hisd_step(sy, state, 0.1)
         assert np.array_equal(out.x, state.x)
         assert np.allclose(out.v, state.v, atol=1e-12)
 
     def test_step_size_validation(self):
         sy = Quartic2D()
-        state = SaddleSearchState(np.zeros(2), np.zeros((2, 0)), 0)
+        state = SaddleSearchState(np.zeros(2), np.zeros((2, 0)))
         with pytest.raises(ValidationError):
             hisd_step(sy, state, 0.0)
         with pytest.raises(ValidationError):
             hisd_step(sy, state, -1.0)
 
+    @pytest.mark.parametrize("v", [np.ones(2), np.ones((3, 1)), np.ones((2, 1, 1))])
+    def test_directions_must_be_an_n_by_k_block(self, v):
+        # the index of a state is the width of v, so v has to have one
+        with pytest.raises(ShapeMismatch):
+            SaddleSearchState(np.zeros(2), v)
+
     @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
     def test_nonfinite_step_size_is_rejected(self, dt):
-        state = SaddleSearchState(np.array([0.3, 0.7]), np.eye(2)[:, :1], 1)
+        state = SaddleSearchState(np.array([0.3, 0.7]), np.eye(2)[:, :1])
         with pytest.raises(ValidationError):
             hisd_step(DoubleWell2D(), state, dt)
 
@@ -127,7 +133,7 @@ class TestStep:
         d = np.array([-3.0, -1.0, 0.5, 2.0, 4.0])
         sy = DiagQuadratic(d)
         v = gram_schmidt(gen.normal(size=(5, 2)))
-        state = SaddleSearchState(gen.normal(size=5), v, 2)
+        state = SaddleSearchState(gen.normal(size=5), v)
         for _ in range(100):
             state = hisd_step(sy, state, 0.05)
             gram = state.v.T @ state.v
@@ -136,7 +142,7 @@ class TestStep:
         m = 0.5 + gen.random(5) * 4.0
         msy = MetricQuadratic(d, m)
         pre = msy.preconditioner()
-        state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2)), pre), 2)
+        state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2)), pre))
         for _ in range(100):
             state = hisd_step(msy, state, 0.05)
             gram = state.v.T @ (m[:, None] * state.v)
@@ -149,7 +155,7 @@ class TestStep:
         sy = MetricQuadratic(d, m)
         v = gram_schmidt(gen.normal(size=(5, 2)), sy.preconditioner())
         x = gen.normal(size=5)
-        out = hisd_step(sy, SaddleSearchState(x, v, 2), 0.1)
+        out = hisd_step(sy, SaddleSearchState(x, v), 0.1)
         # x <- x - dt (M^-1 g - 2 V V^T g), with g = H x and H = diag(d)
         g = d * x
         assert np.allclose(out.x, x - 0.1 * (g / m - 2.0 * v @ (v.T @ g)), rtol=0, atol=1e-12)
@@ -169,7 +175,7 @@ class TestStep:
         sy = DiagQuadratic(np.array([-3.0, -1.0, 0.5, 2.0, 4.0]))
         v = gram_schmidt(gen.normal(size=(5, 2)))
         x = gen.normal(size=5)
-        out = hisd_step(sy, SaddleSearchState(x, v, 2), 0.1)
+        out = hisd_step(sy, SaddleSearchState(x, v), 0.1)
         g = sy.gradient(x)
         assert np.array_equal(out.x, x - 0.1 * (g - 2.0 * v @ (v.T @ g)))
 
@@ -183,7 +189,7 @@ class TestStep:
 
         gen = make_rng(11, "test:hisd:block")
         sy = Counting(np.array([-3.0, -1.0, 0.5, 2.0, 4.0]))
-        state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2))), 2)
+        state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2))))
         hisd_step(sy, state, 0.1)
         assert calls == [(5, 2)]
 
@@ -375,11 +381,12 @@ def test_start_directions_of_the_wrong_size_raise_before_any_step(v0):
 class TestNewtonEndgame:
     def test_polish_back_toward_the_parent_is_rejected(self):
         # at (0, 0.05) Newton heads for the index-2 top (0, 0), against the
-        # last step of a search that is moving up toward (0, 1)
+        # direction of an index-1 search along V = e_x, which moves up
+        # toward (0, 1)
         sy = Quartic2D()
         x = np.array([0.0, 0.05])
         e, g = sy.energy_gradient(x)
-        assert _polish(sy, x, e, g, 1, np.array([0.0, 1.0]), 1e-8) is None
+        assert _polish(sy, x, e, g, np.eye(2)[:, :1], 1e-8) is None
 
     def test_search_from_near_the_top_lands_by_newton(self):
         rec = find_saddle(Quartic2D(), 1, np.array([0.0, 0.05]))
@@ -394,9 +401,9 @@ class TestNewtonEndgame:
         sy = DoubleWell2D()
         x = np.array([0.05, 0.0])
         e, g = sy.energy_gradient(x)
-        move = np.array([-1.0, 0.0])
-        assert _polish(sy, x, e, g, 0, move, 1e-8) is None
-        path = _polish(sy, x, e, g, 1, move, 1e-8)
+        assert _polish(sy, x, e, g, np.zeros((2, 0)), 1e-8) is None
+        # the index-1 search along V = e_x climbs toward (0, 0)
+        path = _polish(sy, x, e, g, np.eye(2)[:, :1], 1e-8)
         x1, e1, g1 = path[-1]
         assert np.abs(x1).max() < 1e-8 and e1 > e and g1 < 1e-8 and 1 <= len(path) <= 10
 
@@ -499,6 +506,13 @@ class TestLandscape:
             assert found == sorted(points)
         for rec in graph.nodes:
             assert abs(rec.energy - rec.morse_index) < 1e-8
+
+    def test_toy_saddles_are_finished_by_newton(self):
+        # every search that lands on an index-1 point from the top ends in the
+        # Newton endgame, its first step following the dynamics at that point
+        for max_index in (None, 2):
+            graph = self.toy_graph(max_index=max_index)
+            assert all(rec.newton_steps >= 1 for rec in graph.by_index()[1])
 
     def test_toy_edges_descend_one_level(self):
         graph = self.toy_graph()

@@ -371,7 +371,7 @@ class TestStep:
     def test_dt_validation(self):
         d = tangent_domain(4)
         state = sav_init(seed_field(d, "isotropic"))
-        for dt in (0.0, -1.0, np.nan):
+        for dt in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValidationError):
                 sav_step(state, dt)
 
