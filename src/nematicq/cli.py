@@ -201,19 +201,24 @@ def cmd_saddle(args) -> int:
 def cmd_landscape(args) -> int:
     if args.toy:
         settings = _toy(args, "quartic")
-        tolerances = {"tol_x": _TOL_X}
+        opts = LandscapeOptions()
     else:
         cfg = _config(args)
         settings = cfg.to_dict()
-        tolerances = {"tol": cfg.tol, "tol_x": _TOL_X}
+        opts = LandscapeOptions(
+            search=SaddleOptions(tol_grad=cfg.tol),
+            max_nodes=cfg.max_nodes,
+            max_searches=cfg.max_searches,
+            max_index=cfg.max_index,
+        )
+    tolerances = {"tol": opts.search.tol_grad, "tol_x": _TOL_X}
     with RunContext(settings["out_dir"], "landscape", settings, tolerances) as run:
         if args.toy:
             domain, system = None, Quartic2D()
             # the toy's top is analytic; a searched seed lands 1e-9 off it,
             # which rotates the degenerate (-4 I) eigenbasis arbitrarily and
             # hides the axis-aligned saddles from the downward sweep
-            seed_rec = make_record(system, np.array(Quartic2D.TOP), k_hint=2)
-            opts = LandscapeOptions()
+            seed_rec = make_record(system, np.array(Quartic2D.TOP), tol_grad=opts.search.tol_grad, k_hint=2)
         else:
             domain = cfg.domain()
             system = LdGSystem(domain)
@@ -226,12 +231,6 @@ def cmd_landscape(args) -> int:
                     residual=res.grad_inf,
                 )
             seed_rec = make_record(system, res.x, tol_grad=cfg.tol)
-            opts = LandscapeOptions(
-                search=SaddleOptions(tol_grad=cfg.tol),
-                max_nodes=cfg.max_nodes,
-                max_searches=cfg.max_searches,
-                max_index=cfg.max_index,
-            )
         graph = build_landscape(system, seed_rec, opts)
         run.add(write_landscape(run.out, graph, domain))
     print(

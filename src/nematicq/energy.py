@@ -20,11 +20,12 @@ the densities.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, ValidationError
 from .field import Domain, QField, d4_actions
 from .qtensor import G, bulk_energy, bulk_energy_gradient, bulk_gradient, bulk_hessian
 from .qtensor import metric_apply, to_matrix
@@ -289,8 +290,11 @@ class SineSolver:
     transform back: ``solve(r, shift)`` divides by them plus the shift,
     (L1 + shift I)^-1 r (the fast Poisson solver of Buzbee, Golub and
     Nielson, SIAM J. Numer. Anal. 1970), and ``apply`` multiplies.  Both
-    take vectors or (n, m) blocks, and ``add_lowest_modes`` adds L1's
-    lowest eigenvectors to LOBPCG's start.
+    take vectors or (n, m) blocks.  ``lowest_eigenvalue`` is L1's mu0 =
+    ``eigenvalues[0, 0, 0]``: the SAV step solves with shift 2/dt and
+    LOBPCG with shift -theta mu0, 0 < theta < 1 (``spectrum.lobpcg``), and
+    a shift at or below -mu0, where L1 + shift I is not SPD, is refused.
+    ``add_lowest_modes`` adds L1's lowest eigenvectors to LOBPCG's start.
     """
 
     def __init__(self, domain: Domain):
@@ -301,6 +305,7 @@ class SineSolver:
         a = wx * mux[:, None] + wy * muy[None, :] + linear_shift(domain) * (domain.hx * domain.hy)
         self.eigenvalues = _G_EIGVALS[:, None, None] * a
         self.eigenvalues.flags.writeable = False
+        self.lowest_eigenvalue = float(self.eigenvalues[0, 0, 0])
         self._chunk = max(1, _CHUNK_BYTES // (8 * domain.n_dof))  # columns per chunk
 
     def _scaled(self, r: np.ndarray, scale, eig: np.ndarray) -> np.ndarray:
@@ -327,7 +332,10 @@ class SineSolver:
         return np.ascontiguousarray((x.T @ _G_EIGVECS.T).reshape(m, nx * ny * 5).T).reshape(r.shape)
 
     def solve(self, r: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """(L1 + shift I)^-1 r for a vector or (n, m) block r."""
+        """(L1 + shift I)^-1 r for a vector or (n, m) block r; the shift must be
+        finite and above -``lowest_eigenvalue``."""
+        if not (math.isfinite(shift) and shift > -self.lowest_eigenvalue):
+            raise ValidationError(f"shift {shift!r} leaves L1 + shift I not SPD (mu0 = {self.lowest_eigenvalue:g})")
         return self._scaled(r, np.divide, self.eigenvalues + shift)
 
     def apply(self, v: np.ndarray) -> np.ndarray:

@@ -84,12 +84,20 @@ class System:
 
 
 class _Identity:
-    """M = I: ``solve`` and ``apply`` return their argument."""
+    """M = I: ``solve`` and ``apply`` return their argument.
 
-    def solve(self, v: np.ndarray) -> np.ndarray:
+    ``solve(v, shift)`` returns v for every shift, (I + shift I)^-1 v without
+    its factor 1/(1 + shift): only LOBPCG shifts, by -theta with 0 < theta < 1
+    (``spectrum.lobpcg``), and it projects and orthonormalizes W, so a
+    positive factor would change nothing but the bits."""
+
+    lowest_eigenvalue = 1.0
+
+    def solve(self, v: np.ndarray, shift: float = 0.0) -> np.ndarray:
         return v
 
-    apply = solve
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return v
 
     def add_lowest_modes(self, x: np.ndarray) -> None:
         """Nothing: LOBPCG's start block stays the random one (``solve_smallest``)."""

@@ -13,12 +13,14 @@ once the reported pairs have.
 """
 
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import lobpcg
 
+import nematicq.spectrum as spectrum
 from nematicq.field import Domain, QField
 from nematicq.qtensor import G, bulk_energy, bulk_gradient, frob2, metric_apply, sym_components, to_matrix
 from nematicq.systems import EUCLIDEAN
@@ -155,14 +157,16 @@ def square_images(values: np.ndarray) -> list[np.ndarray]:
 
 def scipy_lobpcg(apply_h, x, *, k, tol, maxiter, precond=EUCLIDEAN):
     """``scipy.sparse.linalg.lobpcg`` under the signature of ``spectrum.lobpcg``:
-    (Ritz values, Ritz block, iterations run).  It ignores ``k``: every
-    column, guards included, must reach ``tol`` before it stops."""
+    (Ritz values, Ritz block, iterations run), preconditioned by the same
+    shifted solve (M - _THETA mu0 I)^-1.  It ignores ``k``: every column,
+    guards included, must reach ``tol`` before it stops."""
+    shift = -spectrum._THETA * precond.lowest_eigenvalue
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         w, v, history = lobpcg(
             apply_h,
             x,
-            M=precond.solve,
+            M=partial(precond.solve, shift=shift),
             largest=False,
             tol=tol,
             maxiter=maxiter,

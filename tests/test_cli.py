@@ -8,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nematicq import hedgehog, maier_saupe
+from nematicq import cli, hedgehog, maier_saupe
 from nematicq.cli import main
 from nematicq.errors import ConfigError
 from nematicq.field import seed_field
 from nematicq.fieldio import load_config, read_field, write_field
+from nematicq.hisd import SaddleOptions
 
 
 def write_config(tmp_path, **overrides):
@@ -94,11 +95,15 @@ class TestToyCommands:
         assert manifest["error"] is None
 
 
-@pytest.mark.parametrize("argv", [["hedgehog", "-N", "64"], ["maier-saupe", "--alpha", "8.0"]])
+@pytest.mark.parametrize(
+    "argv", [["hedgehog", "-N", "64"], ["maier-saupe", "--alpha", "8.0"], ["landscape", "--toy"]]
+)
 def test_run_record_holds_the_tolerances_the_solver_applies(tmp_path, argv):
     applied = {
         "hedgehog": {"residual": hedgehog._TOL},
         "maier-saupe": {"eta_xtol": maier_saupe._ETA_XTOL, "eta_rtol": maier_saupe._ETA_RTOL},
+        # the toy's searches stop at the default gradient tolerance
+        "landscape": {"tol": SaddleOptions().tol_grad, "tol_x": cli._TOL_X},
     }
     assert main(argv + ["--out", str(tmp_path)]) == 0
     manifest, _ = manifest_outputs(tmp_path)

@@ -18,7 +18,7 @@ from nematicq.energy import (
     l1_operator,
     linear_shift,
 )
-from nematicq.errors import ShapeMismatch
+from nematicq.errors import ShapeMismatch, ValidationError
 from nematicq.field import Domain
 from nematicq.qtensor import (
     BulkParams,
@@ -455,6 +455,21 @@ class TestSineSolver:
             assert block.shape == r.shape and block.flags.c_contiguous
             assert np.all(np.abs(block - cols).max(axis=0) <= 1e-14 * np.abs(cols).max(axis=0))
             assert act(r[:, :0]).shape == (d.n_dof, 0)  # k = 0 saddle dynamics carry an empty V
+
+    def test_shift_must_keep_the_operator_spd(self):
+        """A shift at or below -mu0, or not finite, is refused; -0.8 mu0, the
+        eigensolver's, solves L1 - 0.8 mu0 I."""
+        d = Domain(nx=7, ny=5, lambda2=5.0, bulk=BULK, boundary="planar")
+        solver = l1_operator(d)
+        mu0 = solver.lowest_eigenvalue
+        assert mu0 == solver.eigenvalues.min() > 0.0
+        r = make_rng(10, "test:energy:shift").normal(size=d.n_dof)
+        for shift in (-mu0, -1.01 * mu0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="not SPD"):
+                solver.solve(r, shift)
+        l1 = (elastic_matrix(d) + linear_shift(d) * d.hx * d.hy * metric_matrix(d)).toarray()
+        x = solver.solve(r, -0.8 * mu0)
+        assert np.linalg.norm(l1 @ x - 0.8 * mu0 * x - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_one_operator_per_domain(self):
         d = make_domain(6)

@@ -70,9 +70,10 @@ class DiagMetric:
 
     def __init__(self, m):
         self.m = np.asarray(m, dtype=float)
+        self.lowest_eigenvalue = float(self.m.min())
 
-    def solve(self, r):
-        return (r.T / self.m).T
+    def solve(self, r, shift=0.0):
+        return (r.T / (self.m + shift)).T
 
     def apply(self, v):
         return (v.T * self.m).T

@@ -417,6 +417,26 @@ def test_whole_string_makes_one_eigensolve(case, monkeypatch):
     assert res.ts_lambda1 < 0.0
 
 
+def test_transition_state_certificate_iterations(monkeypatch):
+    # the 16^2 diagonal-to-diagonal top's k = 3 certificate: at most 13
+    # LOBPCG iterations (16 with the unshifted metric)
+    hisd = importlib.import_module("nematicq.hisd")
+    reports = []
+    original = hisd.smallest_eigs
+
+    def recorded(*args):
+        reports.append(original(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(hisd, "smallest_eigs", recorded)
+    system, (a, b) = ldg_string_ends(16)
+    res = find_mep(a, b, n_nodes=32, tol=1e-4, ts_tol=1e-4, system=system)
+    (rep,) = reports
+    assert rep.eigenvalues.shape == (3,) and rep.morse_index == 1
+    assert res.ts_lambda1 == rep.eigenvalues[0] < 0.0
+    assert 0 < rep.iterations <= 13
+
+
 def test_symmetric_ridge_trap_is_reported():
     # at lambda2 = 50 the straight string between the diagonal states keeps
     # their mirror symmetry and rides the index-2 ridge through the
