@@ -28,7 +28,8 @@ echo "== landscape: all stationary points of a closed-form test energy"
 python3 -m nematicq.cli landscape --toy --out "$OUT/toy"
 python3 - "$OUT/toy/landscape.json" << 'EOF'
 import json, sys
-graph = json.load(open(sys.argv[1]))
+with open(sys.argv[1]) as f:
+    graph = json.load(f)
 print(f"{len(graph['nodes'])} nodes, {len(graph['edges'])} edges")
 for node in graph["nodes"]:
     print(f"  node {node['id']}: index {node['index']} energy {node['energy']:.4f}")
@@ -48,6 +49,7 @@ echo
 echo "every run writes a run.json manifest naming all of its outputs:"
 python3 - "$OUT/hh/run.json" << 'EOF'
 import json, sys
-manifest = json.load(open(sys.argv[1]))
+with open(sys.argv[1]) as f:
+    manifest = json.load(f)
 print(json.dumps({k: manifest[k] for k in ("command", "outputs", "build_id")}, indent=2))
 EOF

@@ -8,14 +8,16 @@ The energy on the unit square is
 
 where the one-constant sum runs over grid edges with at least one
 interior endpoint (w = hy/hx for x-edges, hx/hy for y-edges; boundary
-values enter through the Dirichlet ring), the optional l2/l3 densities
+values enter through the Dirichlet ring; edges joining two boundary nodes
+would only add constants and are omitted), the optional l2/l3 densities
 are evaluated from cell-centered first differences, and the bulk sum
-runs over interior nodes.  Edges joining two boundary nodes would only
-add constants and are omitted.
+runs over interior nodes.  The gradient is the plain vector of partials
+with respect to the five components per node.
 
-The gradient is the plain vector of partial derivatives with respect to
-the five components per node; the Frobenius metric appears only inside
-the densities.
+The elastic terms are a quadratic form of the interior values x, so the
+energy takes no edge or cell sum: it is 1/2 x.(g + c) + e0 + hx hy lambda2
+sum f_b, g = Kx + c the elastic gradient and c and e0 the gradient and the
+energy at x = 0, which the ring alone gives (``elastic_affine``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import ShapeMismatch, ValidationError
 from .field import Domain, QField, d4_actions
 from .qtensor import G, bulk_energy, bulk_energy_gradient, bulk_gradient, bulk_hessian
-from .qtensor import metric_apply, to_matrix
+from .qtensor import frob2, metric_apply
 from .systems import System
 
 __all__ = [
@@ -36,7 +38,7 @@ __all__ = [
     "gradient",
     "LdGSystem",
     "SineSolver",
-    "elastic_shift_vector",
+    "elastic_affine",
     "l1_operator",
     "linear_shift",
 ]
@@ -50,32 +52,14 @@ _G_EIGVALS, _G_EIGVECS = np.linalg.eigh(G)  # 1, 2, 2, 2, 3
 _CHUNK_BYTES = 1 << 16
 
 
-def _cell_density_23(u: np.ndarray, l2: float, l3: float) -> float:
-    """Literal l2/l3 elastic density at one cell from u = (dQ/dx, dQ/dy)."""
-    ax = to_matrix(u[:5])
-    ay = to_matrix(u[5:])
-    div = ax[0, :] + ay[1, :]
-    d2 = 0.5 * l2 * float(div @ div)
-    d3 = 0.5 * l3 * float(ax[0] @ ax[0] + 2.0 * (ax[1] @ ay[0]) + ay[1] @ ay[1])
-    return d2 + d3
-
-
 @lru_cache(maxsize=16)
 def _cell_form(l2: float, l3: float) -> np.ndarray:
-    """10x10 matrix W with density = 1/2 u^T W u (by polarization)."""
-    w = np.zeros((10, 10))
-    eye = np.eye(10)
-    for a in range(10):
-        w[a, a] = 2.0 * _cell_density_23(eye[a], l2, l3)
-    for a in range(10):
-        for b in range(a + 1, 10):
-            cross = (
-                _cell_density_23(eye[a] + eye[b], l2, l3)
-                - 0.5 * w[a, a]
-                - 0.5 * w[b, b]
-            )
-            w[a, b] = w[b, a] = cross
-    return w
+    """10x10 W of the cell density 1/2 u^T W u, u = (dQ/dx, dQ/dy), rows of Q as 3-vectors:
+    l2/2 |div Q|^2 + l3/2 (|Q_x row 0|^2 + 2 Q_x row 1 . Q_y row 0 + |Q_y row 1|^2)."""
+    e = np.eye(10)
+    ax0, ax1, ay0, ay1 = e[[0, 1, 2]], e[[1, 3, 4]], e[[5, 6, 7]], e[[6, 8, 9]]
+    div = ax0 + ay1
+    return l2 * (div.T @ div) + l3 * (ax0.T @ ax0 + ax1.T @ ay0 + ay0.T @ ax1 + ay1.T @ ay1)
 
 
 def _cell_gradients(domain: Domain, ext: np.ndarray) -> np.ndarray:
@@ -87,73 +71,72 @@ def _cell_gradients(domain: Domain, ext: np.ndarray) -> np.ndarray:
     return np.concatenate([ax, ay], axis=-1)
 
 
-def _edge_sum(diff: np.ndarray):
-    """Sum of |Q_a - Q_b|^2 over one edge direction, 2 (sum a^2 + sum a1 a4), per field."""
-    a = diff.reshape(diff.shape[:-3] + (-1, 5))
-    return 2.0 * (np.sum(a * a, axis=(-2, -1)) + np.sum(a[..., 0] * a[..., 3], axis=-1))
-
-
-def _cell_terms(domain: Domain, ext: np.ndarray):
-    """(u, u W) per cell for the l2/l3 form W (see ``_cell_gradients``); None when l2 = l3 = 0."""
+def _cell_grad(domain: Domain, ext: np.ndarray) -> np.ndarray | None:
+    """Partials of the l2/l3 cell terms of ext (..., nx+2, ny+2, 5) with
+    respect to its interior nodes; None when l2 = l3 = 0."""
     if domain.l2 == 0.0 and domain.l3 == 0.0:
         return None
-    u = _cell_gradients(domain, ext)
-    return u, u @ _cell_form(domain.l2, domain.l3)
+    s = domain.hx * domain.hy * (_cell_gradients(domain, ext) @ _cell_form(domain.l2, domain.l3))
+    sx, sy = s[..., :5] / (2.0 * domain.hx), s[..., 5:] / (2.0 * domain.hy)
+    plus, minus = sx + sy, sx - sy
+    acc = np.zeros(ext.shape)
+    acc[..., 1:, 1:, :] += plus
+    acc[..., :-1, :-1, :] -= plus
+    acc[..., 1:, :-1, :] += minus
+    acc[..., :-1, 1:, :] -= minus
+    return acc[..., 1:-1, 1:-1, :]
 
 
-def _energy_from_ext(domain: Domain, ext: np.ndarray, cells=None, bulk: np.ndarray | None = None):
-    """The energy of ext; its ``_cell_terms`` and the bulk density per
-    interior node are computed here, after the edge sums, unless given."""
-    wx = domain.hy / domain.hx
-    wy = domain.hx / domain.hy
-    e = 0.5 * wx * _edge_sum(ext[..., 1:, 1:-1, :] - ext[..., :-1, 1:-1, :])
-    e += 0.5 * wy * _edge_sum(ext[..., 1:-1, 1:, :] - ext[..., 1:-1, :-1, :])
-    cells = _cell_terms(domain, ext) if cells is None else cells
-    if cells is not None:
-        u, uw = cells
-        e += 0.5 * domain.hx * domain.hy * np.sum(uw * u, axis=(-3, -2, -1))
-    bulk = bulk_energy(ext[..., 1:-1, 1:-1, :], domain.bulk) if bulk is None else bulk
-    e += domain.lambda2 * domain.hx * domain.hy * np.sum(bulk, axis=(-2, -1))
-    return e
-
-
-def _elastic_grad_from_ext(domain: Domain, ext: np.ndarray, cells=None) -> np.ndarray:
-    """Partials of the elastic terms with respect to interior nodes; the
-    ``_cell_terms`` of ext are computed here unless given."""
+def _elastic_grad_from_ext(domain: Domain, ext: np.ndarray) -> np.ndarray:
+    """Partials of the elastic terms with respect to interior nodes."""
     wx = domain.hy / domain.hx
     wy = domain.hx / domain.hy
     v = ext[..., 1:-1, 1:-1, :]
     lap = wx * (2.0 * v - ext[..., :-2, 1:-1, :] - ext[..., 2:, 1:-1, :])
     lap += wy * (2.0 * v - ext[..., 1:-1, :-2, :] - ext[..., 1:-1, 2:, :])
-    g = metric_apply(lap)
-    cells = _cell_terms(domain, ext) if cells is None else cells
-    if cells is not None:
-        s = domain.hx * domain.hy * cells[1]
-        sx = s[..., :5] / (2.0 * domain.hx)
-        sy = s[..., 5:] / (2.0 * domain.hy)
-        plus, minus = sx + sy, sx - sy
-        acc = np.zeros_like(ext)
-        acc[..., 1:, 1:, :] += plus
-        acc[..., :-1, :-1, :] -= plus
-        acc[..., 1:, :-1, :] += minus
-        acc[..., :-1, 1:, :] -= minus
-        g = g + acc[..., 1:-1, 1:-1, :]
-    return g
+    g, cells = metric_apply(lap), _cell_grad(domain, ext)
+    return g if cells is None else g + cells
+
+
+def elastic_affine(domain: Domain) -> tuple[np.ndarray, float]:
+    """(c, e0) of the elastic energy 1/2 x.Kx + c.x + e0, kept on the domain as ``l1_operator``
+    is: c (flat, read-only) the elastic gradient at x = 0, e0 the ring's energy there."""
+    affine = domain.__dict__.get("_elastic_affine")
+    if affine is None:
+        ring, wx, wy = domain.ring, domain.hy / domain.hx, domain.hx / domain.hy
+        c = _elastic_grad_from_ext(domain, ring).reshape(-1)
+        c.flags.writeable = False
+        # at x = 0 the edges from the ring into the interior and the cells count
+        e0 = 0.5 * (wx * float(np.sum(frob2(ring[[0, -1], 1:-1]))) + wy * float(np.sum(frob2(ring[1:-1, [0, -1]]))))
+        if domain.l2 != 0.0 or domain.l3 != 0.0:
+            u = _cell_gradients(domain, ring)
+            e0 += 0.5 * domain.hx * domain.hy * float(np.sum((u @ _cell_form(domain.l2, domain.l3)) * u))
+        affine = domain.__dict__["_elastic_affine"] = (c, e0)
+    return affine
+
+
+def _energy(domain: Domain, values: np.ndarray, elastic: np.ndarray, density: np.ndarray):
+    """F per field of values (..., nx, ny, 5): 1/2 x.(g + c) + e0 + lambda2 hx hy sum f_b."""
+    c, e0 = elastic_affine(domain)
+    xg = elastic + c.reshape(domain.shape)
+    xg *= values
+    bulk = domain.lambda2 * domain.hx * domain.hy * np.sum(density, axis=(-2, -1))
+    return 0.5 * np.sum(xg, axis=(-3, -2, -1)) + e0 + bulk
 
 
 def free_energy(domain: Domain, values: np.ndarray):
     """Total discrete free energy (boundary data included) of each field in
     ``values``, shape (..., nx, ny, 5) or (..., n_dof): a scalar for one field."""
-    return _energy_from_ext(domain, domain.extend(values))
+    ext = domain.extend(values)
+    interior = ext[..., 1:-1, 1:-1, :]
+    return _energy(domain, interior, _elastic_grad_from_ext(domain, ext), bulk_energy(interior, domain.bulk))
 
 
 def gradient(domain: Domain, values: np.ndarray) -> np.ndarray:
     """Exact partials dF/dq per interior node of each field, shape (..., nx, ny, 5)."""
     ext = domain.extend(values)
-    g = _elastic_grad_from_ext(domain, ext)
-    interior = ext[..., 1:-1, 1:-1, :]
-    g = g + domain.lambda2 * domain.hx * domain.hy * bulk_gradient(interior, domain.bulk)
-    return g
+    bulk = bulk_gradient(ext[..., 1:-1, 1:-1, :], domain.bulk)
+    return _elastic_grad_from_ext(domain, ext) + domain.lambda2 * domain.hx * domain.hy * bulk
 
 
 def elastic_apply(domain: Domain, flat: np.ndarray) -> np.ndarray:
@@ -169,12 +152,6 @@ def linear_shift(domain: Domain) -> float:
     """a1 = lambda2 max(0, -a) + 1 of L1 = K + a1 hx hy kron(I, G): the SAV
     flow's linear part and the solvers' metric M (``l1_operator``)."""
     return domain.lambda2 * max(0.0, -domain.bulk.a) + 1.0
-
-
-def elastic_shift_vector(domain: Domain) -> np.ndarray:
-    """Affine part c of the elastic gradient, from the boundary ring."""
-    ext = domain.ring.copy()
-    return _elastic_grad_from_ext(domain, ext).reshape(-1)
 
 
 class LdGSystem(System):
@@ -198,15 +175,16 @@ class LdGSystem(System):
 
     def energy_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """``(energy(x), gradient(x))`` bit for bit, from one extension of the
-        field, one set of cell terms and one bulk pass."""
+        field, one elastic gradient, which gives the elastic energy, and one bulk pass."""
         d = self.domain
         ext = d.extend(self._one_field(x))
-        cells = _cell_terms(d, ext)
-        density, g = bulk_energy_gradient(ext[..., 1:-1, 1:-1, :], d.bulk)
-        e = float(_energy_from_ext(d, ext, cells, density))
+        interior = ext[1:-1, 1:-1]
+        density, g = bulk_energy_gradient(interior, d.bulk)
+        elastic = _elastic_grad_from_ext(d, ext)
+        e = float(_energy(d, interior, elastic, density))
         # gradient's elastic + lambda2 hx hy bulk, in place to hold fewer large temporaries
         g *= d.lambda2 * d.hx * d.hy
-        g += _elastic_grad_from_ext(d, ext, cells)
+        g += elastic
         return e, g.reshape(self.n)
 
     def energies(self, xs: np.ndarray) -> np.ndarray:
@@ -216,33 +194,58 @@ class LdGSystem(System):
         return gradient(self.domain, xs).reshape(np.shape(xs))
 
     def hessian_vec(self, x: np.ndarray, v: np.ndarray, l: float | None = None) -> np.ndarray:
-        """H(x) v exactly: ``elastic_apply`` plus lambda2 hx hy ``bulk_hessian``.
+        """H(x) v exactly: the homogeneous elastic operator (``elastic_apply``'s)
+        plus lambda2 hx hy ``bulk_hessian``, under the contract of
+        ``System.hessian_vec`` (vector or (n, m) block, each column equal to
+        its single-vector call bit for bit, zero columns zero); ``l`` is ignored.
 
-        The contract of ``System.hessian_vec`` (vector or (n, m) block, each
-        column equal to its single-vector call bit for bit, zero columns
-        zero); no probe is taken, so ``l`` is ignored.  The columns go
-        through in chunks of at most ``_CHUNK_BYTES`` each, so that a wide
-        block on a large grid does not page in fresh temporaries.  A copy of
-        the last x and its ``bulk_hessian`` map are kept on ``self``; a call
-        at an x equal to it by content reuses the map.
-        """
+        The columns go through in chunks of at most ``_CHUNK_BYTES``, so that a
+        wide block on a large grid pages in no fresh temporaries.  A chunk is
+        copied into component-major planes (m, 5, nx, ny) framed by zeros; G
+        times their 5-point Laplacian, the l2/l3 cell terms and the bulk term
+        are summed there and copied back to node-major order.  A copy of the
+        last x and its ``bulk_hessian`` map are kept on ``self`` and reused."""
         d = self.domain
-        v = np.asarray(v, dtype=float)
-        cols = v.reshape(v.shape[0], -1)
+        nx, ny = d.nx, d.ny
+        cols = np.asarray(v, dtype=float).reshape(np.shape(v)[0], -1)
+        m = cols.shape[1]
         last_x, bulk = self.__dict__.get("_bulk_hessian", (None, None))
         if not np.array_equal(last_x, x):
             bulk = bulk_hessian(d.check_values(x), d.bulk)
             self._bulk_hessian = (np.array(x, dtype=float), bulk)
         hv = np.empty_like(cols)
+        v_planes = cols.reshape(nx, ny, 5, m).transpose(3, 2, 0, 1)  # (m, 5, nx, ny) views
+        hv_planes = hv.reshape(nx, ny, 5, m).transpose(3, 2, 0, 1)
         step = max(1, _CHUNK_BYTES // (8 * d.n_dof))
-        for lo in range(0, cols.shape[1], step):
-            rows = np.ascontiguousarray(cols[:, lo : lo + step].T)
-            out = elastic_apply(d, rows)
-            b = bulk(rows.reshape((-1,) + d.shape))
+        frame = np.zeros((min(step, m), 5, nx + 2, ny + 2))
+        lap, r = np.empty_like(frame), ny + 2
+        for lo in range(0, m, step):
+            ext, lap_w = frame[: m - lo], lap[: m - lo]
+            ext[..., 1:-1, 1:-1] = v_planes[lo : lo + step]
+            # G lap = 2 lap + the q1-q4 coupling, 2 lap = 2 wx (2v - v_W - v_E) + 2 wy (2v - v_S - v_N)
+            # in place on the flattened planes, where a node's neighbours are r and 1 entries away
+            f, l = ext.reshape(-1), lap_w.reshape(-1)[r:-r]
+            np.multiply(f[r:-r], 2.0, out=l)
+            l -= f[: -2 * r]
+            l -= f[2 * r :]
+            l *= 2.0 * (d.hy / d.hx)
+            t = 2.0 * f[r:-r]
+            t -= f[r - 1 : -r - 1]
+            t -= f[r + 1 : 1 - r]
+            t *= 2.0 * (d.hx / d.hy)
+            l += t
+            out = lap_w[..., 1:-1, 1:-1]
+            half0 = 0.5 * out[:, 0]
+            out[:, 0] += 0.5 * out[:, 3]
+            out[:, 3] += half0
+            cells = _cell_grad(d, ext.transpose(0, 2, 3, 1))
+            if cells is not None:
+                out += cells.transpose(0, 3, 1, 2)
+            b = bulk(ext[..., 1:-1, 1:-1])
             b *= d.lambda2 * d.hx * d.hy
-            out += b.reshape(out.shape)
-            hv[:, lo : lo + step] = out.T
-        return hv.reshape(v.shape)
+            out += b
+            hv_planes[lo : lo + step] = out
+        return hv.reshape(np.shape(v))
 
     def field(self, x: np.ndarray) -> QField:
         return QField.from_flat(self.domain, x)

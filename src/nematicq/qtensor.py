@@ -193,8 +193,9 @@ def _density(p: BulkParams, f2, t3):
 
 
 def bulk_energy(q: np.ndarray, p: BulkParams) -> np.ndarray:
-    """Bulk density a/2 |Q|^2 - b/3 tr Q^3 + c/4 |Q|^4 per tensor."""
-    return _density(p, frob2(q), trq3(q))
+    """Bulk density a/2 |Q|^2 - b/3 tr Q^3 + c/4 |Q|^4 per tensor, component-major."""
+    q1, q2, q3, q4, q5 = np.moveaxis(_check_last_axis(q), -1, 0).copy()
+    return _density(p, 2.0 * _half_frob2(q1, q2, q3, q4, q5), 3.0 * _det(q1, q2, q3, q4, q5, -q1 - q4))
 
 
 def bulk_gradient(q: np.ndarray, p: BulkParams) -> np.ndarray:
@@ -253,30 +254,30 @@ _DET_HESSIAN = np.array([_det_hessian(*e) for e in np.eye(5)]).reshape(5, 25).T.
 
 def bulk_hessian(q: np.ndarray, p: BulkParams) -> Callable[[np.ndarray], np.ndarray]:
     """The bulk Hessian at each tensor of q (..., 5), as a map that applies it
-    to each row of a block v (m, ..., 5):
+    to a component-major block v (m, 5, ...), the five component planes of
+    each of m fields on the tensors' grid, and returns the same layout:
 
         (a + c |Q|^2) G v + 2c (q^T G v) G q - b (d^2 det Q / dq^2) v,
 
-    the derivative of ``bulk_gradient`` along v.  Each tensor's 5 x 5 matrix
-    (less the rank-one term) is assembled once, component-major, when the
-    map is made, and one contraction applies it to all m rows, so each row
-    of a block equals its single call bit for bit.
+    the derivative of ``bulk_gradient`` along v.  Each tensor's 5 x 5 matrix (less the
+    rank-one term) is assembled once, component-major, when the map is made; one
+    contraction applies it to all m fields, each as in its single call bit for bit.
     """
     q = _check_last_axis(q)
-    n = q.size // 5
-    qc = q.reshape(n, 5).T
+    qc = q.reshape(-1, 5).T
     gq = G @ qc
     # row 5i + j: -b d^2 det Q / dq_i dq_j + (a + c |Q|^2) G_ij
     table = np.hstack([(-p.b) * _DET_HESSIAN, G.reshape(25, 1)])
-    h = (table @ np.vstack([qc, p.a + p.c * np.einsum("in,in->n", qc, gq)])).reshape(5, 5, n)
+    h = (table @ np.vstack([qc, p.a + p.c * np.einsum("in,in->n", qc, gq)])).reshape(5, 5, -1)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        vc = np.ascontiguousarray(_check_last_axis(v).reshape(-1, n, 5).transpose(2, 0, 1))
-        out = np.einsum("ijn,jmn->imn", h, vc)
-        t = np.einsum("jn,jmn->mn", gq, vc)
+        # on a flattened copy of the grid: einsum is three times slower on 4-d views
+        vc = v.reshape(v.shape[:2] + (-1,))
+        out = np.einsum("ijn,mjn->min", h, vc)
+        t = np.einsum("jn,mjn->mn", gq, vc)
         t *= 2.0 * p.c
-        out += gq[:, None] * t
-        return np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(v.shape)
+        out += gq * t[:, None]
+        return out.reshape(v.shape)
 
     return apply
 

@@ -42,7 +42,6 @@ and F1(q+).  Conjugate gradients run only when the check fails (l2/l3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _field, replace
-from functools import cached_property
 from itertools import chain, cycle
 from math import ceil, floor, log2
 
@@ -52,7 +51,8 @@ from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/
 
 from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
 from .field import Domain, QField
-from .energy import LdGSystem, elastic_apply, elastic_shift_vector, free_energy, gradient, l1_operator, linear_shift
+from .energy import LdGSystem, elastic_affine, elastic_apply, gradient, l1_operator, linear_shift
+from .energy import free_energy  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.free_energy
 from .minimize import _polish
 from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_energy_uniaxial, metric_apply
 from .qtensor import bulk_gradient  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.bulk_gradient
@@ -96,7 +96,9 @@ class SavSplit:
         # lambda2 f_b - a1/2 |Q|^2 as one bulk density (lambda2 > 0 keeps b, c >= 0)
         shifted = BulkParams(lam2 * p.a - self.a1, lam2 * p.b, lam2 * p.c)
         self.c0 = 1.0 - _uniaxial_floor(shifted)
-        self.shift = elastic_shift_vector(domain)
+        # with e0 - C0 the modified and the true energy agree whenever r^2 = F1
+        self.shift, e0 = elastic_affine(domain)
+        self._constant = e0 - self.c0
         self._hw = hw = domain.hx * domain.hy
         self._bulk = BulkParams(hw * shifted.a, hw * shifted.b, hw * shifted.c)  # F1 - C0 per node
 
@@ -114,12 +116,6 @@ class SavSplit:
         """F1 and its gradient from one bulk pass; the F1 is ``f1(flat)`` bit for bit."""
         density, g = bulk_energy_gradient(flat.reshape(self.domain.shape), self._bulk)
         return float(np.sum(density)) + self.c0, g.reshape(-1)
-
-    @cached_property
-    def _constant(self) -> float:
-        # free energy carried by the fixed boundary ring; with it the
-        # modified energy and the true energy agree whenever r^2 = F1
-        return free_energy(self.domain, np.zeros(self.domain.shape)) - self.c0
 
     def modified_energy(self, flat: np.ndarray, r: float) -> float:
         quad = 0.5 * float(flat @ self.l_apply(flat)) + float(self.shift @ flat)

@@ -1,6 +1,7 @@
 """Free energy and gradient against independent summation and FD oracles."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ import nematicq.energy as energy_module
 from nematicq.energy import (
     LdGSystem,
     elastic_apply,
-    elastic_shift_vector,
+    elastic_affine,
     free_energy,
     gradient,
     l1_operator,
@@ -20,19 +21,22 @@ from nematicq.energy import (
 )
 from nematicq.errors import ShapeMismatch, ValidationError
 from nematicq.field import Domain
+from nematicq.field import QField, seed_field, symmetrize
+from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import (
     BulkParams,
     bulk_energy,
     bulk_energy_gradient,
     bulk_gradient,
     dual_components,
+    frob2,
     to_matrix,
     uniaxial_components,
 )
 from nematicq.sav import SavSplit
 from nematicq.systems import System, make_rng
 from nematicq.toys import DiagQuadratic, DoubleWell2D, Quartic2D
-from oracles import elastic_matrix, metric_matrix
+from oracles import elastic_form, elastic_matrix, metric_matrix
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
 
@@ -155,7 +159,7 @@ def test_elastic_operator_decomposition():
     gen = make_rng(25, "test:energy")
     q = 0.5 * gen.normal(size=d.n_dof)
     k = elastic_matrix(d)
-    c = elastic_shift_vector(d)
+    c = elastic_affine(d)[0]
     kq = elastic_apply(d, q)
     assert np.allclose(k @ q, kq, atol=1e-12 * max(1.0, np.abs(kq).max()))
     g_full = gradient(d, q.reshape(d.shape)).reshape(-1)
@@ -297,6 +301,30 @@ class TestExactHessian:
         h = elastic_matrix(d).toarray() + d.lambda2 * d.hx * d.hy * sp.block_diag(blocks).toarray()
         assert sy.n == 80
         assert np.linalg.norm(sy.hessian_vec(x, np.eye(sy.n)) - h) <= 1e-12 * np.linalg.norm(h)
+
+    def test_matches_dense_l23_oracle_on_a_rectangle(self):
+        # the dense l2/l3 form of the oracles, a callable ring, and a 9 x 6 grid
+        # whose 270 columns go through in 9 chunks of 30
+        d = Domain(nx=9, ny=6, lambda2=3.0, bulk=BULK, boundary=_swirl_boundary, l2=0.6, l3=0.4)
+        sy = LdGSystem(d)
+        x = 0.4 * make_rng(37, "test:energy:exact").normal(size=sy.n)
+        blocks = [_bulk_hessian_oracle(q, d.bulk) for q in x.reshape(-1, 5)]
+        h = elastic_form(d, d.l2, d.l3) + d.lambda2 * d.hx * d.hy * sp.block_diag(blocks).toarray()
+        assert np.linalg.norm(sy.hessian_vec(x, np.eye(sy.n)) - h) <= 1e-12 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    def test_blocks_around_the_chunk_width_equal_column_calls(self, l23):
+        # at 16^2 a chunk holds six columns: widths 1 to 7 fill one chunk
+        # partly, exactly, and spill one column into a second
+        d = Domain(nx=16, ny=16, lambda2=50.0, bulk=BULK, boundary="planar", l2=l23[0], l3=l23[1])
+        sy = LdGSystem(d)
+        assert max(1, energy_module._CHUNK_BYTES // (8 * d.n_dof)) == 6
+        gen = make_rng(38, "test:energy:chunks")
+        x = 0.4 * gen.normal(size=sy.n)
+        v = gen.normal(size=(sy.n, 7))
+        columns = np.column_stack([sy.hessian_vec(x, col) for col in v.T])
+        for width in range(1, 8):
+            assert np.array_equal(sy.hessian_vec(x, v[:, :width]), columns[:, :width])
 
     @pytest.mark.parametrize("boundary", ["planar", "tangent", "zero", _swirl_boundary])
     @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
@@ -509,3 +537,62 @@ class TestEnergyGradient:
         for sy, y in ((Quartic2D(), x), (DoubleWell2D(), x), (DiagQuadratic([-1.0, 2.0, 3.0]), np.array([0.5, 1.0, -2.0]))):
             e, g = sy.energy_gradient(y)
             assert e == sy.energy(y) and np.array_equal(g, sy.gradient(y))
+
+
+class TestAffineEnergy:
+    """The energy read off the elastic gradient: 1/2 x.(g + c) + e0 plus the bulk sum."""
+
+    @pytest.mark.parametrize("boundary", ["tangent", "planar", "zero", _swirl_boundary])
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    def test_matches_double_loop_oracle_for_every_boundary(self, boundary, l23):
+        d = make_domain(n=6, lambda2=4.0, boundary=boundary, l2=l23[0], l3=l23[1])
+        vals = 0.5 * make_rng(39, "test:energy:affine").normal(size=d.shape)
+        assert free_energy(d, vals) == pytest.approx(oracle_energy(d, vals), rel=1e-13)
+
+    @pytest.mark.parametrize("boundary", ["tangent", "planar", "zero", _swirl_boundary])
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    def test_zero_field_gives_the_kept_ring_energy(self, boundary, l23):
+        d = Domain(nx=9, ny=6, lambda2=5.0, bulk=BULK, boundary=boundary, l2=l23[0], l3=l23[1])
+        c, e0 = elastic_affine(d)
+        assert elastic_affine(d)[0] is c and not c.flags.writeable
+        assert e0 == pytest.approx(oracle_energy(d, np.zeros(d.shape)), rel=1e-13)
+        assert free_energy(d, np.zeros(d.shape)) == e0
+        assert LdGSystem(d).energy_gradient(np.zeros(d.n_dof))[0] == e0
+        assert np.array_equal(gradient(d, np.zeros(d.shape)).reshape(-1), c)
+
+    @staticmethod
+    def fsum_energy(d: Domain, vals: np.ndarray) -> float:
+        """The energy as one math.fsum of its edge and node terms (l2 = l3 = 0)."""
+        ext = d.extend(vals)
+        terms = [
+            0.5 * (d.hy / d.hx) * frob2(ext[1:, 1:-1] - ext[:-1, 1:-1]),
+            0.5 * (d.hx / d.hy) * frob2(ext[1:-1, 1:] - ext[1:-1, :-1]),
+            d.lambda2 * d.hx * d.hy * bulk_energy(ext[1:-1, 1:-1], d.bulk),
+        ]
+        return math.fsum(np.concatenate([t.ravel() for t in terms]))
+
+    @pytest.mark.parametrize("state", ["minimum64", "cross16"])
+    def test_within_four_ulps_of_an_exact_sum(self, state):
+        # the 64^2 stable state at lambda2 = 5 and the 16^2 index-2 cross at
+        # lambda2 = 50; minimize judges energies to a band of 16 ulps, which
+        # the affine form's rounding must not use up
+        bulk = BulkParams(-2.0 / 3.0, 2.0, 2.0)
+        if state == "minimum64":
+            d = Domain(nx=64, ny=64, lambda2=5.0, bulk=bulk, boundary="planar")
+            x0, opts = seed_field(d, "isotropic").flat, MinimizeOptions(tol_grad=1e-8)
+        else:
+            d = Domain(nx=16, ny=16, lambda2=50.0, bulk=bulk, boundary="planar")
+            x, y = np.meshgrid(d.xs, d.ys, indexing="ij")
+            q = np.zeros(d.shape)
+            sign = np.where(np.abs(y - 0.5) > np.abs(x - 0.5), 1.0, -1.0)
+            q[..., 0] = 0.5 * d.s_plus * sign * np.minimum(1.0, 3.0 * np.minimum(np.abs(x - y), np.abs(x + y - 1.0)))
+            q[..., 3] = -q[..., 0]
+
+            def project(flat):
+                return symmetrize(QField.from_flat(d, flat)).flat
+
+            x0, opts = project(q.reshape(-1)), MinimizeOptions(tol_grad=1e-8, project=project)
+        res = minimize(LdGSystem(d), x0, opts)
+        assert res.converged
+        exact = self.fsum_energy(d, res.x)
+        assert abs(free_energy(d, res.x) - exact) <= 4 * np.spacing(abs(exact))

@@ -35,6 +35,10 @@ def tangent_domain(n=6, lambda2=5.0, **kw):
     return Domain(nx=n, ny=n, lambda2=lambda2, bulk=BULK, **kw)
 
 
+def _swirl_ring(x, y):
+    return np.stack([0.3 * np.sin(3.0 * x), 0.2 * x * y, 0.0 * x, 0.0 * x, 0.1 * np.cos(y)], axis=-1)
+
+
 def golden_min(f, lo, hi, tol=1e-12):
     """Golden-section minimum of a unimodal f on [lo, hi]."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -110,6 +114,19 @@ class TestSplit:
         assert np.allclose(g_split, sy.gradient(x), rtol=1e-12, atol=1e-13)
         r = np.sqrt(split.f1(x))
         assert split.modified_energy(x, r) == pytest.approx(sy.energy(x), rel=1e-12)
+
+    @pytest.mark.parametrize("boundary", ["planar", "zero", _swirl_ring])
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    def test_split_reads_the_domains_affine_form(self, boundary, l23):
+        # c and the ring's energy e0 are the domain's one affine form of the
+        # elastic energy; with them the modified energy is the energy at r^2 = F1
+        d = tangent_domain(5, lambda2=5.0, boundary=boundary, l2=l23[0], l3=l23[1])
+        split = sav_split(d)
+        c, e0 = energy.elastic_affine(d)
+        assert split.shift is c and split._constant == e0 - split.c0
+        for x in (np.zeros(d.n_dof), seed_field(d, "random(0.5)", seed=4).flat):
+            r = np.sqrt(split.f1(x))
+            assert split.modified_energy(x, r) == pytest.approx(free_energy(d, x), rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("boundary", ["planar", "tangent"])
     @pytest.mark.parametrize("a", [-1.0, 0.02])
