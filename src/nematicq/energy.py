@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ShapeMismatch, ValidationError
-from .field import Domain, QField, d4_actions
+from .field import Domain, QField, d4_actions, kept_on_domain
 from .qtensor import G, bulk_energy, bulk_energy_gradient, bulk_gradient, bulk_hessian
 from .qtensor import frob2, metric_apply
 from .systems import System
@@ -98,21 +98,19 @@ def _elastic_grad_from_ext(domain: Domain, ext: np.ndarray) -> np.ndarray:
     return g if cells is None else g + cells
 
 
+@kept_on_domain
 def elastic_affine(domain: Domain) -> tuple[np.ndarray, float]:
-    """(c, e0) of the elastic energy 1/2 x.Kx + c.x + e0, kept on the domain as ``l1_operator``
-    is: c (flat, read-only) the elastic gradient at x = 0, e0 the ring's energy there."""
-    affine = domain.__dict__.get("_elastic_affine")
-    if affine is None:
-        ring, wx, wy = domain.ring, domain.hy / domain.hx, domain.hx / domain.hy
-        c = _elastic_grad_from_ext(domain, ring).reshape(-1)
-        c.flags.writeable = False
-        # at x = 0 the edges from the ring into the interior and the cells count
-        e0 = 0.5 * (wx * float(np.sum(frob2(ring[[0, -1], 1:-1]))) + wy * float(np.sum(frob2(ring[1:-1, [0, -1]]))))
-        if domain.l2 != 0.0 or domain.l3 != 0.0:
-            u = _cell_gradients(domain, ring)
-            e0 += 0.5 * domain.hx * domain.hy * float(np.sum((u @ _cell_form(domain.l2, domain.l3)) * u))
-        affine = domain.__dict__["_elastic_affine"] = (c, e0)
-    return affine
+    """(c, e0) of the elastic energy 1/2 x.Kx + c.x + e0, kept on the domain: c (flat,
+    read-only) the elastic gradient at x = 0, e0 the ring's energy there."""
+    ring, wx, wy = domain.ring, domain.hy / domain.hx, domain.hx / domain.hy
+    c = _elastic_grad_from_ext(domain, ring).reshape(-1)
+    c.flags.writeable = False
+    # at x = 0 the edges from the ring into the interior and the cells count
+    e0 = 0.5 * (wx * float(np.sum(frob2(ring[[0, -1], 1:-1]))) + wy * float(np.sum(frob2(ring[1:-1, [0, -1]]))))
+    if domain.l2 != 0.0 or domain.l3 != 0.0:
+        u = _cell_gradients(domain, ring)
+        e0 += 0.5 * domain.hx * domain.hy * float(np.sum((u @ _cell_form(domain.l2, domain.l3)) * u))
+    return c, e0
 
 
 def _energy(domain: Domain, values: np.ndarray, elastic: np.ndarray, density: np.ndarray):
@@ -362,10 +360,8 @@ class SineSolver:
                 column[..., a] += _G_EIGVECS[a, c] * plane
 
 
+@kept_on_domain
 def l1_operator(domain: Domain) -> SineSolver:
-    """`domain`'s L1 as one SineSolver, kept on the domain so it lives as long as the
-    domain: the solvers' metric M, the SAV step's solve and its step ladder's spectrum."""
-    op = domain.__dict__.get("_l1_operator")
-    if op is None:
-        op = domain.__dict__["_l1_operator"] = SineSolver(domain)
-    return op
+    """`domain`'s L1 as one SineSolver, kept on the domain: the solvers'
+    metric M, the SAV step's solve and its step ladder's spectrum."""
+    return SineSolver(domain)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, wraps
 
 import numpy as np
 
@@ -216,6 +216,21 @@ class QField:
 
     def energy(self) -> float:
         return self.domain.free_energy(self.values)
+
+
+def kept_on_domain(build):
+    """Decorate ``build(domain)`` to run once per domain, its result kept in the frozen domain's
+    ``__dict__``: what a domain determines lives as long as it, as its cached properties do."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @wraps(build)
+    def kept(domain: Domain):
+        value = domain.__dict__.get(key)
+        if value is None:
+            value = domain.__dict__[key] = build(domain)
+        return value
+
+    return kept
 
 
 _SEED_RE = re.compile(

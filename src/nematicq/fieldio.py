@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError, ShapeMismatch
-from .field import BOUNDARY_KINDS, Domain, QField
+from .field import BOUNDARY_KINDS, Domain, QField, kept_on_domain
 from .qtensor import BulkParams
 
 __all__ = [
@@ -61,15 +61,11 @@ def _header(d: Domain) -> tuple:
     return (d.nx, d.ny, d.lambda2, d.bulk.a, d.bulk.b, d.bulk.c, d.l2, d.l3, boundary)
 
 
+@kept_on_domain
 def _row_prefixes(d: Domain) -> list[str]:
-    """The "i,j,x,y" cells of every node in write order, built once per domain
-    and kept on it, as `energy.l1_operator` keeps its solver."""
-    prefixes = d.__dict__.get("_row_prefixes")
-    if prefixes is None:
-        xs, ys = [_g17(x) for x in d.xs], [_g17(y) for y in d.ys]
-        prefixes = [f"{i},{j},{x},{y}" for i, x in enumerate(xs) for j, y in enumerate(ys)]
-        d.__dict__["_row_prefixes"] = prefixes
-    return prefixes
+    """The "i,j,x,y" cells of every node in write order, kept on the domain."""
+    xs, ys = [_g17(x) for x in d.xs], [_g17(y) for y in d.ys]
+    return [f"{i},{j},{x},{y}" for i, x in enumerate(xs) for j, y in enumerate(ys)]
 
 
 def write_field(path, f: QField) -> None:

@@ -6,12 +6,12 @@ A saddle of index k is found by flowing
     dx/dt = -(I - 2 V V^T M) M^-1 grad E(x)
 
 while the k directions in V relax toward the k smallest eigenvectors of
-M^-1 H; explicit Euler steps plus a hard re-orthonormalization keep V
-orthonormal in <a, b>_M = a^T M b.  M is the system's SPD metric from
-``preconditioner_of`` (for a tensor field, the SineSolver of the SAV
-flow's linear operator L1, which applies M and M^-1 by sine transforms; it keeps
-the step count flat as the grid is refined), and the identity for a
-system that brings none.
+M^-1 H; explicit Euler steps plus LOBPCG's Cholesky re-orthonormalization,
+V L^-T for V^T M V = L L^T (``spectrum.inverse_factor``), keep V orthonormal in
+<a, b>_M = a^T M b.  M is the system's SPD metric from ``preconditioner_of`` (for
+a tensor field, the SineSolver of the SAV flow's linear operator L1, which applies
+M and M^-1 by sine transforms; it keeps the step count flat as the grid is
+refined), and the identity for a system that brings none.
 
 Once the gradient inf-norm of a search has fallen a decade below its
 start, the search tries a guarded Newton endgame (Newton-Krylov, Knoll
@@ -49,9 +49,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NoConvergence, NotStationary, ShapeMismatch, ValidationError, WrongIndex
-from .minimize import _polish
-from .spectrum import SpectrumReport, operator_scale, smallest_eigs
-from .systems import EUCLIDEAN, System, preconditioner_of, symmetries_of
+from .minimize import _polish, _reflected_direction
+from .spectrum import SpectrumReport, inverse_factor, operator_scale, smallest_eigs
+from .systems import System, preconditioner_of, symmetries_of
 
 __all__ = [
     "SaddleSearchState",
@@ -60,7 +60,6 @@ __all__ = [
     "LandscapeOptions",
     "Edge",
     "LandscapeGraph",
-    "gram_schmidt",
     "hisd_step",
     "classify_stationary",
     "make_record",
@@ -80,28 +79,17 @@ _SCALE_CHECK_EVERY = 25
 # _TOL_X times the field scale (and their energies agree); a branch start is
 # the image of another within a tenth of that.
 _TOL_X = 1e-4
+# A direction keeping less than _DEPENDENT of its M-norm once the earlier ones are projected out
+# has degenerated: Cholesky resolves only about sqrt(eps), and dependent blocks keep 1e-8 to 1e-7.
+_DEPENDENT = 1e-6
 
 
-def gram_schmidt(v: np.ndarray, precond=EUCLIDEAN) -> np.ndarray:
-    """Orthonormalize columns in order, with one reorthogonalization pass.
-
-    The inner product is <a, b>_M = a^T M b, with M applied once to the
-    block by ``precond.apply`` (the identity by default).
-    """
-    v = np.array(v, dtype=float)
-    mv = np.array(precond.apply(v), dtype=float)  # M v, updated along with v
-    for i in range(v.shape[1]):
-        for _ in range(2):
-            for j in range(i):
-                c = mv[:, j] @ v[:, i]
-                v[:, i] -= c * v[:, j]
-                mv[:, i] -= c * mv[:, j]
-        nrm = float(np.sqrt(v[:, i] @ mv[:, i]))
-        if nrm < 1e-13:
-            raise NoConvergence("direction set degenerated during orthonormalization")
-        mv[:, i] /= nrm
-        v[:, i] /= nrm
-    return v
+def _m_orthonormalize(v: np.ndarray, precond) -> np.ndarray:
+    """v's columns M-orthonormalized in order, M applied once; NoConvergence below _DEPENDENT."""
+    try:
+        return (inverse_factor(v.T, precond.apply(v).T, _DEPENDENT) @ v.T).T
+    except np.linalg.LinAlgError:
+        raise NoConvergence("direction set degenerated during orthonormalization") from None
 
 
 @dataclass(frozen=True)
@@ -161,34 +149,29 @@ def hisd_step(
 ) -> SaddleSearchState:
     """One explicit Euler step of size dt of the saddle dynamics in the metric M.
 
-    x moves by dt along the M-reflected preconditioned gradient
-    M^-1 g - 2 V (V^T g) (plain preconditioned descent when V is empty);
-    the v_i then relax by the same dt along M^-1 H v_i at the new x (one
-    block product), each shielded from the earlier directions, and the set
-    is M-orthonormalized.  M is ``preconditioner_of(system)`` (``solve``
-    applies M^-1, ``apply`` M; for a tensor field both are the
-    SineSolver's transforms, for a system without one the identity).
+    x moves by dt along the M-reflected preconditioned gradient M^-1 g - 2 V (V^T g)
+    (plain preconditioned descent when V is empty); the v_i then relax by the same
+    dt along M^-1 H v_i at the new x (one block product), each shielded from the
+    earlier directions, and the set is M-orthonormalized in order (NoConvergence
+    when it has degenerated).  M is ``preconditioner_of(system)`` (``solve`` applies
+    M^-1, ``apply`` M; for a tensor field both are the SineSolver's transforms, for
+    a system without one the identity).
     """
     if not 0.0 < dt < np.inf:
         raise ValidationError("step size must be positive and finite")
     precond = preconditioner_of(system)
     x, v, k = state.x, state.v, state.v.shape[1]
     g = system.gradient(x) if grad is None else grad
-    d = precond.solve(g)
-    if k:
-        d = d - 2.0 * v @ (v.T @ g)
-    x_new = x - dt * d
-    if k:
-        hv = system.hessian_vec(x_new, v)
-        # <v_j, M^-1 H v_i>_M = v_j^T H v_i
-        coef = v.T @ hv
-        # shield[j, i]: weight of v_j in the update of v_i; the running
-        # direction counts once, every earlier one twice, later ones not at all
-        shield = np.triu(2.0 * np.ones((k, k)), 1) + np.eye(k)
-        v_new = gram_schmidt(v - dt * (precond.solve(hv) - v @ (shield * coef)), precond)
-    else:
-        v_new = v
-    return SaddleSearchState(x_new, v_new)
+    x_new = x - dt * _reflected_direction(precond, g, v)
+    if not k:
+        return SaddleSearchState(x_new, v)
+    hv = system.hessian_vec(x_new, v)
+    # <v_j, M^-1 H v_i>_M = v_j^T H v_i
+    coef = v.T @ hv
+    # shield[j, i]: weight of v_j in the update of v_i; the running
+    # direction counts once, every earlier one twice, later ones not at all
+    shield = np.triu(2.0 * np.ones((k, k)), 1) + np.eye(k)
+    return SaddleSearchState(x_new, _m_orthonormalize(v - dt * (precond.solve(hv) - v @ (shield * coef)), precond))
 
 
 def classify_stationary(
@@ -298,15 +281,11 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
     if not 0 <= k <= n:
         raise ValidationError(f"index {k} out of range for {n} unknowns")
     if v0 is None:
-        if k:
-            v = gram_schmidt(smallest_eigs(system, x, k).eigenvectors, precond)
-        else:
-            v = np.zeros((n, 0))
-    else:
-        v0 = np.asarray(v0, dtype=float)
-        if v0.size != n * k:
-            raise ShapeMismatch(f"v0 has {v0.size} entries, need {n} x {k}")
-        v = gram_schmidt(v0.reshape(n, k), precond)
+        v0 = smallest_eigs(system, x, k).eigenvectors if k else np.zeros((n, 0))
+    v0 = np.asarray(v0, dtype=float)
+    if v0.size != n * k:
+        raise ShapeMismatch(f"v0 has {v0.size} entries, need {n} x {k}")
+    v = _m_orthonormalize(v0.reshape(n, k), precond)
 
     def scale_at(y: np.ndarray) -> float:
         # spectral radius of M^-1 H, the rate of the fastest mode

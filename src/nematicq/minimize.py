@@ -226,6 +226,12 @@ def _descent_step(hess, g: np.ndarray, precond) -> np.ndarray | None:
     return None
 
 
+def _reflected_direction(precond, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M^-1 g - 2 V (V^T g) for M-orthonormal directions V; the saddle dynamics move along -it."""
+    d = precond.solve(g)
+    return d - 2.0 * v @ (v.T @ g) if v.shape[1] else d
+
+
 def _polish(system: System, x: np.ndarray, e: float, g: np.ndarray, v: np.ndarray, tol_grad: float):
     """Guarded Newton steps from x (energy e, gradient g) toward a stationary
     point of index k, to a gradient inf-norm below tol_grad; the (n, k) block v
@@ -235,16 +241,13 @@ def _polish(system: System, x: np.ndarray, e: float, g: np.ndarray, v: np.ndarra
     CG when k = 0, by MINRES at relative tolerance _NEWTON_RTOL otherwise.
     Returns the (x, energy, |g|inf) of every step, the last below tol_grad,
     or None when a guard fails: the CG solve meets non-positive curvature or
-    does not converge, the first step makes an M-cosine below _NEWTON_COS
-    with the dynamics' direction at x, -(M^-1 g - 2 V V^T g) (-M^-1 g when
-    k = 0), a step does not lower |g|inf, or (k = 0) raises the energy, or
-    _NEWTON_STEPS steps do not reach tol_grad.
+    does not converge, the first step makes an M-cosine below _NEWTON_COS with the
+    dynamics' direction at x (``_reflected_direction``, negated), a step does not
+    lower |g|inf, or (k = 0) raises the energy, or _NEWTON_STEPS steps do not reach tol_grad.
     """
     precond = preconditioner_of(system)
     n, k = v.shape
-    move = -precond.solve(g)
-    if k:
-        move += 2.0 * v @ (v.T @ g)
+    move = -_reflected_direction(precond, g, v)
     g_inf = float(np.abs(g).max())
     path = []
     for _ in range(_NEWTON_STEPS):

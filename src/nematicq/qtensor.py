@@ -194,8 +194,7 @@ def _density(p: BulkParams, f2, t3):
 
 def bulk_energy(q: np.ndarray, p: BulkParams) -> np.ndarray:
     """Bulk density a/2 |Q|^2 - b/3 tr Q^3 + c/4 |Q|^4 per tensor, component-major."""
-    q1, q2, q3, q4, q5 = np.moveaxis(_check_last_axis(q), -1, 0).copy()
-    return _density(p, 2.0 * _half_frob2(q1, q2, q3, q4, q5), 3.0 * _det(q1, q2, q3, q4, q5, -q1 - q4))
+    return _bulk_pass(q, p, True, gradient=False)[0]
 
 
 def bulk_gradient(q: np.ndarray, p: BulkParams) -> np.ndarray:
@@ -215,14 +214,16 @@ def bulk_energy_gradient(q: np.ndarray, p: BulkParams) -> tuple[np.ndarray, np.n
     return _bulk_pass(q, p, True)
 
 
-def _bulk_pass(q: np.ndarray, p: BulkParams, energy: bool):
-    """(bulk_energy or None, bulk_gradient) of q, the energy only when asked for."""
+def _bulk_pass(q: np.ndarray, p: BulkParams, energy: bool, gradient: bool = True):
+    """(bulk_energy or None, bulk_gradient or None) of q, each only when asked for."""
     q = _check_last_axis(q)
     # component-major copy, so that every product below runs on contiguous data
     q1, q2, q3, q4, q5 = np.moveaxis(q, -1, 0).copy()
     q6 = -q1 - q4
     half = _half_frob2(q1, q2, q3, q4, q5)
     density = _density(p, 2.0 * half, 3.0 * _det(q1, q2, q3, q4, q5, q6)) if energy else None
+    if not gradient:
+        return density, None
     s = p.a + 2.0 * p.c * half
     b = p.b
     out = np.empty_like(q)

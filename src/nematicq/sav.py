@@ -50,7 +50,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.splu
 
 from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
-from .field import Domain, QField
+from .field import Domain, QField, kept_on_domain
 from .energy import LdGSystem, elastic_affine, elastic_apply, gradient, l1_operator, linear_shift
 from .energy import free_energy  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.free_energy
 from .minimize import _polish
@@ -160,13 +160,10 @@ class SavSplit:
         return x
 
 
+@kept_on_domain
 def sav_split(domain: Domain) -> SavSplit:
-    """Splitting for `domain`, built once and kept on the domain object,
-    so it lives exactly as long as the domain does."""
-    split = domain.__dict__.get("_sav_split")
-    if split is None:
-        split = domain.__dict__["_sav_split"] = SavSplit(domain)
-    return split
+    """Splitting for `domain`, built once and kept on the domain."""
+    return SavSplit(domain)
 
 
 @dataclass(frozen=True)

@@ -100,10 +100,22 @@ def operator_scale(apply_h, n: int) -> float:
     return max(nrm, 1e-300)
 
 
+def inverse_factor(rows: np.ndarray, m_rows: np.ndarray | None = None, floor: float = 0.0) -> np.ndarray:
+    """L^-1 for the Cholesky factor L L^T = rows @ m_rows.T, the Gram matrix in the metric M (m_rows =
+    M rows, the rows by default): L^-1 @ rows is M-orthonormal with Gram-Schmidt's nested spans, and
+    L_ii is row i's M-norm once the rows above are projected out.  LinAlgError when the Gram matrix
+    is not positive definite or an L_ii is below ``floor`` (when set) times row i's M-norm."""
+    gram = rows @ (rows if m_rows is None else m_rows).T
+    factor = np.linalg.cholesky(gram)
+    if floor and (factor.diagonal() ** 2 < floor**2 * gram.diagonal()).any():
+        raise np.linalg.LinAlgError("rows dependent in the metric")
+    return np.linalg.inv(factor)
+
+
 def _orthonormalize(rows: np.ndarray) -> None:
-    """Orthonormalize the rows in place by Cholesky of their Gram matrix, else by QR."""
+    """Orthonormalize the rows in place by ``inverse_factor``, else by QR."""
     try:
-        rows[:] = np.linalg.inv(np.linalg.cholesky(rows @ rows.T)) @ rows
+        rows[:] = inverse_factor(rows) @ rows
     except np.linalg.LinAlgError:
         rows[:] = np.linalg.qr(rows.T)[0].T
 
@@ -165,7 +177,7 @@ def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=
             pp = sh[:, q : q + a]
             p = ph if a == m else np.compress(active, ph, axis=1, out=pp)
             try:
-                np.matmul(np.linalg.inv(np.linalg.cholesky(p[0] @ p[0].T)), p, out=pp)
+                np.matmul(inverse_factor(p[0]), p, out=pp)
                 q += a
             except np.linalg.LinAlgError:
                 pass

@@ -9,7 +9,8 @@ one row at a time.  The square's symmetry images by float rotation of the
 node coordinates and conjugation of each 3 x 3 tensor, which the package
 applies as a table of signed permutations.  scipy's LOBPCG, which runs
 until every column has converged, where the package's own loop stops
-once the reported pairs have.
+once the reported pairs have.  Classical Gram-Schmidt, column by column,
+where the package orthonormalizes a block by one Cholesky factor.
 """
 
 import warnings
@@ -175,3 +176,23 @@ def scipy_lobpcg(apply_h, x, *, k, tol, maxiter, precond=EUCLIDEAN):
     # residuals of the start block, of each iteration up to the returned
     # iterate, and of its final Rayleigh-Ritz cleanup
     return w, v, len(history) - 2
+
+
+def gram_schmidt(v: np.ndarray, precond=EUCLIDEAN) -> np.ndarray:
+    """Classical Gram-Schmidt with one reorthogonalization pass, column by
+    column in <a, b>_M = a^T M b, M applied once to the block by
+    ``precond.apply``; the package orthonormalizes a block by one Cholesky
+    factor of its Gram matrix instead.  For independent columns only."""
+    v = np.array(v, dtype=float)
+    mv = np.array(precond.apply(v), dtype=float)  # M v, updated along with v
+    for i in range(v.shape[1]):
+        for _ in range(2):
+            for j in range(i):
+                c = mv[:, j] @ v[:, i]
+                v[:, i] -= c * v[:, j]
+                mv[:, i] -= c * mv[:, j]
+        nrm = float(np.sqrt(v[:, i] @ mv[:, i]))
+        assert nrm > 1e-13, "dependent columns"
+        mv[:, i] /= nrm
+        v[:, i] /= nrm
+    return v

@@ -3,6 +3,7 @@ stationary sets."""
 
 import importlib
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,19 +15,20 @@ from nematicq.hisd import (
     LandscapeOptions,
     SaddleOptions,
     SaddleSearchState,
+    _m_orthonormalize,
     _records_match,
     branch_search,
     build_landscape,
     classify_stationary,
     find_saddle,
-    gram_schmidt,
     hisd_step,
     make_record,
 )
 from nematicq.minimize import MinimizeOptions, _polish, minimize
 from nematicq.qtensor import BulkParams
-from nematicq.systems import System, make_rng
+from nematicq.systems import EUCLIDEAN, System, make_rng
 from nematicq.toys import DiagQuadratic, DoubleWell2D, Quartic2D
+from oracles import gram_schmidt
 
 hisd = importlib.import_module("nematicq.hisd")
 
@@ -133,7 +135,7 @@ class TestStep:
         gen = make_rng(7, "test:hisd:orth")
         d = np.array([-3.0, -1.0, 0.5, 2.0, 4.0])
         sy = DiagQuadratic(d)
-        v = gram_schmidt(gen.normal(size=(5, 2)))
+        v = _m_orthonormalize(gen.normal(size=(5, 2)), EUCLIDEAN)
         state = SaddleSearchState(gen.normal(size=5), v)
         for _ in range(100):
             state = hisd_step(sy, state, 0.05)
@@ -143,7 +145,7 @@ class TestStep:
         m = 0.5 + gen.random(5) * 4.0
         msy = MetricQuadratic(d, m)
         pre = msy.preconditioner()
-        state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2)), pre))
+        state = SaddleSearchState(gen.normal(size=5), _m_orthonormalize(gen.normal(size=(5, 2)), pre))
         for _ in range(100):
             state = hisd_step(msy, state, 0.05)
             gram = state.v.T @ (m[:, None] * state.v)
@@ -154,7 +156,7 @@ class TestStep:
         d = np.array([-3.0, -1.0, 0.5, 2.0, 4.0])
         m = 0.5 + gen.random(5) * 4.0
         sy = MetricQuadratic(d, m)
-        v = gram_schmidt(gen.normal(size=(5, 2)), sy.preconditioner())
+        v = _m_orthonormalize(gen.normal(size=(5, 2)), sy.preconditioner())
         x = gen.normal(size=5)
         out = hisd_step(sy, SaddleSearchState(x, v), 0.1)
         # x <- x - dt (M^-1 g - 2 V V^T g), with g = H x and H = diag(d)
@@ -171,10 +173,10 @@ class TestStep:
 
     def test_euclidean_metric_is_bitwise_the_plain_step(self):
         # toys have no preconditioner: M = I must reproduce the plain
-        # reflected step and Gram-Schmidt exactly
+        # reflected step exactly
         gen = make_rng(9, "test:hisd:euclid")
         sy = DiagQuadratic(np.array([-3.0, -1.0, 0.5, 2.0, 4.0]))
-        v = gram_schmidt(gen.normal(size=(5, 2)))
+        v = _m_orthonormalize(gen.normal(size=(5, 2)), EUCLIDEAN)
         x = gen.normal(size=5)
         out = hisd_step(sy, SaddleSearchState(x, v), 0.1)
         g = sy.gradient(x)
@@ -190,11 +192,11 @@ class TestStep:
 
         gen = make_rng(11, "test:hisd:block")
         sy = Counting(np.array([-3.0, -1.0, 0.5, 2.0, 4.0]))
-        state = SaddleSearchState(gen.normal(size=5), gram_schmidt(gen.normal(size=(5, 2))))
+        state = SaddleSearchState(gen.normal(size=5), _m_orthonormalize(gen.normal(size=(5, 2)), EUCLIDEAN))
         hisd_step(sy, state, 0.1)
         assert calls == [(5, 2)]
 
-    def test_gram_schmidt_applies_the_metric_once(self):
+    def test_orthonormalization_applies_the_metric_once(self):
         d = Domain(nx=6, ny=6, lambda2=5.0, bulk=BULK, l2=0.6, l3=0.4)
         pre = LdGSystem(d).preconditioner()
         applied = []
@@ -206,22 +208,43 @@ class TestStep:
                 applied.append(np.shape(v))
                 return pre.apply(v)
 
-        v = gram_schmidt(make_rng(12, "test:hisd:gsm").normal(size=(d.n_dof, 4)), Counting())
+        v = _m_orthonormalize(make_rng(12, "test:hisd:gsm").normal(size=(d.n_dof, 4)), Counting())
         assert applied == [v.shape]
         assert np.abs(v.T @ pre.apply(v) - np.eye(4)).max() < 1e-12
 
-    def test_gram_schmidt_degenerate_raises(self):
-        v = np.ones((4, 2))
-        with pytest.raises(NoConvergence):
-            gram_schmidt(v)
+    @pytest.mark.parametrize("metric", ["l1", "euclidean"])
+    def test_dependent_directions_raise(self, metric):
+        """A column with nothing left once the earlier ones are projected out:
+        two columns of ones, a zero column, a repeat and a combination.  In
+        floating point their Gram matrices are singular only to rounding."""
+        d = Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK)
+        pre = LdGSystem(d).preconditioner() if metric == "l1" else EUCLIDEAN
+        a = make_rng(13, "test:hisd:dependent").normal(size=(d.n_dof, 3))
+        blocks = (np.ones((d.n_dof, 2)), np.column_stack([a, 0.0 * a[:, 0]]), a[:, [0, 1, 0]],
+                  np.column_stack([a, a @ [1.0, 2.0, 3.0]]))
+        for v in blocks:
+            with pytest.raises(NoConvergence):
+                _m_orthonormalize(v, pre)
 
-    def test_gram_schmidt_orthonormal_and_ordered(self):
-        gen = make_rng(3, "test:hisd:gs")
-        a = gen.normal(size=(20, 4))
-        q = gram_schmidt(a)
-        assert np.abs(q.T @ q - np.eye(4)).max() < 1e-12
-        # first column keeps its direction
-        assert q[:, 0] @ a[:, 0] > 0
+    @pytest.mark.parametrize("metric", ["l1", "euclidean"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_orthonormalization_matches_gram_schmidt(self, k, metric):
+        """One Cholesky factor in the metric, M applied once, gives classical
+        Gram-Schmidt's columns: M-orthonormal, in order (nested spans) and
+        oriented alike."""
+        d = Domain(nx=16, ny=16, lambda2=5.0, bulk=BULK)
+        pre = LdGSystem(d).preconditioner() if metric == "l1" else EUCLIDEAN
+        a = make_rng(k, "test:hisd:gs").normal(size=(d.n_dof, k))
+        applied = []
+        q = _m_orthonormalize(a, SimpleNamespace(apply=lambda v: applied.append(v.shape) or pre.apply(v)))
+        assert applied == [a.shape]
+        assert np.abs(q - gram_schmidt(a, pre)).max() < 1e-12
+        assert np.abs(q.T @ pre.apply(q) - np.eye(k)).max() < 1e-12
+        # <q_j, a_i>_M vanishes for i < j and is positive for i = j: the first
+        # j + 1 columns of q span those of a
+        c = q.T @ pre.apply(a)
+        assert np.abs(np.tril(c, -1)).max(initial=0.0) < 1e-12 * np.abs(c).max()
+        assert np.all(np.diag(c) > 0.0)
 
 
 class TestFindSaddle:
@@ -686,9 +709,9 @@ class TestTensorField:
         assert np.abs(rec.field - res.x).max() < 1e-6
 
 
-def planar_cross_parent(n):
-    """The index-2 symmetric cross state at lambda2 = 50 on an n x n grid."""
-    d = Domain(nx=n, ny=n, lambda2=50.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+def planar_cross_parent(n, lambda2=50.0, k_hint=2):
+    """The symmetric cross state on an n x n grid: index 2 at lambda2 = 50."""
+    d = Domain(nx=n, ny=n, lambda2=lambda2, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
     sy = LdGSystem(d)
     x, y = np.meshgrid(d.xs, d.ys, indexing="ij")
     sign = np.where(np.abs(y - 0.5) > np.abs(x - 0.5), 1.0, -1.0)
@@ -703,7 +726,7 @@ def planar_cross_parent(n):
     opts = MinimizeOptions(tol_grad=1e-8, max_iters=20000, project=project)
     res = minimize(sy, project(q.reshape(-1)), opts)
     assert res.converged
-    return sy, make_record(sy, res.x, tol_grad=1e-6, k_hint=2)
+    return sy, make_record(sy, res.x, tol_grad=1e-6, k_hint=k_hint)
 
 
 def test_downward_search_steps_do_not_grow_with_the_grid():
@@ -715,6 +738,17 @@ def test_downward_search_steps_do_not_grow_with_the_grid():
         found[n] = ([rec.morse_index for rec in hits], sum(rec.iterations for rec in hits))
     assert found[16][0] == found[32][0] == [1, 1]
     assert found[32][1] <= 1.5 * found[16][1]
+
+
+def test_searches_below_an_index_6_parent():
+    # at lambda2 = 150 the cross has index 6; searches below it carry three to
+    # five directions, each block M-orthonormalized at every step
+    sy, parent = planar_cross_parent(16, lambda2=150.0, k_hint=6)
+    assert parent.morse_index == 6
+    for k in (5, 4, 3):
+        hits = branch_search(sy, parent, k, opts=SaddleOptions(tol_grad=1e-6))
+        assert [rec.morse_index for rec in hits] == [k, k]
+        assert all(rec.grad_inf < 1e-6 for rec in hits)
 
 
 def test_cross_landscape_steps_in_the_flow_metric():
