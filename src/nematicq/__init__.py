@@ -16,6 +16,7 @@ from .energy import LdGSystem, free_energy, gradient
 from .errors import (
     ConfigError,
     DegeneratePath,
+    DegenerateStationary,
     LinearSolveFailure,
     NematicqError,
     NoConvergence,
@@ -77,6 +78,7 @@ __all__ = [
     "BulkParams",
     "ConfigError",
     "DegeneratePath",
+    "DegenerateStationary",
     "Domain",
     "Edge",
     "HedgehogProfile",

@@ -45,7 +45,7 @@ from .hisd import (
     make_record,
 )
 from .maier_saupe import _ETA_RTOL, _ETA_XTOL, leslie_coefficients, solve_branches
-from .mep import find_mep
+from .mep import _climb_tolerance, find_mep
 from .minimize import MinimizeOptions, minimize
 from .qtensor import BulkParams
 from .sav import flow_to_equilibrium, step_ladder
@@ -76,11 +76,15 @@ def _config(args) -> RunConfig:
     return replace(load_config(args.config), **_given(args))
 
 
-def _toy(args, name: str, **defaults) -> dict:
-    """Settings of a built-in toy run: `defaults` under the flags given."""
+def _settings(args, toy: str, **defaults) -> tuple[RunConfig | None, dict]:
+    """The run's config, None for a built-in toy run, and the settings its run.json
+    records: the config's keys, or for the toy `defaults` under the flags given."""
+    if not args.toy:
+        cfg = _config(args)
+        return cfg, cfg.to_dict()
     if args.seed is not None:
         raise ConfigError("--seed applies to config runs only; a toy run draws nothing")
-    return {"toy": name, "out_dir": "out", **defaults, **_given(args)}
+    return None, {"toy": toy, "out_dir": "out", **defaults, **_given(args)}
 
 
 def cmd_minimize(args) -> int:
@@ -139,12 +143,9 @@ def cmd_flow(args) -> int:
 
 
 def cmd_string(args) -> int:
-    if args.toy:
-        settings = _toy(args, "double-well", n_nodes=16, tol=1e-6)
-    else:
-        cfg = _config(args)
-        settings = cfg.to_dict()
-    with RunContext(settings["out_dir"], "string", settings, {"tol": settings["tol"]}) as run:
+    cfg, settings = _settings(args, "double-well", n_nodes=16, tol=1e-6)
+    tolerances = {"tol": settings["tol"], "ts_tol": _climb_tolerance(settings["tol"])}
+    with RunContext(settings["out_dir"], "string", settings, tolerances) as run:
         if args.toy:
             domain, system = None, DoubleWell2D()
             a, b = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
@@ -164,11 +165,7 @@ def cmd_string(args) -> int:
 
 
 def cmd_saddle(args) -> int:
-    if args.toy:
-        settings = _toy(args, "quartic", k=1, tol=1e-8)
-    else:
-        cfg = _config(args)
-        settings = cfg.to_dict()
+    cfg, settings = _settings(args, "quartic", k=1, tol=1e-8)
     k, tol = settings["k"], settings["tol"]
     with RunContext(settings["out_dir"], "saddle", settings, {"tol": tol}) as run:
         if args.toy:
@@ -199,12 +196,9 @@ def cmd_saddle(args) -> int:
 
 
 def cmd_landscape(args) -> int:
-    if args.toy:
-        settings = _toy(args, "quartic")
-        opts = LandscapeOptions()
-    else:
-        cfg = _config(args)
-        settings = cfg.to_dict()
+    cfg, settings = _settings(args, "quartic")
+    opts = LandscapeOptions()
+    if cfg is not None:
         opts = LandscapeOptions(
             search=SaddleOptions(tol_grad=cfg.tol),
             max_nodes=cfg.max_nodes,
@@ -231,6 +225,9 @@ def cmd_landscape(args) -> int:
                     residual=res.grad_inf,
                 )
             seed_rec = make_record(system, res.x, tol_grad=cfg.tol)
+            if seed_rec.morse_index == 0 and cfg.max_index is None:
+                # downward searches from a minimum find nothing
+                raise ConfigError("the seed minimized to an index-0 state; set max_index to search upward from it")
         graph = build_landscape(system, seed_rec, opts)
         run.add(write_landscape(run.out, graph, domain))
     print(

@@ -74,6 +74,11 @@ class NotStationary(SolveError):
         super().__init__(f"not stationary: |grad|_inf = {grad_norm:g} >= {tol:g}")
 
 
+class DegenerateStationary(SolveError):
+    """A Ritz value that decides a certificate's Morse index lies within
+    max(tol_eig, its residual) of zero, as at a bifurcation."""
+
+
 class NotIndexOne(SolveError):
     """A transition state candidate fails the lambda1 < 0 < lambda2 test."""
 

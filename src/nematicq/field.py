@@ -123,28 +123,20 @@ class Domain:
             ext[:, -1] = vals[:, -1]
             ext[0, :] = vals[0, :]
             ext[-1, :] = vals[-1, :]
-        elif self.boundary == "tangent":
+        elif self.boundary != "zero":
             s = self.s_plus
-            # director along x on bottom/top edges, along y on left/right
-            qx = np.array([2.0 * s / 3.0, 0.0, 0.0, -s / 3.0, 0.0])
-            qy = np.array([-s / 3.0, 0.0, 0.0, 2.0 * s / 3.0, 0.0])
-            corner = 0.5 * (qx + qy)
-            ext[1:-1, 0] = qx
-            ext[1:-1, -1] = qx
-            ext[0, 1:-1] = qy
-            ext[-1, 1:-1] = qy
-            for ij in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
-                ext[ij] = corner
-        elif self.boundary == "planar":
-            s = self.s_plus
-            # in-plane traceless data: opposite edges carry opposite signs,
-            # so the corner averages cancel exactly
-            qx = np.array([s / 2.0, 0.0, 0.0, -s / 2.0, 0.0])
-            qy = np.array([-s / 2.0, 0.0, 0.0, s / 2.0, 0.0])
-            ext[1:-1, 0] = qx
-            ext[1:-1, -1] = qx
-            ext[0, 1:-1] = qy
-            ext[-1, 1:-1] = qy
+            if self.boundary == "tangent":
+                # director along x on bottom/top edges, along y on left/right
+                qx = np.array([2.0 * s / 3.0, 0.0, 0.0, -s / 3.0, 0.0])
+                qy = np.array([-s / 3.0, 0.0, 0.0, 2.0 * s / 3.0, 0.0])
+            else:
+                # in-plane traceless data: opposite edges carry opposite signs,
+                # so the corner averages cancel exactly, to +0.0
+                qx = np.array([s / 2.0, 0.0, 0.0, -s / 2.0, 0.0])
+                qy = np.array([-s / 2.0, 0.0, 0.0, s / 2.0, 0.0])
+            ext[1:-1, 0] = ext[1:-1, -1] = qx
+            ext[0, 1:-1] = ext[-1, 1:-1] = qy
+            ext[:: nx + 1, :: ny + 1] = 0.5 * (qx + qy)
         ext.setflags(write=False)
         return ext
 
@@ -179,12 +171,6 @@ class Domain:
             raise ShapeMismatch("field contains non-finite values")
         return values
 
-    # Convenience delegate; the heavy lifting lives in nematicq.energy.
-    def free_energy(self, values: np.ndarray) -> float:
-        from . import energy
-
-        return energy.free_energy(self, values)
-
 
 @dataclass(frozen=True)
 class QField:
@@ -215,7 +201,9 @@ class QField:
         return QField(self.domain, self.values.copy())
 
     def energy(self) -> float:
-        return self.domain.free_energy(self.values)
+        from . import energy  # energy imports this module
+
+        return energy.free_energy(self.domain, self.values)
 
 
 def kept_on_domain(build):

@@ -6,7 +6,8 @@ followed by read reproduces every value bit for bit, and identical
 inputs produce byte-identical files.  A snapshot row is its node's
 "i,j,x,y" prefix, built once per domain and kept on it, followed by the
 five q values formatted with "%.17g"; only those q values are parsed
-back as floats, and the rows may come in any order.
+back as floats, and the rows may come in any order.  A CLI run's
+run.json manifest is written by ``RunContext`` when the run ends.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "build_id",
-    "write_manifest",
     "RunContext",
 ]
 
@@ -431,38 +431,16 @@ def build_id() -> str:
     return tag if out.returncode == 0 and tag else "unknown"
 
 
-def write_manifest(
-    out_dir,
-    command: str,
-    inputs: dict,
-    tolerances: dict,
-    wall_time_s: float,
-    outputs: list[str],
-    error: str | None = None,
-) -> None:
-    """run.json: every emitted file must appear in ``outputs``; ``error`` is
-    the message the run stopped with, None when it finished."""
-    write_json(
-        Path(out_dir) / "run.json",
-        {
-            "command": command,
-            "inputs": inputs,
-            "tolerances": tolerances,
-            "wall_time_s": wall_time_s,
-            "build_id": build_id(),
-            "outputs": sorted(outputs),
-            "error": error,
-        },
-    )
-
-
 class RunContext:
     """One CLI run: its output directory, clock, written files and run.json.
 
     Entering creates the directory and starts the clock.  Each output is
     named through `path` as it is written (or `add`, for writers that
-    name their own files).  Leaving writes run.json once, also when the
-    run raised; its `error` entry then holds the message.
+    name their own files).  Leaving writes run.json, the package's only
+    writer of it, once, also when the run raised: the command, inputs,
+    tolerances, wall time, ``build_id``, every file the run wrote and
+    run.json itself under `outputs`, and under `error` the message the
+    run stopped with, None when it finished.
     """
 
     def __init__(self, out_dir, command: str, inputs: dict, tolerances: dict):
@@ -487,12 +465,15 @@ class RunContext:
     def __exit__(self, exc_type, exc, tb) -> None:
         # a writer that raised may have left its file unwritten
         written = [name for name in self.outputs if (self.out / name).exists()]
-        write_manifest(
-            self.out,
-            self.command,
-            self.inputs,
-            self.tolerances,
-            time.perf_counter() - self._t0,
-            written + ["run.json"],
-            error=None if exc is None else str(exc) or exc_type.__name__,
+        write_json(
+            self.out / "run.json",
+            {
+                "command": self.command,
+                "inputs": self.inputs,
+                "tolerances": self.tolerances,
+                "wall_time_s": time.perf_counter() - self._t0,
+                "build_id": build_id(),
+                "outputs": sorted(written + ["run.json"]),
+                "error": None if exc is None else str(exc) or exc_type.__name__,
+            },
         )

@@ -48,8 +48,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoConvergence, NotStationary, ShapeMismatch, ValidationError, WrongIndex
-from .minimize import _polish, _reflected_direction
+from .errors import DegenerateStationary, NoConvergence, NotStationary, ShapeMismatch, ValidationError, WrongIndex
+from .minimize import _check_tol, _energy_rose, _polish, _reflected_direction
 from .spectrum import SpectrumReport, inverse_factor, operator_scale, smallest_eigs
 from .systems import System, preconditioner_of, symmetries_of
 
@@ -181,17 +181,14 @@ def classify_stationary(
 
     The eigensolve window grows until a non-negative eigenvalue is seen
     (or the problem size is reached), so the count is the true index,
-    not a lower bound.  A tol_grad outside (0, inf) raises ValidationError
-    before any evaluation.
+    not a lower bound.  When one of the m + 1 Ritz values that decide the
+    index m (the m negative ones and the first non-negative one) lies
+    within max(tol_eig, its fresh residual) of zero, the index is not
+    decided and DegenerateStationary is raised.  A tol_grad outside
+    (0, inf) raises ValidationError before any evaluation.
     """
     _check_tol(tol_grad)
     return _certify(system, x, float(np.abs(system.gradient(x)).max()), tol_grad, k_hint)
-
-
-def _check_tol(tol_grad: float) -> None:
-    """ValidationError unless 0 < tol_grad < inf."""
-    if not 0.0 < tol_grad < np.inf:
-        raise ValidationError(f"need finite tol_grad > 0, got {tol_grad}")
 
 
 def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, k_hint: int):
@@ -206,6 +203,12 @@ def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, k_hin
         if m + 2 <= k_query or k_query >= n:
             break
         k_query = min(n, m + 2)
+    for value, r in zip(rep.eigenvalues[: m + 1], rep.residuals[: m + 1]):
+        if abs(value) <= max(rep.tol_eig, r):
+            raise DegenerateStationary(
+                f"degenerate stationary point: Ritz value {value:.3e} with residual {r:.3e} "
+                f"is within max(tol_eig = {rep.tol_eig:.3e}, residual) of zero"
+            )
     return m, rep.eigenvalues[: min(m + 2, n)].copy(), rep
 
 
@@ -328,7 +331,7 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
         if not np.isfinite(e_new) or abs(e_new) > _BLOW_FACTOR * e_scale:
             halve()
             continue
-        if k == 0 and e_new > e_state + 1e-12 * (1.0 + abs(e_state)):
+        if k == 0 and _energy_rose(e_new, e_state):
             # plain descent must be monotone; an energy rise means the
             # step has outrun the local curvature
             halve()

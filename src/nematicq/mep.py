@@ -242,6 +242,11 @@ def _string_loop(path: Path, tol: float) -> tuple[Path, int]:
     return path, sweeps
 
 
+def _climb_tolerance(tol: float, ts_tol: float | None = None) -> float:
+    """The gradient tolerance of find_mep's climb: ts_tol, by default min(tol, 1e-8)."""
+    return min(tol, 1e-8) if ts_tol is None else ts_tol
+
+
 def find_mep(
     a,
     b,
@@ -264,7 +269,7 @@ def find_mep(
     that floor.  A tol or ts_tol outside (0, inf) raises ValidationError
     before any work.
     """
-    ts_tol = min(tol, 1e-8) if ts_tol is None else ts_tol
+    ts_tol = _climb_tolerance(tol, ts_tol)
     if not (0.0 < tol < np.inf and 0.0 < ts_tol < np.inf):
         raise ValidationError(f"need finite tol > 0 and ts_tol > 0, got {tol}, {ts_tol}")
     xa, system = _as_flat(a, system)

@@ -9,10 +9,11 @@ trial is judged by its gradient instead: by the
 sufficient-decrease half of the approximate Wolfe conditions of Hager and
 Zhang (SIAM J. Optim. 16, 2005), g(x + a d).d <= (2 delta - 1) g(x).d
 with delta = 0.1 (backtracking only shortens a step, so their curvature
-half is not tested), and by a lower gradient inf-norm.  When the two-loop
-direction fails to point downhill (for example after a corrupted
-curvature history) the step falls back to steepest descent and the
-history is discarded.
+half is not tested), and by a lower gradient inf-norm.  L-BFGS has one
+fallback.  A two-loop direction that does not point downhill (for
+example after a corrupted curvature history) gets no line search; then,
+or when its line search fails, the curvature history is discarded and
+the step searches along steepest descent -M^-1 g.
 
 The inverse Hessian is seeded with gamma M^-1 and the fallback descends
 along -M^-1 g, where M is the system's SPD metric (``preconditioner_of``:
@@ -49,7 +50,6 @@ __all__ = [
     "MinimizeResult",
     "minimize",
     "lbfgs_direction",
-    "ensure_descent",
 ]
 
 # curvature pairs kept, Armijo constant, backtracking shrink and budget
@@ -108,13 +108,10 @@ def lbfgs_direction(g: np.ndarray, pairs, gamma: float, precond=EUCLIDEAN) -> np
     return -q
 
 
-def ensure_descent(g: np.ndarray, d: np.ndarray, precond=EUCLIDEAN) -> np.ndarray:
-    """Return d when it is a descent direction for g, else steepest
-    descent -M^-1 g in the metric ``precond`` (the identity by default)."""
-    gd = float(g @ d)
-    if not np.isfinite(gd) or gd >= -1e-14 * np.linalg.norm(g) * np.linalg.norm(d):
-        return -precond.solve(g)
-    return d
+def _check_tol(tol_grad: float) -> None:
+    """ValidationError unless 0 < tol_grad < inf."""
+    if not 0.0 < tol_grad < np.inf:
+        raise ValidationError(f"need finite tol_grad > 0, got {tol_grad}")
 
 
 def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None) -> MinimizeResult:
@@ -128,8 +125,7 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
     outside (0, inf) raises ValidationError before any evaluation.
     """
     opts = opts or MinimizeOptions()
-    if not 0.0 < opts.tol_grad < np.inf:
-        raise ValidationError(f"need finite tol_grad > 0, got {opts.tol_grad}")
+    _check_tol(opts.tol_grad)
     precond = preconditioner_of(system)
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     e, g = system.energy_gradient(x)
@@ -142,15 +138,15 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
     converged = float(np.abs(g).max()) < opts.tol_grad
     while not converged and it < opts.max_iters:
         it += 1
-        d_qn = lbfgs_direction(g, pairs, gamma, precond)
-        d = ensure_descent(g, d_qn, precond)
-        used_fallback = d is not d_qn
+        d = lbfgs_direction(g, pairs, gamma, precond)
         band = _BAND_ULPS * np.spacing(abs(e))
         while True:
             gd = float(g @ d)
             alpha = 1.0
             accepted = False
-            for _ in range(_MAX_BACKTRACKS):
+            # a direction that is not downhill gets no line search
+            downhill = gd < -1e-14 * np.linalg.norm(g) * np.linalg.norm(d)
+            for _ in range(_MAX_BACKTRACKS if downhill else 0):
                 x_try = x + alpha * d
                 e_try, g_try = system.energy_gradient(x_try)
                 n_eval += 1
@@ -161,13 +157,13 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
                 if accepted:
                     break
                 alpha *= _SHRINK
-            if accepted or used_fallback:
+            # without curvature pairs d already is steepest descent
+            if accepted or not pairs:
                 break
-            # quasi-Newton step unusable: drop history, retry steepest descent
+            # quasi-Newton step unusable: drop history, retry steepest descent -M^-1 g
             pairs.clear()
             gamma = 1.0
             d = lbfgs_direction(g, pairs, gamma, precond)
-            used_fallback = True
         if not accepted:
             break
 
@@ -198,6 +194,11 @@ def minimize(system: System, x0: np.ndarray, opts: MinimizeOptions | None = None
         n_energy=n_eval,
         n_grad=n_eval,
     )
+
+
+def _energy_rose(e_new: float, e: float) -> bool:
+    """Whether a k = 0 step from energy e to e_new rose by more than the rounding allowance 1e-12 (1 + |e|)."""
+    return e_new > e + 1e-12 * (1.0 + abs(e))
 
 
 def _descent_step(hess, g: np.ndarray, precond) -> np.ndarray | None:
@@ -243,7 +244,7 @@ def _polish(system: System, x: np.ndarray, e: float, g: np.ndarray, v: np.ndarra
     or None when a guard fails: the CG solve meets non-positive curvature or
     does not converge, the first step makes an M-cosine below _NEWTON_COS with the
     dynamics' direction at x (``_reflected_direction``, negated), a step does not
-    lower |g|inf, or (k = 0) raises the energy, or _NEWTON_STEPS steps do not reach tol_grad.
+    lower |g|inf, or (k = 0) raises the energy (``_energy_rose``), or _NEWTON_STEPS steps do not reach tol_grad.
     """
     precond = preconditioner_of(system)
     n, k = v.shape
@@ -272,7 +273,7 @@ def _polish(system: System, x: np.ndarray, e: float, g: np.ndarray, v: np.ndarra
         g_new = float(np.abs(g).max())
         if not (np.isfinite(e_new) and g_new < g_inf):
             return None
-        if k == 0 and e_new > e + 1e-12 * (1.0 + abs(e)):
+        if k == 0 and _energy_rose(e_new, e):
             return None
         e, g_inf = e_new, g_new
         path.append((x, e, g_inf))

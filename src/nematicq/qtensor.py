@@ -11,6 +11,9 @@ tensors is an array of shape (..., 5).  The squared Frobenius norm is the
 quadratic form |Q|^2 = q^T G q whose matrix G couples q1 and q4; gradients
 of scalar invariants are returned as plain partial derivatives with
 respect to the five components.
+
+The uniaxial quadratic 2c s^2 - b s + 3a = 0 is solved in closed form once,
+for ``critical_points`` and for ``bulk_floor``, the SAV flow's bulk floor.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "BulkCriticalSet",
     "to_matrix",
     "sym_components",
-    "dual_components",
     "G",
     "metric_apply",
     "frob2",
@@ -41,6 +43,7 @@ __all__ = [
     "bulk_energy_uniaxial_deriv",
     "uniaxial_components",
     "critical_points",
+    "bulk_floor",
 ]
 
 # Biaxiality convention: tensors with |Q|^2 below this are reported beta = 0.
@@ -87,27 +90,6 @@ def sym_components(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     return np.stack(
         [m[..., 0, 0], m[..., 0, 1], m[..., 0, 2], m[..., 1, 1], m[..., 1, 2]], axis=-1
-    )
-
-
-def dual_components(t: np.ndarray) -> np.ndarray:
-    """Contract matrices against the component basis: (T:E_1, ..., T:E_5).
-
-    For a scalar invariant f(Q), df/dq_alpha = (df/dQ) : E_alpha where
-    E_alpha = dQ/dq_alpha.  This is the map that turns a matrix-valued
-    derivative into component partials; it is not the inverse of
-    ``to_matrix``.
-    """
-    t = np.asarray(t, dtype=float)
-    return np.stack(
-        [
-            t[..., 0, 0] - t[..., 2, 2],
-            t[..., 0, 1] + t[..., 1, 0],
-            t[..., 0, 2] + t[..., 2, 0],
-            t[..., 1, 1] - t[..., 2, 2],
-            t[..., 1, 2] + t[..., 2, 1],
-        ],
-        axis=-1,
     )
 
 
@@ -203,7 +185,7 @@ def bulk_gradient(q: np.ndarray, p: BulkParams) -> np.ndarray:
         (a + c |Q|^2) G q - b d(det Q)/dq,   q6 = -q1 - q4,
 
     G the Frobenius metric; the matrix form a Q - b (Q^2 - |Q|^2/3 I)
-    + c |Q|^2 Q contracted by ``dual_components``, without the matrices.
+    + c |Q|^2 Q contracted against dQ/dq, without the matrices.
     """
     return _bulk_pass(q, p, False)[1]
 
@@ -303,6 +285,22 @@ def bulk_energy_uniaxial_deriv(s, p: BulkParams):
     return (2.0 * s / 9.0) * (2.0 * p.c * s * s - p.b * s + 3.0 * p.a)
 
 
+def _uniaxial_roots(p: BulkParams) -> tuple[float, tuple]:
+    """D = b^2 - 24ac and the real roots ((b + sqrt(D)) / 4c, (b - sqrt(D)) / 4c)
+    of the uniaxial quadratic 2c s^2 - b s + 3a = 0, c > 0; no roots when D < 0."""
+    disc = p.b * p.b - 24.0 * p.a * p.c
+    if disc < 0.0:
+        return disc, ()
+    root = np.sqrt(disc)
+    return disc, ((p.b + root) / (4.0 * p.c), (p.b - root) / (4.0 * p.c))
+
+
+def bulk_floor(p: BulkParams) -> float:
+    """Global minimum over all tensors of the bulk density (b >= 0, c > 0): it is
+    attained on the uniaxial family, at s = 0 or a real root of 2c s^2 - b s + 3a."""
+    return float(np.min(bulk_energy_uniaxial(np.array([*_uniaxial_roots(p)[1], 0.0]), p)))
+
+
 @dataclass(frozen=True)
 class BulkCriticalSet:
     """Critical amplitudes of the uniaxial bulk density and their stability.
@@ -330,19 +328,18 @@ def critical_points(p: BulkParams) -> BulkCriticalSet:
     """Stationary amplitudes of f_b on the uniaxial slice.
 
     The nonzero stationary points solve 2c s^2 - b s + 3a = 0, so
-    s = (b +- sqrt(b^2 - 24ac)) / (4c); s_plus is the root with the lower
-    restricted energy.  Raises NoNematicRoots when b^2 < 24ac.  Each
-    returned root is verified stationary to 10 significant digits.
+    s = (b +- sqrt(b^2 - 24ac)) / (4c), as ``bulk_floor`` takes them; s_plus
+    is the root with the lower restricted energy.  Raises NoNematicRoots when
+    b^2 < 24ac.  Each returned root is verified stationary to 10 significant
+    digits.
     """
     a, b, c = p.a, p.b, p.c
     if b <= 0 or c <= 0:
         raise ShapeMismatch("critical_points needs strictly positive b and c")
-    disc = b * b - 24.0 * a * c
-    if disc < 0.0:
+    disc, roots = _uniaxial_roots(p)
+    if not roots:
         raise NoNematicRoots(a, b, c)
-    root = np.sqrt(disc)
-    r_hi = (b + root) / (4.0 * c)
-    r_lo = (b - root) / (4.0 * c)
+    r_hi, r_lo = roots
     e_hi = float(bulk_energy_uniaxial(r_hi, p))
     e_lo = float(bulk_energy_uniaxial(r_lo, p))
     if e_hi <= e_lo:

@@ -10,7 +10,8 @@ Frobenius metric (``energy.linear_shift``; its one-constant part L1,
 solve), and the nonlinear remainder F1 is shifted by a constant C0 so
 that F1 >= 1 on every field.  F1 - C0 is itself a bulk energy, with the
 coefficients hx hy (lambda2 a - a1, lambda2 b, lambda2 c) of
-lambda2 f_b - a1/2 |Q|^2, so F1 or its gradient is one bulk pass.
+lambda2 f_b - a1/2 |Q|^2, so F1 or its gradient is one bulk pass, and
+C0 comes from that density's global minimum, ``qtensor.bulk_floor``.
 Writing r = sqrt(F1), the flow dq/dt = -grad F is integrated by a
 Crank-Nicolson scheme in (q, r) whose step delta of size h lowers the
 modified energy
@@ -54,7 +55,7 @@ from .field import Domain, QField, kept_on_domain
 from .energy import LdGSystem, elastic_affine, elastic_apply, gradient, l1_operator, linear_shift
 from .energy import free_energy  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.free_energy
 from .minimize import _polish
-from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_energy_uniaxial, metric_apply
+from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_floor, metric_apply
 from .qtensor import bulk_gradient  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.bulk_gradient
 
 __all__ = [
@@ -72,18 +73,6 @@ _CG_MAXITER = 500
 _ETA = 0.99  # share of a flow step's dissipation that relaxing r may spend
 
 
-def _uniaxial_floor(p: BulkParams) -> float:
-    """Global minimum over all tensors of the bulk density with coefficients p.
-
-    For b >= 0 it is attained on the uniaxial family, where the density's
-    derivative is (2s/9)(2c s^2 - b s + 3a), so it is the least value over
-    s = 0 and the real roots of the quadratic factor.
-    """
-    roots = np.roots([2.0 * p.c, -p.b, 3.0 * p.a])
-    s = np.append(roots[np.isreal(roots)].real, 0.0)
-    return float(np.min(bulk_energy_uniaxial(s, p)))
-
-
 class SavSplit:
     """Linear/nonlinear energy splitting for the stabilized flow."""
 
@@ -95,7 +84,7 @@ class SavSplit:
         self.a1 = linear_shift(domain)
         # lambda2 f_b - a1/2 |Q|^2 as one bulk density (lambda2 > 0 keeps b, c >= 0)
         shifted = BulkParams(lam2 * p.a - self.a1, lam2 * p.b, lam2 * p.c)
-        self.c0 = 1.0 - _uniaxial_floor(shifted)
+        self.c0 = 1.0 - bulk_floor(shifted)
         # with e0 - C0 the modified and the true energy agree whenever r^2 = F1
         self.shift, e0 = elastic_affine(domain)
         self._constant = e0 - self.c0

@@ -10,7 +10,10 @@ node coordinates and conjugation of each 3 x 3 tensor, which the package
 applies as a table of signed permutations.  scipy's LOBPCG, which runs
 until every column has converged, where the package's own loop stops
 once the reported pairs have.  Classical Gram-Schmidt, column by column,
-where the package orthonormalizes a block by one Cholesky factor.
+where the package orthonormalizes a block by one Cholesky factor.  The
+contraction of a matrix-valued derivative onto the five components, which
+turns the matrix forms of the bulk gradient and Hessian into the partials
+that the package evaluates in closed form.
 """
 
 import warnings
@@ -25,6 +28,27 @@ import nematicq.spectrum as spectrum
 from nematicq.field import Domain, QField
 from nematicq.qtensor import G, bulk_energy, bulk_gradient, frob2, metric_apply, sym_components, to_matrix
 from nematicq.systems import EUCLIDEAN
+
+
+def dual_components(t: np.ndarray) -> np.ndarray:
+    """Contract matrices against the component basis: (T:E_1, ..., T:E_5).
+
+    For a scalar invariant f(Q), df/dq_alpha = (df/dQ) : E_alpha where
+    E_alpha = dQ/dq_alpha.  This is the map that turns a matrix-valued
+    derivative into component partials; it is not the inverse of
+    ``to_matrix``.
+    """
+    t = np.asarray(t, dtype=float)
+    return np.stack(
+        [
+            t[..., 0, 0] - t[..., 2, 2],
+            t[..., 0, 1] + t[..., 1, 0],
+            t[..., 0, 2] + t[..., 2, 0],
+            t[..., 1, 1] - t[..., 2, 2],
+            t[..., 1, 2] + t[..., 2, 1],
+        ],
+        axis=-1,
+    )
 
 
 def metric_matrix(domain: Domain) -> sp.csr_matrix:

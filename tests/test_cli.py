@@ -96,7 +96,14 @@ class TestToyCommands:
 
 
 @pytest.mark.parametrize(
-    "argv", [["hedgehog", "-N", "64"], ["maier-saupe", "--alpha", "8.0"], ["landscape", "--toy"]]
+    "argv",
+    [
+        ["hedgehog", "-N", "64"],
+        ["maier-saupe", "--alpha", "8.0"],
+        ["landscape", "--toy"],
+        ["string", "--toy"],
+        ["saddle", "--toy"],
+    ],
 )
 def test_run_record_holds_the_tolerances_the_solver_applies(tmp_path, argv):
     applied = {
@@ -104,6 +111,9 @@ def test_run_record_holds_the_tolerances_the_solver_applies(tmp_path, argv):
         "maier-saupe": {"eta_xtol": maier_saupe._ETA_XTOL, "eta_rtol": maier_saupe._ETA_RTOL},
         # the toy's searches stop at the default gradient tolerance
         "landscape": {"tol": SaddleOptions().tol_grad, "tol_x": cli._TOL_X},
+        # the string stops at tol, its climb at find_mep's default ts_tol
+        "string": {"tol": 1e-6, "ts_tol": 1e-8},
+        "saddle": {"tol": 1e-8},
     }
     assert main(argv + ["--out", str(tmp_path)]) == 0
     manifest, _ = manifest_outputs(tmp_path)
@@ -420,6 +430,35 @@ class TestRunRecordOnFailure:
         assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 2
         self.check_record(out, capsys)
         assert len((out / "trajectory.csv").read_text().splitlines()) == 3 + 2
+
+
+class TestLandscapeFromAMinimum:
+    """A config landscape whose seed minimizes to a minimum: the 16^2 planar
+    square at lambda2 = 50 from diagonal(d1)."""
+
+    def run(self, tmp_path, **overrides):
+        cfg = write_config(
+            tmp_path, nx=16, ny=16, lambda2=50.0, a=-2.0 / 3.0, b=2.0, c=2.0,
+            boundary="planar", init="diagonal(d1)", tol=1e-6, **overrides,
+        )
+        return main(["landscape", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    def test_without_max_index_exits_1(self, tmp_path, capsys):
+        # downward searches from a minimum find nothing: no silent one-node graph
+        assert self.run(tmp_path) == 1
+        manifest, outputs = manifest_outputs(tmp_path / "out")
+        assert "max_index" in manifest["error"] and "max_index" in capsys.readouterr().err
+        assert outputs == ["run.json"]
+
+    def test_max_index_3_reaches_the_cross(self, tmp_path):
+        assert self.run(tmp_path, max_index=3) == 0
+        graph = json.loads((tmp_path / "out" / "landscape.json").read_text())
+        nodes = [(node["index"], node["energy"]) for node in graph["nodes"]]
+        assert len(nodes) == 7
+        # landscape16's five nodes: the index-2 cross, two index-1 saddles and two minima
+        for index, energy, count in ((2, 4.9295728, 1), (1, 4.6376755, 2), (0, 4.2740924, 2)):
+            assert sum(k == index and abs(e - energy) < 1e-6 for k, e in nodes) == count
+        assert len(graph["edges"]) == 40 and graph["branches_run"] == 18 and len(graph["failed"]) == 2
 
 
 class TestEntryPoint:

@@ -28,7 +28,6 @@ from nematicq.qtensor import (
     bulk_energy,
     bulk_energy_gradient,
     bulk_gradient,
-    dual_components,
     frob2,
     to_matrix,
     uniaxial_components,
@@ -36,7 +35,7 @@ from nematicq.qtensor import (
 from nematicq.sav import SavSplit
 from nematicq.systems import System, make_rng
 from nematicq.toys import DiagQuadratic, DoubleWell2D, Quartic2D
-from oracles import elastic_form, elastic_matrix, metric_matrix
+from oracles import dual_components, elastic_form, elastic_matrix, metric_matrix
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
 

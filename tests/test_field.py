@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nematicq.energy import LdGSystem, elastic_apply, free_energy
-from nematicq.errors import ShapeMismatch
+from nematicq.errors import NoNematicRoots, ShapeMismatch
 from nematicq.field import Domain, QField, d4_actions, seed_field, square_symmetry_orbit, symmetrize
 from nematicq.qtensor import BulkParams, to_matrix
 from nematicq.systems import make_rng
@@ -127,6 +127,12 @@ def test_boundary_callable_and_zero():
     assert not z.ring.any()
 
 
+def test_boundary_callable_of_the_wrong_shape_is_refused():
+    d = make_domain(boundary=lambda x, y: np.zeros(x.shape + (3,)))
+    with pytest.raises(ShapeMismatch, match=r"boundary callable returned shape \(8, 8, 3\)"):
+        d.ring
+
+
 def test_extend_and_check_values():
     d = make_domain()
     vals = np.zeros(d.shape)
@@ -186,6 +192,24 @@ class TestSeeds:
         g = seed_field(d, "rotated(left)")
         _, _, director = uniaxial_reading(g.values[0, 4])
         assert abs(director[1]) > 0.9
+
+    def test_top_and_right_mirror_bottom_and_left(self):
+        d = make_domain(n=8)
+        values = {edge: seed_field(d, f"rotated({edge})").values for edge in ("bottom", "top", "left", "right")}
+        assert values["top"] == pytest.approx(values["bottom"][:, ::-1], abs=1e-14)
+        assert values["right"] == pytest.approx(values["left"][::-1], abs=1e-14)
+        # near its own edge each seed's director runs along that edge
+        _, _, director = uniaxial_reading(values["top"][4, -1])
+        assert abs(director[0]) > 0.9
+        _, _, director = uniaxial_reading(values["right"][-1, 4])
+        assert abs(director[1]) > 0.9
+
+    def test_a_bulk_without_nematic_roots_seeds_at_unit_order(self):
+        d = Domain(nx=6, ny=6, lambda2=5.0, bulk=BulkParams(1.0, 1.0, 1.0), boundary="zero")
+        with pytest.raises(NoNematicRoots):
+            d.s_plus
+        f = seed_field(d, "diagonal(d1)")
+        assert f.values[2, 3] == pytest.approx([1.0 / 6.0, 0.5, 0.0, 1.0 / 6.0, 0.0])
 
     def test_random_reproducible(self):
         d = make_domain()

@@ -8,6 +8,7 @@ import pytest
 from nematicq.errors import ConfigError, ParseError, ShapeMismatch
 from nematicq.field import Domain, QField
 from nematicq.fieldio import (
+    RunContext,
     build_id,
     load_config,
     read_field,
@@ -15,7 +16,6 @@ from nematicq.fieldio import (
     write_field,
     write_hedgehog,
     write_landscape,
-    write_manifest,
     write_mep_summary,
     write_path_nodes,
     write_trajectory,
@@ -402,18 +402,14 @@ class TestManifest:
         assert build_id() != ""
 
     def test_manifest_contents(self, tmp_path):
-        write_manifest(
-            tmp_path,
-            "flow",
-            {"nx": 8},
-            {"tol": 1e-8},
-            1.25,
-            ["field.csv", "run.json"],
-        )
+        with RunContext(tmp_path, "flow", {"nx": 8}, {"tol": 1e-8}) as run:
+            run.path("field.csv").write_text("q\n")
+            run.path("never_written.csv")
         payload = json.loads((tmp_path / "run.json").read_text())
         assert payload["command"] == "flow"
         assert payload["inputs"] == {"nx": 8}
         assert payload["tolerances"] == {"tol": 1e-8}
-        assert payload["wall_time_s"] == 1.25
+        assert 0.0 <= payload["wall_time_s"] < 60.0
         assert payload["outputs"] == ["field.csv", "run.json"]
-        assert isinstance(payload["build_id"], str)
+        assert payload["build_id"] == build_id()
+        assert payload["error"] is None

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from nematicq.energy import LdGSystem
-from nematicq.errors import NoConvergence, ShapeMismatch, ValidationError, WrongIndex
+from nematicq.errors import (
+    DegenerateStationary,
+    NoConvergence,
+    ShapeMismatch,
+    SolveError,
+    ValidationError,
+    WrongIndex,
+)
 from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.hisd import (
     LandscapeOptions,
@@ -602,6 +609,14 @@ class TestLandscape:
         tiny = self.toy_graph(max_nodes=1)
         assert tiny.truncated and len(tiny.nodes) == 1
 
+    def test_a_new_landing_at_max_nodes_truncates(self):
+        # the top's first branch pair lands on two new saddles; the second
+        # arrives with the graph full and is dropped, its edge too
+        graph = self.toy_graph(max_nodes=2)
+        assert graph.truncated and graph.searches == 2
+        assert [rec.morse_index for rec in graph.nodes] == [2, 1]
+        assert [(e.source, e.target) for e in graph.edges] == [(0, 1)]
+
     def test_failed_branches_are_recorded(self):
         graph = self.toy_graph(search=SaddleOptions(max_iters=3))
         # every search from the top runs out of steps: nothing is found,
@@ -709,8 +724,8 @@ class TestTensorField:
         assert np.abs(rec.field - res.x).max() < 1e-6
 
 
-def planar_cross_parent(n, lambda2=50.0, k_hint=2):
-    """The symmetric cross state on an n x n grid: index 2 at lambda2 = 50."""
+def planar_cross(n, lambda2, tol_grad=1e-8):
+    """The symmetric cross state on an n x n grid, by a symmetry-projected minimization."""
     d = Domain(nx=n, ny=n, lambda2=lambda2, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
     sy = LdGSystem(d)
     x, y = np.meshgrid(d.xs, d.ys, indexing="ij")
@@ -723,10 +738,30 @@ def planar_cross_parent(n, lambda2=50.0, k_hint=2):
     def project(flat):
         return symmetrize(QField.from_flat(d, flat)).flat
 
-    opts = MinimizeOptions(tol_grad=1e-8, max_iters=20000, project=project)
+    opts = MinimizeOptions(tol_grad=tol_grad, max_iters=20000, project=project)
     res = minimize(sy, project(q.reshape(-1)), opts)
     assert res.converged
-    return sy, make_record(sy, res.x, tol_grad=1e-6, k_hint=k_hint)
+    return sy, res.x
+
+
+def planar_cross_parent(n, lambda2=50.0, k_hint=2):
+    """The symmetric cross state on an n x n grid, certified: index 2 at lambda2 = 50."""
+    sy, x = planar_cross(n, lambda2)
+    return sy, make_record(sy, x, tol_grad=1e-6, k_hint=k_hint)
+
+
+@pytest.mark.parametrize("lambda2, index", [(24.0, 0), (24.8310210, None), (26.0, 1)])
+def test_a_degenerate_cross_is_reported_not_classified(lambda2, index):
+    # the 16^2 planar cross turns from a minimum into an index-1 saddle at
+    # lambda2* = 24.8310210, where the two diagonal minima branch off; there
+    # its lambda1 = 3.2e-10 lies below its residual 6.1e-8 and tol_eig 2.3e-7
+    sy, x = planar_cross(16, lambda2, tol_grad=1e-10)
+    if index is None:
+        with pytest.raises(DegenerateStationary, match="Ritz value 3.2"):
+            classify_stationary(sy, x)
+    else:
+        assert classify_stationary(sy, x)[0] == index
+    assert issubclass(DegenerateStationary, SolveError)  # the CLI exits 2
 
 
 def test_downward_search_steps_do_not_grow_with_the_grid():

@@ -281,6 +281,10 @@ class TestFindMep:
         with pytest.raises(NotStationary):
             find_mep([-0.5, 0.0], [1.0, 0.0], n_nodes=8, tol=1e-8, system=DoubleWell2D())
 
+    def test_plain_array_endpoints_need_a_system(self):
+        with pytest.raises(ValidationError, match="explicit system"):
+            find_mep([-1.0, 0.0], [1.0, 0.0], n_nodes=8, tol=1e-6)
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValidationError):
             find_mep([-1.0, 0.0], [1.0, 0.0], n_nodes=5, tol=1e-6, system=DoubleWell2D())

@@ -1,4 +1,6 @@
-"""Descent contracts: monotone energies, idempotence, fallback guard."""
+"""Descent contracts: monotone energies, idempotence, the steepest-descent fallback."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -7,18 +9,14 @@ from nematicq.energy import LdGSystem
 from nematicq.errors import NotStationary, ShapeMismatch
 from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.hisd import classify_stationary
-from nematicq.minimize import (
-    MinimizeOptions,
-    MinimizeResult,
-    ensure_descent,
-    lbfgs_direction,
-    minimize,
-)
+from nematicq.minimize import MinimizeOptions, MinimizeResult, lbfgs_direction, minimize
 from nematicq.qtensor import BulkParams
 from nematicq.systems import System, make_rng, preconditioner_of
 from nematicq.toys import DiagQuadratic, Quartic2D
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
+# the package re-exports the function ``minimize`` under the module's name
+minimize_mod = importlib.import_module("nematicq.minimize")
 
 
 def test_quadratic_converges_to_zero_field():
@@ -52,13 +50,8 @@ def test_energies_non_increasing():
 def test_adversarial_history_falls_back_to_steepest_descent():
     gen = make_rng(42, "test:minimize")
     g = gen.normal(size=10)
-    # curvature pairs with y = -s make the two-loop output point uphill
-    s = gen.normal(size=10)
-    pairs = [(s, -s, -1.0 / float(s @ s))]
-    d = lbfgs_direction(g, pairs, 1.0)
-    safe = ensure_descent(g, d)
-    if float(g @ d) >= 0:
-        assert np.array_equal(safe, -g)
+    # without pairs the two-loop direction is steepest descent
+    assert np.array_equal(lbfgs_direction(g, [], 1.0), -g)
     # end-to-end: minimize never increases energy even from such states
     sy = DiagQuadratic(np.linspace(1.0, 4.0, 10))
     res = minimize(sy, g)
@@ -79,16 +72,50 @@ class DiagMetric:
         return (v.T * self.m).T
 
 
-def test_ensure_descent_passthrough():
-    g = np.array([1.0, 0.0])
-    d = np.array([-1.0, 0.5])
-    assert ensure_descent(g, d) is d
-    assert np.array_equal(ensure_descent(g, np.array([1.0, 0.0])), -g)
-    # in the metric of M the fallback is -M^-1 g
-    m = np.array([4.0, 2.0])
-    pre = DiagMetric(m)
-    assert ensure_descent(g, d, pre) is d
-    assert np.array_equal(ensure_descent(g, np.array([1.0, 0.0]), pre), -g / m)
+class _MeteredQuadratic(DiagQuadratic):
+    """A diagonal quadratic in the metric M = diag(m) that records every point it evaluates."""
+
+    def __init__(self, diag, m):
+        super().__init__(diag)
+        self.metric = DiagMetric(m)
+        self.points = []
+
+    def preconditioner(self):
+        return self.metric
+
+    def energy_gradient(self, x):
+        self.points.append(x.copy())
+        return super().energy_gradient(x)
+
+
+def test_uphill_two_loop_direction_falls_back_to_steepest_descent(monkeypatch):
+    # the one fallback, seen through minimize: the second iteration's two-loop
+    # direction is flipped uphill; it must get no line search, the history must
+    # be cleared, and -M^-1 g must be taken
+    m = np.array([4.0, 2.0, 1.0, 3.0])
+    sy = _MeteredQuadratic([1.0, 2.0, 3.0, 4.0], m)
+    calls = []  # (curvature pairs, gamma, points evaluated so far, g, direction) per call
+
+    def flipped_once(g, pairs, gamma, precond):
+        d = lbfgs_direction(g, pairs, gamma, precond)
+        if len(calls) == 1:
+            d = -d
+        calls.append((len(pairs), gamma, len(sy.points), g, d))
+        return d
+
+    monkeypatch.setattr(minimize_mod, "lbfgs_direction", flipped_once)
+    res = minimize(sy, np.array([1.0, -1.0, 0.5, 2.0]))
+    assert res.converged
+    (_, _, _, _, _), (pairs, _, seen, g, d), (pairs_sd, gamma_sd, seen_sd, g_sd, d_sd) = calls[:3]
+    assert pairs == 1 and float(g @ d) > 0
+    # no point was evaluated along the uphill direction
+    assert seen_sd == seen and g_sd is g
+    # the history is cleared and the step is -M^-1 g, searched from its full length
+    assert pairs_sd == 0 and gamma_sd == 1.0
+    assert np.array_equal(d_sd, -g / m)
+    assert np.array_equal(sy.points[seen], sy.points[seen - 1] + d_sd)
+    # the next iteration's history holds only the fallback's own pair
+    assert calls[3][0] == 1
 
 
 def test_max_iters_tags_nonconverged():

@@ -11,9 +11,9 @@ from nematicq.qtensor import (
     bulk_energy,
     bulk_energy_uniaxial,
     bulk_energy_uniaxial_deriv,
+    bulk_floor,
     bulk_gradient,
     critical_points,
-    dual_components,
     frob2,
     metric_apply,
     sym_components,
@@ -21,6 +21,7 @@ from nematicq.qtensor import (
     trq3,
     uniaxial_components,
 )
+from oracles import dual_components
 
 
 def rng(seed=0):
@@ -129,6 +130,21 @@ def test_dual_components_is_gradient_contraction():
         assert abs((fp - fm) / 2e-6 - g[k]) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "p",
+    [BulkParams(-2.0 / 3.0, 2.0, 2.0), BulkParams(1.0 / 27.0, 1.0, 1.0), BulkParams(1.0, 0.5, 2.0), BulkParams(-1.0, 0.0, 1.0)],
+)
+def test_bulk_floor_is_the_global_minimum(p):
+    floor = bulk_floor(p)
+    # attained on the uniaxial family, at s = 0 or a real root of 2c s^2 - b s + 3a
+    roots = np.roots([2.0 * p.c, -p.b, 3.0 * p.a])
+    s = np.append(roots[np.isreal(roots)].real, 0.0)
+    assert floor == pytest.approx(float(np.min(bulk_energy_uniaxial(s, p))), abs=1e-14)
+    # and no tensor lies below it
+    q = rng(8).normal(size=(4000, 5)) * rng(9).uniform(0.0, 2.0, size=(4000, 1))
+    assert bulk_energy(q, p).min() >= floor - 1e-14
+
+
 class TestCriticalPoints:
     def test_reference_roots(self):
         cs = critical_points(P_REF)
@@ -185,6 +201,22 @@ class TestCriticalPoints:
         assert mid.stability["s_plus"] == "local_min"
         with pytest.raises(NoNematicRoots):
             critical_points(BulkParams(a_ii * 1.01, b, c))
+
+    def test_coexistence_and_superheating_limit(self):
+        # b = c = 1: a_c = 1/27, where the nematic minimum ties the isotropic
+        # one, and a_ii = 1/24, where the two nematic roots merge at b/4c
+        cs = critical_points(BulkParams(1.0 / 27.0, 1.0, 1.0))
+        assert cs.regime == "coexistence"
+        assert cs.stability == {"s_zero": "global_min", "s_minus": "unstable", "s_plus": "global_min"}
+        assert cs.energies["s_plus"] == pytest.approx(0.0, abs=1e-15)
+        cs = critical_points(BulkParams(1.0 / 24.0, 1.0, 1.0))
+        assert cs.regime == "superheating_limit" and cs.discriminant == 0.0
+        assert cs.s_plus == cs.s_minus == 0.25
+        assert cs.stability == {"s_zero": "global_min", "s_minus": "marginal", "s_plus": "marginal"}
+
+    def test_needs_positive_b(self):
+        with pytest.raises(ShapeMismatch, match="strictly positive b and c"):
+            critical_points(BulkParams(-1.0, 0.0, 1.0))
 
     def test_bad_params_rejected(self):
         with pytest.raises(ShapeMismatch):
