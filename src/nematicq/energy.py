@@ -89,8 +89,7 @@ def _cell_grad(domain: Domain, ext: np.ndarray) -> np.ndarray | None:
 
 def _elastic_grad_from_ext(domain: Domain, ext: np.ndarray) -> np.ndarray:
     """Partials of the elastic terms with respect to interior nodes."""
-    wx = domain.hy / domain.hx
-    wy = domain.hx / domain.hy
+    wx, wy = domain.edge_weights
     v = ext[..., 1:-1, 1:-1, :]
     lap = wx * (2.0 * v - ext[..., :-2, 1:-1, :] - ext[..., 2:, 1:-1, :])
     lap += wy * (2.0 * v - ext[..., 1:-1, :-2, :] - ext[..., 1:-1, 2:, :])
@@ -102,7 +101,7 @@ def _elastic_grad_from_ext(domain: Domain, ext: np.ndarray) -> np.ndarray:
 def elastic_affine(domain: Domain) -> tuple[np.ndarray, float]:
     """(c, e0) of the elastic energy 1/2 x.Kx + c.x + e0, kept on the domain: c (flat,
     read-only) the elastic gradient at x = 0, e0 the ring's energy there."""
-    ring, wx, wy = domain.ring, domain.hy / domain.hx, domain.hx / domain.hy
+    ring, (wx, wy) = domain.ring, domain.edge_weights
     c = _elastic_grad_from_ext(domain, ring).reshape(-1)
     c.flags.writeable = False
     # at x = 0 the edges from the ring into the interior and the cells count
@@ -205,6 +204,7 @@ class LdGSystem(System):
         last x and its ``bulk_hessian`` map are kept on ``self`` and reused."""
         d = self.domain
         nx, ny = d.nx, d.ny
+        wx, wy = d.edge_weights
         cols = np.asarray(v, dtype=float).reshape(np.shape(v)[0], -1)
         m = cols.shape[1]
         last_x, bulk = self.__dict__.get("_bulk_hessian", (None, None))
@@ -226,11 +226,11 @@ class LdGSystem(System):
             np.multiply(f[r:-r], 2.0, out=l)
             l -= f[: -2 * r]
             l -= f[2 * r :]
-            l *= 2.0 * (d.hy / d.hx)
+            l *= 2.0 * wx
             t = 2.0 * f[r:-r]
             t -= f[r - 1 : -r - 1]
             t -= f[r + 1 : 1 - r]
-            t *= 2.0 * (d.hx / d.hy)
+            t *= 2.0 * wy
             l += t
             out = lap_w[..., 1:-1, 1:-1]
             half0 = 0.5 * out[:, 0]
@@ -301,8 +301,7 @@ class SineSolver:
     def __init__(self, domain: Domain):
         self._sx, mux = _sine_basis(domain.nx)
         self._sy, muy = _sine_basis(domain.ny)
-        wx = domain.hy / domain.hx
-        wy = domain.hx / domain.hy
+        wx, wy = domain.edge_weights
         a = wx * mux[:, None] + wy * muy[None, :] + linear_shift(domain) * (domain.hx * domain.hy)
         self.eigenvalues = _G_EIGVALS[:, None, None] * a
         self.eigenvalues.flags.writeable = False
@@ -337,7 +336,7 @@ class SineSolver:
         finite and above -``lowest_eigenvalue``."""
         if not (math.isfinite(shift) and shift > -self.lowest_eigenvalue):
             raise ValidationError(f"shift {shift!r} leaves L1 + shift I not SPD (mu0 = {self.lowest_eigenvalue:g})")
-        return self._scaled(r, np.divide, self.eigenvalues + shift)
+        return self._scaled(r, np.divide, self.eigenvalues if shift == 0.0 else self.eigenvalues + shift)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """L1 v, for inner products <a, b>_M."""

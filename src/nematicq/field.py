@@ -82,6 +82,11 @@ class Domain:
     def hy(self) -> float:
         return 1.0 / (self.ny + 1)
 
+    @cached_property
+    def edge_weights(self) -> tuple[float, float]:
+        """(wx, wy) = (hy/hx, hx/hy), the one-constant weights of x- and y-edges."""
+        return self.hy / self.hx, self.hx / self.hy
+
     @property
     def n_dof(self) -> int:
         return 5 * self.nx * self.ny

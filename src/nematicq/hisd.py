@@ -13,6 +13,16 @@ a tensor field, the SineSolver of the SAV flow's linear operator L1, which appli
 M and M^-1 by sine transforms; it keeps the step count flat as the grid is
 refined), and the identity for a system that brings none.
 
+One step size h moves x and V, and starts at 1/|M^-1 H| at the start point.
+For k > 0 it keeps that value, capped by a fresh estimate every 25 steps.  A k = 0
+search has no V to keep pace with, and each accepted step from x to x+ sets
+the next to the Barzilai-Borwein step in the metric M (Barzilai and Borwein,
+IMA J. Numer. Anal. 8, 1988; the x step of Yin, Zhang and Zhang's HiOSD, SIAM
+J. Sci. Comput. 41, 2019): with s = x+ - x = -h M^-1 g and y = g+ - g,
+s^T M s = -h s^T g, so h+ = -h s^T g / s^T y needs no extra solve.  It is capped
+at _BB_CAP times the start's step, and s^T y <= 0 takes the cap.  There is no
+lower clip: where the curvature grows along the way, the step follows it down.
+
 Once the gradient inf-norm of a search has fallen a decade below its
 start, the search tries a guarded Newton endgame (Newton-Krylov, Knoll
 and Keyes, J. Comput. Phys. 193, 2004; ``minimize._polish``, which the
@@ -75,6 +85,10 @@ __all__ = [
 _BLOW_FACTOR = 1e6
 _RADIUS_FACTOR = 1e3
 _SCALE_CHECK_EVERY = 25
+# An index-0 search's Barzilai-Borwein step is capped at _BB_CAP times its
+# starting 1/|M^-1 H|: past 2/|M^-1 H| the stiffest modes of a quadratic grow,
+# and ten power iterations put |M^-1 H| 13% low at the 16^2 lambda2 = 50 cross.
+_BB_CAP = 1.5
 # Two landscape records are one node when their field distance is below
 # _TOL_X times the field scale (and their energies agree); a branch start is
 # the image of another within a tenth of that.
@@ -136,8 +150,9 @@ class SaddleOptions:
     """Stopping rule and budget of one saddle search.
 
     The search stops when the gradient inf-norm falls below `tol_grad`
-    and gives up after `max_iters` steps.  Step control is fixed, and V
-    is relaxed, not re-solved: see find_saddle.
+    and gives up after `max_iters` steps.  Step control has no setting
+    (1/|M^-1 H|, and for k = 0 a capped Barzilai-Borwein step), and V is
+    relaxed, not re-solved: see find_saddle.
     """
 
     tol_grad: float = 1e-8
@@ -252,11 +267,12 @@ def find_saddle(
     The dynamics run in the metric ``preconditioner_of(system)`` (see
     hisd_step), with one step size for x and V: 1/|M^-1 H| estimated by
     power iteration at the start point and, for k > 0, capped by a fresh
-    estimate every 25 steps.  V starts at v0 (else at the k smallest
-    eigenvectors at x0) and is relaxed by the dynamics from then on; the
-    next eigensolve is the certificate.  Each trial point costs one
-    ``energy_gradient``, and an accepted trial's gradient drives the next
-    step.  The step halves when the energy blows up (or, for k = 0,
+    estimate every 25 steps.  For k = 0 each accepted step sets the next
+    by the capped Barzilai-Borwein rule of the module docstring.  V starts
+    at v0 (else at the k smallest eigenvectors at x0) and is relaxed by the
+    dynamics from then on; the next eigensolve is the certificate.  Each
+    trial point costs one ``energy_gradient``, and an accepted trial's
+    gradient drives the next step.  The step halves when the energy blows up (or, for k = 0,
     rises); a position that runs far off its start scale raises
     NoConvergence.  Once the gradient inf-norm has fallen a decade below
     its start, the guarded Newton endgame of the module docstring may
@@ -336,6 +352,11 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
             # step has outrun the local curvature
             halve()
             continue
+        if k == 0:
+            # BB1 in the metric M: s = -step M^-1 g, so s^T M s = -step s^T g
+            s = trial.x - state.x
+            sy = float(s @ (g_new - g))
+            step = _BB_CAP * step0 if sy <= 0.0 else min(-step * float(s @ g) / sy, _BB_CAP * step0)
         state, e_state, g = trial, e_new, g_new
     raise NoConvergence(
         f"gradient inf-norm {g_inf:.3e} above {opts.tol_grad:.3e} after {opts.max_iters} steps",

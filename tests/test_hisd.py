@@ -263,6 +263,36 @@ class TestFindSaddle:
         assert rec.lambda_spectrum[0] < 0 < rec.lambda_spectrum[1]
         assert rec.grad_inf < 1e-8
 
+    @pytest.mark.parametrize(
+        "start, steps",
+        [((0.0, 0.05), (27, 2)), ((0.3, 0.2), (51, 2)), ((0.1, 0.9), (2, 3)), ((-0.4, 0.3), (8, 3))],
+    )
+    def test_index1_step_counts_are_pinned(self, start, steps):
+        # the k > 0 dynamics keep the fixed step 1/|M^-1 H| and its re-cap
+        rec = find_saddle(Quartic2D(), 1, np.array(start))
+        assert rec.morse_index == 1 and (rec.iterations, rec.newton_steps) == steps
+
+    @pytest.mark.parametrize(
+        "system, start, budget",
+        [
+            # condition number 1000, identity metric: the fixed step 1/rho took
+            # 4,708 steps and 1 Newton step, the capped BB step takes 1,694 in all
+            (DiagQuadratic(np.logspace(0, 3, 8)), np.ones(8), 2000),
+            # the curvature grows from 2.1 to 8 on the way to (1, -1): the fixed
+            # step took 8 steps and 1 Newton step, the BB step takes 8 and 2, and
+            # a step held at or above the start's 1/rho took 424
+            (Quartic2D(), np.array([0.7, -0.4]), 12),
+        ],
+    )
+    def test_index0_barzilai_borwein_steps_descend(self, monkeypatch, system, start, budget):
+        starts = count_calls(monkeypatch, hisd, "hisd_step")
+        rec = find_saddle(system, 0, start)
+        assert rec.morse_index == 0 and rec.iterations + rec.newton_steps <= budget
+        # every step starts from the last accepted point: no accepted step raised the energy
+        energies = [system.energy(state.x) for _, state, _ in starts]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+        assert len({dt for *_, dt in starts}) > 2  # the step did adapt
+
     def test_index2_top(self):
         rec = find_saddle(Quartic2D(), 2, np.array([0.3, -0.25]))
         assert np.abs(rec.field - [0.0, 0.0]).max() < 1e-6
@@ -786,17 +816,28 @@ def test_searches_below_an_index_6_parent():
         assert all(rec.grad_inf < 1e-6 for rec in hits)
 
 
+def test_deep_cross_landscape_keeps_its_graph():
+    # below the index-6 cross at lambda2 = 150: nodes by index 0..6, edges,
+    # branches run (the rest are images under the square's symmetry)
+    sy, parent = planar_cross_parent(16, lambda2=150.0, k_hint=6)
+    graph = build_landscape(sy, parent, LandscapeOptions(search=SaddleOptions(tol_grad=1e-6)))
+    assert [len(graph.by_index().get(m, [])) for m in range(7)] == [6, 8, 8, 6, 2, 2, 1]
+    assert len(graph.edges) == 132 and graph.branches_run == 36
+    assert graph.failed == [] and not graph.truncated
+
+
 def test_cross_landscape_steps_in_the_flow_metric():
     # in the metric M = L1 of the flow; with the old bulk-scaled shift the
     # 16^2 branches took 131 (index 1) and 76 (index 0) steps, 139 and 82
-    # at 32^2, and the parent's certificate 84 LOBPCG iterations
+    # at 32^2, and the parent's certificate 84 LOBPCG iterations; the fixed
+    # index-0 step took 21 and 20, the Barzilai-Borwein step takes 15 and 15
     for n in (16, 32):
         sy, parent = planar_cross_parent(n)
         graph = build_landscape(sy, parent, LandscapeOptions(search=SaddleOptions(tol_grad=1e-6)))
         assert [rec.morse_index for rec in graph.nodes] == [2, 1, 1, 0, 0]
         assert len(graph.edges) == 8 and graph.searches == 8
         for rec in graph.nodes[1:]:
-            assert rec.iterations <= (60 if rec.morse_index == 1 else 35)
+            assert rec.iterations <= (60 if rec.morse_index == 1 else 18)
         if n == 16:
             _, _, rep = classify_stationary(sy, parent.field, tol_grad=1e-6, k_hint=2)
             assert rep.iterations <= 50
