@@ -136,6 +136,21 @@ def gradient(domain: Domain, values: np.ndarray) -> np.ndarray:
     return _elastic_grad_from_ext(domain, ext) + domain.lambda2 * domain.hx * domain.hy * bulk
 
 
+def _free_energy_gradient(domain: Domain, values: np.ndarray) -> tuple:
+    """``(free_energy(domain, values), gradient(domain, values))`` bit for bit, from
+    one extension of the fields, one elastic gradient, which gives the elastic
+    energy, and one bulk pass."""
+    ext = domain.extend(values)
+    interior = ext[..., 1:-1, 1:-1, :]
+    density, g = bulk_energy_gradient(interior, domain.bulk)
+    elastic = _elastic_grad_from_ext(domain, ext)
+    e = _energy(domain, interior, elastic, density)
+    # gradient's elastic + lambda2 hx hy bulk, in place to hold fewer large temporaries
+    g *= domain.lambda2 * domain.hx * domain.hy
+    g += elastic
+    return e, g
+
+
 def elastic_apply(domain: Domain, flat: np.ndarray) -> np.ndarray:
     """Homogeneous elastic operator action (all elastic terms), matrix-free,
     on each row of a (..., n_dof) block; the result has the same shape."""
@@ -171,24 +186,23 @@ class LdGSystem(System):
         return gradient(self.domain, self._one_field(x)).reshape(self.n)
 
     def energy_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(energy(x), gradient(x))`` bit for bit, from one extension of the
-        field, one elastic gradient, which gives the elastic energy, and one bulk pass."""
-        d = self.domain
-        ext = d.extend(self._one_field(x))
-        interior = ext[1:-1, 1:-1]
-        density, g = bulk_energy_gradient(interior, d.bulk)
-        elastic = _elastic_grad_from_ext(d, ext)
-        e = float(_energy(d, interior, elastic, density))
-        # gradient's elastic + lambda2 hx hy bulk, in place to hold fewer large temporaries
-        g *= d.lambda2 * d.hx * d.hy
-        g += elastic
-        return e, g.reshape(self.n)
+        """``(energy(x), gradient(x))`` bit for bit: the single-field case of
+        ``energies_gradients``."""
+        e, g = _free_energy_gradient(self.domain, self._one_field(x))
+        return float(e), g.reshape(self.n)
 
     def energies(self, xs: np.ndarray) -> np.ndarray:
         return free_energy(self.domain, xs)
 
     def gradients(self, xs: np.ndarray) -> np.ndarray:
         return gradient(self.domain, xs).reshape(np.shape(xs))
+
+    def energies_gradients(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(energies(xs), gradients(xs))`` bit for bit, from one extension of
+        the block, one elastic gradient, which gives the elastic energies, and
+        one bulk pass."""
+        e, g = _free_energy_gradient(self.domain, xs)
+        return e, g.reshape(np.shape(xs))
 
     def hessian_vec(self, x: np.ndarray, v: np.ndarray, l: float | None = None) -> np.ndarray:
         """H(x) v exactly: the homogeneous elastic operator (``elastic_apply``'s)

@@ -5,12 +5,15 @@ sweep moves every interior node downhill (step 1) and then redistributes
 nodes to equal arc length by linear interpolation (step 2), as in the
 simplified string method.  The normal part of each move is preconditioned
 by the system's metric M, as in the preconditioned string of Makri,
-Ortner and Kermode, so the sweep count does not grow with the grid.  The
-converged string's energy maximum seeds an index-1 climbing refinement
-whose unstable direction starts along the string's tangent there, as in
-climbing-image and climbing-string methods, so the climb's only
-eigensolve is its certificate through the leading Hessian eigenvalues;
-the barriers are measured from the string's own endpoints.
+Ortner and Kermode, so the sweep count does not grow with the grid.
+Each sweep evaluates its resampled nodes in one fused block pass
+(``System.energies_gradients``), whose gradients the next residual and
+step reuse; a path computes its chords, tangents and normal gradients
+once.  The converged string's energy maximum seeds an index-1 climbing
+refinement whose unstable direction starts along the string's tangent
+there, as in climbing-image and climbing-string methods, so the climb's
+only eigensolve is its certificate through the leading Hessian
+eigenvalues; the barriers are measured from the string's own endpoints.
 """
 
 from __future__ import annotations
@@ -43,29 +46,48 @@ class Path:
     """Polyline of fields with energies and arc-length labels.
 
     nodes has shape (N, n); alpha is the normalized cumulative chord
-    length, strictly increasing from 0 to 1.  The first and last node
-    are the fixed endpoints.
+    length, strictly increasing from 0 to 1, and chords the N - 1 chord
+    lengths it was built from.  The first and last node are the fixed
+    endpoints.
     """
 
     system: System
     nodes: np.ndarray
     energies: np.ndarray
     alpha: np.ndarray
+    chords: np.ndarray
 
     @classmethod
-    def from_nodes(cls, system: System, nodes: np.ndarray, energies: np.ndarray | None = None) -> "Path":
+    def from_nodes(
+        cls,
+        system: System,
+        nodes: np.ndarray,
+        energies: np.ndarray | None = None,
+        *,
+        gradients: np.ndarray | None = None,
+        chords: np.ndarray | None = None,
+    ) -> "Path":
+        """The path through nodes.  energies, the interior gradients and the
+        chord lengths, when given, must be those of these nodes; the sweeps
+        pass what they already evaluated, and the rest is evaluated here
+        (energies, chords) or on first use (gradients)."""
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[0] < 3:
             raise ValidationError("a path needs at least 3 nodes of equal size")
         if energies is None:
             energies = system.energies(nodes)
-        chords = _chords(nodes)
+        if chords is None:
+            chords = _chords(nodes)
         total = float(chords.sum())
         if total < 1e-14:
             raise DegeneratePath("total path length below resolution")
         alpha = np.concatenate([[0.0], np.cumsum(chords)]) / total
         alpha[-1] = 1.0
-        return cls(system=system, nodes=nodes, energies=np.asarray(energies, dtype=float), alpha=alpha)
+        energies = np.asarray(energies, dtype=float)
+        path = cls(system=system, nodes=nodes, energies=energies, alpha=alpha, chords=chords)
+        if gradients is not None:
+            vars(path)["gradients"] = gradients  # fills the cached property
+        return path
 
     @property
     def n_nodes(self) -> int:
@@ -73,13 +95,26 @@ class Path:
 
     @cached_property
     def gradients(self) -> np.ndarray:
-        """Gradients at the interior nodes (row i - 1 for node i), evaluated
-        once per path and shared by the residual and the evolution step."""
+        """Gradients at the interior nodes (row i - 1 for node i).  A path
+        from ``reparametrize`` carries those of its one fused
+        ``energies_gradients`` pass at the resampled nodes; any other path
+        evaluates them once, on first use."""
         return self.system.gradients(self.nodes[1:-1])
+
+    @cached_property
+    def tangents(self) -> np.ndarray:
+        """Unit chord tangents τ_i at the interior nodes (``_tangents``)."""
+        return _tangents(self.nodes)
+
+    @cached_property
+    def normal_gradients(self) -> np.ndarray:
+        """Π_i g_i = g_i − (g_i·τ_i)τ_i at the interior nodes, computed once per
+        path and shared by the residual and the evolution step."""
+        return _normal(self.gradients, self.tangents)
 
     def chord_spread(self) -> float:
         """Relative spread of consecutive chord lengths."""
-        return _spread(_chords(self.nodes))
+        return _spread(self.chords)
 
 
 @dataclass(frozen=True)
@@ -107,9 +142,8 @@ def evolve_step(p: Path, base_step: float) -> Path:
     system = p.system
     if not 0.0 < base_step < np.inf:
         raise ValidationError("base step must be positive and finite")
-    tangent = _tangents(p.nodes)
-    pg = _normal(p.gradients, tangent)
-    d = p.gradients + _normal(preconditioner_of(system).solve(pg.T).T - pg, tangent)
+    pg = p.normal_gradients
+    d = p.gradients + _normal(preconditioner_of(system).solve(pg.T).T - pg, p.tangents)
     nodes, energies = p.nodes.copy(), p.energies.copy()
     active = np.arange(1, p.n_nodes - 1)  # nodes still backtracking
     step = base_step
@@ -149,18 +183,27 @@ def _chords(nodes: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.diff(nodes, axis=0), axis=1)
 
 
-def _resample(nodes: np.ndarray) -> np.ndarray:
-    """One linear redistribution pass to equal chord-length targets."""
+def _resample(nodes: np.ndarray, chords: np.ndarray) -> np.ndarray:
+    """One linear redistribution pass of nodes, whose chord lengths are chords,
+    to equal chord-length targets."""
     n = nodes.shape[0]
-    s = np.concatenate([[0.0], np.cumsum(_chords(nodes))])
+    s = np.concatenate([[0.0], np.cumsum(chords)])
     if s[-1] < 1e-14:
         raise DegeneratePath("total path length below resolution")
     targets = np.linspace(0.0, s[-1], n)
-    keep = np.concatenate([[True], np.diff(s) > 0.0])
-    pts, s_sup = nodes[keep], s[keep]
+    pts, s_sup = nodes, s
+    rise = np.diff(s) > 0.0
+    if not rise.all():  # a repeated node: drop it
+        keep = np.concatenate([[True], rise])
+        pts, s_sup = nodes[keep], s[keep]
     seg = np.clip(np.searchsorted(s_sup, targets, side="right") - 1, 0, pts.shape[0] - 2)
     frac = (targets - s_sup[seg]) / np.diff(s_sup)[seg]
-    out = pts[seg] + frac[:, None] * (pts[seg + 1] - pts[seg])
+    # pts[seg] + frac (pts[seg + 1] - pts[seg]), in place
+    left = pts[seg]
+    out = pts[seg + 1]
+    out -= left
+    out *= frac[:, None]
+    out += left
     out[0], out[-1] = nodes[0], nodes[-1]
     return out
 
@@ -170,19 +213,20 @@ def reparametrize(p: Path) -> Path:
 
     A single resample leaves a corner-cutting residue, so the resampling
     is iterated to its fixed point: uniform chord lengths within 1e-8
-    relative spread.  The returned path carries freshly evaluated
-    interior energies; endpoints and their energies come back
-    bit-identical.
+    relative spread.  The returned path carries the interior energies and
+    gradients of one fused ``energies_gradients`` pass at its nodes;
+    endpoints and their energies come back bit-identical.
     """
     if p.chord_spread() < _CHORD_SPREAD_TOL:
         return p
-    nodes = p.nodes
+    nodes, chords = p.nodes, p.chords
     for _ in range(_MAX_PASSES):
-        nodes = _resample(nodes)
-        if (spread := _spread(_chords(nodes))) < _CHORD_SPREAD_TOL:
+        nodes = _resample(nodes, chords)
+        chords = _chords(nodes)
+        if (spread := _spread(chords)) < _CHORD_SPREAD_TOL:
             energies = p.energies.copy()
-            energies[1:-1] = p.system.energies(nodes[1:-1])
-            return Path.from_nodes(p.system, nodes, energies)
+            energies[1:-1], gradients = p.system.energies_gradients(nodes[1:-1])
+            return Path.from_nodes(p.system, nodes, energies, gradients=gradients, chords=chords)
     raise NoConvergence(
         f"reparametrization did not reach uniform spacing in {_MAX_PASSES} passes",
         iterations=_MAX_PASSES,
@@ -193,7 +237,7 @@ def reparametrize(p: Path) -> Path:
 def perpendicular_residual(p: Path) -> float:
     """Max over interior nodes of the gradient component normal to the chord
     nodes[i + 1] - nodes[i - 1]; where that chord is zero, of the whole gradient."""
-    return float(np.abs(_normal(p.gradients, _tangents(p.nodes))).max())
+    return float(np.abs(p.normal_gradients).max())
 
 
 def _as_flat(field, system: System | None):

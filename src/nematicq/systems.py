@@ -39,7 +39,9 @@ class System:
     ``n`` is the number of degrees of freedom; vectors passed in and out
     are flat float64 arrays of that length.  ``energy_gradient`` returns
     both at one point; ``energies``/``gradients`` evaluate the rows of an
-    (m, n) block.  These defaults call ``energy`` and ``gradient``.
+    (m, n) block and ``energies_gradients`` both, the one fused block pass
+    that each string sweep takes at its resampled nodes.  These defaults
+    call ``energy`` and ``gradient``.
     """
 
     n: int = 0
@@ -60,6 +62,11 @@ class System:
 
     def gradients(self, xs: np.ndarray) -> np.ndarray:
         return np.array([self.gradient(x) for x in xs])
+
+    def energies_gradients(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(energies(xs), gradients(xs))``; a system that can share work
+        between the two overrides it with the same values."""
+        return self.energies(xs), self.gradients(xs)
 
     def hessian_vec(self, x: np.ndarray, v: np.ndarray, l: float | None = None) -> np.ndarray:
         """H(x) v, by default a central difference (grad(x + l v) - grad(x - l v)) / (2 l);

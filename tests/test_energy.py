@@ -426,6 +426,19 @@ class TestBatchedKernels:
         assert np.array_equal(free_energy(d, fields), energies)
         assert np.array_equal(gradient(d, fields), gradients.reshape(fields.shape))
 
+    @pytest.mark.parametrize("boundary", ["tangent", "planar", _swirl_boundary])
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_fused_block_equals_the_two_calls(self, boundary, l23, m):
+        d = Domain(nx=9, ny=6, lambda2=5.0, bulk=BULK, boundary=boundary, l2=l23[0], l3=l23[1])
+        sy = LdGSystem(d)
+        xs = 0.4 * make_rng(32, "test:energy:batch").normal(size=(m, sy.n))
+        for block in (xs, xs.reshape((m,) + d.shape)):
+            energies, gradients = sy.energies_gradients(block)
+            assert energies.shape == (m,) and gradients.shape == block.shape
+            assert np.array_equal(energies, sy.energies(block))
+            assert np.array_equal(gradients, sy.gradients(block))
+
     def test_non_finite_row_raises(self):
         sy = LdGSystem(make_domain(n=5))
         xs = np.zeros((3, sy.n))
@@ -434,6 +447,8 @@ class TestBatchedKernels:
             sy.energies(xs)
         with pytest.raises(ShapeMismatch):
             sy.gradients(xs)
+        with pytest.raises(ShapeMismatch):
+            sy.energies_gradients(xs)
 
 
 class TestSineSolver:
@@ -524,6 +539,19 @@ class TestEnergyGradient:
             e, g = sy.energy_gradient(x)
             assert type(e) is float and e == sy.energy(x)
             assert g.shape == (sy.n,) and np.array_equal(g, sy.gradient(x))
+
+    @pytest.mark.parametrize("l23", [(0.0, 0.0), (0.6, 0.4)])
+    def test_ldg_single_field_is_a_one_row_block(self, l23):
+        # the single-field case of the fused block pass keeps the bits of
+        # energy and gradient, for flat and (nx, ny, 5) fields
+        d = Domain(nx=9, ny=6, lambda2=5.0, bulk=BULK, boundary="planar", l2=l23[0], l3=l23[1])
+        sy = LdGSystem(d)
+        x = 0.4 * make_rng(37, "test:energy:fused").normal(size=sy.n)
+        (e_row,), (g_row,) = sy.energies_gradients(x[None])
+        for y in (x, x.reshape(d.shape)):
+            e, g = sy.energy_gradient(y)
+            assert type(e) is float and e == sy.energy(y) == e_row
+            assert g.shape == (sy.n,) and np.array_equal(g, sy.gradient(y)) and np.array_equal(g, g_row)
 
     def test_bulk_pass_equals_the_two_kernels(self):
         q = 0.7 * make_rng(36, "test:energy:fused").normal(size=(9, 6, 5))

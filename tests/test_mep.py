@@ -16,8 +16,10 @@ from nematicq.errors import (
 from nematicq.field import Domain, QField, seed_field
 from nematicq.mep import (
     Path,
+    _chords,
     _normal,
     _refine_ts,
+    _spread,
     _tangents,
     evolve_step,
     find_mep,
@@ -145,10 +147,14 @@ class RowByRow(System):
         return self.inner.preconditioner()
 
 
+def domain_8x8() -> Domain:
+    return Domain(nx=8, ny=8, lambda2=27.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+
+
 def ldg_path_8x8(fold: bool) -> Path:
     """Noisy straight string between the diagonal states on an 8 x 8 grid;
     with ``fold`` node 4 repeats node 2, so node 3 has a zero chord."""
-    d = Domain(nx=8, ny=8, lambda2=27.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+    d = domain_8x8()
     a = seed_field(d, "diagonal(d1)").flat
     b = seed_field(d, "diagonal(d2)").flat
     frac = np.linspace(0.0, 1.0, 7)[:, None]
@@ -170,6 +176,17 @@ def test_batched_sweep_equals_row_by_row(fold):
     out, ref = evolve_step(batched, base), evolve_step(looped, base)
     for name in ("nodes", "energies", "alpha"):
         assert np.array_equal(getattr(out, name), getattr(ref, name))
+    # the fused block pass at the resampled nodes against the base-class
+    # default, the two row-by-row loops
+    rep, rep_ref = reparametrize(out), reparametrize(ref)
+    assert rep is not out
+    for name in ("nodes", "energies", "alpha", "gradients"):
+        assert np.array_equal(getattr(rep, name), getattr(rep_ref, name))
+    assert np.array_equal(rep.gradients, batched.system.gradients(rep.nodes[1:-1]))
+    # a path's kept chords are those of its nodes
+    for p in (out, ref, rep, rep_ref):
+        assert p.chord_spread() == _spread(_chords(p.nodes))
+        assert np.array_equal(p.chords, _chords(p.nodes))
     g, tangent = batched.gradients, _tangents(batched.nodes)
     pg = _normal(g, tangent)
     d = g + _normal(batched.system.preconditioner().solve(pg.T).T - pg, tangent)
@@ -198,6 +215,58 @@ def test_zero_chord_counts_the_whole_gradient():
     sy = DoubleWell2D()
     p = Path.from_nodes(sy, [[0.5, 0.2], [0.3, 0.4], [0.5, 0.2]])
     assert perpendicular_residual(p) == np.abs(sy.gradient(p.nodes[1])).max()
+
+
+class CountingLdG(LdGSystem):
+    """Logs each block evaluation: (method, a copy of the rows)."""
+
+    def __init__(self, domain):
+        super().__init__(domain)
+        self.log = []
+
+    def energies(self, xs):
+        self.log.append(("energies", np.array(xs)))
+        return super().energies(xs)
+
+    def gradients(self, xs):
+        self.log.append(("gradients", np.array(xs)))
+        return super().gradients(xs)
+
+    def energies_gradients(self, xs):
+        self.log.append(("energies_gradients", np.array(xs)))
+        return super().energies_gradients(xs)
+
+
+def test_string_evaluates_each_resampled_node_in_one_fused_pass(monkeypatch):
+    # the 8 x 8 diagonal-to-diagonal string: only the start path's interior
+    # gradients are evaluated on their own; every reparametrization that
+    # moves nodes evaluates them in one energies_gradients call
+    mep = importlib.import_module("nematicq.mep")
+    moved = []
+    original = mep.reparametrize
+
+    def recorded(p):
+        out = original(p)
+        moved.append(out is not p)
+        return out
+
+    monkeypatch.setattr(mep, "reparametrize", recorded)
+    _, (a, b) = ldg_string_ends(8)
+    sy = CountingLdG(domain_8x8())
+    n_nodes = 16
+    res = find_mep(a, b, n_nodes=n_nodes, tol=1e-4, ts_tol=1e-4, system=sy)
+    assert res.sweeps >= 1 and sum(moved) >= 1
+    assert sum(len(xs) for name, xs in sy.log if name == "gradients") == n_nodes - 2
+    assert sum(name == "energies_gradients" for name, _ in sy.log) == sum(moved)
+    for (first, xs), (second, ys) in zip(sy.log, sy.log[1:]):
+        assert not (first == "energies" and second == "gradients" and np.array_equal(xs, ys))
+
+
+def test_repeated_node_is_dropped_by_the_resample():
+    p = Path.from_nodes(DoubleWell2D(), [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [1.0, 0.0]])
+    out = reparametrize(p)
+    assert np.abs(out.nodes[:, 0] - [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]).max() < 1e-15
+    assert out.chord_spread() == _spread(_chords(out.nodes)) < 1e-8
 
 
 class TestReparametrize:

@@ -34,6 +34,14 @@ def test_default_blocks_loop_over_rows():
     assert np.array_equal(sy.gradients(xs), [sy.gradient(x) for x in xs])
 
 
+def test_default_fused_block_returns_the_pair():
+    sy = Quartic2D()
+    xs = make_rng(2, "test:systems").normal(size=(4, 2))
+    energies, gradients = sy.energies_gradients(xs)
+    assert np.array_equal(energies, sy.energies(xs))
+    assert np.array_equal(gradients, sy.gradients(xs))
+
+
 def test_hessian_vec_takes_both_probes_in_one_block():
     sy = CountingQuartic()
     x, v = np.array([0.3, -1.2]), np.array([0.7, 0.4])
