@@ -87,32 +87,44 @@ def _settings(args, toy: str, **defaults) -> tuple[RunConfig | None, dict]:
     return None, {"toy": toy, "out_dir": "out", **defaults, **_given(args)}
 
 
+def _minimized_seed(cfg: RunConfig, system: LdGSystem, record=None):
+    """``minimize`` from the config's seed field to cfg.tol.  ``record(res)``,
+    when given, writes the command's outputs first; a minimization that
+    stops short of cfg.tol then raises NoConvergence."""
+    init = seed_field(system.domain, cfg.init, cfg.seed)
+    res = minimize(system, init.flat, MinimizeOptions(tol_grad=cfg.tol))
+    if record is not None:
+        record(res)
+    if not res.converged:
+        raise NoConvergence(
+            f"seed minimization stalled: gradient inf-norm {res.grad_inf:.3e} above {cfg.tol:.3e}",
+            iterations=res.iterations,
+            residual=res.grad_inf,
+        )
+    return res
+
+
 def cmd_minimize(args) -> int:
     cfg = _config(args)
     with RunContext(cfg.out_dir, "minimize", cfg.to_dict(), {"tol": cfg.tol}) as run:
-        domain = cfg.domain()
-        system = LdGSystem(domain)
-        init = seed_field(domain, cfg.init, cfg.seed)
-        res = minimize(system, init.flat, MinimizeOptions(tol_grad=cfg.tol))
-        write_field(run.path("field.csv"), system.field(res.x))
-        write_json(
-            run.path("minimize.json"),
-            {
-                "energy": res.energy,
-                "grad_inf_norm": res.grad_inf,
-                "iterations": res.iterations,
-                "n_energy": res.n_energy,
-                "n_grad": res.n_grad,
-                "converged": res.converged,
-            },
-        )
-        print(f"minimize: energy={res.energy:.12g} grad_inf={res.grad_inf:.3e} converged={res.converged}")
-        if not res.converged:
-            raise NoConvergence(
-                f"gradient inf-norm {res.grad_inf:.3e} above {cfg.tol:.3e}",
-                iterations=res.iterations,
-                residual=res.grad_inf,
+        system = LdGSystem(cfg.domain())
+
+        def record(res):
+            write_field(run.path("field.csv"), system.field(res.x))
+            write_json(
+                run.path("minimize.json"),
+                {
+                    "energy": res.energy,
+                    "grad_inf_norm": res.grad_inf,
+                    "iterations": res.iterations,
+                    "n_energy": res.n_energy,
+                    "n_grad": res.n_grad,
+                    "converged": res.converged,
+                },
             )
+            print(f"minimize: energy={res.energy:.12g} grad_inf={res.grad_inf:.3e} converged={res.converged}")
+
+        _minimized_seed(cfg, system, record)
     return 0
 
 
@@ -216,15 +228,7 @@ def cmd_landscape(args) -> int:
         else:
             domain = cfg.domain()
             system = LdGSystem(domain)
-            init = seed_field(domain, cfg.init, cfg.seed)
-            res = minimize(system, init.flat, MinimizeOptions(tol_grad=cfg.tol))
-            if not res.converged:
-                raise NoConvergence(
-                    "landscape seed minimization stalled",
-                    iterations=res.iterations,
-                    residual=res.grad_inf,
-                )
-            seed_rec = make_record(system, res.x, tol_grad=cfg.tol)
+            seed_rec = make_record(system, _minimized_seed(cfg, system).x, tol_grad=cfg.tol)
             if seed_rec.morse_index == 0 and cfg.max_index is None:
                 # downward searches from a minimum find nothing
                 raise ConfigError("the seed minimized to an index-0 state; set max_index to search upward from it")

@@ -1,6 +1,8 @@
 """String method on analytic potentials with known minimal energy paths."""
 
 import importlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from nematicq.mep import (
     _normal,
     _refine_ts,
     _spread,
+    _string_loop,
     _tangents,
+    _Workspace,
     evolve_step,
     find_mep,
     perpendicular_residual,
@@ -29,7 +33,7 @@ from nematicq.mep import (
 from nematicq.minimize import MinimizeOptions, minimize
 from nematicq.qtensor import BulkParams
 from nematicq.spectrum import operator_scale
-from nematicq.systems import System, make_rng
+from nematicq.systems import System, make_rng, preconditioner_of
 from nematicq.toys import DoubleWell2D, Quartic2D
 
 
@@ -147,8 +151,13 @@ class RowByRow(System):
         return self.inner.preconditioner()
 
 
+def string_domain(n: int, lambda2: float = 27.0) -> Domain:
+    """The n x n planar square of the diagonal-to-diagonal strings."""
+    return Domain(nx=n, ny=n, lambda2=lambda2, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+
+
 def domain_8x8() -> Domain:
-    return Domain(nx=8, ny=8, lambda2=27.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+    return string_domain(8)
 
 
 def ldg_path_8x8(fold: bool) -> Path:
@@ -431,7 +440,7 @@ def count_eigensolves(monkeypatch) -> list:
 
 
 def ldg_string_ends(n: int, lambda2: float = 27.0):
-    d = Domain(nx=n, ny=n, lambda2=lambda2, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+    d = string_domain(n, lambda2)
     sy = LdGSystem(d)
     opts = MinimizeOptions(tol_grad=1e-9, max_iters=20000)
     return sy, [minimize(sy, seed_field(d, spec).flat, opts).x for spec in ("diagonal(d1)", "diagonal(d2)")]
@@ -517,3 +526,123 @@ def test_symmetric_ridge_trap_is_reported():
     system, (a, b) = ldg_string_ends(16, 50.0)
     with pytest.raises(NotIndexOne, match="Morse index 2"):
         find_mep(a, b, n_nodes=16, tol=2e-3, ts_tol=1e-6, system=system)
+
+
+# ---------------------------------------------------------------------------
+# the string loop's workspace: bit for bit the public calls, no aliasing
+
+
+def stable_step(path: Path) -> float:
+    """The string loop's step, 1/ρ(M⁻¹H) at the middle node."""
+    sy, mid = path.system, path.nodes[path.n_nodes // 2]
+    return 1.0 / operator_scale(lambda w: preconditioner_of(sy).solve(sy.hessian_vec(mid, w)), mid.size)
+
+
+def public_string_loop(path: Path, tol: float) -> tuple[Path, int]:
+    """The string loop from public calls alone, on paths that own their arrays."""
+    base = stable_step(path)
+    path, sweeps = reparametrize(path), 0
+    while perpendicular_residual(path) >= tol:
+        path, sweeps = reparametrize(evolve_step(path, base)), sweeps + 1
+    return path, sweeps
+
+
+PATH_BLOCKS = ("nodes", "energies", "alpha", "chords", "gradients", "tangents", "normal_gradients")
+
+
+def assert_same_path(p: Path, q: Path) -> None:
+    for name in PATH_BLOCKS:
+        assert np.array_equal(getattr(p, name), getattr(q, name)), name
+
+
+@pytest.mark.parametrize("case", ["double_well", "curved_well", "ldg8"])
+def test_find_mep_equals_public_calls_on_fresh_paths(case):
+    if case == "double_well":
+        system, (a, b), kw = DoubleWell2D(), ([-1.0, 0.0], [1.0, 0.0]), dict(n_nodes=16, tol=1e-8)
+    elif case == "curved_well":
+        system, (a, b), kw = CurvedWell(), ([-1.0, 0.5], [1.0, 0.5]), dict(n_nodes=24, tol=0.15)
+    else:
+        system, (a, b) = ldg_string_ends(8)
+        kw = dict(n_nodes=16, tol=1e-4, ts_tol=1e-4)
+    res = find_mep(a, b, system=system, **kw)
+    frac = np.linspace(0.0, 1.0, kw["n_nodes"])[:, None]
+    xa, xb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ref, sweeps = public_string_loop(Path.from_nodes(system, (1.0 - frac) * xa + frac * xb), kw["tol"])
+    assert res.sweeps == sweeps
+    assert sweeps >= 1 or case == "double_well"
+    assert_same_path(res.path, ref)
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_string_loop_on_a_workspace_equals_public_calls(fold):
+    # the noisy 8 x 8 string's residual goes 2.7 (2.0 folded), 0.78, 0.53,
+    # 0.35 over its first sweeps, so tol 0.4 stops it after three
+    start = ldg_path_8x8(fold)
+    out, sweeps = _string_loop(replace(start, _workspace=_Workspace(start.nodes.shape)), 0.4)
+    ref, ref_sweeps = public_string_loop(ldg_path_8x8(fold), 0.4)
+    assert sweeps == ref_sweeps == 3
+    assert_same_path(out, ref)
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_partial_backtracking_on_a_workspace(fold):
+    # 8 times the stable step, as in test_batched_sweep_equals_row_by_row:
+    # nodes halve it 2 or 3 times, so the later trials are the rows left,
+    # gathered by index into the workspace's scratch block
+    sy = CountingLdG(domain_8x8())
+    fresh = Path.from_nodes(sy, ldg_path_8x8(fold).nodes)
+    ws = _Workspace(fresh.nodes.shape)
+    kept = replace(fresh, _workspace=ws)
+    base = 8.0 * stable_step(fresh)
+    sy.log.clear()
+    out = evolve_step(kept, base)
+    rows = [len(xs) for name, xs in sy.log if name == "energies"]
+    assert rows[0] == fresh.n_nodes - 2 and 0 < min(rows) < rows[0]
+    assert any(out.nodes is buffer for buffer in ws.node_buffers)
+    ref = evolve_step(fresh, base)
+    assert_same_path(out, ref)
+    assert_same_path(reparametrize(out), reparametrize(ref))
+
+
+def test_returned_paths_keep_their_values_after_another_string():
+    # a result's path and the paths the public calls derive from it own their
+    # arrays: a second string on the same system, which writes its own
+    # workspace, leaves them alone
+    sy, (a, b) = ldg_string_ends(8)
+    kw = dict(n_nodes=16, tol=1e-4, ts_tol=1e-4, system=sy)
+    res = find_mep(a, b, **kw)
+    stepped = evolve_step(res.path, stable_step(res.path))
+    paths = (res.path, stepped, reparametrize(stepped))
+    kept = [{name: np.array(getattr(p, name)) for name in PATH_BLOCKS} for p in paths]
+    again = find_mep(a, b, **kw)
+    for p, values in zip(paths, kept):
+        for name in PATH_BLOCKS:
+            assert np.array_equal(getattr(p, name), values[name]), name
+    assert not np.shares_memory(again.path.nodes, res.path.nodes)
+    assert_same_path(again.path, res.path)
+
+
+def test_string16_traced_memory_peak():
+    # the string16 benchmark call (16^2, lambda2 = 27, 32 nodes, tol = ts_tol
+    # = 1e-4, its own domain and system) after one warm-up call: 3.67 MiB of
+    # traced memory at its peak, in the fused pass of a sweep; one (N, n)
+    # block more (0.31 MiB) still fits under 4 MiB, two do not
+    _, (a, b) = ldg_string_ends(16)
+
+    def string16():
+        system = LdGSystem(string_domain(16))
+        return find_mep(a, b, n_nodes=32, tol=1e-4, ts_tol=1e-4, system=system)
+
+    string16()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        string16()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * 2**20
