@@ -24,6 +24,16 @@ python3 -m nematicq.cli flow --config "$OUT/square.json" --out "$OUT/flow"
 head -4 "$OUT/flow/trajectory.csv"
 
 echo
+echo "== saddle: an index-0 search started from the minimum's snapshot lands where it starts"
+python3 -m nematicq.cli saddle --config "$OUT/square.json" --init "$OUT/min/field.csv" --k 0 --out "$OUT/saddle"
+cat "$OUT/saddle/saddle.json"
+
+echo
+echo "== string: minimal energy path of a closed-form test energy"
+python3 -m nematicq.cli string --toy --out "$OUT/string"
+cat "$OUT/string/summary.json"
+
+echo
 echo "== landscape: all stationary points of a closed-form test energy"
 python3 -m nematicq.cli landscape --toy --out "$OUT/toy"
 python3 - "$OUT/toy/landscape.json" << 'EOF'

@@ -7,6 +7,8 @@ The CLI maps validation errors to exit code 1 and solve errors to 2.
 
 from __future__ import annotations
 
+import math
+
 
 class NematicqError(Exception):
     """Base class for all package errors."""
@@ -23,12 +25,18 @@ class SolveError(NematicqError):
 class NoNematicRoots(ValidationError):
     """The bulk quadratic 2cs^2 - bs + 3a has no real roots (b^2 < 24ac)."""
 
-    def __init__(self, a: float, b: float, c: float):
-        self.discriminant = b * b - 24.0 * a * c
+    def __init__(self, a: float, b: float, c: float, discriminant: float):
+        self.discriminant = discriminant
         super().__init__(
             f"no nematic critical points: b^2 - 24ac = {self.discriminant:g} < 0 "
             f"for a={a:g}, b={b:g}, c={c:g}"
         )
+
+
+def check_positive(name: str, value: float) -> None:
+    """ValidationError unless 0 < value < inf (NaN fails too)."""
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 class ShapeMismatch(ValidationError):

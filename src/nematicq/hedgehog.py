@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import NoConvergence, ValidationError
+from .errors import NoConvergence, ValidationError, check_positive
 from .qtensor import BulkParams, critical_points
 
 __all__ = ["HedgehogProfile", "solve_profile", "ode_residual"]
@@ -66,8 +66,7 @@ def solve_profile(p: BulkParams, R: float, N: int) -> HedgehogProfile:
     parameters) and damps each Newton step by halving until the interior
     max-norm residual decreases.
     """
-    if not 0.0 < R < np.inf:
-        raise ValidationError(f"R must be positive and finite, got {R!r}")
+    check_positive("R", R)
     if N < 64:
         raise ValidationError(f"N must be at least 64, got {N!r}")
     s_plus = critical_points(p).s_plus

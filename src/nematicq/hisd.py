@@ -59,7 +59,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateStationary, NoConvergence, NotStationary, ShapeMismatch, ValidationError, WrongIndex
-from .minimize import _check_tol, _energy_rose, _polish, _reflected_direction
+from .errors import check_positive
+from .minimize import _NEWTON_DECADE, _energy_rose, _polish, _reflected_direction
 from .spectrum import SpectrumReport, inverse_factor, operator_scale, smallest_eigs
 from .systems import System, preconditioner_of, symmetries_of
 
@@ -78,10 +79,11 @@ __all__ = [
     "build_landscape",
 ]
 
-# A search fails when the position runs off to _RADIUS_FACTOR times its
-# start scale; an energy above _BLOW_FACTOR times the start scale halves
-# the step.  The step is capped by a fresh 1/|M^-1 H| every
-# _SCALE_CHECK_EVERY steps of an index k > 0 search.
+# A search gives up after _MAX_ITERS steps, and fails when the position runs
+# off to _RADIUS_FACTOR times its start scale; an energy above _BLOW_FACTOR
+# times the start scale halves the step.  The step is capped by a fresh
+# 1/|M^-1 H| every _SCALE_CHECK_EVERY steps of an index k > 0 search.
+_MAX_ITERS = 50_000
 _BLOW_FACTOR = 1e6
 _RADIUS_FACTOR = 1e3
 _SCALE_CHECK_EVERY = 25
@@ -147,16 +149,15 @@ class SaddleRecord:
 
 @dataclass
 class SaddleOptions:
-    """Stopping rule and budget of one saddle search.
+    """Stopping rule of one saddle search.
 
     The search stops when the gradient inf-norm falls below `tol_grad`
-    and gives up after `max_iters` steps.  Step control has no setting
+    and gives up after _MAX_ITERS steps.  Step control has no setting
     (1/|M^-1 H|, and for k = 0 a capped Barzilai-Borwein step), and V is
     relaxed, not re-solved: see find_saddle.
     """
 
     tol_grad: float = 1e-8
-    max_iters: int = 50_000
 
 
 def hisd_step(
@@ -172,8 +173,7 @@ def hisd_step(
     M^-1, ``apply`` M; for a tensor field both are the SineSolver's transforms, for
     a system without one the identity).
     """
-    if not 0.0 < dt < np.inf:
-        raise ValidationError("step size must be positive and finite")
+    check_positive("step size", dt)
     precond = preconditioner_of(system)
     x, v, k = state.x, state.v, state.v.shape[1]
     g = system.gradient(x) if grad is None else grad
@@ -202,8 +202,8 @@ def classify_stationary(
     decided and DegenerateStationary is raised.  A tol_grad outside
     (0, inf) raises ValidationError before any evaluation.
     """
-    _check_tol(tol_grad)
-    return _certify(system, x, float(np.abs(system.gradient(x)).max()), tol_grad, k_hint)
+    check_positive("tol_grad", tol_grad)
+    return _certify(system, x, system.grad_inf(system.gradient(x)), tol_grad, k_hint)
 
 
 def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, k_hint: int):
@@ -229,9 +229,9 @@ def _certify(system: System, x: np.ndarray, g_inf: float, tol_grad: float, k_hin
 
 def make_record(system: System, x: np.ndarray, tol_grad: float = 1e-8, k_hint: int = 0) -> SaddleRecord:
     """Certify x by classify_stationary and keep its eigenpairs."""
-    _check_tol(tol_grad)
+    check_positive("tol_grad", tol_grad)
     e, g = system.energy_gradient(x)
-    return _record(system, _Landing(x, e, float(np.abs(g).max()), 0, 0), tol_grad, k_hint)
+    return _record(system, _Landing(x, e, system.grad_inf(g), 0, 0), tol_grad, k_hint)
 
 
 # where a search stopped, not yet certified: the point, its energy and
@@ -293,7 +293,7 @@ def find_saddle(
 
 def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts: SaddleOptions) -> _Landing:
     """find_saddle's dynamics, up to the landing and short of its certificate."""
-    _check_tol(opts.tol_grad)
+    check_positive("tol_grad", opts.tol_grad)
     precond = preconditioner_of(system)
     x = np.array(x0, dtype=float).reshape(-1)
     n = x.size
@@ -317,7 +317,7 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
     state = SaddleSearchState(x, v)
     g_inf = np.inf
     # the Newton endgame is tried below this gradient inf-norm
-    polish_below = 0.1 * float(np.abs(g).max())
+    polish_below = _NEWTON_DECADE * system.grad_inf(g)
 
     def halve():
         nonlocal step
@@ -325,15 +325,15 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
         if step < 1e-12 * step0:
             raise NoConvergence("saddle dynamics stalled despite step halving", it, g_inf)
 
-    for it in range(opts.max_iters):
-        g_inf = float(np.abs(g).max())
+    for it in range(_MAX_ITERS):
+        g_inf = system.grad_inf(g)
         if g_inf < opts.tol_grad:
             return _Landing(state.x, e_state, g_inf, it, 0)
         if g_inf < polish_below:
             path = _polish(system, state.x, e_state, g, state.v, opts.tol_grad)
             if path is not None:
                 return _Landing(*path[-1], it, len(path))
-            polish_below = 0.1 * g_inf
+            polish_below = _NEWTON_DECADE * g_inf
         if k and it and it % _SCALE_CHECK_EVERY == 0:
             # curvature can grow along the way; keep the step below 1/|M^-1 H|
             # at the current point or the unstable modes start to rattle
@@ -359,8 +359,8 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
             step = _BB_CAP * step0 if sy <= 0.0 else min(-step * float(s @ g) / sy, _BB_CAP * step0)
         state, e_state, g = trial, e_new, g_new
     raise NoConvergence(
-        f"gradient inf-norm {g_inf:.3e} above {opts.tol_grad:.3e} after {opts.max_iters} steps",
-        iterations=opts.max_iters,
+        f"gradient inf-norm {g_inf:.3e} above {opts.tol_grad:.3e} after {_MAX_ITERS} steps",
+        iterations=_MAX_ITERS,
         residual=g_inf,
     )
 
@@ -507,7 +507,7 @@ def _image_record(system: System, rec: SaddleRecord, g, hit: _Landing, tol_grad:
     and spectrum copied; None when the fresh gradient is not below tol_grad."""
     x = g(rec.field)
     e, grad = system.energy_gradient(x)
-    g_inf = float(np.abs(grad).max())
+    g_inf = system.grad_inf(grad)
     if not g_inf < tol_grad:
         return None
     mapped = replace(rec, field=x, energy=e, eigenvectors=g(rec.eigenvectors), grad_inf=g_inf)

@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneratePath, NoConvergence, NotIndexOne, NotStationary, ValidationError, WrongIndex
+from .errors import check_positive
 from .field import QField
 from .hisd import SaddleOptions, SaddleRecord, find_saddle
 from .spectrum import operator_scale
@@ -187,8 +188,7 @@ def evolve_step(p: Path, base_step: float) -> Path:
     the nodes still backtracking are evaluated in one ``energies`` call.
     """
     system, ws = p.system, p._workspace
-    if not 0.0 < base_step < np.inf:
-        raise ValidationError("base step must be positive and finite")
+    check_positive("base step", base_step)
     pg = p.normal_gradients
     shape = pg.shape
     # d = g + Π(M⁻¹pg − pg), built in the step block
@@ -307,9 +307,7 @@ def reparametrize(p: Path) -> Path:
 def perpendicular_residual(p: Path) -> float:
     """Max over interior nodes of the gradient component normal to the chord
     nodes[i + 1] - nodes[i - 1]; where that chord is zero, of the whole gradient."""
-    pg = p.normal_gradients
-    # max |pg| without an (N - 2, n) temporary
-    return abs(float(np.maximum(pg.max(), -pg.min())))
+    return p.system.grad_inf(p.normal_gradients)
 
 
 def _as_flat(field, system: System | None):
@@ -409,14 +407,14 @@ def find_mep(
     before any work.
     """
     ts_tol = _climb_tolerance(tol, ts_tol)
-    if not (0.0 < tol < np.inf and 0.0 < ts_tol < np.inf):
-        raise ValidationError(f"need finite tol > 0 and ts_tol > 0, got {tol}, {ts_tol}")
+    check_positive("tol", tol)
+    check_positive("ts_tol", ts_tol)
     xa, system = _as_flat(a, system)
     xb, system = _as_flat(b, system)
     if n_nodes < 8:
         raise ValidationError("a global string needs at least 8 nodes")
     for x in (xa, xb):
-        g_inf = float(np.abs(system.gradient(x)).max())
+        g_inf = system.grad_inf(system.gradient(x))
         if g_inf >= 10.0 * tol:
             raise NotStationary(g_inf, 10.0 * tol)
     path, sweeps = _string_loop(_straight_string(system, xa, xb, n_nodes), tol)

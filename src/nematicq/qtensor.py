@@ -327,25 +327,19 @@ class BulkCriticalSet:
 def critical_points(p: BulkParams) -> BulkCriticalSet:
     """Stationary amplitudes of f_b on the uniaxial slice.
 
-    The nonzero stationary points solve 2c s^2 - b s + 3a = 0, so
-    s = (b +- sqrt(b^2 - 24ac)) / (4c), as ``bulk_floor`` takes them; s_plus
-    is the root with the lower restricted energy.  Raises NoNematicRoots when
-    b^2 < 24ac.  Each returned root is verified stationary to 10 significant
-    digits.
+    The nonzero stationary points solve 2c s^2 - b s + 3a = 0, so s = (b +- sqrt(D)) / (4c),
+    D = b^2 - 24ac, as ``bulk_floor`` takes them.  s_plus is the larger root, and the one with the
+    lower restricted energy: f'(s) = (4c/9) s (s - s_plus)(s - s_minus) gives f(s_plus) - f(s_minus)
+    = -(16c/27) m h^3 < 0, m = b/4c and h = sqrt(D)/4c.  Raises NoNematicRoots when D < 0.  Each
+    returned root is verified stationary to 10 significant digits.
     """
     a, b, c = p.a, p.b, p.c
     if b <= 0 or c <= 0:
         raise ShapeMismatch("critical_points needs strictly positive b and c")
     disc, roots = _uniaxial_roots(p)
     if not roots:
-        raise NoNematicRoots(a, b, c)
-    r_hi, r_lo = roots
-    e_hi = float(bulk_energy_uniaxial(r_hi, p))
-    e_lo = float(bulk_energy_uniaxial(r_lo, p))
-    if e_hi <= e_lo:
-        s_plus, s_minus = r_hi, r_lo
-    else:
-        s_plus, s_minus = r_lo, r_hi
+        raise NoNematicRoots(a, b, c, disc)
+    s_plus, s_minus = roots
     for s in (s_plus, s_minus):
         scale = abs(a) * abs(s) + b * s * s + c * abs(s) ** 3 + 1.0
         resid = abs(float(bulk_energy_uniaxial_deriv(s, p)))

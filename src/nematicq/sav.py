@@ -50,11 +50,11 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.sparse.linalg import splu  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.splu
 
-from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
+from .errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError, check_positive
 from .field import Domain, QField, kept_on_domain
 from .energy import LdGSystem, elastic_affine, elastic_apply, gradient, l1_operator, linear_shift
 from .energy import free_energy  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.free_energy
-from .minimize import _polish
+from .minimize import _NEWTON_DECADE, _polish
 from .qtensor import BulkParams, bulk_energy, bulk_energy_gradient, bulk_floor, metric_apply
 from .qtensor import bulk_gradient  # noqa: F401  no longer called; perfbench/tracing.py rebinds sav.bulk_gradient
 
@@ -197,8 +197,7 @@ def sav_step(state: SavState, dt: float) -> SavState:
     A non-finite q+ raises NoConvergence with `iterations` at this step,
     and a dt outside (0, inf) ValidationError before any work.
     """
-    if not 0.0 < dt < np.inf:
-        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    check_positive("dt", dt)
     split = sav_split(state.field.domain)
     q = state.field.flat
     lin = split.l_apply(q) + split.shift if state.linear_gradient is None else state.linear_gradient
@@ -287,8 +286,10 @@ def flow_to_equilibrium(
     a bad dt (not finite, or without a finite `step_ladder`), tol_grad or
     max_steps raises ValidationError before any.
     """
-    if not (0.0 < dt < np.inf and 0.0 < tol_grad < np.inf and max_steps >= 0):
-        raise ValidationError(f"need finite dt > 0 and tol_grad > 0 and max_steps >= 0, got {dt}, {tol_grad}, {max_steps}")
+    check_positive("dt", dt)
+    check_positive("tol_grad", tol_grad)
+    if not max_steps >= 0:
+        raise ValidationError(f"max_steps must be at least 0, got {max_steps!r}")
     split = sav_split(init.domain)
     system = LdGSystem(init.domain)
     rungs = step_ladder(init.domain, dt)
@@ -299,7 +300,7 @@ def flow_to_equilibrium(
         f1, grad = split.f1_grad_f1(q)
         state = replace(state, r=float(np.sqrt(min(f1, bound))))
         grad += lin
-        g = float(np.abs(grad).max())
+        g = system.grad_inf(grad)
         # 1/2 q.Lq + c.q + const from the carried L q + c
         quad = 0.5 * float(q @ (lin - split.shift)) + float(split.shift @ q) + split._constant
         modified = quad + state.r * state.r
@@ -307,10 +308,10 @@ def flow_to_equilibrium(
             trace.append((state.step, state.time, quad + f1, modified, g))
         if not np.isfinite(g):
             raise NoConvergence(f"the flow left finite values at step {state.step}", iterations=state.step, residual=g)
-        if g < tol_grad and float(np.abs(gradient(split.domain, state.field.values)).max()) < tol_grad:
+        if g < tol_grad and system.grad_inf(gradient(split.domain, state.field.values)) < tol_grad:
             return state.field, state.step
         if state.step == 0:
-            polish_below = 0.1 * g
+            polish_below = _NEWTON_DECADE * g
         elif g < polish_below:
             path = _polish(system, q, quad + f1, grad, np.empty((q.size, 0)), tol_grad) or []
             rows, m = [], modified
@@ -327,7 +328,7 @@ def flow_to_equilibrium(
                 # a copy: returning the Newton iterate itself, allocated amid the solves'
                 # temporaries, left relax64's peak RSS 1.1 MB higher (a heap-layout effect)
                 return QField.from_flat(split.domain, path[-1][0]).copy(), state.step
-            polish_below = 0.1 * g
+            polish_below = _NEWTON_DECADE * g
         if state.step == max_steps:
             msg = f"gradient inf-norm {g:.3e} above {tol_grad:.3e} after {max_steps} steps"
             raise NoConvergence(msg, iterations=max_steps, residual=g)

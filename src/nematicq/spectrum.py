@@ -120,7 +120,7 @@ def _orthonormalize(rows: np.ndarray) -> None:
         rows[:] = np.linalg.qr(rows.T)[0].T
 
 
-def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=EUCLIDEAN):
+def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, precond=EUCLIDEAN):
     """Block LOBPCG from the (n, m) start block ``x``: Rayleigh-Ritz on
     [X; W; P], kept as rows of (3m, n) buffers S and H S that ``apply_h`` and
     ``precond.solve`` see transposed.  Only columns with a residual above
@@ -130,7 +130,7 @@ def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=
     toward (H - lambda1 I)^-1 at the low end, where the certificates' lambda1
     lies below mu0 (0.71 mu0 at the 64^2 minimum), while keeping it SPD with
     smallest eigenvalue (1 - _THETA) mu0.  Stops once the first k columns,
-    the reported pairs, are below ``tol``, or after ``maxiter`` iterations.
+    the reported pairs, are below ``tol``, or after _MAXITER iterations.
     Returns the m Ritz values, the (n, m) Ritz block and the iterations run.
     """
     n, m = x.shape
@@ -160,7 +160,7 @@ def lobpcg(apply_h, x: np.ndarray, *, k: int, tol: float, maxiter: int, precond=
         r = s[m : 2 * m]
         np.subtract(hs[:m], np.multiply(s[:m], lam[:, None], out=r), out=r)
         res = np.sqrt(np.einsum("ij,ij->i", r, r))
-        if res[:k].max() <= tol or iterations == maxiter:
+        if res[:k].max() <= tol or iterations == _MAXITER:
             break
         iterations += 1
         active = res > tol
@@ -211,7 +211,7 @@ def solve_smallest(apply_h, n: int, k: int, precond=EUCLIDEAN) -> SpectrumReport
     else:
         x = make_rng(0, "spectrum:init").normal(size=(n, k + _GUARD))
         precond.add_lowest_modes(x)
-        w, v, iterations = lobpcg(apply_h, x, k=k, tol=1e-8 * scale, maxiter=_MAXITER, precond=precond)
+        w, v, iterations = lobpcg(apply_h, x, k=k, tol=1e-8 * scale, precond=precond)
     w, v = w[:k], v[:, :k]
     res = np.linalg.norm(apply_h(v) - v * w, axis=0)
     if not res.max() <= 1e-6 * scale:  # NaN residuals fail too

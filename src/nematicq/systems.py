@@ -68,6 +68,11 @@ class System:
         between the two overrides it with the same values."""
         return self.energies(xs), self.gradients(xs)
 
+    def grad_inf(self, g: np.ndarray) -> float:
+        """The stationarity measure of a gradient g, a vector or a block, that every stopping test and
+        certificate reads: |g|inf, float(np.abs(g).max()) bit for bit, NaN and inf included, without |g|."""
+        return abs(float(np.maximum(g.max(), -g.min())))
+
     def hessian_vec(self, x: np.ndarray, v: np.ndarray, l: float | None = None) -> np.ndarray:
         """H(x) v, by default a central difference (grad(x + l v) - grad(x - l v)) / (2 l);
         ``LdGSystem`` overrides it with the exact action.

@@ -180,10 +180,11 @@ def square_images(values: np.ndarray) -> list[np.ndarray]:
     return images
 
 
-def scipy_lobpcg(apply_h, x, *, k, tol, maxiter, precond=EUCLIDEAN):
+def scipy_lobpcg(apply_h, x, *, k, tol, precond=EUCLIDEAN):
     """``scipy.sparse.linalg.lobpcg`` under the signature of ``spectrum.lobpcg``:
     (Ritz values, Ritz block, iterations run), preconditioned by the same
-    shifted solve (M - _THETA mu0 I)^-1.  It ignores ``k``: every column,
+    shifted solve (M - _THETA mu0 I)^-1, with the same budget of
+    ``spectrum._MAXITER`` iterations.  It ignores ``k``: every column,
     guards included, must reach ``tol`` before it stops."""
     shift = -spectrum._THETA * precond.lowest_eigenvalue
     with warnings.catch_warnings():
@@ -194,7 +195,7 @@ def scipy_lobpcg(apply_h, x, *, k, tol, maxiter, precond=EUCLIDEAN):
             M=partial(precond.solve, shift=shift),
             largest=False,
             tol=tol,
-            maxiter=maxiter,
+            maxiter=spectrum._MAXITER,
             retResidualNormsHistory=True,
         )
     # residuals of the start block, of each iteration up to the returned

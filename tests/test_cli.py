@@ -200,6 +200,20 @@ class TestConfigCommands:
         manifest, outputs = manifest_outputs(out)
         assert sorted(p.name for p in out.iterdir()) == outputs
 
+    def test_saddle_starts_from_an_init_snapshot(self, tmp_path):
+        # a minimum's snapshot is already stationary: the index-0 search
+        # lands where it starts, and writes the same snapshot back
+        cfg = write_config(tmp_path, init="diagonal(d1)", tol=1e-7)
+        assert main(["minimize", "--config", str(cfg), "--out", str(tmp_path / "min")]) == 0
+        snapshot = tmp_path / "min" / "field.csv"
+        out = tmp_path / "saddle"
+        argv = ["saddle", "--config", str(cfg), "--init", str(snapshot), "--k", "0", "--out", str(out)]
+        assert main(argv) == 0
+        payload = json.loads((out / "saddle.json").read_text())
+        assert payload["morse_index"] == 0
+        assert payload["iterations"] == payload["newton_steps"] == 0
+        assert (out / "field.csv").read_bytes() == snapshot.read_bytes()
+
     def test_flow_pipeline_reports_stability(self, tmp_path):
         cfg = write_config(tmp_path, init="isotropic", tol=1e-5, dt=0.5, max_steps=20000)
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 """Snapshot round trips, table formats, config validation, manifest."""
 
+import importlib
 import json
 
 import numpy as np
@@ -21,13 +22,15 @@ from nematicq.fieldio import (
     write_trajectory,
 )
 from nematicq.hedgehog import solve_profile
-from nematicq.hisd import LandscapeOptions, SaddleOptions, build_landscape, make_record
+from nematicq.hisd import build_landscape, make_record
 from nematicq.maier_saupe import solve_branches
 from nematicq.mep import find_mep
 from nematicq.qtensor import BulkParams
 from nematicq.systems import make_rng
 from nematicq.toys import DoubleWell2D, Quartic2D
 from oracles import write_field_per_value
+
+hisd = importlib.import_module("nematicq.hisd")
 
 BULK = BulkParams(-1.0, 1.0, 1.0)
 
@@ -243,6 +246,16 @@ class TestFieldRoundTrip:
             read_field(path, d)
         assert (info.value.line, info.value.column) == (3, 3)
 
+    def test_seven_field_header(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_field(path, random_field(small_domain()))
+        lines = path.read_text().splitlines()
+        lines[0] = ",".join(lines[0].split(",")[:7])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="got 7") as info:
+            read_field(path)
+        assert info.value.line == 1
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("0,0,0.1,0.1,1,2,3,4,5\n")
@@ -326,10 +339,11 @@ class TestLandscapeOutput:
         # the toy has no symmetry group: every branch accounted for is run
         assert payload["branches_run"] == payload["searches"] == graph.searches
 
-    def test_failed_branches_written(self, tmp_path):
+    def test_failed_branches_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hisd, "_MAX_ITERS", 3)
         system = Quartic2D()
         seed = make_record(system, np.array(Quartic2D.TOP), k_hint=2)
-        graph = build_landscape(system, seed, LandscapeOptions(search=SaddleOptions(max_iters=3)))
+        graph = build_landscape(system, seed)
         write_landscape(tmp_path, graph)
         payload = json.loads((tmp_path / "landscape.json").read_text())
         assert len(payload["failed"]) == 4
@@ -390,6 +404,10 @@ class TestConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_json_array(self, tmp_path):
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(self.write(tmp_path, [self.base()]))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nematicq.errors import ValidationError
+from nematicq import hedgehog
+from nematicq.errors import NoConvergence, ValidationError
 from nematicq.hedgehog import HedgehogProfile, ode_residual, solve_profile
 from nematicq.qtensor import BulkParams, critical_points
 
@@ -68,3 +69,17 @@ class TestSolveProfile:
         assert prof.n_intervals == 128
         assert prof.r.shape == prof.h.shape == (129,)
         assert prof.s_plus == critical_points(BULK).s_plus
+
+    def test_newton_without_backtracks_stalls(self, monkeypatch):
+        # with no trial step allowed, the first Newton step stalls
+        monkeypatch.setattr(hedgehog, "_MAX_BACKTRACKS", 0)
+        with pytest.raises(NoConvergence, match="stalled") as info:
+            solve_profile(BULK, R=10.0, N=128)
+        assert info.value.iterations == 0
+
+    def test_newton_budget_runs_out(self, monkeypatch):
+        # one step from the linear ramp is not enough
+        monkeypatch.setattr(hedgehog, "_MAX_ITERS", 1)
+        with pytest.raises(NoConvergence, match="budget") as info:
+            solve_profile(BULK, R=10.0, N=128)
+        assert info.value.iterations == 1 and info.value.residual >= hedgehog._TOL

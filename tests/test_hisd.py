@@ -318,10 +318,10 @@ class TestFindSaddle:
         assert np.array_equal(again.field, rec.field)
         assert again.energy == rec.energy
 
-    def test_max_iters_raises_no_convergence(self):
-        opts = SaddleOptions(max_iters=5)
+    def test_max_iters_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(hisd, "_MAX_ITERS", 5)
         with pytest.raises(NoConvergence) as info:
-            find_saddle(Quartic2D(), 1, np.array([0.4, 0.6]), opts=opts)
+            find_saddle(Quartic2D(), 1, np.array([0.4, 0.6]))
         assert info.value.iterations == 5
 
     def test_diverging_position_raises(self):
@@ -647,8 +647,9 @@ class TestLandscape:
         assert [rec.morse_index for rec in graph.nodes] == [2, 1]
         assert [(e.source, e.target) for e in graph.edges] == [(0, 1)]
 
-    def test_failed_branches_are_recorded(self):
-        graph = self.toy_graph(search=SaddleOptions(max_iters=3))
+    def test_failed_branches_are_recorded(self, monkeypatch):
+        monkeypatch.setattr(hisd, "_MAX_ITERS", 3)
+        graph = self.toy_graph()
         # every search from the top runs out of steps: nothing is found,
         # and each of the four branches is on record
         assert len(graph.nodes) == 1 and not graph.edges
@@ -660,6 +661,7 @@ class TestLandscape:
             (0, "downward", 0, -1.0),
         ]
         assert all("after 3 steps" in f[4] for f in graph.failed)
+        monkeypatch.undo()  # the full budget
         assert self.toy_graph().failed == []
 
     def test_upward_sweep_opt_in(self):

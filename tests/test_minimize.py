@@ -1,6 +1,7 @@
 """Descent contracts: monotone energies, idempotence, the steepest-descent fallback."""
 
 import importlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nematicq.field import Domain, QField, seed_field, symmetrize
 from nematicq.hisd import classify_stationary
 from nematicq.minimize import MinimizeOptions, MinimizeResult, lbfgs_direction, minimize
 from nematicq.qtensor import BulkParams
-from nematicq.systems import System, make_rng, preconditioner_of
+from nematicq.systems import EUCLIDEAN, System, make_rng, preconditioner_of
 from nematicq.toys import DiagQuadratic, Quartic2D
 
 BULK = BulkParams(-1.0 / 3.0, 1.0, 1.0)
@@ -247,3 +248,113 @@ class TestCertify:
         x = seed_field(d, "random(0.5)", seed=4).flat
         with pytest.raises(NotStationary):
             classify_stationary(sy, x)
+
+
+class _Counted(System):
+    """A 1-D or 2-D test energy whose ``energy_gradient`` records each point."""
+
+    def __init__(self):
+        self.points = []
+
+    def energy_gradient(self, x):
+        self.points.append(np.array(x))
+        return super().energy_gradient(x)
+
+    def hessian_vec(self, x, v, l=None):
+        return (self.curvature(x) * np.asarray(v).T).T
+
+
+class _TooFlat(_Counted):
+    """E = x^2 / 2 with a Hessian action 1e160 times too small."""
+
+    n = 1
+
+    def energy(self, x):
+        return 0.5 * float(x @ x)
+
+    def gradient(self, x):
+        return np.array(x, dtype=float)
+
+    def curvature(self, x):
+        return np.array([1e-160])
+
+
+class _Shoulder(_Counted):
+    """E = x^2 / 2 + sqrt(1 + y^2): Newton overshoots in y to a smaller |g|inf at a higher E."""
+
+    n = 2
+
+    def energy(self, x):
+        return 0.5 * x[0] ** 2 + np.sqrt(1.0 + x[1] ** 2)
+
+    def gradient(self, x):
+        return np.array([x[0], x[1] / np.sqrt(1.0 + x[1] ** 2)])
+
+    def curvature(self, x):
+        return np.array([1.0, (1.0 + x[1] ** 2) ** -1.5])
+
+
+class _QuarticWell(_Counted):
+    """E = x^4: each Newton step multiplies x by 2/3 and |g| by (2/3)^3."""
+
+    n = 1
+
+    def energy(self, x):
+        return float(x[0] ** 4)
+
+    def gradient(self, x):
+        return 4.0 * x**3
+
+    def curvature(self, x):
+        return 12.0 * x**2
+
+
+def test_descent_step_in_the_identity_metric():
+    # the identity's solve returns its argument, the residual CG updates in
+    # place; two CG steps still solve a 2-D diagonal system
+    sy = _Shoulder()
+    x = np.array([1.0, 1.5])
+    d = minimize_mod._descent_step(partial(sy.hessian_vec, x), sy.gradient(x), EUCLIDEAN)
+    assert d is not None and np.abs(d + sy.gradient(x) / sy.curvature(x)).max() < 1e-14
+
+
+class TestNewtonEndgameGuards:
+    """``_polish`` at k = 0 gives up, and returns None, on each failed guard."""
+
+    @staticmethod
+    def polish(sy, x, tol_grad=1e-8):
+        x = np.array(x, dtype=float)
+        e, g = sy.energy_gradient(x)
+        sy.points.clear()
+        return minimize_mod._polish(sy, x, e, g, np.zeros((x.size, 0)), tol_grad)
+
+    def test_a_non_finite_iterate(self, monkeypatch):
+        steps = []
+        descent_step = minimize_mod._descent_step
+        monkeypatch.setattr(minimize_mod, "_descent_step", lambda *a: steps.append(descent_step(*a)) or steps[-1])
+        sy = _TooFlat()
+        with np.errstate(over="ignore"):  # the step overflows
+            assert self.polish(sy, [1e150]) is None
+        # CG solved for the step, which overflows; the iterate is never evaluated
+        assert len(steps) == 1 and np.isneginf(steps[0]).all()
+        assert sy.points == []
+
+    def test_an_energy_rise(self):
+        sy = _Shoulder()
+        x = np.array([1.0, 1.5])
+        assert self.polish(sy, x) is None
+        # one step was evaluated, to (0, -3.375): |g|inf fell from 1 to 0.96
+        # and the energy rose by 1.2
+        (x1,) = sy.points
+        assert np.abs(sy.gradient(x1)).max() < np.abs(sy.gradient(x)).max()
+        assert sy.energy(x1) > sy.energy(x) + 1.0
+
+    def test_ten_steps_short_of_the_tolerance(self):
+        sy = _QuarticWell()
+        assert self.polish(sy, [1.0]) is None
+        assert len(sy.points) == minimize_mod._NEWTON_STEPS == 10
+        assert np.abs(sy.points[-1][0] - (2.0 / 3.0) ** 10) < 1e-12
+        # the same steps reach a tolerance just above their last |g|
+        last = 4.0 * (2.0 / 3.0) ** 30
+        path = self.polish(sy, [1.0], tol_grad=1.01 * last)
+        assert len(path) == 10 and path[-1][2] < 1.01 * last

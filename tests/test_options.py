@@ -24,7 +24,7 @@ from nematicq.hisd import (
 from nematicq.mep import find_mep, reparametrize
 from nematicq.minimize import MinimizeOptions
 from nematicq.sav import flow_to_equilibrium
-from nematicq.spectrum import operator_scale, smallest_eigs, solve_smallest
+from nematicq.spectrum import lobpcg, operator_scale, smallest_eigs, solve_smallest
 
 
 def names(cls):
@@ -36,7 +36,8 @@ def params(fn):
 
 
 def test_option_fields():
-    assert names(SaddleOptions) == ["tol_grad", "max_iters"]
+    # a saddle search's step budget is the constant hisd._MAX_ITERS
+    assert names(SaddleOptions) == ["tol_grad"]
     assert names(MinimizeOptions) == ["tol_grad", "max_iters", "project"]
     assert names(LandscapeOptions) == ["search", "max_nodes", "max_searches", "max_index"]
     assert names(RunConfig) == [
@@ -49,6 +50,8 @@ def test_spectrum_and_certificate_parameters():
     assert params(smallest_eigs) == ["system", "x", "k"]
     assert params(solve_smallest) == ["apply_h", "n", "k", "precond"]
     assert params(operator_scale) == ["apply_h", "n"]
+    # its iteration budget is the constant spectrum._MAXITER
+    assert params(lobpcg) == ["apply_h", "x", "k", "tol", "precond"]
     assert params(classify_stationary) == ["system", "x", "tol_grad", "k_hint"]
     assert params(make_record) == ["system", "x", "tol_grad", "k_hint"]
     assert params(branch_search) == ["system", "origin", "k", "opts", "errors_out"]

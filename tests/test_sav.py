@@ -11,7 +11,7 @@ import scipy.linalg
 
 from nematicq import energy, qtensor, sav
 from nematicq.energy import LdGSystem, SineSolver, free_energy
-from nematicq.errors import NoConvergence, SolveError, ValidationError
+from nematicq.errors import LinearSolveFailure, NoConvergence, SolveError, ValidationError
 from nematicq.hisd import classify_stationary
 from nematicq.field import Domain, QField, seed_field
 from nematicq.minimize import MinimizeOptions, minimize
@@ -321,6 +321,13 @@ class TestStepWork:
         assert calls.count("cg") == 1
         assert cn_residual(split, state, out, 0.5) <= 1e-10
 
+    def test_cg_stall_raises(self, monkeypatch):
+        # one CG iteration does not finish the l2/l3 correction
+        _, state = chained_state(tangent_domain(8, l2=0.6, l3=0.4))
+        monkeypatch.setattr(sav, "_CG_MAXITER", 1)
+        with pytest.raises(LinearSolveFailure, match="after 1 iterations"):
+            sav_step(state, 0.5)
+
 
 LINEAR_CASES = [(b, l23) for b in ("planar", "tangent") for l23 in ((0.0, 0.0), (0.6, 0.4))]
 
@@ -565,6 +572,28 @@ class TestFlow:
         modified = np.array([r[3] for r in rows])
         assert np.all(np.diff(modified) <= 1e-12 * np.abs(modified[:-1]))
         assert rows[-1][4] < 1e-6 and rows[-1][2] == out.energy()
+
+    def test_newton_row_without_a_positive_r2_rejects_the_attempt(self, monkeypatch):
+        # the first attempt returns one step whose row would have r^2 =
+        # M - (E - F1) <= 0: E = E(q) + F1 + 1 and M <= E(q)
+        d = tangent_domain(5, lambda2=5.0)
+        split, polish = sav_split(d), sav._polish
+        rows, attempts, fake = [], [], []
+
+        def first_rejected(system, x, e, g, v, tol_grad):
+            attempts.append(rows[-1][0])
+            if len(attempts) == 1:
+                fake.append(e + split.f1(x) + 1.0)
+                return [(x.copy(), fake[0], 0.0)]
+            return polish(system, x, e, g, v, tol_grad)
+
+        monkeypatch.setattr(sav, "_polish", first_rejected)
+        out, steps = flow_to_equilibrium(seed_field(d, "random(0.2)", seed=8), dt=0.5, tol_grad=1e-6, trace=rows)
+        # no row for it, and the SAV steps went on to a later attempt
+        assert fake[0] not in [r[2] for r in rows]
+        assert [r[0] for r in rows] == list(range(len(rows)))
+        assert len(attempts) >= 2 and steps > attempts[0]
+        assert np.abs(LdGSystem(d).gradient(out.flat)).max() < 1e-6
 
     @pytest.mark.parametrize("kw", [{}, {"boundary": "planar", "l2": 0.6, "l3": 0.4}])
     def test_trace_energies_match_fresh_passes(self, kw, monkeypatch):

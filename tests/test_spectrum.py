@@ -244,7 +244,7 @@ class TestStartBlock:
             random_start, _ = np.linalg.qr(make_rng(0, "spectrum:init").normal(size=(sy.n, 2 + _GUARD)))
             tol = 1e-8 * rep.scale
             w, _, _ = spectrum.lobpcg(
-                partial(sy.hessian_vec, x), random_start, k=2, tol=tol, maxiter=_MAXITER, precond=sy.preconditioner()
+                partial(sy.hessian_vec, x), random_start, k=2, tol=tol, precond=sy.preconditioner()
             )
             assert rep.morse_index == 0
             assert np.abs(rep.eigenvalues - w[:2]).max() <= tol
@@ -525,7 +525,7 @@ class TestLobpcgLoop:
         x0[:, -1] = 0.0
         tol = 1e-8 * diag.max()
         apply_h = partial(DiagQuadratic(diag).hessian_vec, np.zeros(n))
-        w, v, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol, maxiter=_MAXITER)
+        w, v, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol)
         assert failed[0] == "_orthonormalize"
         assert 0 < iterations < _MAXITER
         assert w[:k] == pytest.approx(np.ones(k), abs=1e-12)
@@ -540,7 +540,7 @@ class TestLobpcgLoop:
         apply_h = partial(DiagQuadratic(diag).hessian_vec, np.zeros(diag.size))
         x0 = np.linalg.qr(make_rng(3, "test:spectrum:drop").normal(size=(diag.size, 4)))[0]
         tol = 1e-8 * diag.max()
-        _, _, plain = spectrum.lobpcg(apply_h, x0, k=2, tol=tol, maxiter=_MAXITER)
+        _, _, plain = spectrum.lobpcg(apply_h, x0, k=2, tol=tol)
         dropped = []
         if where == "cholesky":
             inverse_factor = spectrum.inverse_factor
@@ -564,7 +564,7 @@ class TestLobpcgLoop:
                 return eigh(a, b, **kwargs)
 
             monkeypatch.setattr(scipy.linalg, "eigh", failing)
-        w, v, iterations = spectrum.lobpcg(apply_h, x0, k=2, tol=tol, maxiter=_MAXITER)
+        w, v, iterations = spectrum.lobpcg(apply_h, x0, k=2, tol=tol)
         assert sum(dropped) >= iterations - 1 > 0
         assert plain < iterations < _MAXITER
         assert w[:2] == pytest.approx([1.0, 2.0], abs=1e-10)
@@ -586,7 +586,7 @@ class TestLobpcgLoop:
 
         x0 = np.linalg.qr(make_rng(5, "test:spectrum:shrink").normal(size=(n, k + _GUARD)))[0]
         precond = SimpleNamespace(solve=solve, lowest_eigenvalue=2.0)
-        w, v, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol, maxiter=_MAXITER, precond=precond)
+        w, v, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol, precond=precond)
         assert len(widths) == iterations and widths[0] == k + _GUARD
         assert min(widths) < k + _GUARD
         ref_w, ref_v = np.linalg.eigh(np.diag(diag))
@@ -610,7 +610,7 @@ class TestLobpcgLoop:
         metric.solves.clear()
         x0 = make_rng(7, "test:spectrum:metric").normal(size=(n, k + _GUARD))
         tol = 1e-8 * np.abs(diag).max()
-        w, _, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol, maxiter=_MAXITER, precond=metric)
+        w, _, iterations = spectrum.lobpcg(apply_h, x0, k=k, tol=tol, precond=metric)
         assert 0 < len(metric.solves) == iterations
         assert w[:k] == pytest.approx(diag[:k], abs=1e-7)
 

@@ -1,15 +1,19 @@
-"""The base-class block evaluations, the finite-difference Hessian product and the identity metric."""
+"""The base-class block evaluations, the finite-difference Hessian product, the identity metric
+and the one stationarity measure, ``System.grad_inf``."""
 
 import numpy as np
 import pytest
 
 from nematicq.energy import LdGSystem
-from nematicq.field import Domain
-from nematicq.hisd import _m_orthonormalize
-from nematicq.minimize import lbfgs_direction
+from nematicq.errors import NotStationary
+from nematicq.field import Domain, seed_field
+from nematicq.hisd import _m_orthonormalize, classify_stationary, find_saddle, make_record
+from nematicq.mep import Path, find_mep, perpendicular_residual
+from nematicq.minimize import MinimizeOptions, lbfgs_direction, minimize
+from nematicq.sav import flow_to_equilibrium
 from nematicq.qtensor import BulkParams
 from nematicq.spectrum import inverse_factor, solve_smallest
-from nematicq.systems import EUCLIDEAN, default_probe_length, make_rng, preconditioner_of
+from nematicq.systems import EUCLIDEAN, System, default_probe_length, make_rng, preconditioner_of
 from nematicq.toys import DiagQuadratic, Quartic2D
 
 
@@ -115,3 +119,79 @@ def test_identity_metric_leaves_lobpcg_unchanged():
     assert plain.iterations > 0
     assert np.array_equal(plain.eigenvalues, identity.eigenvalues)
     assert np.array_equal(plain.eigenvectors, identity.eigenvectors)
+
+
+class Strict(Quartic2D):
+    """The quartic whose stationarity measure is 1e3 times |g|inf."""
+
+    def grad_inf(self, g):
+        return 1e3 * System.grad_inf(self, g)
+
+
+# 1e-10 off the minimum (1, 1): |g|inf = 8e-10, below 1e-8, and 8e-7 to Strict
+NEAR_MINIMUM = np.array([1.0 + 1e-10, 1.0])
+
+
+def true_grad_inf(sy, x):
+    return float(np.abs(sy.gradient(x)).max())
+
+
+@pytest.mark.parametrize(
+    "g", [[3.0, -1.5], [-0.0, -0.0], [0.5, -2.0, np.inf], [[-np.inf, 1.0], [2.0, 0.0]], [1.0, np.nan, -3.0]]
+)
+def test_grad_inf_is_the_inf_norm_bit_for_bit(g):
+    for block in (np.array(g), -np.array(g)):
+        measure = Quartic2D().grad_inf(block)
+        assert type(measure) is float
+        assert np.array_equal(measure, float(np.abs(block).max()), equal_nan=True)
+        assert np.signbit(measure) == np.signbit(float(np.abs(block).max()))
+
+
+def test_the_measure_decides_where_minimize_stops():
+    base = minimize(Quartic2D(), NEAR_MINIMUM, MinimizeOptions(tol_grad=1e-8))
+    assert base.converged and base.iterations == 0
+    strict = minimize(Strict(), NEAR_MINIMUM, MinimizeOptions(tol_grad=1e-8))
+    assert strict.converged and strict.iterations > 0
+    assert strict.grad_inf == 1e3 * true_grad_inf(Strict(), strict.x) < 1e-8
+
+
+def test_the_measure_decides_where_a_saddle_search_lands():
+    assert np.array_equal(find_saddle(Quartic2D(), 0, NEAR_MINIMUM).field, NEAR_MINIMUM)
+    rec = find_saddle(Strict(), 0, NEAR_MINIMUM)
+    assert not np.array_equal(rec.field, NEAR_MINIMUM)
+    assert rec.grad_inf == 1e3 * true_grad_inf(Strict(), rec.field) < 1e-8
+
+
+def test_the_measure_decides_what_is_stationary():
+    assert classify_stationary(Quartic2D(), NEAR_MINIMUM)[0] == 0
+    assert make_record(Quartic2D(), NEAR_MINIMUM).morse_index == 0
+    for certify in (classify_stationary, make_record):
+        with pytest.raises(NotStationary) as err:
+            certify(Strict(), NEAR_MINIMUM)
+        assert err.value.grad_norm == 1e3 * true_grad_inf(Strict(), NEAR_MINIMUM)
+
+
+def test_the_measure_decides_the_string_checks():
+    # the endpoints pass 10 tol = 1e-8 by |g|inf and fail it by Strict's
+    other = np.array([-1.0, 1.0])
+    assert find_mep(NEAR_MINIMUM, other, tol=1e-9, system=Quartic2D()).ts_lambda1 < 0.0
+    with pytest.raises(NotStationary):
+        find_mep(NEAR_MINIMUM, other, tol=1e-9, system=Strict())
+    # and the string's residual on a bent path
+    t = np.linspace(0.0, 1.0, 9)
+    nodes = np.stack([2.0 * t - 1.0, 1.0 + 0.3 * np.sin(np.pi * t)], axis=1)
+    residual = perpendicular_residual(Path.from_nodes(Quartic2D(), nodes))
+    assert residual > 0.0
+    assert perpendicular_residual(Path.from_nodes(Strict(), nodes)) == 1e3 * residual
+
+
+def test_the_measure_decides_where_the_flow_stops(monkeypatch):
+    # 5 SAV steps and 2 Newton steps stop at |g|inf = 7.4e-7; with the measure
+    # 1e3 times larger, a third Newton step goes below 1e-9
+    d = Domain(nx=5, ny=5, lambda2=5.0, bulk=BulkParams(-1.0, 1.0, 1.0))
+    start = seed_field(d, "random(0.2)", seed=8)
+    out, _ = flow_to_equilibrium(start, dt=0.5, tol_grad=1e-6)
+    assert 1e-9 <= true_grad_inf(LdGSystem(d), out.flat) < 1e-6
+    monkeypatch.setattr(LdGSystem, "grad_inf", Strict.grad_inf)
+    out, _ = flow_to_equilibrium(start, dt=0.5, tol_grad=1e-6)
+    assert true_grad_inf(LdGSystem(d), out.flat) < 1e-9
