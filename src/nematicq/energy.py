@@ -219,7 +219,9 @@ class LdGSystem(System):
         d = self.domain
         nx, ny = d.nx, d.ny
         wx, wy = d.edge_weights
-        cols = np.asarray(v, dtype=float).reshape(np.shape(v)[0], -1)
+        if np.shape(v)[:1] != (self.n,):
+            raise ShapeMismatch(f"v has shape {np.shape(v)}, need ({self.n},) or ({self.n}, m)")
+        cols = np.asarray(v, dtype=float).reshape(self.n, -1)
         m = cols.shape[1]
         last_x, bulk = self.__dict__.get("_bulk_hessian", (None, None))
         if not np.array_equal(last_x, x):

@@ -196,7 +196,11 @@ class QField:
 
     @classmethod
     def from_flat(cls, domain: Domain, flat: np.ndarray) -> "QField":
-        return cls(domain, np.asarray(flat, dtype=float).reshape(domain.shape))
+        """The field whose values are flat's n_dof entries; any other size raises ShapeMismatch."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.size != domain.n_dof:
+            raise ShapeMismatch(f"flat field of shape {flat.shape} does not match domain {domain.shape}")
+        return cls(domain, flat.reshape(domain.shape))
 
     @property
     def flat(self) -> np.ndarray:

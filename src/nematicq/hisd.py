@@ -281,8 +281,9 @@ def find_saddle(
     dynamics steps in `iterations`.  Raises WrongIndex (carrying the
     verified record) when the landing point is stationary but of a
     different index than requested; the caller may keep that record.
-    A tol_grad outside (0, inf) raises ValidationError, and a v0 without
-    n * k entries ShapeMismatch, before any step.
+    A tol_grad outside (0, inf) raises ValidationError, and an x0 without
+    ``system.n`` entries or a v0 without n * k entries ShapeMismatch,
+    before any step.
     """
     opts = opts or SaddleOptions()
     record = _record(system, _search(system, k, x0, v0, opts), opts.tol_grad, k)
@@ -297,6 +298,8 @@ def _search(system: System, k: int, x0: np.ndarray, v0: np.ndarray | None, opts:
     precond = preconditioner_of(system)
     x = np.array(x0, dtype=float).reshape(-1)
     n = x.size
+    if n != system.n:
+        raise ShapeMismatch(f"x0 has shape {np.shape(x0)}, need ({system.n},)")
     if not 0 <= k <= n:
         raise ValidationError(f"index {k} out of range for {n} unknowns")
     if v0 is None:

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ValidationError
+
+# scipy.integrate and scipy.optimize are imported inside the three
+# functions that call them, so no Landau-de Gennes process maps them.
 
 __all__ = [
     "MsCriticalPoint",
@@ -81,6 +82,8 @@ def _check_eta(eta: float) -> float:
 def _moments(eta: float) -> tuple[float, float, float]:
     """(I0, I2, I4): moments of e^{eta z^2} on [0, 1], all scaled by
     e^{-max(eta, 0)} so nothing overflows; every consumer takes ratios."""
+    from scipy.integrate import quad
+
     shift = max(eta, 0.0)
 
     def moment(p: int) -> float:
@@ -103,6 +106,8 @@ def critical_alpha() -> tuple[float, float]:
 
     A coarse scan brackets the basin; golden-section polishes it.
     """
+    from scipy.optimize import minimize_scalar
+
     grid = np.linspace(-10.0, 30.0, 401)
     values = [ratio(g) for g in grid]
     i = int(np.argmin(values))
@@ -144,6 +149,8 @@ def solve_branches(alpha: float) -> list[MsCriticalPoint]:
     eta2 < eta* (unstable) join it, each solving R(eta) = alpha to
     bisection accuracy.
     """
+    from scipy.optimize import brentq
+
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValidationError("alpha must be positive")

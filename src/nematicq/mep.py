@@ -339,14 +339,19 @@ def _refine_ts(system: System, x0: np.ndarray, direction: np.ndarray, tol: float
 def _straight_string(system: System, xa: np.ndarray, xb: np.ndarray, n_nodes: int) -> Path:
     """The straight segment from xa to xb, written into the node buffers of a
     new workspace: no start block of the path's size is allocated, and none
-    is freed beneath the workspace."""
+    is freed beneath the workspace.  The interior energies and gradients come
+    from one fused ``energies_gradients`` pass, the endpoints' energies from
+    ``energies``."""
     ws = _Workspace((n_nodes, xa.size))
     nodes, other = ws.node_buffers
     frac = np.linspace(0.0, 1.0, n_nodes)[:, None]
     # (1 - frac) xa + frac xb
     np.multiply(1.0 - frac, xa, out=nodes)
     nodes += np.multiply(frac, xb, out=other)
-    return Path.from_nodes(system, nodes, _workspace=ws)
+    energies = np.empty(n_nodes)
+    energies[[0, -1]] = system.energies(nodes[[0, -1]])
+    energies[1:-1], gradients = system.energies_gradients(nodes[1:-1])
+    return Path.from_nodes(system, nodes, energies, gradients=gradients, _workspace=ws)
 
 
 def _string_loop(path: Path, tol: float) -> tuple[Path, int]:

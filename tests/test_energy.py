@@ -227,6 +227,11 @@ class TestLdGSystem:
         h2 = sy.hessian_vec(x, v, l=1e-6)
         assert np.abs(h1 - h2).max() < 1e-10
 
+    def test_hessian_vec_of_the_wrong_length_names_both_shapes(self):
+        sy = LdGSystem(make_domain(n=5))
+        with pytest.raises(ShapeMismatch, match=r"v has shape \(120,\), need \(125,\) or \(125, m\)"):
+            sy.hessian_vec(np.zeros(sy.n), np.ones(sy.n - 5))
+
     def test_hessian_vec_zero_vector(self):
         d = make_domain(n=5)
         sy = LdGSystem(d)

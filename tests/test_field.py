@@ -169,6 +169,12 @@ def test_qfield_flat_roundtrip():
     assert np.array_equal(f.values, g.values)
 
 
+def test_qfield_from_flat_of_the_wrong_length_names_both_shapes():
+    d = make_domain()
+    with pytest.raises(ShapeMismatch, match=r"\(181,\) does not match domain \(6, 6, 5\)"):
+        QField.from_flat(d, np.zeros(d.n_dof + 1))
+
+
 class TestSeeds:
     def test_isotropic(self):
         f = seed_field(make_domain(), "isotropic")

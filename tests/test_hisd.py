@@ -439,6 +439,14 @@ def test_start_directions_of_the_wrong_size_raise_before_any_step(v0):
         find_saddle(sy, 1, np.array([0.2, 0.8]), v0=v0)
 
 
+def test_a_start_of_the_wrong_length_raises_before_any_step():
+    # x0 and v0 agree with each other, not with the 8 x 8 system
+    d = Domain(nx=8, ny=8, lambda2=50.0, bulk=BulkParams(-2.0 / 3.0, 2.0, 2.0), boundary="planar")
+    n = d.n_dof - 5
+    with pytest.raises(ShapeMismatch, match=r"x0 has shape \(315,\), need \(320,\)"):
+        find_saddle(LdGSystem(d), 1, np.zeros(n), np.ones((n, 1)))
+
+
 class TestNewtonEndgame:
     def test_polish_back_toward_the_parent_is_rejected(self):
         # at (0, 0.05) Newton heads for the index-2 top (0, 0), against the

@@ -247,9 +247,10 @@ class CountingLdG(LdGSystem):
 
 
 def test_string_evaluates_each_resampled_node_in_one_fused_pass(monkeypatch):
-    # the 8 x 8 diagonal-to-diagonal string: only the start path's interior
-    # gradients are evaluated on their own; every reparametrization that
-    # moves nodes evaluates them in one energies_gradients call
+    # the 8 x 8 diagonal-to-diagonal string: the start path evaluates its
+    # endpoints' energies and its interior in one energies_gradients call,
+    # and so does every reparametrization that moves nodes; no gradients
+    # are evaluated on their own
     mep = importlib.import_module("nematicq.mep")
     moved = []
     original = mep.reparametrize
@@ -265,10 +266,10 @@ def test_string_evaluates_each_resampled_node_in_one_fused_pass(monkeypatch):
     n_nodes = 16
     res = find_mep(a, b, n_nodes=n_nodes, tol=1e-4, ts_tol=1e-4, system=sy)
     assert res.sweeps >= 1 and sum(moved) >= 1
-    assert sum(len(xs) for name, xs in sy.log if name == "gradients") == n_nodes - 2
-    assert sum(name == "energies_gradients" for name, _ in sy.log) == sum(moved)
-    for (first, xs), (second, ys) in zip(sy.log, sy.log[1:]):
-        assert not (first == "energies" and second == "gradients" and np.array_equal(xs, ys))
+    (first, ends), (second, interior) = sy.log[:2]
+    assert (first, len(ends), second, len(interior)) == ("energies", 2, "energies_gradients", n_nodes - 2)
+    assert not any(name == "gradients" for name, _ in sy.log)
+    assert sum(name == "energies_gradients" for name, _ in sy.log) == 1 + sum(moved)
 
 
 def test_repeated_node_is_dropped_by_the_resample():
